@@ -90,6 +90,8 @@ def solve_alpha(
     initial: list[int] | None = None,
 ) -> tuple[IndependentSetWitness, int]:
     """Exact alpha via branch and bound; returns (witness, nodes_used)."""
+    if node_budget is not None and node_budget < 0:
+        raise InputError(f"node budget must be nonnegative, got {node_budget}")
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0

@@ -102,6 +102,9 @@ def channel_from_json(text: str) -> Channel:
     for key in ("x_size", "y_size", "rows"):
         if key not in data:
             raise InputError(f"channel JSON missing {key!r}")
+    for key in ("x_size", "y_size"):
+        if type(data[key]) is not int:  # bool and float are not sizes
+            raise InputError(f"{key} must be an integer, got {data[key]!r}")
     rows = []
     raw_rows = data["rows"]
     if not isinstance(raw_rows, list):
@@ -115,7 +118,7 @@ def channel_from_json(text: str) -> Channel:
                 for j, cell in enumerate(raw, start=1)
             )
         )
-    return Channel(int(data["x_size"]), int(data["y_size"]), tuple(rows))
+    return Channel(data["x_size"], data["y_size"], tuple(rows))
 
 
 def confusability_graph(ch: Channel) -> Graph:

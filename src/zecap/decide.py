@@ -1,14 +1,22 @@
 """Budgeted semi-decision machinery for capacity threshold questions.
 
-The primitive is a per-level test: level k compares the exact integer
-alpha(g^(2^k)) against threshold approximants, firing exactly when
+The primitive is one level test, ``_level_test``: level k compares the
+exact integer alpha(g^(2^k)) against threshold approximants, firing
+exactly when
 
     alpha(g^(2^k)) - r(n)^(2^k)  >  L_k * 2^-n
 
 with L_k = 2^k * (|r(1)| + 1)^(2^k - 1), a certified Lipschitz constant for
 t -> t^(2^k) on the interval the approximants can reach.  A firing is an
 exact rational certificate that the capacity exceeds the threshold; the
-test never fires when it does not.
+test never fires when it does not.  Certificates are re-checked by the
+same function.
+
+The alpha values come from one per-graph level store, ``_LevelStore``:
+each level's strong power is solved cold, at most once, with the full
+per-solve node budget, and a level that cannot be solved keeps its stall
+reason.  The dovetail, the single-level run and the enumeration all read
+from it.
 
 Levels are dovetailed on a triangular schedule (stage t runs one step of
 each of levels 0..t-1), so every level gets unbounded attention if the
@@ -24,7 +32,7 @@ from fractions import Fraction
 
 from . import creal
 from .alpha import ladder as alpha_ladder, solve_alpha
-from .errors import BudgetError, InputError
+from .errors import BudgetError, ConvergenceError, InputError
 from .graphs import Graph, decode, encode, power_fits, strong_power
 from .spectrum import fractional_clique_cover, lovasz_theta, sandwich
 
@@ -44,6 +52,15 @@ def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
     return (1 << k) * (r1 + 1) ** ((1 << k) - 1)
 
 
+def _level_test(
+    alpha_power: int, lam: creal.CReal, k: int, n: int
+) -> tuple[Fraction, Fraction] | None:
+    """The sides (lhs, rhs) of the level-k test at precision n if it fires."""
+    lhs = alpha_power - lam.approx(n) ** (1 << k)
+    rhs = lipschitz_constant(lam, k) * Fraction(1, 1 << n)
+    return (lhs, rhs) if lhs > rhs else None
+
+
 @dataclass
 class Certificate:
     """Exact arithmetic witnessing capacity > threshold at one level."""
@@ -57,10 +74,8 @@ class Certificate:
     rhs: Fraction
 
     def verify(self, lam: creal.CReal) -> bool:
-        r = lam.approx(self.precision)
-        lhs = self.alpha_power - r ** (1 << self.level)
-        rhs = lipschitz_constant(lam, self.level) * Fraction(1, 1 << self.precision)
-        return lhs == self.lhs and rhs == self.rhs and lhs > rhs
+        sides = _level_test(self.alpha_power, lam, self.level, self.precision)
+        return sides == (self.lhs, self.rhs)
 
 
 @dataclass
@@ -72,70 +87,70 @@ class DecisionOutcome:
     log: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-class _LevelRun:
-    """State of one level inside the dovetail."""
+class _LevelStore:
+    """alpha(g^(2^k)) for the levels k of one graph, each solved at most once."""
 
-    __slots__ = ("level", "alpha_value", "stalled", "next_n", "lipschitz", "nodes_used")
+    __slots__ = (
+        "graph", "node_budget", "power_cap", "level_cap", "top", "alpha", "nodes", "stalled"
+    )
+
+    def __init__(self, g: Graph, node_budget: int | None, power_cap: int, level_cap: int):
+        self.graph = g
+        self.node_budget = node_budget
+        self.power_cap = power_cap
+        self.level_cap = level_cap
+        self.alpha: dict[int, int] = {}
+        self.nodes: dict[int, int] = {}
+        self.stalled: dict[int, str] = {}  # level cap / vertex budget / node budget
+        top = 0  # the highest level that fits, or 0
+        while top + 1 <= level_cap and power_fits(g.n, 1 << (top + 1), power_cap):
+            top += 1
+        self.top = top
+
+    def solve(self, level: int) -> int | None:
+        """alpha at this level, or None once the level has stalled."""
+        if level not in self.alpha and level not in self.stalled:
+            if level > self.level_cap:
+                self.stalled[level] = "level cap"
+            elif not power_fits(self.graph.n, 1 << level, self.power_cap):
+                self.stalled[level] = "vertex budget"
+            else:
+                try:
+                    power = strong_power(self.graph, 1 << level, self.power_cap)
+                    witness, self.nodes[level] = solve_alpha(power, self.node_budget)
+                    self.alpha[level] = witness.size
+                except BudgetError as e:
+                    self.stalled[level] = str(e.reason)
+                    self.nodes[level] = e.used or 0
+        return self.alpha.get(level)
+
+
+class _LevelRun:
+    """Precision counter of one level inside the dovetail."""
+
+    __slots__ = ("level", "next_n")
 
     def __init__(self, level: int):
         self.level = level
-        self.alpha_value: int | None = None
-        self.stalled: str | None = None
         self.next_n = 1
-        self.lipschitz: Fraction | None = None
-        self.nodes_used = 0
 
-    def step(
-        self,
-        g: Graph,
-        lam: creal.CReal,
-        lambda_expr: str,
-        node_budget: int | None,
-        power_cap: int,
-        level_cap: int,
-    ) -> Certificate | None:
-        if self.stalled is not None:
+    def step(self, store: _LevelStore, lam: creal.CReal, expr: str) -> Certificate | None:
+        alpha_value = store.solve(self.level)
+        if alpha_value is None:
             return None
-        if self.alpha_value is None:
-            if self.level > level_cap:
-                self.stalled = "level cap"
-                return None
-            if not power_fits(g.n, 1 << self.level, power_cap):
-                self.stalled = "vertex budget"
-                return None
-            try:
-                power = strong_power(g, 1 << self.level, power_cap)
-                witness, used = solve_alpha(power, node_budget)
-            except BudgetError as e:
-                self.stalled = str(e.reason)
-                self.nodes_used = e.used or 0
-                return None
-            self.alpha_value = witness.size
-            self.nodes_used = used
-            self.lipschitz = lipschitz_constant(lam, self.level)
         n = self.next_n
         self.next_n += 1
-        r = lam.approx(n)
-        lhs = self.alpha_value - r ** (1 << self.level)
-        rhs = self.lipschitz * Fraction(1, 1 << n)
-        if lhs > rhs:
-            return Certificate(
-                graph_index=encode(g),
-                lambda_expr=lambda_expr,
-                level=self.level,
-                precision=n,
-                alpha_power=self.alpha_value,
-                lhs=lhs,
-                rhs=rhs,
-            )
-        return None
+        sides = _level_test(alpha_value, lam, self.level, n)
+        if sides is None:
+            return None
+        return Certificate(encode(store.graph), expr, self.level, n, alpha_value, *sides)
 
-    def describe(self) -> dict:
+    def describe(self, store: _LevelStore) -> dict:
         return {
-            "alpha": self.alpha_value,
+            "alpha": store.alpha.get(self.level),
             "last_precision": self.next_n - 1,
-            "stalled": self.stalled,
-            "nodes_used": self.nodes_used,
+            "stalled": store.stalled.get(self.level),
+            "nodes_used": store.nodes.get(self.level, 0),
         }
 
 
@@ -154,15 +169,15 @@ def semidecide_level(
         raise InputError("level must be nonnegative")
     if step_budget < 1:
         raise InputError("step budget must be positive")
+    store = _LevelStore(g, node_budget, power_cap, level_cap)
     run = _LevelRun(level)
     expr = lambda_expr or lam.description
     for step in range(1, step_budget + 1):
-        cert = run.step(g, lam, expr, node_budget, power_cap, level_cap)
-        if cert is not None:
-            return DecisionOutcome(HALTED, cert, {level: run.describe()}, step)
-        if run.stalled is not None:
-            return DecisionOutcome(BUDGET_EXHAUSTED, None, {level: run.describe()}, step)
-    return DecisionOutcome(BUDGET_EXHAUSTED, None, {level: run.describe()}, step_budget)
+        cert = run.step(store, lam, expr)
+        if cert is not None or level in store.stalled:
+            break
+    status = BUDGET_EXHAUSTED if cert is None else HALTED
+    return DecisionOutcome(status, cert, {level: run.describe(store)}, step)
 
 
 def semidecide_gt(
@@ -183,6 +198,7 @@ def semidecide_gt(
     if budget < 1:
         raise InputError("budget must be positive")
     expr = lambda_expr or lam.description
+    store = _LevelStore(g, node_budget, power_cap, level_cap)
     runs: list[_LevelRun] = []
     steps_used = 0
     log: list[tuple[int, int, int]] = []
@@ -194,12 +210,12 @@ def semidecide_gt(
             if steps_used >= budget:
                 break
             steps_used += 1
-            cert = run.step(g, lam, expr, node_budget, power_cap, level_cap)
+            cert = run.step(store, lam, expr)
             log.append((stage, run.level, run.next_n - 1))
             if cert is not None:
-                progress = {r.level: r.describe() for r in runs}
+                progress = {r.level: r.describe(store) for r in runs}
                 return DecisionOutcome(HALTED, cert, progress, steps_used, log)
-    progress = {r.level: r.describe() for r in runs}
+    progress = {r.level: r.describe(store) for r in runs}
     return DecisionOutcome(BUDGET_EXHAUSTED, None, progress, steps_used, log)
 
 
@@ -224,20 +240,6 @@ class EnumerationState:
         return [e.graph_index for e in self.emitted]
 
 
-class _PendingGraph:
-    __slots__ = ("slot", "graph", "alpha_cache", "max_level", "blocked_levels")
-
-    def __init__(self, slot: int, graph: Graph, power_cap: int, level_cap: int):
-        self.slot = slot
-        self.graph = graph
-        self.alpha_cache: dict[int, int] = {}
-        self.blocked_levels: set[int] = set()
-        lv = 0
-        while lv + 1 <= level_cap and power_fits(graph.n, 1 << (lv + 1), power_cap):
-            lv += 1
-        self.max_level = lv
-
-
 def enumerate_gt(
     lam: creal.CReal,
     graph_horizon: int,
@@ -251,61 +253,34 @@ def enumerate_gt(
 
     Stage k admits the k-th graph of the numbering (slot k holds index
     k-1) and gives every pending slot j one test at level min(k-j+1, cap)
-    and precision k-j+1.  A graph is emitted, with its certificate, the
-    first time a test fires; graphs needing levels beyond the vertex
-    budget simply stay pending.
+    and precision k-j+1, stepping down past levels whose solve stalled.
+    A graph is emitted, with its certificate, the first time a test fires;
+    graphs needing levels beyond the vertex budget simply stay pending.
     """
     if graph_horizon < 0:
         raise InputError("graph horizon must be nonnegative")
     if stage_budget < 0:
         raise InputError("stage budget must be nonnegative")
     expr = lambda_expr or lam.description
-    pending: dict[int, _PendingGraph] = {}
+    pending: dict[int, _LevelStore] = {}
     emitted: list[EmittedGraph] = []
-    lipschitz: dict[int, Fraction] = {}
     stage = 0
     for stage in range(1, stage_budget + 1):
         if stage <= graph_horizon:
-            pending[stage] = _PendingGraph(stage, decode(stage - 1), power_cap, level_cap)
+            pending[stage] = _LevelStore(decode(stage - 1), node_budget, power_cap, level_cap)
         for slot in sorted(pending):
-            item = pending[slot]
+            store = pending[slot]
             age = stage - slot + 1
-            level = min(age, item.max_level)
-            while level > 0 and level in item.blocked_levels:
+            level = min(age, store.top)
+            while level > 0 and level in store.stalled:
                 level -= 1
-            alpha_value = item.alpha_cache.get(level)
+            alpha_value = store.solve(level)
             if alpha_value is None:
-                try:
-                    power = strong_power(item.graph, 1 << level, power_cap)
-                    witness, _ = solve_alpha(power, node_budget)
-                    alpha_value = witness.size
-                    item.alpha_cache[level] = alpha_value
-                except BudgetError:
-                    item.blocked_levels.add(level)
-                    continue
-            const = lipschitz.get(level)
-            if const is None:
-                const = lipschitz_constant(lam, level)
-                lipschitz[level] = const
-            r = lam.approx(age)
-            lhs = alpha_value - r ** (1 << level)
-            rhs = const * Fraction(1, 1 << age)
-            if lhs > rhs:
-                emitted.append(
-                    EmittedGraph(
-                        slot=slot,
-                        graph_index=slot - 1,
-                        certificate=Certificate(
-                            graph_index=slot - 1,
-                            lambda_expr=expr,
-                            level=level,
-                            precision=age,
-                            alpha_power=alpha_value,
-                            lhs=lhs,
-                            rhs=rhs,
-                        ),
-                    )
-                )
+                continue
+            sides = _level_test(alpha_value, lam, level, age)
+            if sides is not None:
+                cert = Certificate(slot - 1, expr, level, age, alpha_value, *sides)
+                emitted.append(EmittedGraph(slot=slot, graph_index=slot - 1, certificate=cert))
                 del pending[slot]
     return EnumerationState(stage=stage, pending=sorted(pending), emitted=emitted)
 
@@ -421,7 +396,7 @@ def squeeze_capacity(
             elif action == "theta" and g.n > 0:
                 bound = lovasz_theta(g, arg)
                 upper = min(upper, bound.hi)
-        except Exception:
+        except (BudgetError, ConvergenceError):
             continue  # a failed refinement leaves the interval as it was
     status = VALUE if upper - lower < target else BUDGET_EXHAUSTED
     return SqueezeResult(status, lower, upper, rounds)

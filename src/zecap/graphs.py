@@ -228,12 +228,11 @@ def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
     if n < 1:
         raise InputError("strong power exponent must be >= 1")
     cap = vertex_budget(max_vertices)
-    if g.n >= 2:
-        if n * math.log2(g.n) > math.log2(cap) + 1e-12 or g.n ** n > cap:
-            raise BudgetError(
-                f"strong power needs {g.n}^{n} vertices, budget is {cap}",
-                reason="vertex budget",
-            )
+    if not power_fits(g.n, n, cap):
+        raise BudgetError(
+            f"strong power needs {g.n}^{n} vertices, budget is {cap}",
+            reason="vertex budget",
+        )
     if g.n <= 1:
         return g  # powers of the empty graph / a single vertex are themselves
     result = None

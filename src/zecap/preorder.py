@@ -69,6 +69,8 @@ def _hom_search(
     src: Graph, dst: Graph, node_budget: int | None
 ) -> tuple[tuple[int, ...] | None, int]:
     """Find a homomorphism src -> dst (edges to edges) or prove none exists."""
+    if node_budget is not None and node_budget < 0:
+        raise InputError(f"node budget must be nonnegative, got {node_budget}")
     ns, nt = src.n, dst.n
     if ns == 0:
         return (), 0

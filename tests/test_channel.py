@@ -88,6 +88,9 @@ class TestParsing:
             channel_from_json('{"x_size": 2, "rows": []}')
         with pytest.raises(InputError):
             channel_from_json('{"x_size": 1, "y_size": 1, "rows": [["1/2"]]}')
+        for size in ('"a"', "1.5", "true", "null"):
+            with pytest.raises(InputError, match="x_size"):
+                channel_from_json(f'{{"x_size": {size}, "y_size": 1, "rows": [["1"]]}}')
 
 
 class TestConfusabilityGraph:

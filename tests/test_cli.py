@@ -82,6 +82,12 @@ class TestGolden:
             ["decide-gt", "--graph", "C5", "--lambda", "2", "--budget", "100"],
         )
 
+    def test_enumerate(self):
+        self.run_against(
+            "enumerate_3_2.json",
+            ["enumerate", "--lambda", "3/2", "--horizon", "10", "--stages", "12"],
+        )
+
 
 class TestSchemaConformance:
     def run_valid(self, schema, argv, expect_code=0):
@@ -170,7 +176,11 @@ class TestSchemaConformance:
 
 
 class TestExitCodes:
-    def test_input_errors(self):
+    def test_input_errors(self, tmp_path):
+        bad_size = tmp_path / "bad.json"
+        bad_size.write_text(PENTAGON_JSON.replace('"x_size": 5', '"x_size": "a"'))
+        assert run(["capacity", "--channel", str(bad_size)])[0] == 2
+        assert run(["alpha", "--graph", "C5", "--node-budget", "-3"])[0] == 2
         assert run(["encode", "Q5"])[0] == 2
         assert run(["decode", "-1"])[0] == 2
         assert run(["locate", "--graph", "E3", "--M", "1"])[0] == 2
@@ -182,6 +192,7 @@ class TestExitCodes:
         code, report = run(["alpha", "--graph", "C5^2", "--node-budget", "1"])
         assert code == 3
         assert report["results"]["kind"] == "budget"
+        assert run(["alpha", "--graph", "C5", "--node-budget", "0"])[0] == 3
 
     def test_decide_exhausted_is_exit_three(self):
         code, report = run(

@@ -281,6 +281,15 @@ class TestSqueeze:
             assert w <= prev_width
             prev_width = w
 
+    def test_programming_errors_propagate(self, pentagon, monkeypatch):
+        # only budget and convergence stops may leave a round as a no-op
+        def broken(g):
+            raise TypeError("broken refinement")
+
+        monkeypatch.setattr("zecap.decide.fractional_clique_cover", broken)
+        with pytest.raises(TypeError, match="broken refinement"):
+            squeeze_capacity(pentagon, 8)
+
     def test_validation(self, pentagon):
         with pytest.raises(InputError):
             squeeze_capacity(pentagon, -1)

@@ -86,6 +86,12 @@ class TestLeqAnchors:
         with pytest.raises(BudgetError):
             leq(big, big, node_budget=1)
 
+    def test_negative_node_budget_is_an_input_error(self, pentagon):
+        with pytest.raises(InputError):
+            leq(pentagon, pentagon, node_budget=-1)  # homomorphism search
+        with pytest.raises(InputError):
+            leq(edgeless_graph(2), pentagon, node_budget=-1)  # alpha shortcut
+
 
 class TestSlackPowerComparison:
     def test_rejected_when_slack_rule_violated(self, pentagon):
