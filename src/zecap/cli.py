@@ -3,8 +3,9 @@
 Reports share a fixed envelope — command, canonicalized inputs, results,
 budgets, version, wall time — and serialize with sorted keys so identical
 inputs produce identical bytes (wall time aside).  Exit codes: 0 success,
-2 input error, 3 budget exhausted (the partial result is still emitted),
-4 solver failure.
+2 input error, 3 budget exhausted, 4 solver failure.  An error report keeps
+the inputs parsed before the stop and all budgets; a budget stop also
+carries its ``reason``, the amount ``used`` and any ``partial`` result.
 
 Graphs are given as expressions: numbering indices ("689"), named
 shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9 edgeless, S the single
@@ -23,9 +24,10 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .alpha import ladder, solve_alpha
+from .alpha import IndependentSetWitness, ladder, solve_alpha
 from .channel import (
     Channel,
     capacity_bounds,
@@ -286,62 +288,131 @@ def _write_bounds_csv(path: str, report: BoundsReport) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_tolerance(text: str) -> Fraction:
+# ---------------------------------------------------------------------------
+# input parsing: each helper records what it parsed under ``inputs``, so an
+# error report keeps everything parsed before the failure
+
+
+def _graph_input(inputs: dict, source: str = "expression", key: str = "graph") -> Graph:
+    g = parse_graph(inputs[source])
+    inputs[key] = graph_json(g)
+    return g
+
+
+def _tol_input(inputs: dict) -> Fraction:
+    text = inputs["tol"]
     try:
         tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse tolerance {text!r}") from None
     if tol <= 0:
         raise InputError("tolerance must be positive")
+    inputs["tol"] = frac_str(tol)
     return tol
 
 
-def _load_channel(path: str, fmt: str) -> Channel:
+def _lambda_input(inputs: dict) -> CReal:
+    lam = parse_real(inputs["lambda"])
+    inputs["lambda"] = inputs["lambda"].strip()
+    return lam
+
+
+def _channel_input(inputs: dict, fmt: str) -> Channel:
+    path = inputs["channel"]
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise InputError(f"cannot read channel file {path!r}: {e}") from e
     if fmt == "auto":
         fmt = "json" if path.endswith(".json") or text.lstrip().startswith("{") else "csv"
-    return channel_from_json(text) if fmt == "json" else channel_from_csv(text)
+    ch = channel_from_json(text) if fmt == "json" else channel_from_csv(text)
+    inputs.update(x_size=ch.x_size, y_size=ch.y_size)
+    return ch
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, results, budgets, exit_code)
+# the command table: each subcommand is declared once, above its handler.
+# Report keys under ``inputs`` and ``budgets`` are argparse dests, recorded
+# by ``run`` before the handler runs.
 
 
-def _cmd_encode(args):
+def _arg(name: str, **kwargs) -> tuple[str, dict]:
+    return name, kwargs  # spelled as for add_argument
+
+
+# shared flags; a command may override their defaults
+_FLAGS = {
+    "--graph": dict(dest="expression", required=True,
+                    help="graph expression, e.g. C5, 'S+C5', 'K3*E2', 689, '5:1001100101'"),
+    "--m": dict(dest="m_max", type=int, default=1, help="deepest ladder level"),
+    "--tol": dict(default="1e-4", help="theta interval tolerance"),
+    "--lambda": dict(dest="lambda", required=True, help="threshold expression"),
+    "--node-budget": dict(type=int, default=None,
+                          help="branch-and-bound node cap per independence solve"),
+    "--power-cap": dict(type=int, default=None, help="strong-power vertex cap"),
+    "--csv": dict(help="also write the series to this CSV file"),
+    "--channel": dict(required=True, help="channel file (CSV or JSON)"),
+    "--format": dict(choices=["auto", "csv", "json"], default="auto"),
+}
+_GRAPH_PAIR = [
+    _arg("left_expression", metavar="left", help="graph expression"),
+    _arg("right_expression", metavar="right", help="graph expression"),
+]
+
+
+class _Command(NamedTuple):
+    handler: Callable  # (args, inputs) -> (results, exit_code)
+    summary: str
+    flags: list  # names in _FLAGS, or _arg(...) of the command's own
+    inputs: list  # dests reported under "inputs"; handlers add parsed forms
+    budgets: list  # dests reported under "budgets"
+    defaults: dict  # per-command defaults of shared flags
+
+
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name, summary, flags, inputs="", budgets="", **defaults):
+    def register(handler):
+        _COMMANDS[name] = _Command(
+            handler, summary, flags, inputs.split(), budgets.split(), defaults
+        )
+        return handler
+
+    return register
+
+
+@_command("encode", "numbering index of a graph expression", [_arg("expression")],
+          inputs="expression")
+def _cmd_encode(args, inputs):
     g = parse_graph(args.expression)
-    inputs = {"expression": args.expression}
-    results = {"index": encode(g), "graph": graph_json(g)}
-    return inputs, results, {}, 0
+    return {"index": encode(g), "graph": graph_json(g)}, 0
 
 
-def _cmd_decode(args):
-    g = decode(args.index)
-    inputs = {"index": args.index}
-    return inputs, {"graph": graph_json(g)}, {}, 0
+@_command("decode", "graph at a numbering index", [_arg("index", type=int)], inputs="index")
+def _cmd_decode(args, inputs):
+    return {"graph": graph_json(decode(args.index))}, 0
 
 
-def _cmd_alpha(args):
-    g = parse_graph(args.graph)
-    witness, nodes = solve_alpha(g, args.node_budget)
-    inputs = {"graph": graph_json(g), "expression": args.graph}
-    results = {
+@_command("alpha", "maximum independent set with witness", ["--graph", "--node-budget"],
+          inputs="expression", budgets="node_budget")
+def _cmd_alpha(args, inputs):
+    witness, nodes = solve_alpha(_graph_input(inputs), args.node_budget)
+    return {
         "alpha": witness.size,
         "witness": sorted(witness.vertices),
         "nodes_used": nodes,
-    }
-    return inputs, results, {"node_budget": args.node_budget}, 0
+    }, 0
 
 
-def _cmd_ladder(args):
-    g = parse_graph(args.graph)
-    inputs = {"graph": graph_json(g), "expression": args.graph, "m_max": args.m}
-    budgets = {"node_budget": args.node_budget, "power_cap": args.power_cap}
+@_command("ladder", "independence ladder lower bounds",
+          ["--graph", "--m", "--node-budget", "--power-cap", "--csv"],
+          inputs="expression m_max", budgets="node_budget power_cap")
+def _cmd_ladder(args, inputs):
+    g = _graph_input(inputs)
     code = 0
     try:
-        levels = ladder(g, args.m, args.node_budget, args.power_cap)
+        levels = ladder(g, args.m_max, args.node_budget, args.power_cap)
         results = {"levels": _ladder_json(levels)}
     except BudgetError as e:
         levels = list(e.partial or [])
@@ -349,102 +420,88 @@ def _cmd_ladder(args):
         code = 3
     if args.csv:
         _write_ladder_csv(args.csv, levels)
-    return inputs, results, budgets, code
+    return results, code
 
 
-def _cmd_bounds(args):
-    g = parse_graph(args.graph)
-    tol = _parse_tolerance(args.tol)
-    report = sandwich(g, args.m, tol, args.node_budget, args.power_cap)
-    inputs = {
-        "graph": graph_json(g),
-        "expression": args.graph,
-        "m_max": args.m,
-        "tol": frac_str(tol),
-    }
-    budgets = {"node_budget": args.node_budget, "power_cap": args.power_cap}
+@_command("bounds", "two-sided capacity sandwich",
+          ["--graph", "--m", "--tol", "--node-budget", "--power-cap", "--csv"],
+          inputs="expression m_max tol", budgets="node_budget power_cap")
+def _cmd_bounds(args, inputs):
+    g = _graph_input(inputs)
+    report = sandwich(g, args.m_max, _tol_input(inputs), args.node_budget, args.power_cap)
     if args.csv:
         _write_bounds_csv(args.csv, report)
-    return inputs, _bounds_json(report), budgets, 3 if report.errors else 0
+    return _bounds_json(report), 3 if report.errors else 0
 
 
-def _cmd_theta(args):
-    g = parse_graph(args.graph)
-    tol = _parse_tolerance(args.tol)
-    bound = lovasz_theta(g, tol)
-    inputs = {"graph": graph_json(g), "expression": args.graph, "tol": frac_str(tol)}
-    results = {
+@_command("theta-sdp", "certified Lovász theta interval", ["--graph", "--tol"],
+          inputs="expression tol")
+def _cmd_theta(args, inputs):
+    g = _graph_input(inputs)
+    bound = lovasz_theta(g, _tol_input(inputs))
+    return {
         "kind": bound.kind,
         "lo": frac_str(bound.lo),
         "hi": frac_str(bound.hi),
         "lo_decimal": decimal_string(bound.lo, 12),
         "hi_decimal": decimal_string(bound.hi, 12),
         "tolerance": frac_str(bound.tolerance),
-    }
-    return inputs, results, {}, 0
+    }, 0
 
 
-def _cmd_chif(args):
-    g = parse_graph(args.graph)
-    bound = fractional_clique_cover(g)
-    inputs = {"graph": graph_json(g), "expression": args.graph}
-    results = {
+@_command("chif", "exact fractional clique cover number", ["--graph"], inputs="expression")
+def _cmd_chif(args, inputs):
+    bound = fractional_clique_cover(_graph_input(inputs))
+    return {
         "kind": bound.kind,
         "value": frac_str(bound.hi),
         "decimal": decimal_string(bound.hi, 12),
-    }
-    return inputs, results, {}, 0
+    }, 0
 
 
-def _cmd_decide_gt(args):
-    g = parse_graph(args.graph)
-    lam = parse_real(args.lam)
+@_command("decide-gt", "semi-decide capacity > threshold",
+          ["--graph", "--lambda", "--node-budget", "--power-cap",
+           _arg("--budget", dest="step_budget", type=int, default=1000,
+                help="dovetail step budget")],
+          inputs="expression lambda", budgets="step_budget node_budget power_cap",
+          node_budget=DEFAULT_NODE_BUDGET, power_cap=DEFAULT_POWER_CAP)
+def _cmd_decide_gt(args, inputs):
+    g = _graph_input(inputs)
+    lam = _lambda_input(inputs)
     outcome = semidecide_gt(
         g,
         lam,
-        args.budget,
+        args.step_budget,
         node_budget=args.node_budget,
         power_cap=args.power_cap,
-        lambda_expr=args.lam.strip(),
+        lambda_expr=inputs["lambda"],
     )
     if outcome.certificate is not None and not outcome.certificate.verify(lam):
         raise ConvergenceError("certificate failed exact re-verification")
-    inputs = {
-        "graph": graph_json(g),
-        "expression": args.graph,
-        "lambda": args.lam.strip(),
-    }
-    budgets = {
-        "step_budget": args.budget,
-        "node_budget": args.node_budget,
-        "power_cap": args.power_cap,
-    }
-    results = {
+    return {
         "status": outcome.status,
         "certificate": certificate_json(outcome.certificate),
         "steps_used": outcome.steps_used,
         "progress": {str(k): v for k, v in sorted(outcome.progress.items())},
-    }
-    return inputs, results, budgets, 0 if outcome.status == HALTED else 3
+    }, 0 if outcome.status == HALTED else 3
 
 
-def _cmd_enumerate(args):
-    lam = parse_real(args.lam)
+@_command("enumerate", "enumerate graphs with capacity > threshold",
+          ["--lambda", "--node-budget", "--power-cap",
+           _arg("--horizon", type=int, required=True, help="number of graphs admitted"),
+           _arg("--stages", type=int, required=True, help="schedule stages to run")],
+          inputs="lambda horizon stages", budgets="power_cap node_budget",
+          node_budget=200_000, power_cap=ENUM_POWER_CAP)
+def _cmd_enumerate(args, inputs):
     state = enumerate_gt(
-        lam,
+        _lambda_input(inputs),
         args.horizon,
         args.stages,
         power_cap=args.power_cap,
         node_budget=args.node_budget,
-        lambda_expr=args.lam.strip(),
+        lambda_expr=inputs["lambda"],
     )
-    inputs = {
-        "lambda": args.lam.strip(),
-        "horizon": args.horizon,
-        "stages": args.stages,
-    }
-    budgets = {"power_cap": args.power_cap, "node_budget": args.node_budget}
-    results = {
+    return {
         "stage": state.stage,
         "pending_slots": state.pending,
         "emitted": [
@@ -455,78 +512,62 @@ def _cmd_enumerate(args):
             }
             for e in state.emitted
         ],
-    }
-    return inputs, results, budgets, 0
+    }, 0
 
 
-def _cmd_preorder(args):
-    left = parse_graph(args.left)
-    right = parse_graph(args.right)
+@_command("preorder", "decide the cohomomorphism order left <= right",
+          [*_GRAPH_PAIR, "--node-budget",
+           _arg("--max-vertices", type=int, default=LEQ_MAX_VERTICES)],
+          inputs="left_expression right_expression", budgets="max_vertices node_budget")
+def _cmd_preorder(args, inputs):
+    left = _graph_input(inputs, "left_expression", "left")
+    right = _graph_input(inputs, "right_expression", "right")
     witness = leq(left, right, args.max_vertices, args.node_budget)
-    inputs = {
-        "left": graph_json(left),
-        "right": graph_json(right),
-        "left_expression": args.left,
-        "right_expression": args.right,
-    }
-    results = {
+    return {
         "established": witness.established,
         "mapping": None if witness.mapping is None else list(witness.mapping),
         "nodes_used": witness.nodes_used,
-    }
-    budgets = {"max_vertices": args.max_vertices, "node_budget": args.node_budget}
-    return inputs, results, budgets, 0
+    }, 0
 
 
-def _cmd_asym_preorder(args):
-    left = parse_graph(args.left)
-    right = parse_graph(args.right)
+@_command("asym-preorder", "bounded search for an asymptotic-order witness",
+          [*_GRAPH_PAIR, "--node-budget", "--power-cap",
+           _arg("--m", type=int, required=True, help="slack denominator"),
+           _arg("--budget", dest="search_budget", type=int, default=32,
+                help="number of (n,k) tests")],
+          inputs="left_expression right_expression m",
+          budgets="search_budget power_cap node_budget",
+          node_budget=2_000_000, power_cap=512)
+def _cmd_asym_preorder(args, inputs):
+    left = _graph_input(inputs, "left_expression", "left")
+    right = _graph_input(inputs, "right_expression", "right")
     outcome = asymptotic_leq_bounded(
-        left, right, args.m, args.budget, args.power_cap, args.node_budget
+        left, right, args.m, args.search_budget, args.power_cap, args.node_budget
     )
-    inputs = {
-        "left": graph_json(left),
-        "right": graph_json(right),
-        "left_expression": args.left,
-        "right_expression": args.right,
-        "m": args.m,
-    }
-    budgets = {
-        "search_budget": args.budget,
-        "power_cap": args.power_cap,
-        "node_budget": args.node_budget,
-    }
-    results = {
+    return {
         "status": outcome.status,
         "n": outcome.n,
         "k": outcome.k,
         "tests_used": outcome.tests_used,
         "frontier": [list(pair) for pair in outcome.frontier],
-    }
-    return inputs, results, budgets, 0 if outcome.established else 3
+    }, 0 if outcome.established else 3
 
 
-def _cmd_channel_graph(args):
-    ch = _load_channel(args.channel, args.format)
-    g = confusability_graph(ch)
-    inputs = {"channel": args.channel, "x_size": ch.x_size, "y_size": ch.y_size}
-    results = {"graph": graph_json(g)}
-    return inputs, results, {}, 0
+@_command("channel-graph", "confusability graph of a channel", ["--channel", "--format"],
+          inputs="channel")
+def _cmd_channel_graph(args, inputs):
+    g = confusability_graph(_channel_input(inputs, args.format))
+    return {"graph": graph_json(g)}, 0
 
 
-def _cmd_capacity(args):
-    ch = _load_channel(args.channel, args.format)
-    tol = _parse_tolerance(args.tol)
-    report = capacity_bounds(ch, args.m, tol, args.node_budget, args.power_cap)
-    inputs = {
-        "channel": args.channel,
-        "x_size": ch.x_size,
-        "y_size": ch.y_size,
-        "m_max": args.m,
-        "tol": frac_str(tol),
-    }
-    budgets = {"node_budget": args.node_budget, "power_cap": args.power_cap}
-    results = {
+@_command("capacity", "zero-error capacity sandwich of a channel",
+          ["--channel", "--format", "--m", "--tol", "--node-budget", "--power-cap"],
+          inputs="channel m_max tol", budgets="node_budget power_cap")
+def _cmd_capacity(args, inputs):
+    ch = _channel_input(inputs, args.format)
+    tol = _tol_input(inputs)
+    report = capacity_bounds(ch, args.m_max, tol, args.node_budget, args.power_cap)
+    return {
         "graph": graph_json(report.graph),
         "theta_scale": _bounds_json(report.bounds),
         "log2_scale": {
@@ -535,22 +576,18 @@ def _cmd_capacity(args):
             if report.log2_upper is None
             else round(report.log2_upper, 12),
         },
-    }
-    return inputs, results, budgets, 3 if report.bounds.errors else 0
+    }, 3 if report.bounds.errors else 0
 
 
-def _cmd_locate(args):
-    g = parse_graph(args.graph)
-    tol = _parse_tolerance(args.tol)
-    cell = locate_grid(g, args.M, tol, node_budget=args.node_budget)
-    inputs = {
-        "graph": graph_json(g),
-        "expression": args.graph,
-        "M": args.M,
-        "tol": frac_str(tol),
-    }
+@_command("locate", "dyadic grid cells containing the capacity",
+          ["--graph", "--tol", "--node-budget",
+           _arg("--M", type=int, required=True, help="grid exponent")],
+          inputs="expression M tol", budgets="node_budget", node_budget=DEFAULT_NODE_BUDGET)
+def _cmd_locate(args, inputs):
+    g = _graph_input(inputs)
+    cell = locate_grid(g, args.M, _tol_input(inputs), node_budget=args.node_budget)
     scale = 1 << args.M
-    results = {
+    return {
         "resolution": cell.resolution,
         "cells": cell.cells,
         "cell_intervals": [
@@ -560,22 +597,25 @@ def _cmd_locate(args):
         "lower": frac_str(cell.lower),
         "upper": frac_str(cell.upper),
         "singleton": len(cell.cells) == 1,
-    }
-    return inputs, results, {"node_budget": args.node_budget}, 0
+    }, 0
 
 
-def _cmd_squeeze(args):
-    g = parse_graph(args.graph)
+@_command("squeeze", "shrink the capacity interval below 2^-K",
+          ["--graph", "--node-budget", "--power-cap",
+           _arg("--K", type=int, required=True, help="target width exponent"),
+           _arg("--budget", dest="round_budget", type=int, default=16,
+                help="refinement rounds")],
+          inputs="expression K", budgets="round_budget node_budget power_cap",
+          node_budget=DEFAULT_NODE_BUDGET, power_cap=DEFAULT_POWER_CAP)
+def _cmd_squeeze(args, inputs):
     result = squeeze_capacity(
-        g, args.K, args.budget, node_budget=args.node_budget, power_cap=args.power_cap
+        _graph_input(inputs),
+        args.K,
+        args.round_budget,
+        node_budget=args.node_budget,
+        power_cap=args.power_cap,
     )
-    inputs = {"graph": graph_json(g), "expression": args.graph, "K": args.K}
-    budgets = {
-        "round_budget": args.budget,
-        "node_budget": args.node_budget,
-        "power_cap": args.power_cap,
-    }
-    results = {
+    return {
         "status": result.status,
         "lower": frac_str(result.lower),
         "upper": frac_str(result.upper),
@@ -583,29 +623,11 @@ def _cmd_squeeze(args):
         "lower_decimal": decimal_string(result.lower, 12),
         "upper_decimal": decimal_string(result.upper, 12),
         "rounds_used": result.rounds_used,
-    }
-    return inputs, results, budgets, 0 if result.status == VALUE else 3
+    }, 0 if result.status == VALUE else 3
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
-
-
-def _add_graph_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--graph",
-        required=True,
-        help="graph expression, e.g. C5, 'S+C5', 'K3*E2', 689, '5:1001100101'",
-    )
-
-
-def _add_node_budget(p: argparse.ArgumentParser, default: int | None = None) -> None:
-    p.add_argument(
-        "--node-budget",
-        type=int,
-        default=default,
-        help="branch-and-bound node cap per independence solve",
-    )
+# parser assembly and the report envelope
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -616,128 +638,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"zecap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encode", help="numbering index of a graph expression")
-    p.add_argument("expression")
-    p.set_defaults(handler=_cmd_encode)
-
-    p = sub.add_parser("decode", help="graph at a numbering index")
-    p.add_argument("index", type=int)
-    p.set_defaults(handler=_cmd_decode)
-
-    p = sub.add_parser("alpha", help="maximum independent set with witness")
-    _add_graph_flag(p)
-    _add_node_budget(p)
-    p.set_defaults(handler=_cmd_alpha)
-
-    p = sub.add_parser("ladder", help="independence ladder lower bounds")
-    _add_graph_flag(p)
-    p.add_argument("--m", type=int, default=1, help="deepest ladder level")
-    _add_node_budget(p)
-    p.add_argument("--power-cap", type=int, default=None, help="strong-power vertex cap")
-    p.add_argument("--csv", help="also write the level series to this CSV file")
-    p.set_defaults(handler=_cmd_ladder)
-
-    p = sub.add_parser("bounds", help="two-sided capacity sandwich")
-    _add_graph_flag(p)
-    p.add_argument("--m", type=int, default=1, help="deepest ladder level")
-    p.add_argument("--tol", default="1e-4", help="theta interval tolerance")
-    _add_node_budget(p)
-    p.add_argument("--power-cap", type=int, default=None, help="strong-power vertex cap")
-    p.add_argument("--csv", help="also write the bound series to this CSV file")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("theta-sdp", help="certified Lovász theta interval")
-    _add_graph_flag(p)
-    p.add_argument("--tol", default="1e-4", help="interval width target")
-    p.set_defaults(handler=_cmd_theta)
-
-    p = sub.add_parser("chif", help="exact fractional clique cover number")
-    _add_graph_flag(p)
-    p.set_defaults(handler=_cmd_chif)
-
-    p = sub.add_parser("decide-gt", help="semi-decide capacity > threshold")
-    _add_graph_flag(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="threshold expression")
-    p.add_argument("--budget", type=int, default=1000, help="dovetail step budget")
-    _add_node_budget(p, DEFAULT_NODE_BUDGET)
-    p.add_argument("--power-cap", type=int, default=DEFAULT_POWER_CAP)
-    p.set_defaults(handler=_cmd_decide_gt)
-
-    p = sub.add_parser("enumerate", help="enumerate graphs with capacity > threshold")
-    p.add_argument("--lambda", dest="lam", required=True, help="threshold expression")
-    p.add_argument("--horizon", type=int, required=True, help="number of graphs admitted")
-    p.add_argument("--stages", type=int, required=True, help="schedule stages to run")
-    _add_node_budget(p, 200_000)
-    p.add_argument("--power-cap", type=int, default=ENUM_POWER_CAP)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("preorder", help="decide the cohomomorphism order left <= right")
-    p.add_argument("left", help="graph expression")
-    p.add_argument("right", help="graph expression")
-    p.add_argument("--max-vertices", type=int, default=LEQ_MAX_VERTICES)
-    _add_node_budget(p)
-    p.set_defaults(handler=_cmd_preorder)
-
-    p = sub.add_parser(
-        "asym-preorder", help="bounded search for an asymptotic-order witness"
-    )
-    p.add_argument("left", help="graph expression")
-    p.add_argument("right", help="graph expression")
-    p.add_argument("--m", type=int, required=True, help="slack denominator")
-    p.add_argument("--budget", type=int, default=32, help="number of (n,k) tests")
-    _add_node_budget(p, 2_000_000)
-    p.add_argument("--power-cap", type=int, default=512)
-    p.set_defaults(handler=_cmd_asym_preorder)
-
-    p = sub.add_parser("channel-graph", help="confusability graph of a channel")
-    p.add_argument("--channel", required=True, help="channel file (CSV or JSON)")
-    p.add_argument("--format", choices=["auto", "csv", "json"], default="auto")
-    p.set_defaults(handler=_cmd_channel_graph)
-
-    p = sub.add_parser("capacity", help="zero-error capacity sandwich of a channel")
-    p.add_argument("--channel", required=True, help="channel file (CSV or JSON)")
-    p.add_argument("--format", choices=["auto", "csv", "json"], default="auto")
-    p.add_argument("--m", type=int, default=1, help="deepest ladder level")
-    p.add_argument("--tol", default="1e-4", help="theta interval tolerance")
-    _add_node_budget(p)
-    p.add_argument("--power-cap", type=int, default=None)
-    p.set_defaults(handler=_cmd_capacity)
-
-    p = sub.add_parser("locate", help="dyadic grid cells containing the capacity")
-    _add_graph_flag(p)
-    p.add_argument("--M", type=int, required=True, help="grid exponent")
-    p.add_argument("--tol", default="1e-4", help="theta interval tolerance")
-    _add_node_budget(p, DEFAULT_NODE_BUDGET)
-    p.set_defaults(handler=_cmd_locate)
-
-    p = sub.add_parser("squeeze", help="shrink the capacity interval below 2^-K")
-    _add_graph_flag(p)
-    p.add_argument("--K", type=int, required=True, help="target width exponent")
-    p.add_argument("--budget", type=int, default=16, help="refinement rounds")
-    _add_node_budget(p, DEFAULT_NODE_BUDGET)
-    p.add_argument("--power-cap", type=int, default=DEFAULT_POWER_CAP)
-    p.set_defaults(handler=_cmd_squeeze)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.summary)
+        for flag in command.flags:
+            flag, kwargs = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(**command.defaults)
     return parser
 
 
 def run(argv=None) -> tuple[int, dict]:
-    """Execute one subcommand; returns (exit_code, report)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Execute one subcommand; returns (exit_code, report).
+
+    Inputs and budgets are recorded before the handler runs, so an error
+    report keeps them, with whatever the handler parsed before it stopped.
+    """
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     start = time.perf_counter()
+    inputs = {name: getattr(args, name) for name in command.inputs}
+    budgets = {name: getattr(args, name) for name in command.budgets}
     try:
-        inputs, results, budgets, code = args.handler(args)
+        results, code = command.handler(args, inputs)
     except InputError as e:
-        inputs, results, budgets, code = {}, {"error": str(e), "kind": "input"}, {}, 2
+        results, code = {"error": str(e), "kind": "input"}, 2
     except BudgetError as e:
-        inputs, results, budgets, code = {}, {"error": str(e), "kind": "budget"}, {}, 3
+        results = {
+            "error": str(e),
+            "kind": "budget",
+            "reason": e.reason,
+            "used": e.used,
+            "partial": {"size": e.partial.size, "witness": sorted(e.partial.vertices)}
+            if isinstance(e.partial, IndependentSetWitness)
+            else None,
+        }
+        code = 3
     except ConvergenceError as e:
-        inputs, results, budgets, code = {}, {"error": str(e), "kind": "solver"}, {}, 4
+        results, code = {"error": str(e), "kind": "solver"}, 4
     except Exception as e:  # pragma: no cover - defensive
-        inputs, results, budgets = {}, {"error": f"{type(e).__name__}: {e}", "kind": "internal"}, {}
-        code = 4
+        results, code = {"error": f"{type(e).__name__}: {e}", "kind": "internal"}, 4
     report = {
         "command": args.command,
         "inputs": inputs,

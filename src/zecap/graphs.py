@@ -247,8 +247,13 @@ def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
     return result
 
 
-def power_fits(n_vertices: int, exponent: int, cap: int) -> bool:
-    """Whether an n_vertices^exponent strong power stays within cap."""
+def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
+    """Whether an n_vertices^exponent strong power stays within cap.
+
+    The cap is resolved through ``vertex_budget``, so a cap below 1 is an
+    ``InputError``.
+    """
+    cap = vertex_budget(cap)
     if n_vertices <= 1:
         return True
     if exponent * math.log2(n_vertices) > math.log2(cap) + 1e-12:

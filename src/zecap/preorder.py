@@ -141,6 +141,8 @@ def leq(
     node_budget: int | None = None,
 ) -> HomWitness:
     """Decide the cohomomorphism order g <= h by exhaustive search."""
+    if max_vertices < 0:
+        raise InputError(f"vertex cap must be nonnegative, got {max_vertices}")
     if g.n > max_vertices or h.n > max_vertices:
         raise BudgetError(
             f"order test capped at {max_vertices} vertices, "

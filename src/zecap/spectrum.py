@@ -207,7 +207,7 @@ def _certify_lower(y_float: np.ndarray, edge_list: list[tuple[int, int]], n: int
 def _theta_interval(g: Graph, tol: Fraction, max_iterations: int) -> tuple[Fraction, Fraction]:
     n = g.n
     edge_list = g.edges()
-    tol_f = float(tol)
+    tol_f = float(min(tol, n))  # theta is in [1, n]; float(tol) may overflow
     jmat = np.ones((n, n))
     eye = np.eye(n)
     x = eye / n

@@ -1,18 +1,23 @@
 """Command-line surface: golden reports, schema conformance, exit codes."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import zecap.cli
 from zecap.cli import main, parse_graph, run
 from zecap import (
+    ConvergenceError,
+    IndependentSetWitness,
     complete_graph,
     cycle_graph,
     disjoint_union,
     edgeless_graph,
+    strong_power,
     strong_product,
 )
 
@@ -174,6 +179,9 @@ class TestSchemaConformance:
         jsonschema.validate(report, schema)
         assert report["results"]["kind"] == "input"
 
+    def test_command_enum_matches_the_command_table(self, schema):
+        assert schema["properties"]["command"]["enum"] == list(zecap.cli._COMMANDS)
+
 
 class TestExitCodes:
     def test_input_errors(self, tmp_path):
@@ -187,12 +195,60 @@ class TestExitCodes:
         assert run(["bounds", "--graph", "C5", "--tol", "0"])[0] == 2
         assert run(["theta-sdp", "--graph", "C5", "--tol", "nope"])[0] == 2
         assert run(["channel-graph", "--channel", "/does/not/exist.csv"])[0] == 2
+        assert run(["decide-gt", "--graph", "C5", "--lambda", "2", "--power-cap", "-1"])[0] == 2
+        assert run(["preorder", "C5", "E2", "--max-vertices", "-1"])[0] == 2
 
     def test_budget_errors(self):
         code, report = run(["alpha", "--graph", "C5^2", "--node-budget", "1"])
         assert code == 3
         assert report["results"]["kind"] == "budget"
         assert run(["alpha", "--graph", "C5", "--node-budget", "0"])[0] == 3
+
+    def test_budget_stop_keeps_its_partial_witness(self):
+        code, report = run(["alpha", "--graph", "C5^3", "--node-budget", "1000"])
+        assert code == 3
+        r = report["results"]
+        assert r["reason"] == "node budget" and r["used"] > 0
+        assert "alpha" not in r
+        witness = IndependentSetWitness(r["partial"]["witness"], r["partial"]["size"])
+        assert witness.size == 10 and witness.verify(strong_power(cycle_graph(5), 3))
+
+    def test_input_error_report_keeps_inputs_and_budgets(self):
+        code, report = run(["bounds", "--graph", "C5", "--tol", "0"])
+        assert code == 2
+        assert report["inputs"]["expression"] == "C5"
+        assert report["inputs"]["graph"]["index"] == 689
+        assert (report["inputs"]["m_max"], report["inputs"]["tol"]) == (1, "0")
+        assert report["budgets"] == {"node_budget": None, "power_cap": None}
+
+    def test_budget_error_report_keeps_inputs_and_budgets(self):
+        code, report = run(["alpha", "--graph", "C5^2", "--node-budget", "1"])
+        assert code == 3
+        assert report["inputs"]["expression"] == "C5^2"
+        assert report["inputs"]["graph"]["vertices"] == 25
+        assert report["budgets"] == {"node_budget": 1}
+
+    def test_solver_error_report_keeps_inputs_and_budgets(self, monkeypatch):
+        def fail(g, tol):
+            raise ConvergenceError("did not converge")
+
+        monkeypatch.setattr(zecap.cli, "lovasz_theta", fail)
+        code, report = run(["theta-sdp", "--graph", "C5", "--tol", "1/1000"])
+        assert code == 4
+        assert report["results"] == {"error": "did not converge", "kind": "solver"}
+        assert report["inputs"]["expression"] == "C5"
+        assert report["inputs"]["graph"]["index"] == 689
+        assert report["inputs"]["tol"] == "1/1000"
+        assert report["budgets"] == {}  # theta-sdp takes no budget
+
+    @pytest.mark.parametrize("command", ["theta-sdp", "bounds"])
+    def test_huge_tolerance_is_not_an_internal_error(self, command):
+        code, report = run([command, "--graph", "C5", "--tol", "1e999"])
+        assert code == 0
+        r = report["results"]
+        theta = r if command == "theta-sdp" else r["theta"]
+        lo, hi = Fraction(theta["lo"]), Fraction(theta["hi"])
+        assert 0 < lo and lo * lo <= 5 <= hi * hi  # sqrt(5) lies in [lo, hi] exactly
 
     def test_decide_exhausted_is_exit_three(self):
         code, report = run(

@@ -168,6 +168,11 @@ class TestStrongProduct:
         assert power_fits(5, 4, 625)
         assert not power_fits(5, 4, 624)
 
+    def test_power_fits_rejects_a_cap_below_one(self):
+        for cap in (0, -1):
+            with pytest.raises(InputError):
+                power_fits(5, 2, cap)
+
     def test_env_override_of_vertex_budget(self, monkeypatch):
         monkeypatch.setenv("ZW_MAX_VERTICES", "30")
         assert vertex_budget() == 30

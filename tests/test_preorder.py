@@ -92,6 +92,13 @@ class TestLeqAnchors:
         with pytest.raises(InputError):
             leq(edgeless_graph(2), pentagon, node_budget=-1)  # alpha shortcut
 
+    def test_negative_vertex_cap_is_an_input_error(self, pentagon):
+        with pytest.raises(InputError):
+            leq(pentagon, edgeless_graph(2), max_vertices=-1)
+        with pytest.raises(BudgetError):  # 0 is a valid cap that nothing nonempty fits
+            leq(single_vertex(), single_vertex(), max_vertices=0)
+        assert leq(Graph(0, ()), Graph(0, ()), max_vertices=0).established
+
 
 class TestSlackPowerComparison:
     def test_rejected_when_slack_rule_violated(self, pentagon):
