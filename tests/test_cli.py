@@ -241,6 +241,14 @@ class TestExitCodes:
         assert report["inputs"]["tol"] == "1/1000"
         assert report["budgets"] == {}  # theta-sdp takes no budget
 
+    def test_tolerance_below_the_certifiable_width_is_a_solver_stop(self):
+        code, report = run(["theta-sdp", "--graph", "C5", "--tol", "1e-12"])
+        assert code == 4
+        assert report["results"]["kind"] == "solver"
+        assert report["inputs"]["expression"] == "C5"
+        assert report["inputs"]["graph"]["index"] == 689
+        assert report["inputs"]["tol"] == "1/1000000000000"
+
     @pytest.mark.parametrize("command", ["theta-sdp", "bounds"])
     def test_huge_tolerance_is_not_an_internal_error(self, command):
         code, report = run([command, "--graph", "C5", "--tol", "1e999"])

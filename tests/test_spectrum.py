@@ -1,6 +1,7 @@
 """Certified upper bounds: theta intervals, exact clique covers, the sandwich."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 from zecap import (
     BoundsReport,
     BudgetError,
+    ConvergenceError,
     InputError,
     UpperBound,
     complete_graph,
@@ -20,8 +22,10 @@ from zecap import (
     maximal_cliques,
     sandwich,
     single_vertex,
+    solve_alpha,
+    strong_power,
 )
-from zecap.graphs import Graph
+from zecap.graphs import Graph, complement
 
 from conftest import brute_alpha, random_graph
 
@@ -125,7 +129,7 @@ class TestTheta:
 
     def test_between_alpha_and_cover(self, rng):
         for _ in range(25):
-            g = random_graph(rng, rng.randint(1, 7))
+            g = random_graph(rng, rng.randint(1, 12))
             b = lovasz_theta(g, Fraction(1, 10**4))
             assert b.hi >= brute_alpha(g)
             assert b.lo <= fractional_clique_cover(g).value
@@ -137,6 +141,31 @@ class TestTheta:
             lovasz_theta(pentagon, 0)
         with pytest.raises(BudgetError):
             lovasz_theta(edgeless_graph(65), TOL)
+        # below the certifiable width (about n * 2^-32 * theta) is a solver stop
+        with pytest.raises(ConvergenceError):
+            lovasz_theta(pentagon, Fraction(1, 10**12))
+
+    def test_vertex_transitive_products(self):
+        # theta(G) * theta(complement G) = n when G is vertex-transitive
+        pairs = list(combinations(range(5), 2))  # Petersen: 2-subsets, adjacent when disjoint
+        petersen = Graph.from_edges(
+            10, [(i, j) for i, j in combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
+        )
+        for g in (*map(cycle_graph, (5, 7, 9, 11)), strong_power(cycle_graph(5), 2), petersen):
+            b, c = lovasz_theta(g, TOL), lovasz_theta(complement(g), TOL)
+            assert b.lo * c.lo <= g.n <= b.hi * c.hi
+        b = lovasz_theta(petersen, TOL)
+        assert b.lo <= 4 <= b.hi
+
+    def test_random_graph_at_roadmap_scale(self):
+        # G(30, 1/2) as in the ROADMAP baseline: pairs u < v in row-major order
+        rng = random.Random(1)
+        g = random_graph(rng, 30)
+        tol = Fraction(1, 10**4)
+        b = lovasz_theta(g, tol)
+        assert b.hi - b.lo <= tol
+        assert b.hi >= solve_alpha(g)[0].size
+        assert b.hi * lovasz_theta(complement(g), tol).hi >= 30
 
 
 class TestSandwich:
