@@ -1,9 +1,12 @@
 """Exact maximum independent set search and the capacity lower-bound ladder.
 
 The solver runs branch and bound on the complement (max clique) with a
-greedy coloring bound, all on bit-vector vertex sets.  Budgets are counted
-in node expansions; running out raises BudgetError carrying the best set
-found so far, never a silent claim of optimality.
+greedy coloring bound, all on bit-vector vertex sets.  Before the search the
+vertices are renumbered so that bit i is the i-th vertex of a smallest-last
+(degeneracy) order of the complement, which tightens the coloring bound;
+witnesses are mapped back to the caller's labels.  Budgets are counted in
+node expansions; running out raises BudgetError carrying the best set found
+so far, never a silent claim of optimality.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import creal
 from .errors import BudgetError, InputError
@@ -84,6 +89,36 @@ def _greedy_seed(g: Graph) -> list[int]:
     return chosen
 
 
+def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
+    """Smallest-last order of the complement of g, and g renumbered by it.
+
+    Repeatedly remove a remaining vertex of largest g-degree among those
+    left (lowest label on ties); the first vertex removed goes last.  In the
+    returned graph, vertex order[i] of g is vertex i.
+    """
+    n = g.n
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
+    rows = rows.reshape(n, width)
+    degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
+    order = [0] * n
+    for pos in range(n - 1, -1, -1):
+        v = int(degree.argmax())
+        order[pos] = v
+        degree -= np.unpackbits(rows[v], count=n, bitorder="little")
+        degree[v] = -1  # removed vertices stay below every live degree
+    perm = np.array(order, dtype=np.intp)
+    block = max(1, (1 << 22) // n)  # rows per block: about 4 MB unpacked
+    masks = []
+    for start in range(0, n, block):
+        bits = np.unpackbits(rows[perm[start : start + block]], axis=1, count=n, bitorder="little")
+        packed = np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little").tobytes()
+        masks.extend(
+            int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)
+        )
+    return order, Graph(n, tuple(masks))
+
+
 def solve_alpha(
     g: Graph,
     node_budget: int | None = None,
@@ -95,14 +130,17 @@ def solve_alpha(
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0
-    # clique search on the complement
+    order, h = _smallest_last(g)
+    # clique search on the complement, in the renumbered labels
     full = (1 << n) - 1
-    comp = [full ^ (1 << v) ^ g.masks[v] for v in range(n)]
+    comp = [full ^ (1 << v) ^ h.masks[v] for v in range(n)]
 
-    seed = list(initial) if initial else _greedy_seed(g)
-    if initial and not IndependentSetWitness(seed, len(seed)).verify(g):
-        seed = _greedy_seed(g)  # ignore a bad warm start rather than trust it
-    best = {"size": len(seed), "set": list(seed)}
+    if initial and IndependentSetWitness(list(initial), len(initial)).verify(g):
+        label = {v: i for i, v in enumerate(order)}
+        seed = [label[v] for v in initial]
+    else:
+        seed = _greedy_seed(h)  # no warm start, or a bad one we do not trust
+    best = {"size": len(seed), "set": seed}
     budget = _Budget(node_budget)
 
     if n + 16 > sys.getrecursionlimit():
@@ -141,18 +179,19 @@ def solve_alpha(
             r_list.pop()
             sub &= ~(1 << v)
 
+    def found() -> IndependentSetWitness:
+        return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
+
     try:
         expand([], full)
     except _OutOfNodes:
-        witness = IndependentSetWitness(sorted(best["set"]), best["size"])
         raise BudgetError(
             f"alpha node budget {node_budget} exhausted; best found {best['size']}",
-            partial=witness,
+            partial=found(),
             used=budget.used,
             reason="node budget",
         ) from None
-    witness = IndependentSetWitness(sorted(best["set"]), best["size"])
-    return witness, budget.used
+    return found(), budget.used
 
 
 def alpha(

@@ -78,13 +78,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
-            m = self.masks[v] >> (v + 1)
-            u = v + 1
-            while m:
-                if m & 1:
-                    out.append((v, u))
-                m >>= 1
-                u += 1
+            # bit i of the string is neighbor v + 1 + i; find visits set bits only
+            bits = format(self.masks[v] >> (v + 1), "b")[::-1]
+            i = bits.find("1")
+            while i >= 0:
+                out.append((v, v + 1 + i))
+                i = bits.find("1", i + 1)
         return out
 
     def edge_count(self) -> int:

@@ -19,6 +19,7 @@ from zecap import (
     solve_alpha,
     strong_power,
 )
+from zecap.alpha import _smallest_last
 from zecap.graphs import Graph
 
 from conftest import brute_alpha, random_graph
@@ -42,6 +43,62 @@ class TestAgainstBruteForce:
                 assert w.verify(g)
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestRelabelling:
+    """The solver renumbers vertices internally; everything it reads or
+    returns must stay in the caller's labels."""
+
+    # a pentagon 0..4 with the path 4-5-6-7 hanging off vertex 4; its
+    # smallest-last order is [7, 5, 3, 0, 2, 6, 1, 4]
+    SHAPE = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7)])
+
+    def test_random_relabellings_match_oracle(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, p=rng.choice([0.2, 0.5, 0.8]))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            w, _ = solve_alpha(h)
+            assert w.size == brute_alpha(h) == brute_alpha(g)
+            assert w.verify(h)
+
+    def test_order_is_not_the_identity(self):
+        order, h = _smallest_last(self.SHAPE)
+        assert order != list(range(self.SHAPE.n))
+        assert sorted(order) == list(range(self.SHAPE.n))
+        assert h == relabel(self.SHAPE, [order.index(v) for v in range(self.SHAPE.n)])
+
+    def test_witness_in_caller_labels(self):
+        g = self.SHAPE
+        w, _ = solve_alpha(g)
+        assert w.size == brute_alpha(g) == 4
+        assert w.verify(g)
+
+    def test_partial_witness_in_caller_labels(self, rng):
+        for _ in range(20):
+            perm = list(range(25))
+            rng.shuffle(perm)
+            g = relabel(strong_power(cycle_graph(5), 2), perm)
+            with pytest.raises(BudgetError) as exc:
+                solve_alpha(g, node_budget=1)
+            assert exc.value.partial.size >= 1
+            assert exc.value.partial.verify(g)
+
+    def test_warm_start_in_caller_labels_is_honoured(self):
+        g = self.SHAPE
+        start = [1, 3, 5, 7]  # the solver's own seed would be [0, 3, 5, 7]
+        # no node to spend: the stop hands back the warm start as it was read
+        with pytest.raises(BudgetError) as exc:
+            solve_alpha(g, node_budget=0, initial=start)
+        assert exc.value.partial.vertices == start
+        w, _ = solve_alpha(g, initial=start)
+        assert w.vertices == start
+
+
 class TestAnchors:
     def test_families(self):
         assert alpha(Graph(0, ())).size == 0
@@ -54,6 +111,15 @@ class TestAnchors:
     def test_pentagon_powers(self, pentagon):
         assert alpha(strong_power(pentagon, 2)).size == 5
         assert alpha(strong_power(pentagon, 3)).size == 10
+
+    def test_pentagon_cube_within_budget(self, pentagon):
+        # guards the vertex order: alpha(C5^3) is proved in 147,687 nodes
+        g = strong_power(pentagon, 3)
+        w, used = solve_alpha(g, node_budget=200_000)
+        assert w.size == 10 and w.verify(g)
+        # the work count repeats exactly: the order depends on no set or hash
+        again, used_again = solve_alpha(g, node_budget=used)
+        assert (again.vertices, used_again) == (w.vertices, used)
 
     def test_union_adds(self, pentagon):
         g = disjoint_union(single_vertex(), pentagon)

@@ -47,6 +47,13 @@ class TestGraphType:
         assert g.degree(1) == 2
         assert g.has_edge(3, 2) and not g.has_edge(0, 3)
 
+    def test_edges_match_pairwise_definition(self, rng):
+        for _ in range(40):
+            n = rng.randint(0, 70)
+            g = random_graph(rng, n, p=rng.choice([0.05, 0.5, 0.95]))
+            expected = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+            assert g.edges() == expected
+
     def test_from_edges_rejects_loops_and_range(self):
         with pytest.raises(InputError):
             Graph.from_edges(3, [(1, 1)])
