@@ -1,8 +1,9 @@
 """Exact rational simplex and integer positive-definiteness certification.
 
-Small, dense, and entirely in Fraction / bigint arithmetic.  These back the
-certified bounds in the spectrum module; nothing here is a general-purpose
-optimization surface.
+Small and dense: rational input is scaled to integers and eliminated
+fraction-free, so all arithmetic is on Python ints.  These back the certified
+bounds in the spectrum module; nothing here is a general-purpose optimization
+surface.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class UnboundedError(Exception):
     """The LP has unbounded objective (a bug in the caller's model)."""
+
+
+def _to_integers(xs) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm."""
+    xs = [Fraction(x) for x in xs]
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
 def simplex_max(
@@ -25,60 +30,58 @@ def simplex_max(
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize c.y subject to rows.y <= rhs, y >= 0, with rhs >= 0.
 
-    Dense tableau simplex with Bland's rule (finite by anti-cycling).
-    Returns (optimum, argument).  The slack basis is feasible because
-    rhs is nonnegative, so no phase-1 is needed.
+    Dense tableau simplex with Bland's rule (finite by anti-cycling), from
+    the slack basis, which rhs >= 0 makes feasible.  Returns (optimum,
+    argument).  The tableau stays in ints by fraction-free pivoting
+    (Edmonds 1967; Bareiss 1968): each row, the cost row too, is scaled to
+    integers, the rational tableau is the int one over d, the basis
+    determinant, and each update (p*row - f*pivot_row) // d is exact.  A
+    row's scale only rescales its slack, so the pivots stay the same.
     """
     m = len(rows)
     n = len(c)
-    for b in rhs:
-        if b < 0:
-            raise ValueError("rhs must be nonnegative for the slack start")
-    # tableau columns: n structurals, m slacks, then the rhs
-    tab = [list(map(Fraction, rows[i])) + [ONE if j == i else ZERO for j in range(m)] + [Fraction(rhs[i])] for i in range(m)]
-    cost = list(map(Fraction, c)) + [ZERO] * (m + 1)  # reduced costs; last is -objective
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise ValueError(f"need {m} rhs entries and rows of {n} coefficients")
+    if any(b < 0 for b in rhs):
+        raise ValueError("rhs must be nonnegative for the slack start")
+    # columns: n structurals, m slacks, rhs; row m: reduced costs, -objective
+    tab = []
+    for i in range(m):
+        row, _ = _to_integers([*rows[i], rhs[i]])
+        tab.append(row[:n] + [0] * i + [1] + [0] * (m - 1 - i) + row[n:])
+    cost, cost_scale = _to_integers(c)
+    tab.append(cost + [0] * (m + 1))
     basis = [n + i for i in range(m)]
+    d = 1
 
     while True:
-        enter = -1
-        for j in range(n + m):  # Bland: smallest index with positive reduced cost
-            if cost[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(n + m) if tab[m][j] > 0), -1)  # Bland
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            # least ratio rhs/a, then least basic index; the ratios of
+            # positive entries compare by cross-multiplying
+            if a > 0 and (leave < 0 or (tab[i][-1] * tab[leave][enter], basis[i])
+                          < (tab[leave][-1] * a, basis[leave])):
+                leave = i
         if leave < 0:
             raise UnboundedError("objective unbounded above")
-        piv = tab[leave][enter]
         prow = tab[leave]
-        inv = ONE / piv
-        for j in range(n + m + 1):
-            prow[j] *= inv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+        p = prow[enter]
+        for i in range(m + 1):
+            if i != leave:
                 f = tab[i][enter]
-                row = tab[i]
-                for j in range(n + m + 1):
-                    row[j] -= f * prow[j]
-        f = cost[enter]
-        for j in range(n + m + 1):
-            cost[j] -= f * prow[j]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(tab[i], prow)]
+        d = p
         basis[leave] = enter
 
-    y = [ZERO] * n
+    y = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            y[b] = tab[i][-1]
-    return -cost[-1], y
+            y[b] = Fraction(tab[i][-1], d)
+    return Fraction(-tab[m][-1], d * cost_scale), y
 
 
 def is_positive_definite(matrix: list[list[Fraction]]) -> bool:
@@ -91,11 +94,8 @@ def is_positive_definite(matrix: list[list[Fraction]]) -> bool:
     n = len(matrix)
     if n == 0:
         return True
-    denom_lcm = 1
-    for row in matrix:
-        for x in row:
-            denom_lcm = math.lcm(denom_lcm, Fraction(x).denominator)
-    a = [[int(Fraction(x) * denom_lcm) for x in row] for row in matrix]
+    flat, _ = _to_integers([x for row in matrix for x in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     prev = 1
     for k in range(n):
         pivot = a[k][k]

@@ -12,7 +12,7 @@ Two spectrum points are computed:
 
 * The fractional clique cover number, as the exact rational optimum of
   the covering LP over maximal cliques (computed through its equal-value
-  dual with Bland-rule simplex on Fractions).
+  dual with a fraction-free Bland-rule simplex in integers).
 """
 
 from __future__ import annotations
@@ -118,12 +118,8 @@ def fractional_clique_cover(
             reason="vertex budget",
         )
     cliques = maximal_cliques(g, max_cliques)
-    rows = []
-    one = Fraction(1)
-    zero = Fraction(0)
-    for cl in cliques:
-        rows.append([one if cl >> v & 1 else zero for v in range(g.n)])
-    value, _ = simplex_max([one] * g.n, rows, [one] * len(rows))
+    rows = [[cl >> v & 1 for v in range(g.n)] for cl in cliques]
+    value, _ = simplex_max([1] * g.n, rows, [1] * len(rows))
     return UpperBound(KIND_CLIQUE_COVER, value, value, Fraction(0))
 
 

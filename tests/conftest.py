@@ -2,8 +2,9 @@
 
 The oracles here recompute answers by definition-level enumeration —
 subsets for independence numbers, all vertex maps for homomorphisms —
-so the optimized solvers are always checked against something that
-cannot share their bugs.
+or by the textbook method (a Fraction tableau for the simplex), so the
+optimized solvers are always checked against something that cannot share
+their bugs.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from zecap import Graph, Channel, cycle_graph
+from zecap.exact import UnboundedError
 
 
 def brute_alpha(g: Graph) -> int:
@@ -42,6 +44,55 @@ def brute_hom_exists(src: Graph, dst: Graph) -> bool:
         all(dst.has_edge(f[u], f[v]) for u, v in edges)
         for f in itertools.product(range(dst.n), repeat=src.n)
     )
+
+
+def reference_simplex_max(c, rows, rhs):
+    """Bland-rule dense tableau simplex over Fraction, the textbook way.
+
+    Every pivot divides the pivot row and eliminates with rational
+    arithmetic, so it shares no integer scaling with ``simplex_max``.
+    Raises UnboundedError exactly when the objective is unbounded above.
+    """
+    m = len(rows)
+    n = len(c)
+    assert all(b >= 0 for b in rhs)
+    tab = [
+        [Fraction(x) for x in rows[i]]
+        + [Fraction(int(j == i)) for j in range(m)]
+        + [Fraction(rhs[i])]
+        for i in range(m)
+    ]
+    cost = [Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] > 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedError("objective unbounded above")
+        prow = tab[leave]
+        piv = prow[enter]
+        for j in range(n + m + 1):
+            prow[j] /= piv
+        for row in tab[:leave] + tab[leave + 1:] + [cost]:
+            f = row[enter]
+            for j in range(n + m + 1):
+                row[j] -= f * prow[j]
+        basis[leave] = enter
+    y = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = tab[i][-1]
+    return -cost[-1], y
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

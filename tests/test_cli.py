@@ -1,6 +1,9 @@
 """Command-line surface: golden reports, schema conformance, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -387,3 +390,14 @@ class TestDeterminism:
         parsed = json.loads(out)
         assert list(parsed) == sorted(parsed)
         assert parsed["command"] == "decode"
+
+    def test_module_entry_point(self):
+        # `python -m zecap` runs __main__.py, which no in-process call reaches
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zecap", "chif", "--graph", "C5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["value"] == "5/2"

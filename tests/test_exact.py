@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import reference_simplex_max
 from zecap.exact import UnboundedError, is_positive_definite, simplex_max
 
 F = Fraction
@@ -59,6 +60,43 @@ class TestSimplex:
     def test_rejects_negative_rhs(self):
         with pytest.raises(ValueError):
             simplex_max([F(1)], [[F(1)]], [F(-1)])
+
+    @pytest.mark.parametrize(
+        "c, rows, rhs",
+        [
+            ([1], [[1, 1]], [1]),  # row longer than c
+            ([1], [[1], [1]], [1]),  # rhs shorter than rows
+            ([1], [[1]], [1, 1]),  # rhs longer than rows
+        ],
+    )
+    def test_rejects_shape_mismatch(self, c, rows, rhs):
+        with pytest.raises(ValueError):
+            simplex_max(c, rows, rhs)
+
+    def test_matches_fraction_reference(self, rng):
+        # non-integer and negative coefficients, zero rhs (degenerate
+        # vertices) and unbounded directions, against the Fraction tableau
+        def q():
+            return F(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else F(0)
+
+        outcomes = {"optimal": 0, "unbounded": 0, "degenerate": 0}
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 6)
+            c = [q() for _ in range(n)]
+            rows = [[q() for _ in range(n)] for _ in range(m)]
+            rhs = [abs(q()) if rng.random() < 0.7 else F(0) for _ in range(m)]
+            try:
+                expected = reference_simplex_max(c, rows, rhs)
+            except UnboundedError:
+                with pytest.raises(UnboundedError):
+                    simplex_max(c, rows, rhs)
+                outcomes["unbounded"] += 1
+                continue
+            assert simplex_max(c, rows, rhs) == expected
+            outcomes["optimal"] += 1
+            outcomes["degenerate"] += 0 in rhs
+        assert min(outcomes.values()) >= 200, outcomes
 
     def test_feasibility_of_returned_point(self, rng):
         for _ in range(25):

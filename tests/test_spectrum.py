@@ -25,7 +25,7 @@ from zecap import (
     solve_alpha,
     strong_power,
 )
-from zecap.graphs import Graph, complement
+from zecap.graphs import Graph, complement, strong_product
 
 from conftest import brute_alpha, random_graph
 
@@ -92,6 +92,22 @@ class TestCliqueCover:
     def test_union_is_additive(self, pentagon):
         g = disjoint_union(pentagon, complete_graph(3))
         assert fractional_clique_cover(g).value == Fraction(7, 2)
+
+    def test_multiplicative_under_strong_product(self, rng):
+        # a point of the asymptotic spectrum multiplies under the strong product
+        for _ in range(40):
+            a = rng.randint(1, 6)
+            g = random_graph(rng, a)
+            h = random_graph(rng, rng.randint(1, 24 // a))
+            assert fractional_clique_cover(strong_product(g, h)).value == (
+                fractional_clique_cover(g).value * fractional_clique_cover(h).value
+            )
+
+    def test_strong_product_closed_forms(self, pentagon):
+        c5_c4 = strong_product(pentagon, cycle_graph(4))
+        assert fractional_clique_cover(c5_c4).value == 5
+        c7_e3 = strong_product(cycle_graph(7), edgeless_graph(3))
+        assert fractional_clique_cover(c7_e3).value == Fraction(21, 2)
 
     def test_vertex_cap(self):
         with pytest.raises(BudgetError):
