@@ -4,9 +4,15 @@ The solver runs branch and bound on the complement (max clique) with a
 greedy coloring bound, all on bit-vector vertex sets.  Before the search the
 vertices are renumbered so that bit i is the i-th vertex of a smallest-last
 (degeneracy) order of the complement, which tightens the coloring bound;
-witnesses are mapped back to the caller's labels.  Budgets are counted in
-node expansions; running out raises BudgetError carrying the best set found
-so far, never a silent claim of optimality.
+witnesses are mapped back to the caller's labels.  A vertex-transitive
+graph has a maximum independent set through every vertex, so when the graph
+carries the ``transitive`` flag the search branches only from bit 0:
+alpha(G) = 1 + alpha(G - N[v]).  Cycles, complete and edgeless graphs set
+the flag, complements keep it and strong products (hence strong powers and
+the ladder's squares) set it when both factors have it; every other graph
+is searched in full.  Budgets are counted in node expansions; running out
+raises BudgetError carrying the best set found so far, never a silent claim
+of optimality.
 """
 
 from __future__ import annotations
@@ -68,24 +74,39 @@ class _OutOfNodes(Exception):
     pass
 
 
+def _packed_rows(g: Graph) -> np.ndarray:
+    """The adjacency masks of g as an n x ceil(n/8) uint8 array, little-endian bits."""
+    width = (g.n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
+    return rows.reshape(g.n, width)
+
+
+def _unpacked(rows: np.ndarray, index: np.ndarray):
+    """rows[index] unpacked to one 0/1 byte per vertex, in blocks of about 4 MB."""
+    n = rows.shape[0]
+    block = max(1, (1 << 22) // n)
+    for start in range(0, len(index), block):
+        yield np.unpackbits(rows[index[start : start + block]], axis=1, count=n, bitorder="little")
+
+
 def _greedy_seed(g: Graph) -> list[int]:
-    # repeatedly take a minimum-degree vertex of what is left
-    alive = (1 << g.n) - 1
+    """Repeatedly take a minimum-degree vertex of what is left (lowest label
+    on ties) and drop its closed neighborhood."""
+    n = g.n
+    rows = _packed_rows(g)
+    degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
     chosen = []
-    while alive:
-        best_v = -1
-        best_d = g.n + 1
-        m = alive
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            d = (g.masks[v] & alive).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = v
-            m ^= lsb
-        chosen.append(best_v)
-        alive &= ~(g.masks[best_v] | (1 << best_v))
+    while alive.any():
+        v = int(degree.argmin())
+        chosen.append(v)
+        neighbors = np.unpackbits(rows[v], count=n, bitorder="little").view(bool)
+        removed = np.append(np.flatnonzero(alive & neighbors), v)
+        alive[removed] = False
+        for bits in _unpacked(rows, removed):
+            degree -= bits.sum(axis=0, dtype=np.int16)  # a block has <= 2^11 rows
+        # a dead vertex loses at most n - 1 more, so it stays above every live degree
+        degree[removed] = 2 * n
     return chosen
 
 
@@ -97,9 +118,7 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
     returned graph, vertex order[i] of g is vertex i.
     """
     n = g.n
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
-    rows = rows.reshape(n, width)
+    rows = _packed_rows(g)
     degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
     order = [0] * n
     for pos in range(n - 1, -1, -1):
@@ -108,10 +127,9 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
         degree -= np.unpackbits(rows[v], count=n, bitorder="little")
         degree[v] = -1  # removed vertices stay below every live degree
     perm = np.array(order, dtype=np.intp)
-    block = max(1, (1 << 22) // n)  # rows per block: about 4 MB unpacked
+    width = rows.shape[1]
     masks = []
-    for start in range(0, n, block):
-        bits = np.unpackbits(rows[perm[start : start + block]], axis=1, count=n, bitorder="little")
+    for bits in _unpacked(rows, perm):
         packed = np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little").tobytes()
         masks.extend(
             int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)
@@ -183,7 +201,13 @@ def solve_alpha(
         return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
 
     try:
-        expand([], full)
+        if g.transitive:
+            # some maximum independent set contains any given vertex, so
+            # search only the sets through bit 0; the incumbent already has
+            # size >= 1, so nothing is lost when bit 0 has no non-neighbor
+            expand([0], comp[0])
+        else:
+            expand([], full)
     except _OutOfNodes:
         raise BudgetError(
             f"alpha node budget {node_budget} exhausted; best found {best['size']}",

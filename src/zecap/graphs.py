@@ -45,11 +45,17 @@ class Graph:
     ``masks[v]`` has bit ``u`` set iff ``{u, v}`` is an edge.  Constructors
     are expected to hand in symmetric, loop-free masks; the cheap invariants
     are checked here, symmetry is the builder's job (see ``from_edges``).
+
+    ``transitive`` is a promise that the graph is vertex-transitive, made
+    only by constructors where that holds by construction (cycles, complete
+    and edgeless graphs, and their complements and strong products).  The
+    alpha solver uses it to search a single root branch.  ``False`` is always
+    safe, and equality and hashing ignore the flag.
     """
 
-    __slots__ = ("n", "masks", "_hash")
+    __slots__ = ("n", "masks", "transitive", "_hash")
 
-    def __init__(self, n: int, masks: tuple[int, ...]):
+    def __init__(self, n: int, masks: tuple[int, ...], transitive: bool = False):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         if len(masks) != n:
@@ -61,6 +67,7 @@ class Graph:
                 raise InputError(f"vertex {v} has a loop")
         self.n = n
         self.masks = tuple(masks)
+        self.transitive = transitive
         self._hash = hash((n, self.masks))
 
     @staticmethod
@@ -157,24 +164,20 @@ def decode(index: int) -> Graph:
 
 
 def edgeless_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph(n, (0,) * n, transitive=True)
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), transitive=True)
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on 0..n-1 with edges {v, v+1 mod n}; degenerates for n <= 2."""
     if n < 1:
         raise InputError("cycle needs at least one vertex")
-    edges = set()
-    for v in range(n):
-        u = (v + 1) % n
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
+    masks = tuple((1 << (v + 1) % n | 1 << (v - 1) % n) & ~(1 << v) for v in range(n))
+    return Graph(n, masks, transitive=True)
 
 
 def single_vertex() -> Graph:
@@ -187,7 +190,8 @@ def single_vertex() -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n)))
+    masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
+    return Graph(g.n, masks, transitive=g.transitive)  # same automorphisms
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -219,7 +223,7 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             row = pattern * closed_h[b]
             row ^= 1 << (a * nh + b)  # drop the vertex itself
             masks.append(row)
-    return Graph(g.n * nh, tuple(masks))
+    return Graph(g.n * nh, tuple(masks), transitive=g.transitive and h.transitive)
 
 
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:

@@ -1,8 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here recompute answers by definition-level enumeration —
-subsets for independence numbers, all vertex maps for homomorphisms —
-or by the textbook method (a Fraction tableau for the simplex), so the
+subsets for independence numbers, all vertex maps for homomorphisms,
+bijections for automorphisms — or by the textbook method (a Fraction
+tableau for the simplex, a bitmask rescan for the greedy seed), so the
 optimized solvers are always checked against something that cannot share
 their bugs.
 """
@@ -44,6 +45,78 @@ def brute_hom_exists(src: Graph, dst: Graph) -> bool:
         all(dst.has_edge(f[u], f[v]) for u, v in edges)
         for f in itertools.product(range(dst.n), repeat=src.n)
     )
+
+
+def has_automorphism(g: Graph, src: int, dst: int) -> bool:
+    """Whether some automorphism of g maps src to dst.
+
+    Backtracks over bijections, fixing src -> dst first and then the other
+    vertices in breadth-first order from src, and keeps a partial map only
+    while it preserves adjacency and non-adjacency between every pair
+    mapped so far.
+    """
+    n = g.n
+    order = []
+    seen = set()
+    for start in [src, *range(n)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            order.append(v)
+            for u in range(n):
+                if g.has_edge(v, u) and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+    image = {}
+    used = set()
+
+    def extend(pos: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        for t in [dst] if pos == 0 else range(n):
+            if t in used or g.degree(t) != g.degree(v):
+                continue
+            if all(g.has_edge(v, u) == g.has_edge(t, image[u]) for u in order[:pos]):
+                image[v] = t
+                used.add(t)
+                if extend(pos + 1):
+                    return True
+                del image[v]
+                used.discard(t)
+        return False
+
+    return extend(0)
+
+
+def is_vertex_transitive(g: Graph) -> bool:
+    """Whether automorphisms carry vertex 0 to every vertex."""
+    return all(has_automorphism(g, 0, t) for t in range(g.n))
+
+
+def reference_greedy_seed(g: Graph) -> list[int]:
+    """The solver's initial incumbent, recomputed with bitmasks: take a
+    live vertex of fewest live neighbors (lowest label on ties), drop it and
+    its neighbors, repeat."""
+    alive = (1 << g.n) - 1
+    chosen = []
+    while alive:
+        best_v = -1
+        best_d = g.n + 1
+        m = alive
+        while m:
+            lsb = m & -m
+            v = lsb.bit_length() - 1
+            d = (g.masks[v] & alive).bit_count()
+            if d < best_d:
+                best_d = d
+                best_v = v
+            m ^= lsb
+        chosen.append(best_v)
+        alive &= ~(g.masks[best_v] | (1 << best_v))
+    return chosen
 
 
 def reference_simplex_max(c, rows, rhs):

@@ -11,6 +11,7 @@ from zecap import (
     alpha,
     capacity_lower_bound,
     complete_graph,
+    complement,
     cycle_graph,
     disjoint_union,
     edgeless_graph,
@@ -18,11 +19,17 @@ from zecap import (
     single_vertex,
     solve_alpha,
     strong_power,
+    strong_product,
 )
-from zecap.alpha import _smallest_last
+from zecap.alpha import _greedy_seed, _smallest_last
 from zecap.graphs import Graph
 
-from conftest import brute_alpha, random_graph
+from conftest import (
+    brute_alpha,
+    is_vertex_transitive,
+    random_graph,
+    reference_greedy_seed,
+)
 
 
 class TestAgainstBruteForce:
@@ -99,6 +106,90 @@ class TestRelabelling:
         assert w.vertices == start
 
 
+class TestGreedySeed:
+    def test_matches_reference_on_random_graphs(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            g = random_graph(rng, n, p=rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]))
+            assert _greedy_seed(g) == reference_greedy_seed(g)
+
+    def test_matches_reference_on_pentagon_cube(self, pentagon):
+        g = strong_power(pentagon, 3)
+        assert _greedy_seed(g) == reference_greedy_seed(g)
+        _, h = _smallest_last(g)  # the graph the solver seeds from
+        assert _greedy_seed(h) == reference_greedy_seed(h)
+
+
+def flagged_graph(rng) -> Graph:
+    """A random vertex-transitive graph on at most 14 vertices: a strong
+    product of flagged constructions, or a circulant (a Cayley graph of the
+    integers mod n) flagged by hand."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 14)
+        jumps = {d for d in range(1, n // 2 + 1) if rng.random() < 0.4}
+        masks = tuple(
+            sum(1 << u for u in {(v + s * d) % n for d in jumps for s in (1, -1)})
+            for v in range(n)
+        )
+        return Graph(n, masks, transitive=True)
+    kinds = (cycle_graph, complete_graph, edgeless_graph)
+    while True:
+        a = rng.choice(kinds)(rng.randint(1, 8))
+        b = rng.choice(kinds)(rng.randint(1, 8))
+        if rng.random() < 0.3:
+            a = complement(a)
+        if a.n * b.n <= 14:
+            return strong_product(a, b)
+
+
+class TestRootFix:
+    """A flagged (vertex-transitive) graph is searched from one root vertex."""
+
+    def test_flagged_graphs_match_oracle_and_unflagged_solve(self, rng):
+        for _ in range(120):
+            g = flagged_graph(rng)
+            assert g.transitive and is_vertex_transitive(g)
+            w, _ = solve_alpha(g)
+            plain, _ = solve_alpha(Graph(g.n, g.masks))
+            assert w.size == plain.size == brute_alpha(g)
+            assert w.verify(g)
+
+    def test_partial_witness_in_caller_labels(self, pentagon):
+        g = strong_power(pentagon, 3)
+        order, _ = _smallest_last(g)
+        assert order[:3] != [0, 1, 2]
+        for budget in (0, 1, 5, 50):
+            with pytest.raises(BudgetError) as exc:
+                solve_alpha(g, node_budget=budget)
+            assert exc.value.partial.size >= 1
+            assert exc.value.partial.verify(g)
+
+    def test_warm_start_without_the_root_is_honoured(self, pentagon):
+        # as in the ladder, whose warm start is the square of the level below
+        g = strong_power(pentagon, 2)
+        order, _ = _smallest_last(g)
+        root = order[0]  # the caller's label of the searched root, bit 0
+        # the five translates {(i, 2i + c)} of an optimal set partition C5^2
+        starts = [sorted(i * 5 + (2 * i + c) % 5 for i in range(5)) for c in range(5)]
+        start = next(s for s in starts if root not in s)
+        with pytest.raises(BudgetError) as exc:
+            solve_alpha(g, node_budget=0, initial=start)
+        assert exc.value.partial.vertices == start
+        w, _ = solve_alpha(g, initial=start)
+        assert w.vertices == start
+
+    def test_pentagon_cube_node_bound(self, pentagon):
+        # 147,687 nodes without the root fix; 9,811 with it
+        w, used = solve_alpha(strong_power(pentagon, 3), node_budget=20_000)
+        assert w.size == 10 and used <= 20_000
+
+    def test_nonagon_square_node_bound(self):
+        # 28,873 nodes without the root fix; 2,856 with it
+        g = strong_power(cycle_graph(9), 2)
+        w, used = solve_alpha(g, node_budget=5_000)
+        assert w.size == 18 and w.verify(g) and used <= 5_000
+
+
 class TestAnchors:
     def test_families(self):
         assert alpha(Graph(0, ())).size == 0
@@ -113,7 +204,8 @@ class TestAnchors:
         assert alpha(strong_power(pentagon, 3)).size == 10
 
     def test_pentagon_cube_within_budget(self, pentagon):
-        # guards the vertex order: alpha(C5^3) is proved in 147,687 nodes
+        # guards the vertex order and the root fix: alpha(C5^3) is proved in
+        # 9,811 nodes (147,687 with the order alone)
         g = strong_power(pentagon, 3)
         w, used = solve_alpha(g, node_budget=200_000)
         assert w.size == 10 and w.verify(g)

@@ -22,9 +22,11 @@ from zecap import (
     strong_power,
     strong_product,
 )
+from zecap.channel import confusability_graph
+from zecap.cli import parse_graph
 from zecap.graphs import power_fits, vertex_budget
 
-from conftest import random_graph
+from conftest import is_vertex_transitive, make_pentagon_channel, random_graph
 
 
 class TestGraphType:
@@ -130,6 +132,89 @@ class TestConstructors:
         g = disjoint_union(cycle_graph(3), edgeless_graph(2))
         assert g.n == 5
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+
+
+def flagged_bases() -> list[Graph]:
+    """Every constructor that sets the transitive flag, small sizes, and
+    the complements of those graphs."""
+    bases = [cycle_graph(n) for n in range(1, 9)]
+    bases += [complete_graph(n) for n in range(1, 7)]
+    bases += [edgeless_graph(n) for n in range(1, 7)]
+    bases.append(single_vertex())
+    return bases + [complement(g) for g in bases]
+
+
+class TestTransitiveFlag:
+    """The flag lets the alpha solver search one root branch, so it must
+    never be set on a graph that is not vertex-transitive."""
+
+    def test_oracle_rejects_non_transitive_graphs(self):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert not is_vertex_transitive(path)
+        assert not is_vertex_transitive(strong_product(cycle_graph(5), path))
+        assert not is_vertex_transitive(disjoint_union(single_vertex(), cycle_graph(5)))
+        # regular but not transitive: a triangle and a 4-cycle side by side
+        assert not is_vertex_transitive(disjoint_union(cycle_graph(3), cycle_graph(4)))
+        assert is_vertex_transitive(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+
+    def test_flagged_bases_are_transitive(self):
+        for g in flagged_bases():
+            assert g.transitive
+            assert is_vertex_transitive(g), g
+
+    def test_flagged_products_are_transitive(self, rng):
+        bases = flagged_bases()
+        products = [
+            strong_product(g, h) for g in bases for h in bases if 2 <= g.n * h.n <= 30
+        ]
+        products = rng.sample(products, 60)
+        products += [
+            complement(strong_product(cycle_graph(5), cycle_graph(4))),
+            strong_product(strong_product(cycle_graph(3), complete_graph(2)), edgeless_graph(2)),
+        ]
+        for g in products:
+            assert g.transitive
+            assert is_vertex_transitive(g), g
+
+    def test_flagged_powers_are_transitive(self):
+        for g in flagged_bases():
+            for k in range(2, 6):
+                if g.n ** k > 30:
+                    break
+                p = strong_power(g, k)
+                assert p.transitive
+                assert is_vertex_transitive(p), (g, k)
+
+    def test_flag_needs_both_factors(self):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert not strong_product(cycle_graph(5), path).transitive
+        assert not strong_product(path, cycle_graph(5)).transitive
+        assert not complement(path).transitive
+
+    def test_other_constructors_leave_it_unset(self):
+        c5 = cycle_graph(5)
+        unflagged = [
+            disjoint_union(c5, c5),  # transitive, but not flagged by construction
+            decode(encode(c5)),
+            Graph.from_edges(5, c5.edges()),
+            graph_from_bitstring(graph_to_bitstring(c5)),
+            graph_from_edgetext("5; 0-1, 1-2, 2-3, 3-4, 0-4"),
+            confusability_graph(make_pentagon_channel()),
+            parse_graph(str(encode(c5))),
+            parse_graph("C5+C5"),
+        ]
+        for g in unflagged:
+            assert g == c5 or g == disjoint_union(c5, c5)
+            assert not g.transitive
+        assert parse_graph("C5^2*K2").transitive
+
+    def test_equality_and_hash_ignore_the_flag(self):
+        for g in flagged_bases():
+            plain = Graph(g.n, g.masks)
+            assert not plain.transitive
+            assert plain == g and g == plain
+            assert hash(plain) == hash(g)
+            assert len({plain, g}) == 1
 
 
 class TestStrongProduct:
