@@ -2,9 +2,11 @@
 
 g is below h when a graph homomorphism maps complement(g) into
 complement(h): non-adjacent distinct vertices of g must stay distinct and
-non-adjacent in h.  The search is exhaustive backtracking with forward
-checking, so a refusal is a proof of nonexistence (within the configured
-budgets, which raise instead of guessing).
+non-adjacent in h.  The search backtracks with forward checking, takes the
+source vertex with the smallest domain first (DSATUR), and maps into each
+class of twin target vertices only through its lowest unused member.  Both
+rules keep it exhaustive, so a refusal is a proof of nonexistence (within
+the configured budgets, which raise instead of guessing).
 
 On top of the one-shot order sit the slack-power test
     g^n  <=  edgeless(2^k) ⊠ h^n      (with the rate condition k·m <= n)
@@ -25,9 +27,11 @@ from .graphs import (
     disjoint_union,
     edgeless_graph,
     encode,
+    power_fits,
     single_vertex,
     strong_power,
     strong_product,
+    vertex_budget,
 )
 
 LEQ_MAX_VERTICES = 12
@@ -68,7 +72,25 @@ class HomWitness:
 def _hom_search(
     src: Graph, dst: Graph, node_budget: int | None
 ) -> tuple[tuple[int, ...] | None, int]:
-    """Find a homomorphism src -> dst (edges to edges) or prove none exists."""
+    """Find a homomorphism src -> dst (edges to edges) or prove none exists.
+
+    Source vertices are taken smallest domain first, ties to higher source
+    degree.  Candidates are read lowest target first, cut down by two
+    symmetry rules that never lose a solution:
+
+    - Twin rule.  Target vertices with equal open neighbourhoods, or equal
+      closed ones, form a twin class.  A source vertex may map to any
+      target already in the image, but among the unused members of a
+      class only to the lowest.  Swapping two unused twins is an
+      automorphism of dst that fixes the partial image pointwise, so it
+      leaves every forward-checked domain as it is and carries the subtree
+      under one twin onto the subtree under the other.
+    - Ascending rule.  The images of a clique source are pairwise distinct
+      and every order of its vertices is an automorphism of it, so images
+      are forced to rise in assignment order.  Both rules hold together:
+      any injective map is first moved, within each twin class, onto the
+      class's lowest vertices, and then assigned in ascending order.
+    """
     if node_budget is not None and node_budget < 0:
         raise InputError(f"node budget must be nonnegative, got {node_budget}")
     ns, nt = src.n, dst.n
@@ -76,31 +98,49 @@ def _hom_search(
         return (), 0
     if nt == 0:
         return None, 0
-    # assign high-degree source vertices first; try low-degree targets first
+    # position i holds source vertex order[i]; falling degree, so that
+    # index() on the size list breaks ties towards the higher degree
     order = sorted(range(ns), key=lambda v: -src.degree(v))
     position = [0] * ns
     for i, v in enumerate(order):
         position[v] = i
-    targets_by_degree = sorted(range(nt), key=dst.degree)
+    nbrs = [[position[w] for w in range(ns) if src.masks[v] >> w & 1] for v in order]
+    # succ[t]: bit of the member after t in t's twin class (0 if t is last).
+    # A vertex with a twin of one kind has none of the other, so the two
+    # passes never both link the same vertex.
+    succ = [0] * nt
+    for closed in (0, 1):
+        last: dict[int, int] = {}
+        for t in range(nt):
+            key = dst.masks[t] | closed << t
+            if key in last:
+                succ[last[key]] = 1 << t
+            last[key] = t
     full = (1 << nt) - 1
+    allowed = full  # targets in the image plus the lowest unused of each class
+    for bit in succ:
+        allowed &= ~bit
+    used = 0
+    done = nt + 1  # size of an assigned vertex, above every domain size
     domains = [full] * ns
-    mapping = [-1] * ns
-    # images of a clique are pairwise distinct, so force them ascending
-    clique_source = all(src.degree(v) == ns - 1 for v in range(ns))
+    sizes = [nt] * ns
+    rows = dst.masks
+    clique_source = all(len(adj) == ns - 1 for adj in nbrs)
     nodes = 0
 
-    def assign(i: int) -> bool:
-        nonlocal nodes
-        if i == ns:
+    # floor masks a clique source's candidates to targets above the previous
+    # image (the ascending rule); it is -1, every target, otherwise
+    def assign(depth: int, floor: int) -> bool:
+        nonlocal nodes, used, allowed
+        if depth == ns:
             return True
-        v = order[i]
-        cand = domains[v]
-        if clique_source and i > 0:
-            prev = mapping[order[i - 1]]
-            cand &= full << (prev + 1) if prev + 1 < nt else 0
-        for t in targets_by_degree:
-            if not cand >> t & 1:
-                continue
+        i = sizes.index(min(sizes))
+        domain, size = domains[i], sizes[i]
+        sizes[i] = done
+        cand = domain & allowed & floor
+        while cand:
+            lsb = cand & -cand
+            cand ^= lsb
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetError(
@@ -108,29 +148,39 @@ def _hom_search(
                     used=nodes,
                     reason="node budget",
                 )
-            mapping[v] = t
-            saved: list[tuple[int, int]] = []
-            ok = True
-            nbrs = src.masks[v]
-            while nbrs:
-                lsb = nbrs & -nbrs
-                w = lsb.bit_length() - 1
-                nbrs ^= lsb
-                if mapping[w] < 0:
-                    saved.append((w, domains[w]))
-                    domains[w] &= dst.masks[t]
-                    if domains[w] == 0:
-                        ok = False
+            t = lsb.bit_length() - 1
+            # an assigned vertex's domain is its image, which every later
+            # neighbour's row contains, so the loop below passes it over
+            domains[i] = lsb
+            fresh = not used & lsb
+            if fresh:
+                used |= lsb
+                allowed |= succ[t]
+            row = rows[t]
+            saved = []
+            for w in nbrs[i]:
+                d = domains[w]
+                nd = d & row
+                if nd != d:
+                    saved.append((w, d, sizes[w]))
+                    if not nd:
                         break
-            if ok and assign(i + 1):
-                return True
-            for w, old in saved:
-                domains[w] = old
-            mapping[v] = -1
+                    domains[w] = nd
+                    sizes[w] = nd.bit_count()
+            else:
+                if assign(depth + 1, -(lsb << 1) if clique_source else -1):
+                    return True
+            for w, d, s in saved:
+                domains[w] = d
+                sizes[w] = s
+            if fresh:
+                used ^= lsb
+                allowed ^= succ[t]
+        domains[i], sizes[i] = domain, size
         return False
 
-    if assign(0):
-        return tuple(mapping), nodes
+    if assign(0, -1):
+        return tuple(domains[position[v]].bit_length() - 1 for v in range(ns)), nodes
     return None, nodes
 
 
@@ -179,6 +229,14 @@ def test_F(
         raise InputError("slack test arguments must be nonnegative")
     if k * m > n:
         return 0
+    # size the slack factor and the product before building anything: an
+    # empty h^n hides any factor from strong_product's own check
+    cap = vertex_budget(power_cap)
+    if k >= cap.bit_length() or not power_fits(h.n, n, cap >> k):
+        raise BudgetError(
+            f"slack test needs edgeless(2^{k}) ⊠ h^{n}, budget is {cap} vertices",
+            reason="vertex budget",
+        )
     if n == 0:
         gp = single_vertex()
         hp = single_vertex()

@@ -2,10 +2,10 @@
 
 The oracles here recompute answers by definition-level enumeration —
 subsets for independence numbers, all vertex maps for homomorphisms,
-bijections for automorphisms — or by the textbook method (a Fraction
-tableau for the simplex, a bitmask rescan for the greedy seed), so the
-optimized solvers are always checked against something that cannot share
-their bugs.
+partitions into cliques for clique covers, bijections for automorphisms —
+or by the textbook method (a Fraction tableau for the simplex, a bitmask
+rescan for the greedy seed), so the optimized solvers are always checked
+against something that cannot share their bugs.
 """
 
 import itertools
@@ -45,6 +45,31 @@ def brute_hom_exists(src: Graph, dst: Graph) -> bool:
         all(dst.has_edge(f[u], f[v]) for u, v in edges)
         for f in itertools.product(range(dst.n), repeat=src.n)
     )
+
+
+def brute_clique_cover(g: Graph) -> int:
+    """Fewest cliques partitioning the vertices, over every such partition."""
+    best = g.n
+    blocks: list[list[int]] = []
+
+    def place(v: int) -> None:
+        nonlocal best
+        if len(blocks) >= best:
+            return
+        if v == g.n:
+            best = len(blocks)
+            return
+        for block in blocks:
+            if all(g.has_edge(v, u) for u in block):
+                block.append(v)
+                place(v + 1)
+                block.pop()
+        blocks.append([v])
+        place(v + 1)
+        blocks.pop()
+
+    place(0)
+    return best
 
 
 def has_automorphism(g: Graph, src: int, dst: int) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -274,6 +275,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert report["results"]["status"] == "Inconclusive"
+
+    def test_asym_against_the_empty_graph_stops_at_the_vertex_cap(self):
+        # k reaches 43 in 1000 tests; no slack factor above the cap is built
+        start = time.perf_counter()
+        code, report = run(["asym-preorder", "K1", "0", "--m", "1", "--budget", "1000"])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert report["results"]["status"] == "Inconclusive"
+        assert report["results"]["tests_used"] == 1000
 
     def test_squeeze_exhausted_is_exit_three(self):
         code, report = run(["squeeze", "--graph", "C5", "--K", "30", "--budget", "1"])

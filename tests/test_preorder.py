@@ -1,5 +1,7 @@
 """Cohomomorphism order, slack-power comparisons, bounded asymptotic search."""
 
+import time
+
 import pytest
 
 from zecap import (
@@ -13,18 +15,39 @@ from zecap import (
     leq,
     single_vertex,
     strassen_axiom_suite,
+    strong_power,
+    strong_product,
 )
 from zecap import test_F as slack_test  # aliased so pytest does not collect it
-from zecap.graphs import Graph
-from zecap.preorder import ESTABLISHED, INCONCLUSIVE
+from zecap.graphs import Graph, complement
+from zecap.preorder import ESTABLISHED, INCONCLUSIVE, HomWitness, _hom_search
 
-from conftest import brute_hom_exists, random_graph
+from conftest import brute_clique_cover, brute_hom_exists, random_graph
 
 
 def brute_leq(g: Graph, h: Graph) -> bool:
-    from zecap.graphs import complement
-
     return brute_hom_exists(complement(g), complement(h))
+
+
+def complete_multipartite(parts) -> Graph:
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    )
+
+
+def twin_rich_targets(rng):
+    """Search targets made of large twin classes, the symmetry the search cuts."""
+    targets = [complete_graph(n) for n in range(1, 6)]
+    targets += [edgeless_graph(n) for n in range(1, 5)]
+    for r in (1, 2, 3):
+        for _ in range(4):
+            h = random_graph(rng, rng.randint(1, 6 // r))
+            targets.append(complement(strong_product(edgeless_graph(r), h)))
+    for _ in range(8):
+        targets.append(complete_multipartite([rng.randint(1, 3) for _ in range(rng.randint(2, 3))]))
+    return targets
 
 
 class TestLeqAgainstBruteForce:
@@ -43,6 +66,63 @@ class TestLeqAgainstBruteForce:
             h = random_graph(rng, 5)
             w = leq(g, h)
             assert w.established == brute_leq(g, h)
+
+
+class TestTwinRichTargets:
+    def test_search_matches_oracle(self, rng):
+        for dst in twin_rich_targets(rng):
+            for _ in range(6):
+                src = random_graph(rng, rng.randint(1, 5), rng.random())
+                mapping, _ = _hom_search(src, dst, None)
+                assert (mapping is not None) == brute_hom_exists(src, dst)
+                if mapping is not None:
+                    assert HomWitness(src, dst, mapping).verify()
+
+    def test_leq_matches_oracle(self, rng):
+        # the right-hand graphs are complements of the twin-rich targets
+        for h in map(complement, twin_rich_targets(rng)):
+            for _ in range(6):
+                g = random_graph(rng, rng.randint(1, 5), rng.random())
+                w = leq(g, h)
+                assert w.established == brute_leq(g, h)
+                if w.established:
+                    assert w.verify()
+
+    def test_edgeless_right_side_is_a_clique_cover(self, rng):
+        # g <= E_r exactly when g's vertices split into at most r cliques
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(0, 7), rng.random())
+            cover = brute_clique_cover(g)
+            for r in range(g.n + 1):
+                w = leq(g, edgeless_graph(r))
+                assert w.established == (cover <= r), (g, r)
+                if w.established:
+                    assert w.verify()
+
+
+class TestSearchNodeCounts:
+    """Node counts the twin rule and the smallest-domain order keep small."""
+
+    def test_pentagon_square_has_an_eight_clique_cover(self, pentagon):
+        w = leq(strong_power(pentagon, 2), edgeless_graph(8), max_vertices=25)
+        assert w.established and w.verify()
+        assert w.nodes_used <= 100
+
+    def test_pentagon_square_has_no_four_clique_cover(self, pentagon):
+        w = leq(strong_power(pentagon, 2), edgeless_graph(4), max_vertices=25)
+        assert not w.established
+        assert w.nodes_used <= 100
+
+    def test_slack_test_refutes_the_pentagon_cube_within_budget(self, pentagon):
+        # C5^3 needs 16 cliques to cover it, so 8 = 2^(0+3) do not suffice
+        assert slack_test(pentagon, edgeless_graph(2), 2, 3, 0, node_budget=1000) == 0
+
+    def test_clique_source_images_ascend(self, pentagon):
+        # C5^2 has no twins and no 5-clique; ascending images visit each
+        # 4-clique once instead of once per order
+        mapping, nodes = _hom_search(complete_graph(5), strong_power(pentagon, 2), None)
+        assert mapping is None
+        assert nodes <= 300
 
 
 class TestLeqAnchors:
@@ -140,6 +220,15 @@ class TestSlackPowerComparison:
     def test_validation(self, pentagon):
         with pytest.raises(InputError):
             slack_test(pentagon, pentagon, -1, 1, 0)
+
+    def test_empty_right_side_does_not_hide_the_slack_factor(self):
+        # h^n is empty, so the product is too, but edgeless(2^40) is not
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as exc:
+            slack_test(single_vertex(), Graph(0, ()), 1, 40, 40)
+        assert time.perf_counter() - start < 1
+        assert exc.value.reason == "vertex budget"
+        assert slack_test(single_vertex(), Graph(0, ()), 1, 9, 9) == 0  # 512 fits
 
 
 class TestAsymptoticSearch:
