@@ -22,7 +22,6 @@ from .alpha import (
     IndependentSetWitness,
     LadderValue,
     alpha,
-    capacity_lower_bound,
     ladder,
     solve_alpha,
 )
@@ -40,12 +39,9 @@ from .channel import (
 from .creal import (
     CReal,
     add,
-    compare_gt,
     decimal_string,
     from_rational,
-    mul,
     parse_real,
-    pow2k,
     root_pow2,
     sqrt_int,
 )
@@ -134,10 +130,8 @@ __all__ = [
     "alpha",
     "asymptotic_leq_bounded",
     "capacity_bounds",
-    "capacity_lower_bound",
     "channel_from_csv",
     "channel_from_json",
-    "compare_gt",
     "complement",
     "complete_graph",
     "confusability_graph",
@@ -162,9 +156,7 @@ __all__ = [
     "lovasz_theta",
     "max_zero_error_code",
     "maximal_cliques",
-    "mul",
     "parse_real",
-    "pow2k",
     "root_pow2",
     "sandwich",
     "semidecide_gt",

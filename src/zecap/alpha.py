@@ -89,11 +89,10 @@ def _unpacked(rows: np.ndarray, index: np.ndarray):
         yield np.unpackbits(rows[index[start : start + block]], axis=1, count=n, bitorder="little")
 
 
-def _greedy_seed(g: Graph) -> list[int]:
+def _greedy_seed(g: Graph, rows: np.ndarray) -> list[int]:
     """Repeatedly take a minimum-degree vertex of what is left (lowest label
-    on ties) and drop its closed neighborhood."""
+    on ties) and drop its closed neighborhood; rows is _packed_rows(g)."""
     n = g.n
-    rows = _packed_rows(g)
     degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     chosen = []
@@ -110,8 +109,9 @@ def _greedy_seed(g: Graph) -> list[int]:
     return chosen
 
 
-def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
-    """Smallest-last order of the complement of g, and g renumbered by it.
+def _smallest_last(g: Graph) -> tuple[list[int], Graph, np.ndarray]:
+    """Smallest-last order of the complement of g, g renumbered by it, and
+    the renumbered graph's packed rows.
 
     Repeatedly remove a remaining vertex of largest g-degree among those
     left (lowest label on ties); the first vertex removed goes last.  In the
@@ -127,14 +127,13 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
         degree -= np.unpackbits(rows[v], count=n, bitorder="little")
         degree[v] = -1  # removed vertices stay below every live degree
     perm = np.array(order, dtype=np.intp)
-    width = rows.shape[1]
-    masks = []
-    for bits in _unpacked(rows, perm):
-        packed = np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little").tobytes()
-        masks.extend(
-            int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)
-        )
-    return order, Graph(n, tuple(masks))
+    packed = np.concatenate([
+        np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little")
+        for bits in _unpacked(rows, perm)
+    ])
+    data, width = packed.tobytes(), rows.shape[1]
+    masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return order, Graph(n, tuple(masks)), packed
 
 
 def solve_alpha(
@@ -148,7 +147,7 @@ def solve_alpha(
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0
-    order, h = _smallest_last(g)
+    order, h, rows = _smallest_last(g)
     # clique search on the complement, in the renumbered labels
     full = (1 << n) - 1
     comp = [full ^ (1 << v) ^ h.masks[v] for v in range(n)]
@@ -157,7 +156,7 @@ def solve_alpha(
         label = {v: i for i, v in enumerate(order)}
         seed = [label[v] for v in initial]
     else:
-        seed = _greedy_seed(h)  # no warm start, or a bad one we do not trust
+        seed = _greedy_seed(h, rows)  # no warm start, or a bad one we do not trust
     best = {"size": len(seed), "set": seed}
     budget = _Budget(node_budget)
 
@@ -284,13 +283,3 @@ def ladder(
             LadderValue(m=m, alpha_value=witness.size, root=creal.root_pow2(witness.size, m))
         )
     return values
-
-
-def capacity_lower_bound(
-    g: Graph,
-    m: int,
-    node_budget: int | None = None,
-    max_power_vertices: int | None = None,
-) -> creal.CReal:
-    """The level-m ladder value as a computable real lower bound."""
-    return ladder(g, m, node_budget, max_power_vertices)[m].root

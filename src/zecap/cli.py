@@ -347,13 +347,14 @@ _FLAGS = {
     "--m": dict(dest="m_max", type=int, default=1, help="deepest ladder level"),
     "--tol": dict(default="1e-4", help="theta interval tolerance"),
     "--lambda": dict(dest="lambda", required=True, help="threshold expression"),
-    "--node-budget": dict(type=int, default=None,
-                          help="branch-and-bound node cap per independence solve"),
+    "--node-budget": dict(type=int, help="branch-and-bound node cap per independence solve"),
     "--power-cap": dict(type=int, default=None, help="strong-power vertex cap"),
     "--csv": dict(help="also write the series to this CSV file"),
     "--channel": dict(required=True, help="channel file (CSV or JSON)"),
     "--format": dict(choices=["auto", "csv", "json"], default="auto"),
 }
+_LADDER_NODE_BUDGET = _arg("--node-budget", type=int,
+                           help="branch-and-bound node pool shared by the ladder levels")
 _GRAPH_PAIR = [
     _arg("left_expression", metavar="left", help="graph expression"),
     _arg("right_expression", metavar="right", help="graph expression"),
@@ -406,7 +407,7 @@ def _cmd_alpha(args, inputs):
 
 
 @_command("ladder", "independence ladder lower bounds",
-          ["--graph", "--m", "--node-budget", "--power-cap", "--csv"],
+          ["--graph", "--m", _LADDER_NODE_BUDGET, "--power-cap", "--csv"],
           inputs="expression m_max", budgets="node_budget power_cap")
 def _cmd_ladder(args, inputs):
     g = _graph_input(inputs)
@@ -424,7 +425,7 @@ def _cmd_ladder(args, inputs):
 
 
 @_command("bounds", "two-sided capacity sandwich",
-          ["--graph", "--m", "--tol", "--node-budget", "--power-cap", "--csv"],
+          ["--graph", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap", "--csv"],
           inputs="expression m_max tol", budgets="node_budget power_cap")
 def _cmd_bounds(args, inputs):
     g = _graph_input(inputs)
@@ -561,7 +562,7 @@ def _cmd_channel_graph(args, inputs):
 
 
 @_command("capacity", "zero-error capacity sandwich of a channel",
-          ["--channel", "--format", "--m", "--tol", "--node-budget", "--power-cap"],
+          ["--channel", "--format", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap"],
           inputs="channel m_max tol", budgets="node_budget power_cap")
 def _cmd_capacity(args, inputs):
     ch = _channel_input(inputs, args.format)
@@ -580,7 +581,7 @@ def _cmd_capacity(args, inputs):
 
 
 @_command("locate", "dyadic grid cells containing the capacity",
-          ["--graph", "--tol", "--node-budget",
+          ["--graph", "--tol", _LADDER_NODE_BUDGET,
            _arg("--M", type=int, required=True, help="grid exponent")],
           inputs="expression M tol", budgets="node_budget", node_budget=DEFAULT_NODE_BUDGET)
 def _cmd_locate(args, inputs):
@@ -601,7 +602,7 @@ def _cmd_locate(args, inputs):
 
 
 @_command("squeeze", "shrink the capacity interval below 2^-K",
-          ["--graph", "--node-budget", "--power-cap",
+          ["--graph", _LADDER_NODE_BUDGET, "--power-cap",
            _arg("--K", type=int, required=True, help="target width exponent"),
            _arg("--budget", dest="round_budget", type=int, default=16,
                 help="refinement rounds")],

@@ -112,10 +112,6 @@ def root_pow2(k: int, m: int) -> CReal:
     return CReal(fn, label)
 
 
-def _magnitude_bound(x: CReal) -> Fraction:
-    return abs(x.approx(0)) + 1
-
-
 def add(x: CReal, y: CReal) -> CReal:
     if x.exact is not None and y.exact is not None:
         return from_rational(x.exact + y.exact)
@@ -124,42 +120,6 @@ def add(x: CReal, y: CReal) -> CReal:
         return x.approx(n + 1) + y.approx(n + 1)
 
     return CReal(fn, f"({x.description} + {y.description})")
-
-
-def mul(x: CReal, y: CReal) -> CReal:
-    if x.exact is not None and y.exact is not None:
-        return from_rational(x.exact * y.exact)
-    # |xy - xa*ya| < (Bx + By + 1) * 2^-p, so p = n + bits(Bx+By+1) suffices
-    shift = int(math.ceil(_magnitude_bound(x) + _magnitude_bound(y) + 1)).bit_length()
-
-    def fn(n: int) -> Fraction:
-        p = n + shift
-        return x.approx(p) * y.approx(p)
-
-    return CReal(fn, f"({x.description} * {y.description})")
-
-
-def pow2k(x: CReal, k: int) -> CReal:
-    """x raised to the 2^k-th power by repeated squaring."""
-    if k < 0:
-        raise InputError("power level must be nonnegative")
-    result = x
-    for _ in range(k):
-        result = mul(result, result)
-    return result
-
-
-def compare_gt(x: CReal, q, n_max: int) -> Optional[int]:
-    """Semi-decide x > q: the witnessing precision, or None if unresolved.
-
-    A returned n certifies x > q (since x > approx(n) - 2^-n > q); None
-    never claims x <= q.
-    """
-    q = Fraction(q)
-    for n in range(1, n_max + 1):
-        if x.approx(n) - q > Fraction(1, 1 << n):
-            return n
-    return None
 
 
 _SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*\)$")

@@ -357,9 +357,10 @@ def squeeze_capacity(
 ) -> SqueezeResult:
     """Shrink a certified capacity interval below width 2^-k_bits.
 
-    Alternates ladder refinements with upper-bound refinements (exact
-    clique cover first, then theta at shrinking tolerances).  The interval
-    is monotone in the budget: more rounds only ever shrink it.
+    The plan is ladder level 0, the exact clique cover, theta once (its
+    interval is certified once per graph, so a smaller tolerance could
+    only fail), then ladder levels 1, 2, ... while their powers fit.  The
+    interval is monotone in the budget: more rounds only ever shrink it.
     """
     if k_bits < 0:
         raise InputError("width exponent must be nonnegative")
@@ -371,18 +372,16 @@ def squeeze_capacity(
     precision = k_bits + 4
 
     rounds = 0
-    theta_tol = Fraction(1, 1 << (k_bits + 2))
-    plan: list[tuple[str, object]] = [("ladder", 0), ("cover", None), ("theta", theta_tol)]
+    plan: list[tuple[str, object]] = [("ladder", 0), ("cover", None), ("theta", target / 4)]
     next_level = 1
     while rounds < budget:
         if upper - lower < target:
             return SqueezeResult(VALUE, lower, upper, rounds)
         if not plan:
-            if power_fits(g.n, 1 << next_level, power_cap):
-                plan.append(("ladder", next_level))
-                next_level += 1
-            theta_tol = theta_tol / 4
-            plan.append(("theta", theta_tol))
+            if not power_fits(g.n, 1 << next_level, power_cap):
+                break
+            plan.append(("ladder", next_level))
+            next_level += 1
         action, arg = plan.pop(0)
         rounds += 1
         try:

@@ -125,78 +125,60 @@ def fractional_clique_cover(
 
 # ---------------------------------------------------------------------------
 # Lovász theta
+#
+# Both ends are proved on the 2^-40 grid: float entries x become the ints
+# round(x * 2^40), and a diagonal shift s, in grid units too, is grown until
+# base + s*I passes the exact positive-definiteness test.
 
 
-def _rationalize(x: float) -> Fraction:
-    return Fraction(round(x * _GRID), _GRID)
+def _snap(x: float) -> int:
+    return round(x * _GRID)
 
 
-def _rationalize_up(x: float) -> Fraction:
-    return Fraction(math.ceil(x * _GRID) + 1, _GRID)
+def _lift(base: list[list[int]], shifts, what: str) -> int:
+    """The first s in shifts for which base + s*I is positive definite."""
+    for s in shifts:
+        if is_positive_definite(
+            [[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(base)]
+        ):
+            return s
+    raise ConvergenceError(f"could not certify the {what}")
 
 
-def _certify_upper(a_float: np.ndarray, edge_list: list[tuple[int, int]], n: int) -> Fraction:
-    """Exact upper bound on lambda_max of a dual witness matrix.
+def _certify_upper(witness: np.ndarray, edge_list: list[tuple[int, int]]) -> Fraction:
+    """Exact upper bound on lambda_max of a dual witness matrix A.
 
-    The witness has ones on the diagonal and on non-edges; edge entries are
-    free, so any such matrix bounds theta from above by its largest
-    eigenvalue.  We snap the float entries to a rational grid and certify
-    hi*I - A positive definite by exact elimination.
+    A has ones on the diagonal and on non-edges; edge entries are free, so
+    any such matrix bounds theta from above by its largest eigenvalue.  The
+    edge entries are snapped to the grid and hi*I - A is certified positive
+    definite, starting just above the float estimate of lambda_max.
     """
-    a_rat = [[Fraction(1)] * n for _ in range(n)]
+    n = len(witness)
+    minus_a = [[-_GRID] * n for _ in range(n)]
     for u, v in edge_list:
-        q = _rationalize(float(a_float[u, v]))
-        a_rat[u][v] = q
-        a_rat[v][u] = q
-    lam = float(np.linalg.eigvalsh(a_float)[-1])
-    delta = max(1e-10, 1e-13 * n * float(np.abs(a_float).max()))
-    for _ in range(48):
-        hi = _rationalize_up(lam + delta)
-        m = [
-            [(hi if i == j else Fraction(0)) - a_rat[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        if is_positive_definite(m):
-            return hi
-        delta *= 2
-    raise ConvergenceError("could not certify the dual witness")
+        minus_a[u][v] = minus_a[v][u] = -_snap(float(witness[u, v]))
+    lam = float(np.linalg.eigvalsh(witness)[-1])
+    delta = max(1e-10, 1e-13 * n * float(np.abs(witness).max()))
+    shifts = (math.ceil((lam + delta * 2**k) * _GRID) + 1 for k in range(48))
+    return Fraction(_lift(minus_a, shifts, "dual witness"), _GRID)
 
 
-def _certify_lower(y_float: np.ndarray, edge_list: list[tuple[int, int]], n: int) -> Fraction:
+def _certify_lower(x: np.ndarray, edge_list: list[tuple[int, int]]) -> Fraction:
     """Exact lower bound on theta from a primal feasible matrix.
 
-    Snap the near-optimal PSD iterate to rationals, zero its edge entries
-    exactly, add a tiny diagonal to make positive-definiteness provable,
-    normalize the trace; <J, B> of the result is a certified lower bound.
+    Snap the symmetrized iterate, its edge entries zero, to the grid as B
+    and lift it by c*I until positive definite; normalized to trace 1,
+    B + c*I is primal feasible, so <J, B + cI> / tr(B + cI) bounds theta.
     """
-    s = 0.5 * (y_float + y_float.T)
+    s = 0.5 * (x + x.T)
     for u, v in edge_list:
-        s[u, v] = 0.0
-        s[v, u] = 0.0
-    b = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            q = _rationalize(float(s[i, j]))
-            b[i][j] = q
-            b[j][i] = q
-    for u, v in edge_list:
-        b[u][v] = Fraction(0)
-        b[v][u] = Fraction(0)
-    # smallest eigenvalue estimate guides the diagonal lift; the exact
-    # elimination below is the actual proof of feasibility
+        s[u, v] = s[v, u] = 0.0
+    b = [[_snap(e) for e in row] for row in s.tolist()]
+    # the smallest eigenvalue estimate guides the lift; the exact test proves it
     mu = float(np.linalg.eigvalsh(s)[0])
-    c = _rationalize_up(max(0.0, -mu) + 2.0 ** -(_GRID_BITS - 8))
-    for _ in range(40):
-        m = [
-            [b[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        if is_positive_definite(m):
-            trace = sum(m[i][i] for i in range(n))
-            total = sum(sum(row) for row in m)
-            return total / trace
-        c *= 4
-    raise ConvergenceError("could not certify the primal witness")
+    c0 = math.ceil((max(0.0, -mu) + 2.0 ** -(_GRID_BITS - 8)) * _GRID) + 1
+    lift = len(b) * _lift(b, (c0 << 2 * k for k in range(40)), "primal witness")
+    return Fraction(sum(map(sum, b)) + lift, sum(row[i] for i, row in enumerate(b)) + lift)
 
 
 def _theta_solve(n: int, erows: np.ndarray, ecols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +270,7 @@ def _theta_solve(n: int, erows: np.ndarray, ecols: np.ndarray) -> tuple[np.ndarr
 def _theta_interval(g: Graph) -> tuple[Fraction, Fraction]:
     edge_list = g.edges()
     witness, x = _theta_solve(g.n, *np.array(edge_list, dtype=int).reshape(-1, 2).T)
-    return _certify_lower(x, edge_list, g.n), _certify_upper(witness, edge_list, g.n)
+    return _certify_lower(x, edge_list), _certify_upper(witness, edge_list)
 
 
 def lovasz_theta(g: Graph, tol) -> UpperBound:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zecap import (
@@ -9,7 +10,6 @@ from zecap import (
     IndependentSetWitness,
     InputError,
     alpha,
-    capacity_lower_bound,
     complete_graph,
     complement,
     cycle_graph,
@@ -21,7 +21,7 @@ from zecap import (
     strong_power,
     strong_product,
 )
-from zecap.alpha import _greedy_seed, _smallest_last
+from zecap.alpha import _greedy_seed, _packed_rows, _smallest_last
 from zecap.graphs import Graph
 
 from conftest import (
@@ -74,10 +74,11 @@ class TestRelabelling:
             assert w.verify(h)
 
     def test_order_is_not_the_identity(self):
-        order, h = _smallest_last(self.SHAPE)
+        order, h, rows = _smallest_last(self.SHAPE)
         assert order != list(range(self.SHAPE.n))
         assert sorted(order) == list(range(self.SHAPE.n))
         assert h == relabel(self.SHAPE, [order.index(v) for v in range(self.SHAPE.n)])
+        assert np.array_equal(rows, _packed_rows(h))
 
     def test_witness_in_caller_labels(self):
         g = self.SHAPE
@@ -111,13 +112,13 @@ class TestGreedySeed:
         for _ in range(200):
             n = rng.randint(1, 40)
             g = random_graph(rng, n, p=rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]))
-            assert _greedy_seed(g) == reference_greedy_seed(g)
+            assert _greedy_seed(g, _packed_rows(g)) == reference_greedy_seed(g)
 
     def test_matches_reference_on_pentagon_cube(self, pentagon):
         g = strong_power(pentagon, 3)
-        assert _greedy_seed(g) == reference_greedy_seed(g)
-        _, h = _smallest_last(g)  # the graph the solver seeds from
-        assert _greedy_seed(h) == reference_greedy_seed(h)
+        assert _greedy_seed(g, _packed_rows(g)) == reference_greedy_seed(g)
+        _, h, rows = _smallest_last(g)  # the graph and rows the solver seeds from
+        assert _greedy_seed(h, rows) == reference_greedy_seed(h)
 
 
 def flagged_graph(rng) -> Graph:
@@ -156,7 +157,7 @@ class TestRootFix:
 
     def test_partial_witness_in_caller_labels(self, pentagon):
         g = strong_power(pentagon, 3)
-        order, _ = _smallest_last(g)
+        order, _, _ = _smallest_last(g)
         assert order[:3] != [0, 1, 2]
         for budget in (0, 1, 5, 50):
             with pytest.raises(BudgetError) as exc:
@@ -167,7 +168,7 @@ class TestRootFix:
     def test_warm_start_without_the_root_is_honoured(self, pentagon):
         # as in the ladder, whose warm start is the square of the level below
         g = strong_power(pentagon, 2)
-        order, _ = _smallest_last(g)
+        order, _, _ = _smallest_last(g)
         root = order[0]  # the caller's label of the searched root, bit 0
         # the five translates {(i, 2i + c)} of an optimal set partition C5^2
         starts = [sorted(i * 5 + (2 * i + c) % 5 for i in range(5)) for c in range(5)]
@@ -300,9 +301,3 @@ class TestLadder:
             ladder(pentagon, 2, node_budget=30)
         assert exc.value.reason == "node budget"
         assert isinstance(exc.value.partial, list)
-
-    def test_lower_bound_helper(self, pentagon):
-        root = capacity_lower_bound(pentagon, 1)
-        a = root.approx(16)
-        eps = Fraction(1, 1 << 16)
-        assert (a - eps) ** 2 < 5 < (a + eps) ** 2

@@ -8,12 +8,9 @@ from zecap import (
     CReal,
     InputError,
     add,
-    compare_gt,
     decimal_string,
     from_rational,
-    mul,
     parse_real,
-    pow2k,
     root_pow2,
     sqrt_int,
 )
@@ -94,8 +91,6 @@ class TestArithmetic:
     def test_rational_fast_paths(self):
         x = add(from_rational("1/3"), from_rational("1/6"))
         assert x.exact == Fraction(1, 2)
-        y = mul(from_rational(3), from_rational("2/5"))
-        assert y.exact == Fraction(6, 5)
 
     def test_sum_with_irrational_brackets(self):
         x = add(from_rational(1), sqrt_int(5))  # 1 + sqrt(5)
@@ -103,53 +98,6 @@ class TestArithmetic:
             a = x.approx(n)
             eps = Fraction(1, 1 << n)
             assert (a - eps - 1) ** 2 < 5 < (a + eps - 1) ** 2
-
-    def test_product_brackets(self):
-        x = mul(sqrt_int(2), sqrt_int(2))  # equals 2, computed approximately
-        for n in (1, 10, 40):
-            assert abs(x.approx(n) - 2) < Fraction(1, 1 << n)
-
-    def test_product_of_distinct_roots(self):
-        x = mul(sqrt_int(2), sqrt_int(3))  # sqrt(6)
-        for n in (2, 20):
-            assert_brackets_sqrt(x, 6, n)
-
-    def test_pow2k_of_sqrt5(self):
-        x = pow2k(sqrt_int(5), 1)  # sqrt(5)^2 = 5
-        for n in (1, 16, 48):
-            assert abs(x.approx(n) - 5) < Fraction(1, 1 << n)
-
-    def test_pow2k_levels(self):
-        x = pow2k(from_rational(3), 3)  # 3^8
-        assert x.exact == 6561
-
-    def test_pow2k_zero_is_identity(self):
-        x = pow2k(sqrt_int(7), 0)
-        assert_brackets_sqrt(x, 7, 12)
-
-    def test_pow2k_rejects_negative_level(self):
-        with pytest.raises(InputError):
-            pow2k(from_rational(2), -1)
-
-
-class TestCompare:
-    def test_strict_inequality_found(self):
-        n = compare_gt(sqrt_int(5), Fraction(2), 40)
-        assert n is not None
-        x = sqrt_int(5)
-        assert x.approx(n) - 2 > Fraction(1, 1 << n)
-
-    def test_false_inequality_never_witnessed(self):
-        assert compare_gt(sqrt_int(5), Fraction(3), 40) is None
-
-    def test_equality_never_witnessed(self):
-        assert compare_gt(from_rational(2), Fraction(2), 40) is None
-
-    def test_tight_gap_needs_more_precision(self):
-        gap = Fraction(1, 1 << 12)
-        target = from_rational(2)
-        assert compare_gt(target, 2 - gap, 8) is None
-        assert compare_gt(target, 2 - gap, 16) is not None
 
 
 class TestParsing:

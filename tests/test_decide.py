@@ -21,6 +21,7 @@ from zecap import (
     from_rational,
     lipschitz_constant,
     locate_grid,
+    lovasz_theta,
     parse_real,
     semidecide_gt,
     semidecide_level,
@@ -280,6 +281,23 @@ class TestSqueeze:
             w = r.width()
             assert w <= prev_width
             prev_width = w
+
+    def test_theta_asked_once(self, pentagon, monkeypatch):
+        # the theta interval is certified once per graph, so a second ask at
+        # a smaller tolerance could only return the same hi or fail
+        tols = []
+
+        def counted(g, tol):
+            tols.append(tol)
+            return lovasz_theta(g, tol)
+
+        monkeypatch.setattr("zecap.decide.lovasz_theta", counted)
+        result = squeeze_capacity(disjoint_union(single_vertex(), pentagon), 4, budget=15)
+        assert tols == [Fraction(1, 64)]
+        assert result.status == BUDGET_EXHAUSTED
+        assert result.lower == Fraction(1617, 512)
+        assert result.upper == Fraction(1779047184823, 549755813888)
+        assert result.rounds_used == 4  # ladder 0, cover, theta, ladder 1
 
     def test_programming_errors_propagate(self, pentagon, monkeypatch):
         # only budget and convergence stops may leave a round as a no-op

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from zecap import (
@@ -25,6 +26,8 @@ from zecap import (
     solve_alpha,
     strong_power,
 )
+from zecap import spectrum
+from zecap.exact import is_positive_definite
 from zecap.graphs import Graph, complement, strong_product
 
 from conftest import brute_alpha, random_graph
@@ -182,6 +185,46 @@ class TestTheta:
         assert b.hi - b.lo <= tol
         assert b.hi >= solve_alpha(g)[0].size
         assert b.hi * lovasz_theta(complement(g), tol).hi >= 30
+
+
+class TestCertificationRetry:
+    """The diagonal lift grows its shift until the exact test passes."""
+
+    @pytest.fixture
+    def witness(self, pentagon):
+        witness, _ = spectrum._theta_solve(5, *np.array(pentagon.edges()).T)
+        return witness
+
+    def test_low_eigenvalue_estimate_still_certifies(self, pentagon, witness, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 1e-3)
+        verdicts = []
+
+        def recorded(matrix):
+            verdicts.append(is_positive_definite(matrix))
+            return verdicts[-1]
+
+        monkeypatch.setattr(spectrum, "is_positive_definite", recorded)
+        hi = spectrum._certify_upper(witness, pentagon.edges())
+        assert len(verdicts) > 1 and not verdicts[0] and verdicts[-1]
+        # hi*I - A, rebuilt in Fractions: ones off the edges, snapped edge entries
+        grid = 1 << 40
+        a = [[Fraction(1)] * 5 for _ in range(5)]
+        for u, v in pentagon.edges():
+            a[u][v] = a[v][u] = Fraction(round(float(witness[u, v]) * grid), grid)
+        assert is_positive_definite([[(hi if i == j else 0) - a[i][j] for j in range(5)]
+                                     for i in range(5)])
+        assert hi * hi > 5  # theta(C5) = sqrt(5) <= lambda_max(A) <= hi
+
+    def test_exhausted_shifts_raise(self, pentagon, witness, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 1e6)
+        with pytest.raises(ConvergenceError, match="dual witness"):
+            spectrum._certify_upper(witness, pentagon.edges())
+        # the lift starts at 257 grid units; 257 * 4^39 stays below 10^15 * 2^40
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(len(a)))
+        with pytest.raises(ConvergenceError, match="primal witness"):
+            spectrum._certify_lower(-1e15 * np.eye(3), [])
 
 
 class TestSandwich:
