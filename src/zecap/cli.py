@@ -6,6 +6,9 @@ inputs produce identical bytes (wall time aside).  Exit codes: 0 success,
 2 input error, 3 budget exhausted, 4 solver failure.  An error report keeps
 the inputs parsed before the stop and all budgets; a budget stop also
 carries its ``reason``, the amount ``used`` and any ``partial`` result.
+Input graphs of at most 64 vertices are echoed under ``inputs`` edge by
+edge; larger ones as ``{"vertices", "edge_count"}``, since the expression
+beside them determines them.  Result graphs always list every edge.
 
 Graphs are given as expressions: numbering indices ("689"), named
 shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9 edgeless, S the single
@@ -295,7 +298,11 @@ def _write_bounds_csv(path: str, report: BoundsReport) -> None:
 
 def _graph_input(inputs: dict, source: str = "expression", key: str = "graph") -> Graph:
     g = parse_graph(inputs[source])
-    inputs[key] = graph_json(g)
+    # above 64 vertices the echo is a summary: the expression under ``source``
+    # already determines the graph, and its edge list can run to megabytes
+    inputs[key] = (
+        graph_json(g) if g.n <= 64 else {"vertices": g.n, "edge_count": g.edge_count()}
+    )
     return g
 
 
@@ -517,8 +524,12 @@ def _cmd_enumerate(args, inputs):
 
 
 @_command("preorder", "decide the cohomomorphism order left <= right",
-          [*_GRAPH_PAIR, "--node-budget",
-           _arg("--max-vertices", type=int, default=LEQ_MAX_VERTICES)],
+          [*_GRAPH_PAIR,
+           _arg("--node-budget", type=int,
+                help="node cap of the homomorphism search (of the independence "
+                "solve when left is edgeless)"),
+           _arg("--max-vertices", type=int, default=LEQ_MAX_VERTICES,
+                help="vertex cap on each side of the order test")],
           inputs="left_expression right_expression", budgets="max_vertices node_budget")
 def _cmd_preorder(args, inputs):
     left = _graph_input(inputs, "left_expression", "left")
@@ -532,7 +543,9 @@ def _cmd_preorder(args, inputs):
 
 
 @_command("asym-preorder", "bounded search for an asymptotic-order witness",
-          [*_GRAPH_PAIR, "--node-budget", "--power-cap",
+          [*_GRAPH_PAIR,
+           _arg("--node-budget", type=int, help="node cap given afresh to each (n,k) test"),
+           "--power-cap",
            _arg("--m", type=int, required=True, help="slack denominator"),
            _arg("--budget", dest="search_budget", type=int, default=32,
                 help="number of (n,k) tests")],
@@ -631,15 +644,25 @@ def _cmd_squeeze(args, inputs):
 # parser assembly and the report envelope
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The zecap parser; with ``only``, a command name, just that subparser.
+
+    The narrowed parser spells its command metavar out in full, so its usage
+    line, which argparse prints on an unrecognized argument, is the full one.
+    """
     parser = argparse.ArgumentParser(
         prog="zecap",
         description="Exact lower bounds, certified upper bounds, and budgeted "
         "decision procedures for the zero-error capacity of graphs and channels.",
     )
     parser.add_argument("--version", action="version", version=f"zecap {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    if only is None:
+        names, metavar = list(_COMMANDS), None
+    else:
+        names, metavar = [only], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = _COMMANDS[name]
         p = sub.add_parser(name, help=command.summary)
         for flag in command.flags:
             flag, kwargs = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
@@ -654,7 +677,11 @@ def run(argv=None) -> tuple[int, dict]:
     Inputs and budgets are recorded before the handler runs, so an error
     report keeps them, with whatever the handler parsed before it stopped.
     """
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call pays only for its own subparser; anything else gets them all
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     command = _COMMANDS[args.command]
     start = time.perf_counter()
     inputs = {name: getattr(args, name) for name in command.inputs}

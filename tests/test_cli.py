@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import zecap.cli
-from zecap.cli import main, parse_graph, run
+from zecap.cli import build_parser, graph_json, main, parse_graph, run
 from zecap import (
     ConvergenceError,
     IndependentSetWitness,
@@ -21,6 +21,7 @@ from zecap import (
     cycle_graph,
     disjoint_union,
     edgeless_graph,
+    encode,
     strong_power,
     strong_product,
 )
@@ -308,6 +309,93 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+
+PARSER_CASES = [[name, "-h"] for name in zecap.cli._COMMANDS] + [
+    ["alpha"],  # missing required flag
+    ["chif", "--graph", "C5", "--bogus"],
+    ["alpha", "--graph", "C5", "--node-budget", "x"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["frobnicate"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments"
+    )
+    def test_run_prints_what_the_full_parser_prints(self, argv, capsys):
+        with pytest.raises(SystemExit) as got:
+            run(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as expected:
+            build_parser().parse_args(argv)
+        assert (got.value.code, printed) == (expected.value.code, capsys.readouterr())
+
+    def test_a_named_command_gets_only_its_own_subparser(self):
+        assert build_parser("chif").parse_args(["chif", "--graph", "C5"]).command == "chif"
+        with pytest.raises(SystemExit) as exc:
+            build_parser("chif").parse_args(["decode", "2"])
+        assert exc.value.code == 2
+
+    def test_argv_defaults_to_the_command_line(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["zecap", "decode", "2"])
+        code, report = run()
+        assert (code, report["command"], report["inputs"]) == (0, "decode", {"index": 2})
+
+
+class TestInputEcho:
+    """Inputs up to 64 vertices are echoed edge by edge; larger ones as a
+    summary, since the expression already determines them."""
+
+    def test_64_vertices_keep_their_edges(self):
+        code, report = run(["alpha", "--graph", "K8*E8"])
+        assert code == 0
+        echo = report["inputs"]["graph"]
+        assert echo == graph_json(parse_graph("K8*E8"))
+        assert echo["vertices"] == 64 and len(echo["edges"]) == 8 * 28
+        assert "bitstring" in echo
+
+    def test_65_vertices_are_summarized(self):
+        code, report = run(["alpha", "--graph", "K8*E8+S"])
+        assert code == 0
+        assert report["inputs"]["graph"] == {"vertices": 65, "edge_count": 8 * 28}
+        code, report = run(["alpha", "--graph", "C5^3"])
+        assert code == 0 and report["results"]["alpha"] == 10
+        assert report["inputs"]["graph"] == {"vertices": 125, "edge_count": 1625}
+
+    def test_preorder_summarizes_each_side(self):
+        code, report = run(["preorder", "K8*E8+S", "C5^3"])
+        assert code == 3  # over the default vertex cap, after both sides parsed
+        assert report["inputs"]["left"] == {"vertices": 65, "edge_count": 224}
+        assert report["inputs"]["right"] == {"vertices": 125, "edge_count": 1625}
+
+    def test_result_graphs_keep_their_edges(self, tmp_path):
+        g = parse_graph("C5+E60")
+        code, report = run(["decode", str(encode(g))])
+        assert code == 0
+        assert report["results"]["graph"] == graph_json(g)
+        assert len(report["results"]["graph"]["edges"]) == 5
+        code, report = run(["encode", "C5+E60"])
+        assert code == 0 and report["results"]["graph"] == graph_json(g)
+        # a pentagon channel on inputs 0..4, noiseless on 5..64
+        rows = []
+        for x in range(65):
+            row = ["0"] * 65
+            if x < 5:
+                row[x] = row[(x + 1) % 5] = "1/2"
+            else:
+                row[x] = "1"
+            rows.append(",".join(row))
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, report = run(["channel-graph", "--channel", str(path)])
+        assert code == 0 and report["results"]["graph"] == graph_json(g)
+        # theta and the clique cover stop at their vertex caps: exit 3
+        code, report = run(["capacity", "--channel", str(path), "--m", "0"])
+        assert code == 3 and report["results"]["graph"] == graph_json(g)
 
 
 class TestExpressionParser:
