@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -718,7 +719,12 @@ def run(argv=None) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     code, report = run(argv)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (say, head); point stdout at devnull so the
+        # interpreter's final flush stays quiet, and keep the command's code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

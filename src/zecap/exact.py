@@ -1,15 +1,27 @@
 """Exact rational simplex and integer positive-definiteness certification.
 
-Small and dense: rational input is scaled to integers and eliminated
-fraction-free, so all arithmetic is on Python ints.  These back the certified
-bounds in the spectrum module; nothing here is a general-purpose optimization
-surface.
+Small and dense: rational input is scaled to integers.  The simplex pivots
+fraction-free on Python ints.  The positive-definiteness test lets floats
+propose a Cholesky factor and proves it with an exact integer residual
+check (int64 products, Python ints for the residual); only when that proof
+fails does it eliminate fraction-free on Python ints.  Floats never decide
+a verdict.  These back the certified bounds in the spectrum module; nothing
+here is a general-purpose optimization surface.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+# The rounded factor has |entries| <= 2^51 and is split at 2^26 into int64
+# halves, so every partial sum of its three int64 products stays below
+# n * 2^52 <= 2^62: an exactness precondition, not a tuning knob.
+_RESIDUAL_MAX_N = 1 << 10
+_FACTOR_BITS = 51
+_SPLIT = 26
 
 
 class UnboundedError(Exception):
@@ -85,17 +97,69 @@ def simplex_max(
 
 
 def is_positive_definite(matrix: list[list[Fraction]]) -> bool:
-    """Sylvester test with fraction-free (Bareiss) elimination, exact.
+    """Exact test for strict positive definiteness.
 
     Expects a symmetric rational matrix.  Returns True iff it is strictly
-    positive definite; a zero pivot (merely semidefinite) returns False,
-    callers add a margin when they need to certify a PSD fact.
+    positive definite; a zero eigenvalue (merely semidefinite) returns
+    False, callers add a margin when they need to certify a PSD fact.  A
+    rounded-Cholesky residual certificate decides the common case; Sylvester's
+    test by fraction-free (Bareiss) elimination decides whatever the
+    certificate does not prove.
     """
     n = len(matrix)
     if n == 0:
         return True
     flat, _ = _to_integers([x for row in matrix for x in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return _residual_certificate(a) or _bareiss(a)
+
+
+def _residual_certificate(a: list[list[int]]) -> bool:
+    """True when a rounded float Cholesky factor proves a positive definite.
+
+    The rounding-and-residual method (Peyrl and Parrilo, Theor. Comput. Sci.
+    2008; Rump, BIT 2006).  With 2^e > max |a_ij|, the float factor of
+    a*2^-e - delta*I, delta half the float estimate of lambda_min, is rounded
+    to an int matrix L on a 2^-k grid, and R = a*2^2k - L L^T * 2^e is formed
+    exactly.  L L^T is PSD, so a positive diagonal that strictly dominates
+    every row of R proves a = (R + L L^T * 2^e) / 2^2k positive definite.
+    Float error can only make the check fail: False means "not proved".
+    """
+    n = len(a)
+    e = max(max(map(abs, row)) for row in a).bit_length()
+    # the row test proves a > 0 only for a symmetric, nonzero a
+    if n > _RESIDUAL_MAX_N or e == 0 or a != [list(col) for col in zip(*a)]:
+        return False
+    cut = max(0, e - 62)  # shifted below 2^62, ints of any size make finite floats
+    m = np.ldexp(np.array([[x >> cut for x in row] for row in a], dtype=float), cut - e)
+    lam = float(np.linalg.eigvalsh(m)[0])
+    if not 0 < lam < math.inf:
+        return False
+    m[np.diag_indices(n)] -= lam / 2
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    k = _FACTOR_BITS - math.frexp(float(np.abs(factor).max()))[1]
+    rounded = np.rint(np.ldexp(factor, k)).astype(np.int64)
+    hi, lo = rounded >> _SPLIT, rounded & (1 << _SPLIT) - 1
+    hl = hi @ lo.T
+    # L L^T = hh * 2^(2 SPLIT) + (hl + lh) * 2^SPLIT + ll; each row of R is
+    # formed divided by 2^min(2k, e), which leaves the row test unchanged
+    sa, sp = max(0, 2 * k - e), max(0, e - 2 * k)
+    products = zip(a, (hi @ hi.T).tolist(), (hl + hl.T).tolist(), (lo @ lo.T).tolist())
+    for i, (row, hh, cross, ll) in enumerate(products):
+        r = [(x << sa) - (((h << _SPLIT) + c << _SPLIT) + q << sp)
+             for x, h, c, q in zip(row, hh, cross, ll)]
+        if 2 * r[i] <= sum(map(abs, r)):  # r_ii <= sum of |r_ij| over j != i
+            return False
+    return True
+
+
+def _bareiss(a: list[list[int]]) -> bool:
+    """Sylvester test with fraction-free (Bareiss) elimination of the int
+    matrix a, in place: True iff every leading principal minor is positive."""
+    n = len(a)
     prev = 1
     for k in range(n):
         pivot = a[k][k]

@@ -128,7 +128,9 @@ def fractional_clique_cover(
 #
 # Both ends are proved on the 2^-40 grid: float entries x become the ints
 # round(x * 2^40), and a diagonal shift s, in grid units too, is grown until
-# base + s*I passes the exact positive-definiteness test.
+# base + s*I passes the exact positive-definiteness test.  That test proves
+# each shifted matrix with a rounded float Cholesky factor and an exact
+# integer residual; fraction-free elimination is only its fallback.
 
 
 def _snap(x: float) -> int:

@@ -499,3 +499,21 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["value"] == "5/2"
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["alpha", "--graph", "C5^3"], 0), (["alpha", "--graph", "Q"], 2)]
+    )
+    def test_closed_stdout_keeps_exit_code(self, argv, code):
+        # a reader that stops early (`| head -c 300`): the report write meets
+        # a closed pipe, which must not turn into a traceback and exit 1
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zecap", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # closed before the report is written
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code, stderr
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

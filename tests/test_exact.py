@@ -1,14 +1,54 @@
 """Rational simplex and integer positive-definiteness, checked independently."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import reference_simplex_max
+from zecap import exact
 from zecap.exact import UnboundedError, is_positive_definite, simplex_max
 
 F = Fraction
+
+
+def ldlt_positive_definite(matrix) -> bool:
+    """Independent oracle: symmetric LDL^T elimination in Fractions, on the
+    lower triangle.  True iff every pivot of D is positive."""
+    n = len(matrix)
+    low = [[F(matrix[i][j]) for j in range(i + 1)] for i in range(n)]
+    for k in range(n):
+        pivot = low[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = low[i][k] / pivot
+            if f:
+                row = low[i]
+                for j in range(k + 1, i + 1):
+                    row[j] -= f * low[j][k]
+    return True
+
+
+def theta_shaped(n: int, t: int) -> list[list[int]]:
+    """A dense symmetric matrix in 2^-40 grid units, entries of order one as
+    in the theta certificates, whose least eigenvalue is exactly t units:
+    G G^T with G of n - 1 columns is PSD and singular."""
+    rng = random.Random(n)
+    g = [[rng.randrange(-(1 << 20), 1 << 20) for _ in range(n - 1)] for _ in range(n)]
+    return [[sum(x * y for x, y in zip(gi, gj)) + (t if i == j else 0) for j, gj in enumerate(g)]
+            for i, gi in enumerate(g)]
+
+
+# the semidefinite and indefinite cases of TestPositiveDefinite, as ints
+NOT_DEFINITE = [
+    [[1, 1], [1, 1]],
+    [[0, 1], [1, 0]],
+    [[-1]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # twice the -1/2 perturbed identity
+    [[2, 6], [6, 3]],  # six times [[1/3, 1], [1, 1/2]]
+]
 
 
 class TestSimplex:
@@ -163,3 +203,78 @@ class TestPositiveDefinite:
                     base[i][j] = F(-1, 2)
         # eigenvalues are 3/2, 3/2, 0: not strictly PD
         assert not is_positive_definite(base)
+
+
+class TestResidualCertificate:
+    """The rounded-Cholesky certificate against an exact LDL^T oracle."""
+
+    @pytest.mark.parametrize("t", [1, 0, -1])
+    @pytest.mark.parametrize("n", [2, 5, 16, 49, 64])
+    def test_grid_matrices_match_ldlt_oracle(self, n, t):
+        a = theta_shaped(n, t)
+        assert ldlt_positive_definite(a) == (t > 0)
+        assert is_positive_definite(a) == (t > 0)
+        if t <= 0:
+            assert not exact._residual_certificate(a)
+
+    @pytest.mark.parametrize("a", NOT_DEFINITE)
+    def test_existing_cases_match_ldlt_oracle(self, a):
+        assert not ldlt_positive_definite(a)
+        assert not is_positive_definite(a)
+        assert not exact._residual_certificate(a)
+
+    @pytest.mark.parametrize("a", NOT_DEFINITE + [theta_shaped(n, t) for n in (5, 16) for t in (0, -1)])
+    def test_lying_floats_are_rejected(self, a, monkeypatch):
+        # a lambda_min estimate of +2^-20, then also a float factor of the
+        # matrix lifted to lambda_min = 2^-19: only the integer residual
+        # stands in the way
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - eigvalsh(m)[0] + 2.0 ** -20)
+        assert not exact._residual_certificate(a)
+        factored = []
+
+        def lifted(m):
+            factored.append(len(m))
+            return cholesky(m + (2.0 ** -19 - eigvalsh(m)[0]) * np.eye(len(m)))
+
+        monkeypatch.setattr(np.linalg, "cholesky", lifted)
+        assert not exact._residual_certificate(a)
+        assert factored == [len(a)]
+        assert not is_positive_definite(a)
+
+    def test_wide_entries_stay_finite(self):
+        # ints far beyond the float range are scaled down before the float factor
+        big = 1 << 2000
+        assert exact._residual_certificate([[2 * big, big], [big, 2 * big]])
+        assert not is_positive_definite([[big, big], [big, big]])
+
+    def test_asymmetric_input_goes_to_elimination(self):
+        # the floats read one triangle, where this matrix is 4I; the
+        # certificate needs symmetry, so the leading minors 4 and 16 decide
+        assert not exact._residual_certificate([[4, 1], [0, 4]])
+        assert is_positive_definite([[F(4), F(1)], [F(0), F(4)]])
+
+    @pytest.mark.parametrize("offsets, proved", [
+        ((1, 1, 1, 1), True), ((1, 0, 1, 1), False), ((1, 1, 1, -1), False),
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_residual_decides_at_one_unit(self, offsets, proved, sign, monkeypatch):
+        # floats that propose an int factor L exactly (|L| in [2^50.5, 2^51),
+        # on the 2^-52 grid) for a = L L^T + D: the residual is exactly
+        # D * 2^104, and D's rows miss strict dominance by offsets - 1
+        rng = random.Random(7)
+        n = len(offsets)
+        lt = [[rng.choice((-1, 1)) * rng.randrange(3 << 49, 1 << 51) for _ in range(n)]
+              for _ in range(n)]
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                d[i][j] = d[j][i] = sign * rng.randrange(1, 6)
+        for i in range(n):
+            d[i][i] = sum(abs(x) for x in d[i]) + offsets[i]
+        a = [[sum(x * y for x, y in zip(li, lj)) + d[i][j] for j, lj in enumerate(lt)]
+             for i, li in enumerate(lt)]
+        assert max(map(max, a)).bit_length() == 104  # e = 2k: nothing is shifted
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(len(m), 0.25))
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: np.ldexp(np.array(lt, dtype=float), -52))
+        assert exact._residual_certificate(a) == proved

@@ -26,7 +26,7 @@ from zecap import (
     solve_alpha,
     strong_power,
 )
-from zecap import spectrum
+from zecap import exact, spectrum
 from zecap.exact import is_positive_definite
 from zecap.graphs import Graph, complement, strong_product
 
@@ -225,6 +225,25 @@ class TestCertificationRetry:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(len(a)))
         with pytest.raises(ConvergenceError, match="primal witness"):
             spectrum._certify_lower(-1e15 * np.eye(3), [])
+
+
+class TestCertificateHotPath:
+    """Certifying theta proves positive definiteness by the residual
+    certificate alone; the elimination fallback stays off this path."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [strong_power(cycle_graph(5), 2), strong_power(cycle_graph(7), 2),
+         random_graph(random.Random(16), 16)],
+        ids=["C5^2", "C7^2", "gnp16"],
+    )
+    def test_no_elimination_fallback(self, g, monkeypatch):
+        def fallback(a):
+            raise AssertionError(f"elimination fallback reached at n = {len(a)}")
+
+        monkeypatch.setattr(exact, "_bareiss", fallback)
+        lo, hi = spectrum._theta_interval.__wrapped__(g)  # past the cache
+        assert 0 < lo <= hi
 
 
 class TestSandwich:
