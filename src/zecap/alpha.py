@@ -10,9 +10,15 @@ carries the ``transitive`` flag the search branches only from bit 0:
 alpha(G) = 1 + alpha(G - N[v]).  Cycles, complete and edgeless graphs set
 the flag, complements keep it and strong products (hence strong powers and
 the ladder's squares) set it when both factors have it; every other graph
-is searched in full.  Budgets are counted in node expansions; running out
-raises BudgetError carrying the best set found so far, never a silent claim
-of optimality.
+is searched in full.  The same constructions also label their vertices
+(``graphs.orbit_labels``) so that equal labels relative to the root lie in
+one orbit of the root's stabilizer.  On such a graph the root branch uses
+orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
+2011): once the candidate v is searched, every candidate labelled as v is
+dropped with it, since an automorphism fixing the root maps its sets onto
+v's.  Deeper levels drop only the searched vertex.  Budgets are counted in
+node expansions; running out raises BudgetError carrying the best set found
+so far, never a silent claim of optimality.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import creal
 from .errors import BudgetError, InputError
-from .graphs import Graph, strong_product, vertex_budget
+from .graphs import Graph, orbit_labels, strong_product, vertex_budget
 
 DEFAULT_VERTEX_CAP = 1 << 16
 
@@ -136,6 +142,19 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph, np.ndarray]:
     return order, Graph(n, tuple(masks)), packed
 
 
+def _root_orbits(g: Graph, order: list[int]) -> list[int] | None:
+    """Entry i: the renumbered vertices whose label relative to the root
+    order[0], bit 0, is that of renumbered vertex i, as a mask; None when g
+    is unlabelled."""
+    labels = orbit_labels(g, order[0])
+    if labels is None:
+        return None
+    classes: dict = {}
+    for i, v in enumerate(order):
+        classes[labels[v]] = classes.get(labels[v], 0) | 1 << i
+    return [classes[labels[v]] for v in order]
+
+
 def solve_alpha(
     g: Graph,
     node_budget: int | None = None,
@@ -163,7 +182,7 @@ def solve_alpha(
     if n + 16 > sys.getrecursionlimit():
         sys.setrecursionlimit(n + 1000)
 
-    def expand(r_list: list[int], p_mask: int):
+    def expand(r_list: list[int], p_mask: int, orbit=None):
         budget.spend()
         # greedy coloring of p_mask in the complement graph: each color class
         # is complement-independent, so any clique meets it at most once
@@ -186,6 +205,8 @@ def solve_alpha(
             if len(r_list) + bounds[i] <= best["size"]:
                 return
             v = order[i]
+            if orbit is not None and not sub >> v & 1:
+                continue  # dropped with an earlier candidate's orbit
             r_list.append(v)
             new_p = sub & comp[v]
             if new_p:
@@ -194,7 +215,7 @@ def solve_alpha(
                 best["size"] = len(r_list)
                 best["set"] = list(r_list)
             r_list.pop()
-            sub &= ~(1 << v)
+            sub &= ~(1 << v) if orbit is None else ~orbit[v]
 
     def found() -> IndependentSetWitness:
         return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
@@ -204,7 +225,10 @@ def solve_alpha(
             # some maximum independent set contains any given vertex, so
             # search only the sets through bit 0; the incumbent already has
             # size >= 1, so nothing is lost when bit 0 has no non-neighbor
-            expand([0], comp[0])
+            # an automorphism fixing bit 0 maps the sets through bit 0 and
+            # v onto those through bit 0 and any vertex labelled as v, so the
+            # root call drops v's whole label class once v is searched
+            expand([0], comp[0], _root_orbits(g, order))
         else:
             expand([], full)
     except _OutOfNodes:

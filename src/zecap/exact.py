@@ -30,6 +30,8 @@ class UnboundedError(Exception):
 
 def _to_integers(xs) -> tuple[list[int], int]:
     """Rationals times the lcm of their denominators, and that lcm."""
+    if all(isinstance(x, int) for x in xs):
+        return list(xs), 1
     xs = [x if isinstance(x, int) else Fraction(x) for x in xs]
     scale = math.lcm(*(x.denominator for x in xs))
     return [x.numerator * (scale // x.denominator) for x in xs], scale

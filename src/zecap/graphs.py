@@ -12,6 +12,7 @@ read as a binary numeral, most significant bit first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -51,11 +52,21 @@ class Graph:
     and edgeless graphs, and their complements and strong products).  The
     alpha solver uses it to search a single root branch.  ``False`` is always
     safe, and equality and hashing ignore the flag.
+
+    ``orbits`` describes how the graph was built, so that ``orbit_labels``
+    can label its vertices relative to a root: vertices with equal labels
+    lie in one orbit of the root's stabilizer in the automorphism group.
+    Labels may split an orbit, which only costs the alpha solver speed; they
+    never merge two.  Only cycles, complete and edgeless graphs, and their
+    complements and strong products set it (each of them is also flagged
+    transitive); ``None`` means unlabelled.  Equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "masks", "transitive", "_hash")
+    __slots__ = ("n", "masks", "transitive", "orbits", "_hash")
 
-    def __init__(self, n: int, masks: tuple[int, ...], transitive: bool = False):
+    def __init__(
+        self, n: int, masks: tuple[int, ...], transitive: bool = False, orbits=None
+    ):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         if len(masks) != n:
@@ -68,6 +79,7 @@ class Graph:
         self.n = n
         self.masks = tuple(masks)
         self.transitive = transitive
+        self.orbits = orbits
         self._hash = hash((n, self.masks))
 
     @staticmethod
@@ -164,12 +176,12 @@ def decode(index: int) -> Graph:
 
 
 def edgeless_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n, transitive=True)
+    return Graph(n, (0,) * n, transitive=True, orbits=("E", n))
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), transitive=True)
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), transitive=True, orbits=("K", n))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -177,7 +189,7 @@ def cycle_graph(n: int) -> Graph:
     if n < 1:
         raise InputError("cycle needs at least one vertex")
     masks = tuple((1 << (v + 1) % n | 1 << (v - 1) % n) & ~(1 << v) for v in range(n))
-    return Graph(n, masks, transitive=True)
+    return Graph(n, masks, transitive=True, orbits=("C", n))
 
 
 def single_vertex() -> Graph:
@@ -191,7 +203,8 @@ def single_vertex() -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    return Graph(g.n, masks, transitive=g.transitive)  # same automorphisms
+    orbits = None if g.orbits is None else ("co", g.orbits)  # labels as g's
+    return Graph(g.n, masks, transitive=g.transitive, orbits=orbits)  # same automorphisms
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -223,7 +236,10 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             row = pattern * closed_h[b]
             row ^= 1 << (a * nh + b)  # drop the vertex itself
             masks.append(row)
-    return Graph(g.n * nh, tuple(masks), transitive=g.transitive and h.transitive)
+    orbits = None
+    if g.orbits is not None and h.orbits is not None:
+        orbits = ("x", _coordinates(g.orbits) + _coordinates(h.orbits))
+    return Graph(g.n * nh, tuple(masks), transitive=g.transitive and h.transitive, orbits=orbits)
 
 
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
@@ -262,6 +278,66 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
     if exponent * math.log2(n_vertices) > math.log2(cap) + 1e-12:
         return False
     return n_vertices ** exponent <= cap
+
+
+# ---------------------------------------------------------------------------
+# stabilizer orbit labels
+#
+# ``Graph.orbits`` is an expression over the labelled constructions, with
+# complements and strong products folded in:
+#   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
+#   ("co", d)                     complement of d
+#   ("x", (d1, ..., dk))          strong product; vertex index is mixed radix
+#                                 over the coordinates, the last one fastest
+# Equal expressions build equal graphs.  Each construction's labels are kept
+# by a vertex-transitive group of automorphisms acting on root and vertex
+# together, which is what lets a product sort the labels of equal factors.
+
+
+def _coordinates(d) -> tuple:
+    """The factors of a product, or d as one opaque coordinate."""
+    return d[1] if d[0] == "x" else (d,)
+
+
+def _orbit_size(d) -> int:
+    kind, arg = d
+    if kind == "x":
+        return math.prod(_orbit_size(c) for c in arg)
+    return _orbit_size(arg) if kind == "co" else arg
+
+
+def _labels(d, root: int) -> list:
+    kind, arg = d
+    if kind == "co":
+        return _labels(arg, root)
+    if kind == "C":
+        # a reflection through the root swaps root + t and root - t
+        return [min((x - root) % arg, (root - x) % arg) for x in range(arg)]
+    if kind != "x":
+        # K_n and E_n: every permutation fixing the root is an automorphism
+        return [int(x != root) for x in range(arg)]
+    parts = []
+    for c in reversed(arg):
+        root, r = divmod(root, _orbit_size(c))
+        parts.append(_labels(c, r))
+    parts.reverse()
+    # coordinates of equal factors can be permuted: sort their labels
+    groups: dict = {}
+    for i, c in enumerate(arg):
+        groups.setdefault(c, []).append(i)
+    return [
+        tuple(tuple(sorted(t[i] for i in group)) for group in groups.values())
+        for t in itertools.product(*parts)
+    ]
+
+
+def orbit_labels(g: Graph, root: int) -> list | None:
+    """Labels of g's vertices relative to root, or None if g is unlabelled.
+
+    Two vertices with equal labels are mapped to each other by some
+    automorphism of g that fixes root.
+    """
+    return None if g.orbits is None else _labels(g.orbits, root)
 
 
 # ---------------------------------------------------------------------------

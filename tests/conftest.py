@@ -72,28 +72,34 @@ def brute_clique_cover(g: Graph) -> int:
     return best
 
 
-def has_automorphism(g: Graph, src: int, dst: int) -> bool:
-    """Whether some automorphism of g maps src to dst.
+def has_automorphism(g: Graph, src: int, dst: int, fixed=()) -> bool:
+    """Whether some automorphism of g maps src to dst and fixes every vertex
+    in ``fixed``.
 
-    Backtracks over bijections, fixing src -> dst first and then the other
-    vertices in breadth-first order from src, and keeps a partial map only
-    while it preserves adjacency and non-adjacency between every pair
-    mapped so far.
+    Backtracks over bijections, assigning the prescribed vertices first (a
+    fixed vertex prunes most) and then the others in breadth-first order
+    from them, and keeps a partial map only while it preserves adjacency
+    and non-adjacency between every pair mapped so far.
     """
     n = g.n
-    order = []
-    seen = set()
-    for start in [src, *range(n)]:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = [start]
-        for v in queue:
-            order.append(v)
-            for u in range(n):
-                if g.has_edge(v, u) and u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+    prescribed = {v: v for v in fixed}
+    if prescribed.get(src, dst) != dst:
+        return False
+    prescribed[src] = dst
+    order = list(prescribed)
+    seen = set(order)
+    head = 0
+    while len(order) < n:
+        if head == len(order):  # the search so far met no unseen vertex
+            start = next(u for u in range(n) if u not in seen)
+            seen.add(start)
+            order.append(start)
+        v = order[head]
+        head += 1
+        for u in range(n):
+            if g.has_edge(v, u) and u not in seen:
+                seen.add(u)
+                order.append(u)
     image = {}
     used = set()
 
@@ -101,7 +107,7 @@ def has_automorphism(g: Graph, src: int, dst: int) -> bool:
         if pos == n:
             return True
         v = order[pos]
-        for t in [dst] if pos == 0 else range(n):
+        for t in [prescribed[v]] if v in prescribed else range(n):
             if t in used or g.degree(t) != g.degree(v):
                 continue
             if all(g.has_edge(v, u) == g.has_edge(t, image[u]) for u in order[:pos]):

@@ -1,5 +1,6 @@
 """Exact independence number: brute-force oracle, witnesses, budgets, ladder."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -143,8 +144,29 @@ def flagged_graph(rng) -> Graph:
             return strong_product(a, b)
 
 
+def labelled_graph(rng) -> Graph:
+    """A random labelled graph on at most 16 vertices: a strong product of
+    two or three cycles, complete or edgeless graphs, drawn from a pool of
+    three so that equal factors are common, with complemented factors and
+    a complemented product among them."""
+    kinds = (cycle_graph, cycle_graph, complete_graph, edgeless_graph)
+    while True:
+        pool = [rng.choice(kinds)(rng.randint(2, 6)) for _ in range(3)]
+        pool = [complement(f) if rng.random() < 0.25 else f for f in pool]
+        factors = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+        if math.prod(f.n for f in factors) > 16:
+            continue
+        g = strong_product(factors[0], factors[1])
+        if rng.random() < 0.25:
+            g = complement(g)
+        if len(factors) == 3:
+            g = strong_product(g, factors[2]) if rng.random() < 0.5 else strong_product(factors[2], g)
+        return g
+
+
 class TestRootFix:
-    """A flagged (vertex-transitive) graph is searched from one root vertex."""
+    """A flagged (vertex-transitive) graph is searched from one root vertex,
+    and a labelled one also drops each root candidate's stabilizer orbit."""
 
     def test_flagged_graphs_match_oracle_and_unflagged_solve(self, rng):
         for _ in range(120):
@@ -154,6 +176,26 @@ class TestRootFix:
             plain, _ = solve_alpha(Graph(g.n, g.masks))
             assert w.size == plain.size == brute_alpha(g)
             assert w.verify(g)
+
+    def test_labelled_graphs_match_oracle(self, rng):
+        searched = stops = 0
+        for _ in range(45):
+            g = labelled_graph(rng)
+            assert g.orbits is not None
+            best = brute_alpha(g)
+            w, _ = solve_alpha(g)
+            assert w.size == best and w.verify(g)
+            # a one-vertex warm start leaves the search more to do
+            w, used = solve_alpha(g, initial=[g.n - 1])
+            assert w.size == best and w.verify(g)
+            searched += used > 1
+            for budget in sorted({0, used // 2, used - 1}):
+                with pytest.raises(BudgetError) as exc:
+                    solve_alpha(g, node_budget=budget, initial=[g.n - 1])
+                partial = exc.value.partial
+                assert partial.verify(g) and 1 <= partial.size <= best
+                stops += 1
+        assert searched >= 15 and stops >= 75, (searched, stops)
 
     def test_partial_witness_in_caller_labels(self, pentagon):
         g = strong_power(pentagon, 3)
@@ -180,15 +222,16 @@ class TestRootFix:
         assert w.vertices == start
 
     def test_pentagon_cube_node_bound(self, pentagon):
-        # 147,687 nodes without the root fix; 9,811 with it
-        w, used = solve_alpha(strong_power(pentagon, 3), node_budget=20_000)
-        assert w.size == 10 and used <= 20_000
+        # 147,687 nodes without the root fix, 9,811 with it, and 992 when the
+        # root branch also drops each candidate's stabilizer orbit
+        w, used = solve_alpha(strong_power(pentagon, 3), node_budget=2_000)
+        assert w.size == 10 and used <= 2_000
 
     def test_nonagon_square_node_bound(self):
-        # 28,873 nodes without the root fix; 2,856 with it
+        # 28,873 nodes without the root fix, 2,856 with it, 1,827 with orbits
         g = strong_power(cycle_graph(9), 2)
-        w, used = solve_alpha(g, node_budget=5_000)
-        assert w.size == 18 and w.verify(g) and used <= 5_000
+        w, used = solve_alpha(g, node_budget=2_000)
+        assert w.size == 18 and w.verify(g) and used <= 2_000
 
 
 class TestAnchors:
@@ -206,7 +249,7 @@ class TestAnchors:
 
     def test_pentagon_cube_within_budget(self, pentagon):
         # guards the vertex order and the root fix: alpha(C5^3) is proved in
-        # 9,811 nodes (147,687 with the order alone)
+        # 992 nodes (9,811 without the orbit drop, 147,687 with the order alone)
         g = strong_power(pentagon, 3)
         w, used = solve_alpha(g, node_budget=200_000)
         assert w.size == 10 and w.verify(g)

@@ -210,7 +210,7 @@ class TestExitCodes:
         assert run(["alpha", "--graph", "C5", "--node-budget", "0"])[0] == 3
 
     def test_budget_stop_keeps_its_partial_witness(self):
-        code, report = run(["alpha", "--graph", "C5^3", "--node-budget", "1000"])
+        code, report = run(["alpha", "--graph", "C5^3", "--node-budget", "500"])
         assert code == 3
         r = report["results"]
         assert r["reason"] == "node budget" and r["used"] > 0

@@ -154,6 +154,44 @@ class TestSimplex:
             assert sum(cj * yj for cj, yj in zip(c, y)) == value
 
 
+class TestIntegerInputs:
+    """All-int input skips the Fraction pass of _to_integers; verdicts and
+    optima must be those of the same numbers handed in as Fractions."""
+
+    def test_scaling(self):
+        assert exact._to_integers([3, -4, 0]) == ([3, -4, 0], 1)
+        assert exact._to_integers([3, F(1, 2), F(-2, 3)]) == ([18, 3, -4], 6)
+
+    def test_positive_definite_verdicts(self):
+        cases = NOT_DEFINITE + [theta_shaped(n, t) for n in (2, 5, 16) for t in (1, 0, -1)]
+        for a in cases:
+            verdict = is_positive_definite(a)
+            assert verdict == is_positive_definite([[F(x) for x in row] for row in a])
+            # a positive multiple is positive definite exactly when a is
+            assert verdict == is_positive_definite([[F(x, 7) for x in row] for row in a])
+        assert sum(map(is_positive_definite, cases)) == 3
+
+    def test_simplex_results(self, rng):
+        outcomes = {"optimal": 0, "unbounded": 0}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = rng.randint(1, 5)
+            c = [rng.randint(-4, 6) for _ in range(n)]
+            rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(m)]
+            rhs = [rng.randint(0, 8) for _ in range(m)]
+            as_fractions = ([F(x) for x in c], [[F(x) for x in row] for row in rows], [F(b) for b in rhs])
+            try:
+                expected = simplex_max(*as_fractions)
+            except UnboundedError:
+                with pytest.raises(UnboundedError):
+                    simplex_max(c, rows, rhs)
+                outcomes["unbounded"] += 1
+                continue
+            assert simplex_max(c, rows, rhs) == expected
+            outcomes["optimal"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+
 class TestPositiveDefinite:
     def test_identity(self):
         eye = [[F(int(i == j)) for j in range(4)] for i in range(4)]

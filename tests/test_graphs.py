@@ -24,9 +24,9 @@ from zecap import (
 )
 from zecap.channel import confusability_graph
 from zecap.cli import parse_graph
-from zecap.graphs import power_fits, vertex_budget
+from zecap.graphs import orbit_labels, power_fits, vertex_budget
 
-from conftest import is_vertex_transitive, make_pentagon_channel, random_graph
+from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
 
 
 class TestGraphType:
@@ -206,6 +206,7 @@ class TestTransitiveFlag:
         for g in unflagged:
             assert g == c5 or g == disjoint_union(c5, c5)
             assert not g.transitive
+            assert g.orbits is None and orbit_labels(g, 0) is None
         assert parse_graph("C5^2*K2").transitive
 
     def test_equality_and_hash_ignore_the_flag(self):
@@ -215,6 +216,94 @@ class TestTransitiveFlag:
             assert plain == g and g == plain
             assert hash(plain) == hash(g)
             assert len({plain, g}) == 1
+            assert g.orbits is not None and plain.orbits is None
+
+
+def labelled_cases() -> list[Graph]:
+    """Labelled constructions whose Aut is small enough to search: the
+    bases and their complements, and products with and without equal
+    factors, complemented factors and a complemented product."""
+    c5 = cycle_graph(5)
+    bases = [cycle_graph(n) for n in range(1, 10)]
+    bases += [complete_graph(n) for n in range(1, 6)]
+    bases += [edgeless_graph(n) for n in range(1, 6)]
+    bases += [complement(g) for g in bases]
+    return bases + [
+        strong_power(c5, 2),
+        strong_product(cycle_graph(3), cycle_graph(4)),
+        strong_product(c5, complete_graph(2)),
+        complement(strong_power(c5, 2)),
+        strong_product(complement(c5), c5),
+        strong_product(c5, complement(c5)),
+    ]
+
+
+class TestOrbitLabels:
+    """Equal labels relative to a root must mean one orbit of the root's
+    stabilizer: the alpha solver drops a whole label class at once."""
+
+    def test_equal_labels_share_a_stabilizer_orbit(self):
+        for g in labelled_cases():
+            roots = range(g.n) if g.n <= 12 else (0, 7, g.n - 1)
+            for r in roots:
+                labels = orbit_labels(g, r)
+                assert len(labels) == g.n
+                first = {}
+                for x in range(g.n):
+                    y = first.setdefault(labels[x], x)
+                    assert has_automorphism(g, y, x, fixed=[r]), (g, r, y, x)
+
+    def test_oracle_respects_the_fixed_vertex(self):
+        c5 = cycle_graph(5)
+        assert has_automorphism(c5, 1, 4, fixed=[0])  # the reflection through 0
+        assert not has_automorphism(c5, 1, 2, fixed=[0])
+        assert has_automorphism(c5, 1, 2)
+        assert not has_automorphism(c5, 0, 1, fixed=[0])
+        # (1, 2) and (2, 1) of C5 x complement(C5) are adjacent to (0, 0) and not
+        g = strong_product(c5, complement(c5))
+        assert not has_automorphism(g, 1 * 5 + 2, 2 * 5 + 1, fixed=[0])
+
+    def test_power_labels_are_sorted_cyclic_distances(self):
+        g = strong_power(cycle_graph(5), 3)
+        r = 1 * 25 + 4 * 5 + 2
+
+        def distance(a, b):
+            return min((a - b) % 5, (b - a) % 5)
+
+        labels = orbit_labels(g, r)
+        expected = [
+            tuple(sorted(distance(a, b) for a, b in zip((x // 25, x // 5 % 5, x % 5), (1, 4, 2))))
+            for x in range(g.n)
+        ]
+        # the two partitions of the vertices are the same
+        assert len(set(zip(labels, expected))) == len(set(labels)) == len(set(expected)) == 10
+
+    def test_different_factors_are_not_sorted(self):
+        c5 = cycle_graph(5)
+        for g in (strong_product(c5, complement(c5)), strong_product(complement(c5), c5)):
+            labels = orbit_labels(g, 0)
+            assert labels[1 * 5 + 2] != labels[2 * 5 + 1]
+            assert len(set(labels)) == 9
+
+    def test_products_flatten_and_complements_keep_labels(self):
+        c3, k2, e2 = cycle_graph(3), complete_graph(2), edgeless_graph(2)
+        left = strong_product(strong_product(c3, k2), e2)
+        right = strong_product(c3, strong_product(k2, e2))
+        assert left == right and left.orbits == right.orbits
+        assert strong_power(c3, 4).orbits == strong_product(strong_power(c3, 2), strong_power(c3, 2)).orbits
+        for g in (c3, k2, e2, strong_power(c3, 2)):
+            for r in range(g.n):
+                assert orbit_labels(complement(g), r) == orbit_labels(g, r)
+        co = complement(strong_power(c3, 2))
+        # a complemented product is one coordinate of a product, not two
+        assert len(strong_product(co, c3).orbits[1]) == 2
+
+    def test_hand_flagged_graphs_are_unlabelled(self):
+        c5 = cycle_graph(5)
+        g = Graph(5, c5.masks, transitive=True)
+        assert g.transitive and orbit_labels(g, 0) is None
+        assert strong_product(g, c5).orbits is None
+        assert complement(g).orbits is None
 
 
 class TestStrongProduct:
