@@ -31,7 +31,7 @@ import numpy as np
 
 from . import creal
 from .errors import BudgetError, InputError
-from .graphs import Graph, orbit_labels, strong_product, vertex_budget
+from .graphs import Graph, orbit_labels, require_product_fits, strong_product, vertex_budget
 
 DEFAULT_VERTEX_CAP = 1 << 16
 
@@ -256,6 +256,36 @@ def alpha(
     return witness
 
 
+def greedy_clique_cover(g: Graph) -> int:
+    """The number of cliques in a greedy partition of g's vertices.
+
+    Each clique starts at the lowest uncovered vertex and repeatedly takes
+    the candidate (an uncovered vertex adjacent to the whole clique) with
+    the most candidate neighbours, lowest label on ties.  The count bounds
+    alpha(g) from above, since an independent set meets a clique at most
+    once, and c cliques of g give c^k cliques of g^k.
+    """
+    left = (1 << g.n) - 1
+    count = 0
+    while left:
+        lsb = left & -left
+        left ^= lsb
+        cand = g.masks[lsb.bit_length() - 1] & left
+        while cand:
+            best, most = 0, -1
+            m = cand
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                links = (g.masks[u] & cand).bit_count()
+                if links > most:
+                    best, most = u, links
+            left ^= 1 << best
+            cand &= g.masks[best]  # no loops: best leaves the candidates
+        count += 1
+    return count
+
+
 def ladder(
     g: Graph,
     m_max: int,
@@ -263,6 +293,16 @@ def ladder(
     max_power_vertices: int | None = None,
 ) -> list[LadderValue]:
     """Ladder levels 0..m_max: alpha(g^(2^m))^(1/2^m), nondecreasing in m.
+
+    Each level is searched on its strong power, warm-started from the
+    square of the level below, until a level m meets the clique-cover
+    bound: alpha(g^(2^m)) = c^(2^m) for a greedy partition of g into c
+    cliques (``greedy_clique_cover``).  That closes every later level k:
+    products of cliques are cliques, so alpha(g^(2^k)) <= c^(2^k), and
+    products of independent sets are independent, so alpha(g^(2^k)) >=
+    alpha(g^(2^m))^(2^(k-m)) = c^(2^k).  A closed level builds no power and
+    runs no search, but stops at the vertex budget exactly where its power
+    would.
 
     The node budget is a shared pool across levels.  On exhaustion the
     BudgetError carries the levels already certified.
@@ -272,12 +312,20 @@ def ladder(
     cap = vertex_budget(max_power_vertices)
     values: list[LadderValue] = []
     power = g
+    vertices = g.n  # of power, also once the ladder stops building it
+    bound = greedy_clique_cover(g)  # c^(2^m) at level m
+    closed = False
     prev_witness: list[int] | None = None
     pool = node_budget
     for m in range(m_max + 1):
         if m > 0:
+            vertices *= vertices
+            bound *= bound
             try:
-                power = strong_product(power, power, cap)
+                if closed:
+                    require_product_fits(vertices, cap)
+                else:
+                    power = strong_product(power, power, cap)
             except BudgetError as e:
                 raise BudgetError(
                     f"ladder stopped before level {m}: {e}",
@@ -289,21 +337,24 @@ def ladder(
                 prev_witness = [
                     u * side + v for u in prev_witness for v in prev_witness
                 ]
-        try:
-            witness, used = solve_alpha(power, pool, initial=prev_witness)
-        except BudgetError as e:
-            raise BudgetError(
-                f"ladder stopped at level {m}: {e}",
-                partial=values,
-                used=e.used,
-                reason=e.reason,
-            ) from None
-        if pool is not None:
-            pool -= used
-            if pool < 0:
-                pool = 0
-        prev_witness = witness.vertices
-        values.append(
-            LadderValue(m=m, alpha_value=witness.size, root=creal.root_pow2(witness.size, m))
-        )
+        if closed:
+            size = bound
+        else:
+            try:
+                witness, used = solve_alpha(power, pool, initial=prev_witness)
+            except BudgetError as e:
+                raise BudgetError(
+                    f"ladder stopped at level {m}: {e}",
+                    partial=values,
+                    used=e.used,
+                    reason=e.reason,
+                ) from None
+            if pool is not None:
+                pool -= used
+                if pool < 0:
+                    pool = 0
+            size = witness.size
+            closed = size == bound
+            prev_witness = None if closed else witness.vertices
+        values.append(LadderValue(m=m, alpha_value=size, root=creal.root_pow2(size, m)))
     return values

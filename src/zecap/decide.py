@@ -9,14 +9,18 @@ exactly when
 with L_k = 2^k * (|r(1)| + 1)^(2^k - 1), a certified Lipschitz constant for
 t -> t^(2^k) on the interval the approximants can reach.  A firing is an
 exact rational certificate that the capacity exceeds the threshold; the
-test never fires when it does not.  Certificates are re-checked by the
-same function.
+test never fires when it does not.  The comparison runs in integers, and
+the rational sides are built only when it fires.  Certificates are
+re-checked by the same function.
 
 The alpha values come from one per-graph level store, ``_LevelStore``:
-each level's strong power is solved cold, at most once, with the full
-per-solve node budget, and a level that cannot be solved keeps its stall
-reason.  The dovetail, the single-level run and the enumeration all read
-from it.
+each level is found at most once and a level that cannot be found keeps
+its stall reason.  A level is solved cold on its strong power with the
+full per-solve node budget, unless an earlier level met the clique-cover
+bound alpha(g^(2^j)) = c^(2^j); that closes every later level at c^(2^k)
+with no power built and no search (Shannon 1956; see ``alpha.ladder``).
+The dovetail, the single-level run and the enumeration all read from it;
+the enumeration shares one store among isomorphic graphs.
 
 Levels are dovetailed on a triangular schedule (stage t runs one step of
 each of levels 0..t-1), so every level gets unbounded attention if the
@@ -31,9 +35,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import creal
-from .alpha import ladder as alpha_ladder, solve_alpha
+from .alpha import greedy_clique_cover, ladder as alpha_ladder, solve_alpha
 from .errors import BudgetError, ConvergenceError, InputError
-from .graphs import Graph, decode, encode, power_fits, strong_power
+from .graphs import (
+    ISO_MAX_VERTICES,
+    Graph,
+    decode,
+    encode,
+    is_isomorphic,
+    power_fits,
+    strong_power,
+)
 from .spectrum import fractional_clique_cover, lovasz_theta, sandwich
 
 HALTED = "Halted"
@@ -53,12 +65,24 @@ def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
 
 
 def _level_test(
-    alpha_power: int, lam: creal.CReal, k: int, n: int
+    alpha_power: int, lam: creal.CReal, k: int, n: int, slope: Fraction | None = None
 ) -> tuple[Fraction, Fraction] | None:
-    """The sides (lhs, rhs) of the level-k test at precision n if it fires."""
-    lhs = alpha_power - lam.approx(n) ** (1 << k)
-    rhs = lipschitz_constant(lam, k) * Fraction(1, 1 << n)
-    return (lhs, rhs) if lhs > rhs else None
+    """The sides (lhs, rhs) of the level-k test at precision n if it fires.
+
+    slope is ``lipschitz_constant(lam, k)``, which callers that test one
+    level many times pass in.  The comparison runs on integers: with
+    r(n) = p/q and e = 2^k, lhs > rhs exactly when
+    (alpha q^e - p^e) 2^n den(slope) > num(slope) q^e.
+    """
+    if slope is None:
+        slope = lipschitz_constant(lam, k)
+    r = lam.approx(n)
+    e = 1 << k
+    q_e = r.denominator**e
+    gap = alpha_power * q_e - r.numerator**e  # lhs * q^e
+    if (gap * slope.denominator) << n <= slope.numerator * q_e:
+        return None
+    return Fraction(gap, q_e), Fraction(slope, 1 << n)
 
 
 @dataclass
@@ -88,10 +112,20 @@ class DecisionOutcome:
 
 
 class _LevelStore:
-    """alpha(g^(2^k)) for the levels k of one graph, each solved at most once."""
+    """alpha(g^(2^k)) for the levels k of one graph, each found at most once.
+
+    A level is solved cold on its strong power with the full per-solve node
+    budget, unless an earlier solved level j met the clique-cover bound
+    alpha(g^(2^j)) = c^(2^j) of a greedy partition of g into c cliques
+    (``greedy_clique_cover``).  That closes every level k > j at c^(2^k)
+    (see ``alpha.ladder``) with no power built and no search, so such a
+    level reports 0 nodes.  The level cap and the vertex budget stall a
+    level first, closed or not.
+    """
 
     __slots__ = (
-        "graph", "node_budget", "power_cap", "level_cap", "top", "alpha", "nodes", "stalled"
+        "graph", "node_budget", "power_cap", "level_cap", "top", "alpha", "nodes", "stalled",
+        "cover", "closed_above",
     )
 
     def __init__(self, g: Graph, node_budget: int | None, power_cap: int, level_cap: int):
@@ -102,6 +136,8 @@ class _LevelStore:
         self.alpha: dict[int, int] = {}
         self.nodes: dict[int, int] = {}
         self.stalled: dict[int, str] = {}  # level cap / vertex budget / node budget
+        self.cover = greedy_clique_cover(g)
+        self.closed_above: int | None = None  # the first solved level at its bound
         top = 0  # the highest level that fits, or 0
         while top + 1 <= level_cap and power_fits(g.n, 1 << (top + 1), power_cap):
             top += 1
@@ -114,11 +150,16 @@ class _LevelStore:
                 self.stalled[level] = "level cap"
             elif not power_fits(self.graph.n, 1 << level, self.power_cap):
                 self.stalled[level] = "vertex budget"
+            elif self.closed_above is not None and level > self.closed_above:
+                self.alpha[level] = self.cover ** (1 << level)
+                self.nodes[level] = 0
             else:
                 try:
                     power = strong_power(self.graph, 1 << level, self.power_cap)
                     witness, self.nodes[level] = solve_alpha(power, self.node_budget)
                     self.alpha[level] = witness.size
+                    if self.closed_above is None and witness.size == self.cover ** (1 << level):
+                        self.closed_above = level
                 except BudgetError as e:
                     self.stalled[level] = str(e.reason)
                     self.nodes[level] = e.used or 0
@@ -128,19 +169,22 @@ class _LevelStore:
 class _LevelRun:
     """Precision counter of one level inside the dovetail."""
 
-    __slots__ = ("level", "next_n")
+    __slots__ = ("level", "next_n", "slope")
 
     def __init__(self, level: int):
         self.level = level
         self.next_n = 1
+        self.slope: Fraction | None = None  # set at the first test, once alpha is known
 
     def step(self, store: _LevelStore, lam: creal.CReal, expr: str) -> Certificate | None:
         alpha_value = store.solve(self.level)
         if alpha_value is None:
             return None
+        if self.slope is None:
+            self.slope = lipschitz_constant(lam, self.level)
         n = self.next_n
         self.next_n += 1
-        sides = _level_test(alpha_value, lam, self.level, n)
+        sides = _level_test(alpha_value, lam, self.level, n, self.slope)
         if sides is None:
             return None
         return Certificate(encode(store.graph), expr, self.level, n, alpha_value, *sides)
@@ -256,18 +300,36 @@ def enumerate_gt(
     and precision k-j+1, stepping down past levels whose solve stalled.
     A graph is emitted, with its certificate, the first time a test fires;
     graphs needing levels beyond the vertex budget simply stay pending.
+
+    Slots holding isomorphic graphs on at most ``ISO_MAX_VERTICES``
+    vertices share one level store, so each level of an isomorphism class
+    is solved once; alpha of a power does not depend on the labels.  Each
+    slot still runs its own tests at its own precision.
     """
     if graph_horizon < 0:
         raise InputError("graph horizon must be nonnegative")
     if stage_budget < 0:
         raise InputError("stage budget must be nonnegative")
     expr = lambda_expr or lam.description
+    classes: dict[tuple, list[_LevelStore]] = {}  # keyed by sorted degrees
+
+    def store_of(g: Graph) -> _LevelStore:
+        if g.n > ISO_MAX_VERTICES:
+            return _LevelStore(g, node_budget, power_cap, level_cap)
+        bucket = classes.setdefault(tuple(sorted(m.bit_count() for m in g.masks)), [])
+        for store in bucket:
+            if is_isomorphic(store.graph, g):
+                return store
+        bucket.append(_LevelStore(g, node_budget, power_cap, level_cap))
+        return bucket[-1]
+
+    slopes: dict[int, Fraction] = {}  # lipschitz_constant(lam, level)
     pending: dict[int, _LevelStore] = {}
     emitted: list[EmittedGraph] = []
     stage = 0
     for stage in range(1, stage_budget + 1):
         if stage <= graph_horizon:
-            pending[stage] = _LevelStore(decode(stage - 1), node_budget, power_cap, level_cap)
+            pending[stage] = store_of(decode(stage - 1))
         for slot in sorted(pending):
             store = pending[slot]
             age = stage - slot + 1
@@ -277,7 +339,9 @@ def enumerate_gt(
             alpha_value = store.solve(level)
             if alpha_value is None:
                 continue
-            sides = _level_test(alpha_value, lam, level, age)
+            if level not in slopes:
+                slopes[level] = lipschitz_constant(lam, level)
+            sides = _level_test(alpha_value, lam, level, age, slopes[level])
             if sides is not None:
                 cert = Certificate(slot - 1, expr, level, age, alpha_value, *sides)
                 emitted.append(EmittedGraph(slot=slot, graph_index=slot - 1, certificate=cert))

@@ -215,12 +215,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
     """Strong graph product; vertex (a, b) gets index a * h.n + b."""
-    cap = vertex_budget(max_vertices)
-    if g.n * h.n > cap:
-        raise BudgetError(
-            f"strong product needs {g.n * h.n} vertices, budget is {cap}",
-            reason="vertex budget",
-        )
+    require_product_fits(g.n * h.n, vertex_budget(max_vertices))
     nh = h.n
     closed_h = [h.masks[b] | (1 << b) for b in range(nh)]
     masks = []
@@ -240,6 +235,15 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
     if g.orbits is not None and h.orbits is not None:
         orbits = ("x", _coordinates(g.orbits) + _coordinates(h.orbits))
     return Graph(g.n * nh, tuple(masks), transitive=g.transitive and h.transitive, orbits=orbits)
+
+
+def require_product_fits(vertices: int, cap: int) -> None:
+    """The vertex-budget stop of a strong product on this many vertices."""
+    if vertices > cap:
+        raise BudgetError(
+            f"strong product needs {vertices} vertices, budget is {cap}",
+            reason="vertex budget",
+        )
 
 
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:

@@ -1,5 +1,6 @@
 """Exact independence number: brute-force oracle, witnesses, budgets, ladder."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -22,13 +23,15 @@ from zecap import (
     strong_power,
     strong_product,
 )
-from zecap.alpha import _greedy_seed, _packed_rows, _smallest_last
+from zecap.alpha import _greedy_seed, _packed_rows, _smallest_last, greedy_clique_cover
 from zecap.graphs import Graph
 
 from conftest import (
     brute_alpha,
+    brute_clique_cover,
     is_vertex_transitive,
     random_graph,
+    recursive_alpha,
     reference_greedy_seed,
 )
 
@@ -177,25 +180,47 @@ class TestRootFix:
             assert w.size == plain.size == brute_alpha(g)
             assert w.verify(g)
 
+    @staticmethod
+    def check_labelled(g: Graph, best: int) -> tuple[int, int]:
+        """Solve g cold and from a one-vertex warm start, then stop the warm
+        solve at budgets 0, used/2 and used - 1; returns the warm solve's
+        nodes and the number of stops."""
+        assert g.orbits is not None
+        w, _ = solve_alpha(g)
+        assert w.size == best and w.verify(g)
+        # a one-vertex warm start leaves the search more to do
+        w, used = solve_alpha(g, initial=[g.n - 1])
+        assert w.size == best and w.verify(g)
+        budgets = sorted({0, used // 2, used - 1})
+        for budget in budgets:
+            with pytest.raises(BudgetError) as exc:
+                solve_alpha(g, node_budget=budget, initial=[g.n - 1])
+            partial = exc.value.partial
+            assert partial.verify(g) and 1 <= partial.size <= best
+        return used, len(budgets)
+
     def test_labelled_graphs_match_oracle(self, rng):
         searched = stops = 0
         for _ in range(45):
             g = labelled_graph(rng)
-            assert g.orbits is not None
-            best = brute_alpha(g)
-            w, _ = solve_alpha(g)
-            assert w.size == best and w.verify(g)
-            # a one-vertex warm start leaves the search more to do
-            w, used = solve_alpha(g, initial=[g.n - 1])
-            assert w.size == best and w.verify(g)
+            used, stopped = self.check_labelled(g, brute_alpha(g))
             searched += used > 1
-            for budget in sorted({0, used // 2, used - 1}):
-                with pytest.raises(BudgetError) as exc:
-                    solve_alpha(g, node_budget=budget, initial=[g.n - 1])
-                partial = exc.value.partial
-                assert partial.verify(g) and 1 <= partial.size <= best
-                stops += 1
+            stops += stopped
         assert searched >= 15 and stops >= 75, (searched, stops)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cycle_times_its_complement(self, reverse):
+        # alpha(C7 x complement(C7)) = 7: the diagonal {(v, v)} is
+        # independent, and alpha(G x H) <= theta(G) theta(H), where
+        # theta(G) theta(complement(G)) = n for vertex-transitive G
+        # (Lovasz 1979).
+        # Dropping the root's label classes one level deeper as well, where
+        # a second fixed vertex voids the root's stabilizer orbits, finds 6.
+        c7, co = cycle_graph(7), complement(cycle_graph(7))
+        g = strong_product(co, c7) if reverse else strong_product(c7, co)
+        self.check_labelled(g, 7)
+        plain, _ = solve_alpha(Graph(g.n, g.masks))
+        assert plain.size == 7
 
     def test_partial_witness_in_caller_labels(self, pentagon):
         g = strong_power(pentagon, 3)
@@ -311,6 +336,21 @@ class TestBudgets:
         assert w.size == 2
 
 
+class TestGreedyCliqueCover:
+    def test_never_below_the_fewest_cliques(self, rng):
+        # a count below the minimum would mean a part that is no clique
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 9), p=rng.choice([0.2, 0.5, 0.8]))
+            assert brute_alpha(g) <= brute_clique_cover(g) <= greedy_clique_cover(g) <= g.n
+
+    def test_families(self, pentagon):
+        assert greedy_clique_cover(Graph(0, ())) == 0
+        assert greedy_clique_cover(complete_graph(7)) == 1
+        assert greedy_clique_cover(edgeless_graph(7)) == 7
+        assert greedy_clique_cover(pentagon) == 3
+        assert greedy_clique_cover(strong_product(complete_graph(3), edgeless_graph(2))) == 2
+
+
 class TestLadder:
     def test_pentagon_levels(self, pentagon):
         values = ladder(pentagon, 1)
@@ -328,6 +368,52 @@ class TestLadder:
             r0 = values[0].root.approx(20)
             r1 = values[1].root.approx(20)
             assert r1 >= r0 - Fraction(2, 1 << 20)
+
+    def test_level_one_matches_oracle(self, rng, pentagon):
+        closed = 0
+        for i in range(48):
+            if i % 4:
+                g = random_graph(rng, rng.randint(0, 5), p=rng.choice([0.2, 0.5, 0.8]))
+            else:  # relabelled pentagons, whose level 1 is searched
+                perm = list(range(5))
+                rng.shuffle(perm)
+                g = relabel(pentagon, perm)
+            values = ladder(g, 1)
+            want = [brute_alpha(g), recursive_alpha(strong_product(g, g))]
+            assert [v.alpha_value for v in values] == want
+            closed += want[0] == greedy_clique_cover(g)
+        assert closed == 36, closed  # every random graph here, and no pentagon
+
+    @pytest.mark.parametrize(
+        "g, levels, searched",
+        [
+            # two triangles: alpha = 2 cliques, so level 0 closes the rest
+            (strong_product(complete_graph(3), edgeless_graph(2)), [2, 4, 16], [6]),
+            # alpha(C5) = 2 < 3 cliques and alpha(C5^2) = 5 < 9: every level searched
+            (cycle_graph(5), [2, 5], [5, 25]),
+        ],
+    )
+    def test_only_open_levels_are_searched(self, monkeypatch, g, levels, searched):
+        seen = []
+
+        def counted(power, *args, **kwargs):
+            seen.append(power.n)
+            return solve_alpha(power, *args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("zecap.alpha"), "solve_alpha", counted)
+        values = ladder(g, len(levels) - 1, node_budget=1_000)
+        assert [v.alpha_value for v in values] == levels
+        assert seen == searched
+
+    def test_closed_level_keeps_the_vertex_budget_stop(self):
+        g = strong_product(complete_graph(3), edgeless_graph(2))
+        with pytest.raises(BudgetError) as exc:
+            ladder(g, 3, max_power_vertices=100)
+        assert exc.value.reason == "vertex budget"
+        assert str(exc.value) == (
+            "ladder stopped before level 2: strong product needs 1296 vertices, budget is 100"
+        )
+        assert [v.alpha_value for v in exc.value.partial] == [2, 4]
 
     def test_rejects_negative_level(self, pentagon):
         with pytest.raises(InputError):

@@ -1,5 +1,7 @@
 """Threshold semi-decision, enumeration, grid localization, interval squeeze."""
 
+import importlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,8 +30,28 @@ from zecap import (
     single_vertex,
     sqrt_int,
     squeeze_capacity,
+    strong_power,
+    strong_product,
 )
-from zecap.graphs import Graph
+from zecap.alpha import greedy_clique_cover, solve_alpha
+from zecap.decide import _level_test
+from zecap.graphs import Graph, is_isomorphic
+
+from conftest import brute_alpha, random_graph, recursive_alpha
+
+decide_module = importlib.import_module("zecap.decide")
+
+
+def fraction_level_test(alpha_power, lam, k, n):
+    """The level test as the module docstring states it, in Fraction arithmetic."""
+    lhs = alpha_power - lam.approx(n) ** (1 << k)
+    rhs = lipschitz_constant(lam, k) * Fraction(1, 1 << n)
+    return (lhs, rhs) if lhs > rhs else None
+
+
+def two_triangles() -> Graph:
+    """K3 x E2: alpha = 2 and a partition into 2 cliques, so capacity 2."""
+    return strong_product(complete_graph(3), edgeless_graph(2))
 
 
 class TestLipschitzConstant:
@@ -123,6 +145,68 @@ class TestSemidecideGt:
         assert stalled  # levels beyond 25 vertices cannot build their power
 
 
+class TestLevelTest:
+    @pytest.mark.parametrize("text", ["3/2", "sqrt(5)", "1+sqrt(5)", "13/4", "0"])
+    def test_integer_form_matches_fractions(self, rng, text):
+        lam = parse_real(text)
+        fired = quiet = 0
+        for _ in range(300):
+            k, n = rng.randint(0, 6), rng.randint(1, 60)
+            # alpha close to r(n)^(2^k), where the last digits decide, or anywhere
+            near = math.floor(lam.approx(n) ** (1 << k))
+            if rng.random() < 0.8:
+                a = max(0, near + rng.randint(-2, 2))
+            else:
+                a = rng.randint(0, 2 * near + 4)
+            want = fraction_level_test(a, lam, k, n)
+            assert _level_test(a, lam, k, n) == want
+            assert _level_test(a, lam, k, n, lipschitz_constant(lam, k)) == want
+            fired += want is not None
+            quiet += want is None
+        assert fired >= 30 and quiet >= 30, (fired, quiet)
+
+
+class TestCliqueCoverClosure:
+    """A level at the clique-cover bound c^(2^k) closes every later level."""
+
+    def test_levels_match_oracle(self, rng, pentagon):
+        closed = 0
+        for i in range(40):
+            g = pentagon if i % 8 == 0 else random_graph(rng, rng.randint(0, 5), p=0.5)
+            lam = from_rational(g.n)  # capacity never exceeds n: nothing fires
+            want = recursive_alpha(strong_product(g, g))
+            single = semidecide_level(g, lam, 1, 1)
+            assert single.progress[1]["alpha"] == want
+            # the dovetail solves level 0 first, then level 1
+            out = semidecide_gt(g, lam, 3)
+            assert out.status == BUDGET_EXHAUSTED
+            assert [out.progress[k]["alpha"] for k in (0, 1)] == [brute_alpha(g), want]
+            tight = brute_alpha(g) == greedy_clique_cover(g)
+            assert (out.progress[1]["nodes_used"] == 0) == tight
+            closed += tight
+        assert closed == 35, closed  # every random graph here, and no pentagon
+
+    def test_closed_levels_report_no_nodes(self):
+        out = semidecide_gt(two_triangles(), from_rational(2), 100, power_cap=50_000)
+        assert out.status == BUDGET_EXHAUSTED
+        levels = out.progress
+        assert [levels[k]["alpha"] for k in (0, 1, 2)] == [2, 4, 16]
+        assert levels[0]["nodes_used"] >= 1
+        assert levels[1]["nodes_used"] == levels[2]["nodes_used"] == 0
+        assert levels[3]["stalled"] == "vertex budget"
+
+    def test_open_graph_still_searches(self, pentagon):
+        out = semidecide_gt(pentagon, sqrt_int(5), 30)
+        assert out.progress[1]["alpha"] == 5
+        assert out.progress[1]["nodes_used"] > 0
+
+    def test_closed_level_beyond_the_power_cap_stalls(self):
+        out = semidecide_gt(two_triangles(), from_rational(2), 30, power_cap=50)
+        assert out.progress[1]["alpha"] == 4 and out.progress[1]["nodes_used"] == 0
+        assert out.progress[2]["alpha"] is None
+        assert out.progress[2]["stalled"] == "vertex budget"
+
+
 class TestSemidecideLevel:
     def test_level_one_fires_for_pentagon(self, pentagon):
         out = semidecide_level(pentagon, from_rational(2), 1, 20, lambda_expr="2")
@@ -203,6 +287,36 @@ class TestEnumeration:
         assert 689 not in state.emitted_indices()
         assert 76 in state.emitted_indices()  # edgeless on 5 vertices
         assert 689 + 1 in state.pending  # the pentagon stays pending forever
+
+    # every graph on up to 4 vertices, then up to 5 (where a degree
+    # sequence no longer fixes the isomorphism class: P5 and K3 + K2)
+    @pytest.mark.parametrize("horizon, stages, emitted", [(76, 96, 71), (200, 220, 195)])
+    def test_every_small_graph(self, monkeypatch, horizon, stages, emitted):
+        built = []
+
+        def recorded(g, exponent, cap=None):
+            built.append((exponent, g))
+            return strong_power(g, exponent, cap)
+
+        monkeypatch.setattr(decide_module, "strong_power", recorded)
+        lam = from_rational(Fraction(3, 2))
+        state = enumerate_gt(lam, horizon, stages)
+        # the empty graph, K1, K2, K3 and K4: capacity at most 1
+        assert state.pending == [1, 2, 4, 12, 76]
+        assert len(state.emitted) == emitted
+        for e in state.emitted:
+            cert = e.certificate
+            assert e.graph_index == cert.graph_index == e.slot - 1
+            assert cert.verify(lam)
+            power = strong_power(decode(e.graph_index), 1 << cert.level)
+            if power.n <= 25:
+                assert cert.alpha_power == recursive_alpha(power)
+            else:  # a direct search of the power the closure never built
+                assert cert.alpha_power == solve_alpha(power)[0].size
+        # each power is built for one graph of its isomorphism class only
+        for i, (exponent, g) in enumerate(built):
+            for other_exponent, h in built[:i]:
+                assert exponent != other_exponent or not is_isomorphic(g, h)
 
     def test_zero_budget_or_horizon(self):
         state = enumerate_gt(from_rational(2), 0, 5)
