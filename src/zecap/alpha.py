@@ -19,11 +19,15 @@ dropped with it, since an automorphism fixing the root maps its sets onto
 v's.  Deeper levels drop only the searched vertex.  Budgets are counted in
 node expansions; running out raises BudgetError carrying the best set found
 so far, never a silent claim of optimality.
+
+``PowerLadder`` is the one source of alpha(g^(2^k)), the lower side of the
+capacity: it squares each power, warm-starts from the squared best set and
+closes the levels past the clique-cover bound.  ``ladder`` and the decision
+procedures in ``decide`` both read their levels from it.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -286,6 +290,76 @@ def greedy_clique_cover(g: Graph) -> int:
     return count
 
 
+class PowerLadder:
+    """alpha(g^(2^k)) for the levels k of one graph, found in order, each at most once.
+
+    Level k is searched on the square of level k - 1's power, warm-started
+    from the square of the best set found there, which is a partial set when
+    that level stopped at its node budget.  The search runs until a level j
+    meets the clique-cover bound: alpha(g^(2^j)) = c^(2^j) for a greedy
+    partition of g into c cliques (``greedy_clique_cover``).  That closes
+    every later level k: products of cliques are cliques, so
+    alpha(g^(2^k)) <= c^(2^k), and products of independent sets are
+    independent, so alpha(g^(2^k)) >= alpha(g^(2^j))^(2^(k-j)) = c^(2^k)
+    (Shannon 1956).  A closed level builds no power, runs no search and
+    takes 0 nodes, but stops at the vertex budget exactly where its power
+    would.
+
+    ``alpha`` and ``nodes`` hold each level found; ``stops`` holds the
+    BudgetError of each level that was not.  A node-budget stop does not end
+    the ladder: the next level is still tried.
+    """
+
+    def __init__(self, g: Graph, max_power_vertices: int | None = None):
+        self.graph = g
+        self._cap = vertex_budget(max_power_vertices)
+        self.alpha: dict[int, int] = {}
+        self.nodes: dict[int, int] = {}
+        self.stops: dict[int, BudgetError] = {}
+        self._level = -1  # the last level reached
+        self._power: Graph | None = g  # its power; None once the ladder is closed
+        self._vertices = g.n  # of that power, also once it is no longer built
+        self._bound = greedy_clique_cover(g)  # c^(2^k) at that level
+        self._best: list[int] | None = None  # its best set, squared into the next warm start
+
+    def solve(self, level: int, node_budget: int | None = None) -> int | None:
+        """alpha at this level, or None once it has stopped (see ``stops``).
+
+        Every level reached on the way is searched with node_budget.
+        """
+        while self._level < level:
+            self._climb(node_budget)
+        return self.alpha.get(level)
+
+    def _climb(self, node_budget: int | None) -> None:
+        self._level += 1
+        k = self._level
+        if k > 0:
+            side = self._vertices
+            self._vertices *= side
+            self._bound *= self._bound
+            try:
+                require_product_fits(self._vertices, self._cap)
+            except BudgetError as e:
+                self.stops[k] = e
+                return
+            if self._power is not None:
+                self._power = strong_product(self._power, self._power, self._cap)
+                self._best = [u * side + v for u in self._best for v in self._best]
+        if self._power is None:
+            self.alpha[k], self.nodes[k] = self._bound, 0
+            return
+        try:
+            witness, self.nodes[k] = solve_alpha(self._power, node_budget, initial=self._best)
+        except BudgetError as e:
+            self.stops[k], self.nodes[k] = e, e.used
+            self._best = e.partial.vertices
+            return
+        self.alpha[k], self._best = witness.size, witness.vertices
+        if witness.size == self._bound:
+            self._power = None  # closed
+
+
 def ladder(
     g: Graph,
     m_max: int,
@@ -294,67 +368,27 @@ def ladder(
 ) -> list[LadderValue]:
     """Ladder levels 0..m_max: alpha(g^(2^m))^(1/2^m), nondecreasing in m.
 
-    Each level is searched on its strong power, warm-started from the
-    square of the level below, until a level m meets the clique-cover
-    bound: alpha(g^(2^m)) = c^(2^m) for a greedy partition of g into c
-    cliques (``greedy_clique_cover``).  That closes every later level k:
-    products of cliques are cliques, so alpha(g^(2^k)) <= c^(2^k), and
-    products of independent sets are independent, so alpha(g^(2^k)) >=
-    alpha(g^(2^m))^(2^(k-m)) = c^(2^k).  A closed level builds no power and
-    runs no search, but stops at the vertex budget exactly where its power
-    would.
-
-    The node budget is a shared pool across levels.  On exhaustion the
-    BudgetError carries the levels already certified.
+    The levels come from one ``PowerLadder``.  The node budget is a shared
+    pool across levels.  On exhaustion the BudgetError carries the levels
+    already certified.
     """
     if m_max < 0:
         raise InputError("ladder level must be nonnegative")
-    cap = vertex_budget(max_power_vertices)
+    powers = PowerLadder(g, max_power_vertices)
     values: list[LadderValue] = []
-    power = g
-    vertices = g.n  # of power, also once the ladder stops building it
-    bound = greedy_clique_cover(g)  # c^(2^m) at level m
-    closed = False
-    prev_witness: list[int] | None = None
     pool = node_budget
     for m in range(m_max + 1):
-        if m > 0:
-            vertices *= vertices
-            bound *= bound
-            try:
-                if closed:
-                    require_product_fits(vertices, cap)
-                else:
-                    power = strong_product(power, power, cap)
-            except BudgetError as e:
-                raise BudgetError(
-                    f"ladder stopped before level {m}: {e}",
-                    partial=values,
-                    reason="vertex budget",
-                ) from None
-            if prev_witness is not None:
-                side = math.isqrt(power.n)
-                prev_witness = [
-                    u * side + v for u in prev_witness for v in prev_witness
-                ]
-        if closed:
-            size = bound
-        else:
-            try:
-                witness, used = solve_alpha(power, pool, initial=prev_witness)
-            except BudgetError as e:
-                raise BudgetError(
-                    f"ladder stopped at level {m}: {e}",
-                    partial=values,
-                    used=e.used,
-                    reason=e.reason,
-                ) from None
-            if pool is not None:
-                pool -= used
-                if pool < 0:
-                    pool = 0
-            size = witness.size
-            closed = size == bound
-            prev_witness = None if closed else witness.vertices
+        size = powers.solve(m, pool)
+        if size is None:
+            e = powers.stops[m]
+            where = "before" if e.reason == "vertex budget" else "at"
+            raise BudgetError(
+                f"ladder stopped {where} level {m}: {e}",
+                partial=values,
+                used=e.used,
+                reason=e.reason,
+            )
+        if pool is not None:
+            pool = max(0, pool - powers.nodes[m])
         values.append(LadderValue(m=m, alpha_value=size, root=creal.root_pow2(size, m)))
     return values

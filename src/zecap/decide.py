@@ -13,14 +13,13 @@ test never fires when it does not.  The comparison runs in integers, and
 the rational sides are built only when it fires.  Certificates are
 re-checked by the same function.
 
-The alpha values come from one per-graph level store, ``_LevelStore``:
-each level is found at most once and a level that cannot be found keeps
-its stall reason.  A level is solved cold on its strong power with the
-full per-solve node budget, unless an earlier level met the clique-cover
-bound alpha(g^(2^j)) = c^(2^j); that closes every later level at c^(2^k)
-with no power built and no search (Shannon 1956; see ``alpha.ladder``).
-The dovetail, the single-level run and the enumeration all read from it;
-the enumeration shares one store among isomorphic graphs.
+The alpha values come from one ``alpha.PowerLadder`` per graph, which finds
+each level at most once, in order, by squaring and warm-starting, and closes
+the levels above the first one that meets the clique-cover bound (Shannon
+1956).  Each level it searches gets the full per-solve node budget.  This
+module adds only its own policy: the level cap, the dovetail and the level
+test.  The dovetail, the single-level run and the enumeration all read from
+a ladder; the enumeration shares one ladder among isomorphic graphs.
 
 Levels are dovetailed on a triangular schedule (stage t runs one step of
 each of levels 0..t-1), so every level gets unbounded attention if the
@@ -35,7 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import creal
-from .alpha import greedy_clique_cover, ladder as alpha_ladder, solve_alpha
+# solve_alpha and strong_power go unused here; perfbench/spans.py's REQUIRED_SITES pins them
+from .alpha import PowerLadder, ladder as alpha_ladder, solve_alpha
 from .errors import BudgetError, ConvergenceError, InputError
 from .graphs import (
     ISO_MAX_VERTICES,
@@ -111,73 +111,23 @@ class DecisionOutcome:
     log: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-class _LevelStore:
-    """alpha(g^(2^k)) for the levels k of one graph, each found at most once.
-
-    A level is solved cold on its strong power with the full per-solve node
-    budget, unless an earlier solved level j met the clique-cover bound
-    alpha(g^(2^j)) = c^(2^j) of a greedy partition of g into c cliques
-    (``greedy_clique_cover``).  That closes every level k > j at c^(2^k)
-    (see ``alpha.ladder``) with no power built and no search, so such a
-    level reports 0 nodes.  The level cap and the vertex budget stall a
-    level first, closed or not.
-    """
-
-    __slots__ = (
-        "graph", "node_budget", "power_cap", "level_cap", "top", "alpha", "nodes", "stalled",
-        "cover", "closed_above",
-    )
-
-    def __init__(self, g: Graph, node_budget: int | None, power_cap: int, level_cap: int):
-        self.graph = g
-        self.node_budget = node_budget
-        self.power_cap = power_cap
-        self.level_cap = level_cap
-        self.alpha: dict[int, int] = {}
-        self.nodes: dict[int, int] = {}
-        self.stalled: dict[int, str] = {}  # level cap / vertex budget / node budget
-        self.cover = greedy_clique_cover(g)
-        self.closed_above: int | None = None  # the first solved level at its bound
-        top = 0  # the highest level that fits, or 0
-        while top + 1 <= level_cap and power_fits(g.n, 1 << (top + 1), power_cap):
-            top += 1
-        self.top = top
-
-    def solve(self, level: int) -> int | None:
-        """alpha at this level, or None once the level has stalled."""
-        if level not in self.alpha and level not in self.stalled:
-            if level > self.level_cap:
-                self.stalled[level] = "level cap"
-            elif not power_fits(self.graph.n, 1 << level, self.power_cap):
-                self.stalled[level] = "vertex budget"
-            elif self.closed_above is not None and level > self.closed_above:
-                self.alpha[level] = self.cover ** (1 << level)
-                self.nodes[level] = 0
-            else:
-                try:
-                    power = strong_power(self.graph, 1 << level, self.power_cap)
-                    witness, self.nodes[level] = solve_alpha(power, self.node_budget)
-                    self.alpha[level] = witness.size
-                    if self.closed_above is None and witness.size == self.cover ** (1 << level):
-                        self.closed_above = level
-                except BudgetError as e:
-                    self.stalled[level] = str(e.reason)
-                    self.nodes[level] = e.used or 0
-        return self.alpha.get(level)
-
-
 class _LevelRun:
     """Precision counter of one level inside the dovetail."""
 
-    __slots__ = ("level", "next_n", "slope")
+    __slots__ = ("level", "capped", "stepped", "next_n", "slope")
 
-    def __init__(self, level: int):
+    def __init__(self, level: int, level_cap: int):
         self.level = level
+        self.capped = level > level_cap  # past the level cap: never solved
+        self.stepped = False
         self.next_n = 1
         self.slope: Fraction | None = None  # set at the first test, once alpha is known
 
-    def step(self, store: _LevelStore, lam: creal.CReal, expr: str) -> Certificate | None:
-        alpha_value = store.solve(self.level)
+    def step(
+        self, powers: PowerLadder, node_budget: int | None, lam: creal.CReal, expr: str
+    ) -> Certificate | None:
+        self.stepped = True
+        alpha_value = None if self.capped else powers.solve(self.level, node_budget)
         if alpha_value is None:
             return None
         if self.slope is None:
@@ -187,14 +137,21 @@ class _LevelRun:
         sides = _level_test(alpha_value, lam, self.level, n, self.slope)
         if sides is None:
             return None
-        return Certificate(encode(store.graph), expr, self.level, n, alpha_value, *sides)
+        return Certificate(encode(powers.graph), expr, self.level, n, alpha_value, *sides)
 
-    def describe(self, store: _LevelStore) -> dict:
+    def stalled(self, powers: PowerLadder) -> str | None:
+        """level cap / vertex budget / node budget, once a step has met it."""
+        if self.capped:
+            return "level cap" if self.stepped else None
+        stop = powers.stops.get(self.level)
+        return None if stop is None else str(stop.reason)
+
+    def describe(self, powers: PowerLadder) -> dict:
         return {
-            "alpha": store.alpha.get(self.level),
+            "alpha": powers.alpha.get(self.level),
             "last_precision": self.next_n - 1,
-            "stalled": store.stalled.get(self.level),
-            "nodes_used": store.nodes.get(self.level, 0),
+            "stalled": self.stalled(powers),
+            "nodes_used": powers.nodes.get(self.level, 0),
         }
 
 
@@ -213,15 +170,15 @@ def semidecide_level(
         raise InputError("level must be nonnegative")
     if step_budget < 1:
         raise InputError("step budget must be positive")
-    store = _LevelStore(g, node_budget, power_cap, level_cap)
-    run = _LevelRun(level)
+    powers = PowerLadder(g, power_cap)
+    run = _LevelRun(level, level_cap)
     expr = lambda_expr or lam.description
     for step in range(1, step_budget + 1):
-        cert = run.step(store, lam, expr)
-        if cert is not None or level in store.stalled:
+        cert = run.step(powers, node_budget, lam, expr)
+        if cert is not None or run.stalled(powers) is not None:
             break
     status = BUDGET_EXHAUSTED if cert is None else HALTED
-    return DecisionOutcome(status, cert, {level: run.describe(store)}, step)
+    return DecisionOutcome(status, cert, {level: run.describe(powers)}, step)
 
 
 def semidecide_gt(
@@ -242,24 +199,24 @@ def semidecide_gt(
     if budget < 1:
         raise InputError("budget must be positive")
     expr = lambda_expr or lam.description
-    store = _LevelStore(g, node_budget, power_cap, level_cap)
+    powers = PowerLadder(g, power_cap)
     runs: list[_LevelRun] = []
     steps_used = 0
     log: list[tuple[int, int, int]] = []
     stage = 0
     while steps_used < budget:
         stage += 1
-        runs.append(_LevelRun(stage - 1))
+        runs.append(_LevelRun(stage - 1, level_cap))
         for run in runs[:stage]:
             if steps_used >= budget:
                 break
             steps_used += 1
-            cert = run.step(store, lam, expr)
+            cert = run.step(powers, node_budget, lam, expr)
             log.append((stage, run.level, run.next_n - 1))
             if cert is not None:
-                progress = {r.level: r.describe(store) for r in runs}
+                progress = {r.level: r.describe(powers) for r in runs}
                 return DecisionOutcome(HALTED, cert, progress, steps_used, log)
-    progress = {r.level: r.describe(store) for r in runs}
+    progress = {r.level: r.describe(powers) for r in runs}
     return DecisionOutcome(BUDGET_EXHAUSTED, None, progress, steps_used, log)
 
 
@@ -302,41 +259,45 @@ def enumerate_gt(
     graphs needing levels beyond the vertex budget simply stay pending.
 
     Slots holding isomorphic graphs on at most ``ISO_MAX_VERTICES``
-    vertices share one level store, so each level of an isomorphism class
-    is solved once; alpha of a power does not depend on the labels.  Each
-    slot still runs its own tests at its own precision.
+    vertices share one ``PowerLadder``, so each level of an isomorphism
+    class is solved once; alpha of a power does not depend on the labels.
+    Each slot still runs its own tests at its own precision.
     """
     if graph_horizon < 0:
         raise InputError("graph horizon must be nonnegative")
     if stage_budget < 0:
         raise InputError("stage budget must be nonnegative")
     expr = lambda_expr or lam.description
-    classes: dict[tuple, list[_LevelStore]] = {}  # keyed by sorted degrees
+    classes: dict[tuple, list[PowerLadder]] = {}  # keyed by sorted degrees
 
-    def store_of(g: Graph) -> _LevelStore:
+    def ladder_of(g: Graph) -> PowerLadder:
         if g.n > ISO_MAX_VERTICES:
-            return _LevelStore(g, node_budget, power_cap, level_cap)
+            return PowerLadder(g, power_cap)
         bucket = classes.setdefault(tuple(sorted(m.bit_count() for m in g.masks)), [])
-        for store in bucket:
-            if is_isomorphic(store.graph, g):
-                return store
-        bucket.append(_LevelStore(g, node_budget, power_cap, level_cap))
+        for powers in bucket:
+            if is_isomorphic(powers.graph, g):
+                return powers
+        bucket.append(PowerLadder(g, power_cap))
         return bucket[-1]
 
     slopes: dict[int, Fraction] = {}  # lipschitz_constant(lam, level)
-    pending: dict[int, _LevelStore] = {}
+    pending: dict[int, tuple[PowerLadder, int]] = {}  # slot -> (ladder, top level)
     emitted: list[EmittedGraph] = []
     stage = 0
     for stage in range(1, stage_budget + 1):
         if stage <= graph_horizon:
-            pending[stage] = store_of(decode(stage - 1))
+            g = decode(stage - 1)
+            top = 0  # the highest level up to the level cap whose power fits, or 0
+            while top < level_cap and power_fits(g.n, 1 << (top + 1), power_cap):
+                top += 1
+            pending[stage] = ladder_of(g), top
         for slot in sorted(pending):
-            store = pending[slot]
+            powers, top = pending[slot]
             age = stage - slot + 1
-            level = min(age, store.top)
-            while level > 0 and level in store.stalled:
+            level = min(age, top)
+            while level > 0 and level in powers.stops:
                 level -= 1
-            alpha_value = store.solve(level)
+            alpha_value = powers.solve(level, node_budget)
             if alpha_value is None:
                 continue
             if level not in slopes:

@@ -23,7 +23,13 @@ from zecap import (
     strong_power,
     strong_product,
 )
-from zecap.alpha import _greedy_seed, _packed_rows, _smallest_last, greedy_clique_cover
+from zecap.alpha import (
+    PowerLadder,
+    _greedy_seed,
+    _packed_rows,
+    _smallest_last,
+    greedy_clique_cover,
+)
 from zecap.graphs import Graph
 
 from conftest import (
@@ -404,6 +410,29 @@ class TestLadder:
         values = ladder(g, len(levels) - 1, node_budget=1_000)
         assert [v.alpha_value for v in values] == levels
         assert seen == searched
+
+    def test_reads_the_power_ladder(self, rng, pentagon):
+        for i in range(30):
+            g = pentagon if i == 0 else random_graph(rng, rng.randint(0, 5), p=0.5)
+            m = 2 if g.n <= 4 else 1
+            powers = PowerLadder(g)
+            want = [powers.solve(k) for k in range(m + 1)]
+            assert [v.alpha_value for v in ladder(g, m)] == want
+            assert sorted(powers.alpha) == list(range(m + 1)) and not powers.stops
+
+    def test_node_budget_stop_is_kept_and_the_next_level_tried(self, pentagon):
+        powers = PowerLadder(pentagon)
+        assert powers.solve(0) == 2
+        assert powers.solve(1, node_budget=1) is None
+        stop = powers.stops[1]
+        assert stop.reason == "node budget"
+        assert stop.used == powers.nodes[1] == 2
+        assert powers.solve(1) is None  # found at most once: no second search
+        # level 2 is still searched, warm-started from the square of level
+        # 1's partial set
+        assert powers.solve(2, node_budget=1) is None
+        assert powers.stops[2].used == powers.nodes[2] == 2
+        assert powers.stops[2].partial.size >= stop.partial.size**2
 
     def test_closed_level_keeps_the_vertex_budget_stop(self):
         g = strong_product(complete_graph(3), edgeless_graph(2))

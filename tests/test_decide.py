@@ -33,13 +33,14 @@ from zecap import (
     strong_power,
     strong_product,
 )
-from zecap.alpha import greedy_clique_cover, solve_alpha
+from zecap.alpha import PowerLadder, greedy_clique_cover, solve_alpha
 from zecap.decide import _level_test
 from zecap.graphs import Graph, is_isomorphic
 
 from conftest import brute_alpha, random_graph, recursive_alpha
 
 decide_module = importlib.import_module("zecap.decide")
+alpha_module = importlib.import_module("zecap.alpha")
 
 
 def fraction_level_test(alpha_power, lam, k, n):
@@ -136,6 +137,14 @@ class TestSemidecideGt:
         with pytest.raises(InputError):
             semidecide_gt(pentagon, from_rational(2), 0)
 
+    def test_level_cap_stalls_only_a_stepped_level(self, pentagon):
+        # budget 4 schedules level 2 in stage 3 but runs out before its step
+        lam = sqrt_int(5)
+        early = semidecide_gt(pentagon, lam, 4, level_cap=1).progress[2]
+        assert early["stalled"] is None and early["last_precision"] == 0
+        late = semidecide_gt(pentagon, lam, 6, level_cap=1).progress[2]
+        assert late["stalled"] == "level cap" and late["alpha"] is None
+
     def test_progress_reports_stalls(self, pentagon):
         out = semidecide_gt(
             pentagon, sqrt_int(5), 40, power_cap=30, lambda_expr="sqrt(5)"
@@ -223,6 +232,22 @@ class TestSemidecideLevel:
         assert out.status == BUDGET_EXHAUSTED
         assert out.progress[9]["stalled"] == "level cap"
 
+    def test_lower_levels_close_the_asked_one(self, monkeypatch):
+        # level 0 of K3 x E2 meets its 2-clique cover, so level 2 is closed
+        # at 2^4 without building or searching the 1,296-vertex power
+        built = []
+
+        def recorded(g, h, cap=None):
+            built.append(g.n * h.n)
+            return strong_product(g, h, cap)
+
+        monkeypatch.setattr(alpha_module, "strong_product", recorded)
+        out = semidecide_level(two_triangles(), from_rational(2), 2, 5, power_cap=50_000)
+        assert out.status == BUDGET_EXHAUSTED
+        assert out.progress[2]["alpha"] == 16
+        assert out.progress[2]["nodes_used"] == 0
+        assert built == []
+
     def test_validation(self, pentagon):
         with pytest.raises(InputError):
             semidecide_level(pentagon, from_rational(2), -1, 5)
@@ -292,13 +317,19 @@ class TestEnumeration:
     # sequence no longer fixes the isomorphism class: P5 and K3 + K2)
     @pytest.mark.parametrize("horizon, stages, emitted", [(76, 96, 71), (200, 220, 195)])
     def test_every_small_graph(self, monkeypatch, horizon, stages, emitted):
-        built = []
+        built, searched = [], []
 
-        def recorded(g, exponent, cap=None):
-            built.append((exponent, g))
-            return strong_power(g, exponent, cap)
+        class Recorded(PowerLadder):
+            def __init__(self, g, *args):
+                built.append(g)
+                super().__init__(g, *args)
 
-        monkeypatch.setattr(decide_module, "strong_power", recorded)
+        def counted(power, *args, **kwargs):
+            searched.append(power.n)
+            return solve_alpha(power, *args, **kwargs)
+
+        monkeypatch.setattr(decide_module, "PowerLadder", Recorded)
+        monkeypatch.setattr(alpha_module, "solve_alpha", counted)
         lam = from_rational(Fraction(3, 2))
         state = enumerate_gt(lam, horizon, stages)
         # the empty graph, K1, K2, K3 and K4: capacity at most 1
@@ -313,10 +344,13 @@ class TestEnumeration:
                 assert cert.alpha_power == recursive_alpha(power)
             else:  # a direct search of the power the closure never built
                 assert cert.alpha_power == solve_alpha(power)[0].size
-        # each power is built for one graph of its isomorphism class only
-        for i, (exponent, g) in enumerate(built):
-            for other_exponent, h in built[:i]:
-                assert exponent != other_exponent or not is_isomorphic(g, h)
+        # isomorphic graphs share one ladder
+        assert len(built) < horizon
+        for i, g in enumerate(built):
+            assert not any(is_isomorphic(g, h) for h in built[:i])
+        # level 0 meets the clique-cover bound on every graph here, which
+        # closes level 1: no power is searched, only the graphs themselves
+        assert max(searched) == (4 if horizon == 76 else 5)
 
     def test_zero_budget_or_horizon(self):
         state = enumerate_gt(from_rational(2), 0, 5)
