@@ -1,12 +1,15 @@
 """Exact rational simplex and integer positive-definiteness certification.
 
 Small and dense: rational input is scaled to integers.  The simplex pivots
-fraction-free on Python ints.  The positive-definiteness test lets floats
-propose a Cholesky factor and proves it with an exact integer residual
-check (int64 products, Python ints for the residual); only when that proof
-fails does it eliminate fraction-free on Python ints.  Floats never decide
-a verdict.  These back the certified bounds in the spectrum module; nothing
-here is a general-purpose optimization surface.
+fraction-free on Python ints.  The packing LP max sum y s.t. rows.y <= 1,
+y >= 0 lets a float simplex propose an optimal basis and proves the primal
+and dual solutions read off it by weak duality in Python ints.  The
+positive-definiteness test lets floats propose a Cholesky factor and proves
+it with an exact integer residual check (int64 products, Python ints for
+the residual).  When a proof fails, the exact fallback runs: the
+fraction-free simplex, or fraction-free elimination.  Floats never decide a
+value or a verdict.  These back the certified bounds in the spectrum
+module; nothing here is a general-purpose optimization surface.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 _RESIDUAL_MAX_N = 1 << 10
 _FACTOR_BITS = 51
 _SPLIT = 26
+_EPS = 1e-9  # float simplex: entries below this count as zero
 
 
 class UnboundedError(Exception):
@@ -96,6 +100,86 @@ def simplex_max(
         if b < n:
             y[b] = Fraction(tab[i][-1], d)
     return Fraction(-tab[m][-1], d * cost_scale), y
+
+
+def packing_optimum(rows: list[list[int]]) -> Fraction | None:
+    """Exact optimum of max sum y s.t. rows.y <= 1, y >= 0, or None.
+
+    Floats propose, integers prove (Applegate, Cook, Dash and Espinoza,
+    Oper. Res. Lett. 2007): a float simplex proposes a basis, its integer
+    primal and dual solutions are read off the basis matrix, and weak
+    duality checked in Python ints proves their common value optimal.
+    None means "not proved"; the caller then runs simplex_max.
+    """
+    a = np.array(rows, dtype=float)
+    cert = _packing_certificate(a, *_packing_basis(a, 10 * sum(a.shape)))
+    if cert is None or not _proves_packing(rows, *cert):
+        return None
+    return Fraction(sum(cert[0]), cert[2])
+
+
+def _packing_basis(a: np.ndarray, max_pivots: int) -> tuple[list[int], list[int]]:
+    """Tight rows and basic columns of the basis that a float Bland-rule
+    simplex on max sum y s.t. a y <= 1, y >= 0 reaches from the slack basis
+    within max_pivots; it may be neither optimal nor feasible.  The tableau
+    is condensed (Tucker), (m+1)(n+1) floats, not m(m+n): row i reads
+    x_rowvar[i] + sum_j tab[i, j] x_colvar[j] = tab[i, n], the last row has
+    the objective, and variables n.. are the slacks."""
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + 1))
+    tab[:m, :n] = a
+    tab[:m, n] = 1
+    tab[m, :n] = -1
+    rowvar, colvar = np.arange(n, n + m), np.arange(n)
+    for _ in range(max_pivots):
+        enter = np.flatnonzero(tab[m, :n] < -_EPS)
+        if not enter.size:
+            break
+        s = enter[colvar[enter].argmin()]
+        col = tab[:, s].copy()
+        ratio = np.divide(tab[:m, n], col[:m], out=np.full(m, np.inf), where=col[:m] > _EPS)
+        ties = np.flatnonzero(ratio <= ratio.min() + _EPS)
+        r = ties[rowvar[ties].argmin()]
+        pivot = tab[r] / col[r]
+        tab -= np.outer(col, pivot)
+        tab[r] = pivot
+        tab[:, s] = -col / col[r]
+        tab[r, s] = 1 / col[r]
+        rowvar[r], colvar[s] = colvar[s], rowvar[r]
+    tight = sorted(v - n for v in colvar.tolist() if v >= n)
+    return tight, sorted(v for v in rowvar.tolist() if v < n)
+
+
+def _packing_certificate(a: np.ndarray, tight: list[int], basic: list[int]):
+    """(y, pi, D) from B = a[tight, basic]: D = |det B|, and the ints y and
+    pi are D B^-1 1 and D B^-T 1 (adjugate sums), rounded and padded with
+    zeros.  None when B is singular or too large for float rounding."""
+    b = a[np.ix_(tight, basic)]
+    det = abs(np.linalg.det(b))
+    if not 0.5 < det < 2.0**50:
+        return None
+    d = round(det)
+    inv = np.linalg.inv(b) * d
+    y, pi = [0] * a.shape[1], [0] * a.shape[0]
+    for j, v in zip(basic, np.rint(inv.sum(axis=1)).tolist()):
+        y[j] = int(v)
+    for i, v in zip(tight, np.rint(inv.sum(axis=0)).tolist()):
+        pi[i] = int(v)
+    return y, pi, d
+
+
+def _proves_packing(rows: list[list[int]], y: list[int], pi: list[int], d: int) -> bool:
+    """Weak LP duality in integers: y/d is feasible for max sum y s.t.
+    rows.y <= 1, y >= 0, pi/d for its dual min sum pi s.t. rows^T pi >= 1,
+    pi >= 0, and their objectives are equal, so both are optimal."""
+    return (
+        d > 0
+        and min(y) >= 0
+        and all(sum(x * v for x, v in zip(row, y)) <= d for row in rows)
+        and min(pi) >= 0
+        and all(sum(p * x for p, x in zip(pi, col)) >= d for col in zip(*rows))
+        and sum(y) == sum(pi)
+    )
 
 
 def is_positive_definite(matrix: list[list[Fraction]]) -> bool:

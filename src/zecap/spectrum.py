@@ -11,8 +11,11 @@ Two spectrum points are computed:
   cached per graph and each requested tolerance is checked against it.
 
 * The fractional clique cover number, as the exact rational optimum of
-  the covering LP over maximal cliques (computed through its equal-value
-  dual with a fraction-free Bland-rule simplex in integers).
+  the covering LP over maximal cliques.  It is computed through the
+  equal-value packing dual: a float simplex proposes an optimal basis, and
+  its clique weights and fractional independent set are proved optimal by
+  an integer duality check; the fraction-free Bland-rule simplex in
+  integers runs only when that proof fails.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import creal
 from .alpha import LadderValue, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
-from .exact import is_positive_definite, simplex_max
+from .exact import is_positive_definite, packing_optimum, simplex_max
 from .graphs import Graph
 
 THETA_MAX_VERTICES = 64
@@ -109,6 +112,9 @@ def fractional_clique_cover(
     x >= 0, over maximal cliques; solved as the equal-value packing dual
     max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal clique, which has
     a feasible slack start.  Strong LP duality makes the optima equal.
+    exact.packing_optimum proves the optimum from a float-proposed basis:
+    integer clique weights pi and vertex weights y over a common D, both
+    feasible and of equal sum.  simplex_max runs only when that proof fails.
     """
     if g.n == 0:
         return UpperBound(KIND_CLIQUE_COVER, Fraction(0), Fraction(0), Fraction(0))
@@ -119,7 +125,9 @@ def fractional_clique_cover(
         )
     cliques = maximal_cliques(g, max_cliques)
     rows = [[cl >> v & 1 for v in range(g.n)] for cl in cliques]
-    value, _ = simplex_max([1] * g.n, rows, [1] * len(rows))
+    value = packing_optimum(rows)
+    if value is None:
+        value, _ = simplex_max([1] * g.n, rows, [1] * len(rows))
     return UpperBound(KIND_CLIQUE_COVER, value, value, Fraction(0))
 
 

@@ -117,6 +117,151 @@ class TestCliqueCover:
             fractional_clique_cover(edgeless_graph(25))
 
 
+def clique_rows(g: Graph) -> list[list[int]]:
+    return [[cl >> v & 1 for v in range(g.n)] for cl in maximal_cliques(g)]
+
+
+def exact_chif(g: Graph) -> Fraction:
+    rows = clique_rows(g)
+    return exact.simplex_max([1] * g.n, rows, [1] * len(rows))[0]
+
+
+# One lie per condition of exact._proves_packing: (rows, y, pi, d), each
+# claiming a value other than the optimum and failing that condition alone.
+LIES = {
+    "d > 0": ([[1, 1]], [0, 0], [0], 0),  # 0/0
+    "y >= 0": ([[1, 1, 0], [0, 1, 1]], [2, -1, 2], [2, 1], 1),  # path P3: 3, not 2
+    "rows.y <= d": ([[1, 1]], [1, 1], [2], 1),  # K2: 2, not 1
+    # rows^T pi = 1 holds with sum 0: the free-sign dual is unbounded below
+    "pi >= 0": ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], [0, 0, 0], [-1, -1, -1, 3], 1),
+    "rows^T pi >= d": ([[1, 1, 0], [0, 1, 1]], [0, 0, 0], [0, 0], 1),  # the slack basis
+    "sum y = sum pi": ([[1, 1, 0], [0, 1, 1]], [1, 0, 0], [1, 1], 1),  # P3: 1, not 2
+}
+
+
+def failed_conditions(rows, y, pi, d) -> set[str]:
+    """The conditions of LIES that (y, pi, d) fails, checked one by one."""
+    holds = {
+        "d > 0": d > 0,
+        "y >= 0": min(y) >= 0,
+        "rows.y <= d": all(sum(a * b for a, b in zip(row, y)) <= d for row in rows),
+        "pi >= 0": min(pi) >= 0,
+        "rows^T pi >= d": all(sum(p * a for p, a in zip(pi, col)) >= d for col in zip(*rows)),
+        "sum y = sum pi": sum(y) == sum(pi),
+    }
+    return {name for name, ok in holds.items() if not ok}
+
+
+def unreachable(*args):
+    raise AssertionError("simplex_max reached")
+
+
+class TestCliqueCoverCertificate:
+    """The float-proposed, integer-checked fast path of the clique cover."""
+
+    CLOSED = {"C5": Fraction(5, 2), "C7": Fraction(7, 2), "S+C5": Fraction(7, 2),
+              "K3*E2": Fraction(2), "K1": Fraction(1), "E6": Fraction(6)}
+    # values of seeded G(n, 1/2) from simplex_max alone
+    RANDOM = {16: Fraction(4), 20: Fraction(5), 24: Fraction(43, 7)}
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch) -> list[int]:
+        """Counts the calls that reach spectrum.simplex_max."""
+        calls = []
+
+        def counted(c, rows, rhs):
+            calls.append(len(rows))
+            return exact.simplex_max(c, rows, rhs)
+
+        monkeypatch.setattr(spectrum, "simplex_max", counted)
+        return calls
+
+    def test_hot_path_proves_without_the_simplex(self, monkeypatch):
+        from zecap.cli import parse_graph
+
+        monkeypatch.setattr(spectrum, "simplex_max", unreachable)
+        for expr, value in self.CLOSED.items():
+            assert fractional_clique_cover(parse_graph(expr)).value == value, expr
+        for n, value in self.RANDOM.items():
+            assert fractional_clique_cover(random_graph(random.Random(n), n)).value == value, n
+
+    def test_sweep_matches_the_exact_simplex(self, rng):
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 20), rng.choice((0.2, 0.5, 0.8)))
+            assert exact.packing_optimum(clique_rows(g)) == exact_chif(g)
+
+    @pytest.mark.parametrize("condition", list(LIES))
+    def test_each_lie_fails_its_condition(self, condition):
+        assert failed_conditions(*LIES[condition]) == {condition}
+        assert not exact._proves_packing(*LIES[condition])
+
+    def test_lies_fall_back_to_the_exact_value(self, monkeypatch, fallbacks):
+        # the lies on clique matrices: P3 and K2 in maximal_cliques order
+        exercised = 0
+        for condition, (rows, y, pi, d) in LIES.items():
+            g = Graph.from_edges(len(y), [(u, v) for u, v in combinations(range(len(y)), 2)
+                                          if any(r[u] and r[v] for r in rows)])
+            if clique_rows(g) != rows:
+                continue
+            monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=(y, pi, d): cert)
+            fallbacks.clear()
+            assert fractional_clique_cover(g).value == exact_chif(g), condition
+            assert fallbacks == [len(rows)], condition
+            exercised += 1
+        assert exercised == len(LIES) - 1
+
+    def test_perturbed_certificates_are_rejected(self, monkeypatch, fallbacks):
+        g = random_graph(random.Random(20), 20)
+        rows = clique_rows(g)
+        a = np.array(rows, dtype=float)
+        y, pi, d = exact._packing_certificate(a, *exact._packing_basis(a, 10_000))
+        assert exact._proves_packing(rows, y, pi, d)
+        j, i = y.index(max(y)), pi.index(max(pi))
+        lies = [
+            ([*y[:j], y[j] + 1, *y[j + 1:]], pi, d),
+            ([*y[:j], y[j] - 1, *y[j + 1:]], pi, d),
+            (y, [*pi[:i], pi[i] - 1, *pi[i + 1:]], d),
+            (y, [2 * p for p in pi], d),  # a dual that is feasible but not optimal
+            (y, pi, d + 1),
+            (y, pi, d - 1),
+            ([0] * g.n, [0] * len(rows), 1),  # the slack basis
+        ]
+        for n_lie, cert in enumerate(lies):
+            assert not exact._proves_packing(rows, *cert), n_lie
+            monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=cert: cert)
+            fallbacks.clear()
+            assert fractional_clique_cover(g).value == self.RANDOM[20], n_lie
+            assert fallbacks == [len(rows)], n_lie
+
+    def test_early_bases_are_rejected(self, monkeypatch, fallbacks):
+        # every basis before Bland's rule stops, the slack basis first, is
+        # feasible but not optimal: its dual pi is infeasible
+        basis = exact._packing_basis
+        for g in (cycle_graph(7), random_graph(random.Random(16), 16)):
+            a = np.array(clique_rows(g), dtype=float)
+            want = exact_chif(g)
+            pivots = next(k for k in range(1, 200) if basis(a, k) == basis(a, k + 1))
+            assert pivots >= 7
+            for k in range(pivots):
+                monkeypatch.setattr(exact, "_packing_basis", lambda a, cap, k=k: basis(a, k))
+                fallbacks.clear()
+                assert fractional_clique_cover(g).value == want, k
+                assert fallbacks == [len(a)], k
+            monkeypatch.setattr(exact, "_packing_basis", basis)
+            fallbacks.clear()
+            assert fractional_clique_cover(g).value == want and fallbacks == []
+
+    def test_many_cliques(self, monkeypatch):
+        # complete 6-partite K_{3,...,3}: 3^6 = 729 maximal cliques on 18
+        # vertices.  The condensed tableau holds 730 x 19 floats, where
+        # simplex_max holds 730 x 748 Python ints.
+        g = complete_graph(3)
+        for _ in range(5):
+            g = disjoint_union(g, complete_graph(3))
+        monkeypatch.setattr(spectrum, "simplex_max", unreachable)
+        assert fractional_clique_cover(complement(g)).value == 3
+
+
 class TestTheta:
     def test_interval_contract(self, pentagon):
         b = lovasz_theta(pentagon, TOL)
