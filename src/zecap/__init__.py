@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .alpha import (
     IndependentSetWitness,
     LadderValue,
-    alpha,
     ladder,
     solve_alpha,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "ZecapError",
     "ZeroErrorCode",
     "add",
-    "alpha",
     "asymptotic_leq_bounded",
     "capacity_bounds",
     "channel_from_csv",

@@ -6,19 +6,18 @@ vertices are renumbered so that bit i is the i-th vertex of a smallest-last
 (degeneracy) order of the complement, which tightens the coloring bound;
 witnesses are mapped back to the caller's labels.  A vertex-transitive
 graph has a maximum independent set through every vertex, so when the graph
-carries the ``transitive`` flag the search branches only from bit 0:
-alpha(G) = 1 + alpha(G - N[v]).  Cycles, complete and edgeless graphs set
-the flag, complements keep it and strong products (hence strong powers and
-the ladder's squares) set it when both factors have it; every other graph
-is searched in full.  The same constructions also label their vertices
-(``graphs.orbit_labels``) so that equal labels relative to the root lie in
-one orbit of the root's stabilizer.  On such a graph the root branch uses
-orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program.
-2011): once the candidate v is searched, every candidate labelled as v is
-dropped with it, since an automorphism fixing the root maps its sets onto
-v's.  Deeper levels drop only the searched vertex.  Budgets are counted in
-node expansions; running out raises BudgetError carrying the best set found
-so far, never a silent claim of optimality.
+has a construction recipe (``Graph.recipe``: cycles, complete and edgeless
+graphs, and their complements and strong products, hence strong powers and
+the ladder's squares) the search branches only from bit 0:
+alpha(G) = 1 + alpha(G - N[v]).  Every other graph is searched in full.
+The recipe also labels the vertices (``graphs.orbit_labels``) so that equal
+labels relative to the root lie in one orbit of the root's stabilizer, and
+the root branch uses orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Program. 2011): once the candidate v is searched, every
+candidate labelled as v is dropped with it, since an automorphism fixing the
+root maps its sets onto v's.  Deeper levels drop only the searched vertex.
+Budgets are counted in node expansions; running out raises BudgetError
+carrying the best set found so far, never a silent claim of optimality.
 
 ``PowerLadder`` is the one source of alpha(g^(2^k)), the lower side of the
 capacity: it squares each power, warm-starts from the squared best set and
@@ -36,8 +35,6 @@ import numpy as np
 from . import creal
 from .errors import BudgetError, InputError
 from .graphs import Graph, orbit_labels, require_product_fits, strong_product, vertex_budget
-
-DEFAULT_VERTEX_CAP = 1 << 16
 
 
 @dataclass
@@ -149,7 +146,7 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph, np.ndarray]:
 def _root_orbits(g: Graph, order: list[int]) -> list[int] | None:
     """Entry i: the renumbered vertices whose label relative to the root
     order[0], bit 0, is that of renumbered vertex i, as a mask; None when g
-    is unlabelled."""
+    has no recipe."""
     labels = orbit_labels(g, order[0])
     if labels is None:
         return None
@@ -224,17 +221,19 @@ def solve_alpha(
     def found() -> IndependentSetWitness:
         return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
 
+    orbits = _root_orbits(g, order)
     try:
-        if g.transitive:
-            # some maximum independent set contains any given vertex, so
-            # search only the sets through bit 0; the incumbent already has
-            # size >= 1, so nothing is lost when bit 0 has no non-neighbor
-            # an automorphism fixing bit 0 maps the sets through bit 0 and
-            # v onto those through bit 0 and any vertex labelled as v, so the
-            # root call drops v's whole label class once v is searched
-            expand([0], comp[0], _root_orbits(g, order))
-        else:
+        if orbits is None:
             expand([], full)
+        else:
+            # g is vertex-transitive, so some maximum independent set
+            # contains any given vertex: search only the sets through bit 0;
+            # the incumbent already has size >= 1, so nothing is lost when
+            # bit 0 has no non-neighbor.  An automorphism fixing bit 0 maps
+            # the sets through bit 0 and v onto those through bit 0 and any
+            # vertex labelled as v, so the root call drops v's whole label
+            # class once v is searched
+            expand([0], comp[0], orbits)
     except _OutOfNodes:
         raise BudgetError(
             f"alpha node budget {node_budget} exhausted; best found {best['size']}",
@@ -243,21 +242,6 @@ def solve_alpha(
             reason="node budget",
         ) from None
     return found(), budget.used
-
-
-def alpha(
-    g: Graph,
-    node_budget: int | None = None,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-) -> IndependentSetWitness:
-    """Maximum independent set with a verified witness."""
-    if g.n > max_vertices:
-        raise BudgetError(
-            f"alpha solver capped at {max_vertices} vertices, got {g.n}",
-            reason="vertex budget",
-        )
-    witness, _ = solve_alpha(g, node_budget)
-    return witness
 
 
 def greedy_clique_cover(g: Graph) -> int:

@@ -47,26 +47,20 @@ class Graph:
     are expected to hand in symmetric, loop-free masks; the cheap invariants
     are checked here, symmetry is the builder's job (see ``from_edges``).
 
-    ``transitive`` is a promise that the graph is vertex-transitive, made
-    only by constructors where that holds by construction (cycles, complete
-    and edgeless graphs, and their complements and strong products).  The
-    alpha solver uses it to search a single root branch.  ``False`` is always
-    safe, and equality and hashing ignore the flag.
-
-    ``orbits`` describes how the graph was built, so that ``orbit_labels``
-    can label its vertices relative to a root: vertices with equal labels
-    lie in one orbit of the root's stabilizer in the automorphism group.
-    Labels may split an orbit, which only costs the alpha solver speed; they
-    never merge two.  Only cycles, complete and edgeless graphs, and their
-    complements and strong products set it (each of them is also flagged
-    transitive); ``None`` means unlabelled.  Equality and hashing ignore it.
+    ``recipe`` records how the graph was built, as an expression over the
+    labelled constructions (see "stabilizer orbit labels" below): cycles,
+    complete and edgeless graphs, and their complements and strong
+    products.  Each of them is vertex-transitive, and ``orbit_labels``
+    labels its vertices relative to a root so that vertices with equal
+    labels lie in one orbit of the root's stabilizer in the automorphism
+    group.  Labels may split an orbit, which only costs the alpha solver
+    speed; they never merge two.  Every other graph has recipe ``None`` and
+    is searched in full.  Equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "masks", "transitive", "orbits", "_hash")
+    __slots__ = ("n", "masks", "recipe", "_hash")
 
-    def __init__(
-        self, n: int, masks: tuple[int, ...], transitive: bool = False, orbits=None
-    ):
+    def __init__(self, n: int, masks: tuple[int, ...], recipe=None):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         if len(masks) != n:
@@ -78,8 +72,7 @@ class Graph:
                 raise InputError(f"vertex {v} has a loop")
         self.n = n
         self.masks = tuple(masks)
-        self.transitive = transitive
-        self.orbits = orbits
+        self.recipe = recipe
         self._hash = hash((n, self.masks))
 
     @staticmethod
@@ -176,12 +169,12 @@ def decode(index: int) -> Graph:
 
 
 def edgeless_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n, transitive=True, orbits=("E", n))
+    return Graph(n, (0,) * n, ("E", n))
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), transitive=True, orbits=("K", n))
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), ("K", n))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -189,7 +182,7 @@ def cycle_graph(n: int) -> Graph:
     if n < 1:
         raise InputError("cycle needs at least one vertex")
     masks = tuple((1 << (v + 1) % n | 1 << (v - 1) % n) & ~(1 << v) for v in range(n))
-    return Graph(n, masks, transitive=True, orbits=("C", n))
+    return Graph(n, masks, ("C", n))
 
 
 def single_vertex() -> Graph:
@@ -203,8 +196,8 @@ def single_vertex() -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    orbits = None if g.orbits is None else ("co", g.orbits)  # labels as g's
-    return Graph(g.n, masks, transitive=g.transitive, orbits=orbits)  # same automorphisms
+    recipe = None if g.recipe is None else ("co", g.recipe)  # same automorphisms, labels as g's
+    return Graph(g.n, masks, recipe)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -231,10 +224,10 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             row = pattern * closed_h[b]
             row ^= 1 << (a * nh + b)  # drop the vertex itself
             masks.append(row)
-    orbits = None
-    if g.orbits is not None and h.orbits is not None:
-        orbits = ("x", _coordinates(g.orbits) + _coordinates(h.orbits))
-    return Graph(g.n * nh, tuple(masks), transitive=g.transitive and h.transitive, orbits=orbits)
+    recipe = None
+    if g.recipe is not None and h.recipe is not None:
+        recipe = ("x", _coordinates(g.recipe) + _coordinates(h.recipe))
+    return Graph(g.n * nh, tuple(masks), recipe)
 
 
 def require_product_fits(vertices: int, cap: int) -> None:
@@ -287,7 +280,7 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # ---------------------------------------------------------------------------
 # stabilizer orbit labels
 #
-# ``Graph.orbits`` is an expression over the labelled constructions, with
+# ``Graph.recipe`` is an expression over the labelled constructions, with
 # complements and strong products folded in:
 #   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
 #   ("co", d)                     complement of d
@@ -296,6 +289,9 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # Equal expressions build equal graphs.  Each construction's labels are kept
 # by a vertex-transitive group of automorphisms acting on root and vertex
 # together, which is what lets a product sort the labels of equal factors.
+# A leaf without such a group, say one labelled by vertex index, would make
+# that sort unsound: in C5 x C5 with root (0, 1), (2, 3) and (3, 2) would
+# share a label, yet they share 1 and 2 neighbours with the root.
 
 
 def _coordinates(d) -> tuple:
@@ -336,12 +332,12 @@ def _labels(d, root: int) -> list:
 
 
 def orbit_labels(g: Graph, root: int) -> list | None:
-    """Labels of g's vertices relative to root, or None if g is unlabelled.
+    """Labels of g's vertices relative to root, or None if g has no recipe.
 
     Two vertices with equal labels are mapped to each other by some
     automorphism of g that fixes root.
     """
-    return None if g.orbits is None else _labels(g.orbits, root)
+    return None if g.recipe is None else _labels(g.recipe, root)
 
 
 # ---------------------------------------------------------------------------

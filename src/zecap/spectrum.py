@@ -38,6 +38,7 @@ CHIF_MAX_VERTICES = 24
 CHIF_MAX_CLIQUES = 10_000
 _GRID_BITS = 40  # rational certificates live on a 2^-40 grid
 _GRID = 1 << _GRID_BITS
+_LOWER_BITS = 48  # sandwich reads each ladder root to within 2^-48 from below
 
 KIND_THETA = "lovasz_theta"
 KIND_CLIQUE_COVER = "fractional_clique_cover"
@@ -341,7 +342,6 @@ def sandwich(
     tol,
     node_budget: int | None = None,
     max_power_vertices: int | None = None,
-    precision_bits: int = 48,
 ) -> BoundsReport:
     """Ladder lower bounds plus both upper bounds, with errors aggregated.
 
@@ -370,7 +370,7 @@ def sandwich(
     lower = Fraction(0)
     lower_real = None
     for step in steps:
-        cand = step.root.lower_bound(precision_bits)
+        cand = step.root.lower_bound(_LOWER_BITS)
         if cand >= lower:
             lower = cand
             lower_real = step.root

@@ -13,7 +13,6 @@ from zecap import (
     BUDGET_EXHAUSTED,
     HALTED,
     VALUE,
-    alpha,
     capacity_bounds,
     confusability_graph,
     cycle_graph,
@@ -30,6 +29,7 @@ from zecap import (
     sandwich,
     semidecide_gt,
     single_vertex,
+    solve_alpha,
     squeeze_capacity,
     strassen_axiom_suite,
     strong_product,
@@ -142,7 +142,7 @@ def test_criterion_4_semidecision_soundness_sweep():
         budget = 10**4
         for index in range(index_offset(5)):
             g = decode(index)
-            a = alpha(g).size
+            a = solve_alpha(g)[0].size
             below = Fraction(2 * a - 1, 2)  # alpha - 1/2
             lam_below = from_rational(below)
             out = semidecide_gt(g, lam_below, budget, lambda_expr=str(below))

@@ -1,6 +1,5 @@
 """Threshold semi-decision, enumeration, grid localization, interval squeeze."""
 
-import importlib
 import math
 from fractions import Fraction
 
@@ -33,14 +32,13 @@ from zecap import (
     strong_power,
     strong_product,
 )
+import zecap.alpha as alpha_module
+import zecap.decide as decide_module
 from zecap.alpha import PowerLadder, greedy_clique_cover, solve_alpha
 from zecap.decide import _level_test
 from zecap.graphs import Graph, is_isomorphic
 
 from conftest import brute_alpha, random_graph, recursive_alpha
-
-decide_module = importlib.import_module("zecap.decide")
-alpha_module = importlib.import_module("zecap.alpha")
 
 
 def fraction_level_test(alpha_power, lam, k, n):

@@ -134,9 +134,9 @@ class TestConstructors:
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
-def flagged_bases() -> list[Graph]:
-    """Every constructor that sets the transitive flag, small sizes, and
-    the complements of those graphs."""
+def recipe_bases() -> list[Graph]:
+    """Every constructor that sets a recipe, small sizes, and the
+    complements of those graphs."""
     bases = [cycle_graph(n) for n in range(1, 9)]
     bases += [complete_graph(n) for n in range(1, 7)]
     bases += [edgeless_graph(n) for n in range(1, 7)]
@@ -145,7 +145,7 @@ def flagged_bases() -> list[Graph]:
 
 
 class TestTransitiveFlag:
-    """The flag lets the alpha solver search one root branch, so it must
+    """A recipe lets the alpha solver search one root branch, so it must
     never be set on a graph that is not vertex-transitive."""
 
     def test_oracle_rejects_non_transitive_graphs(self):
@@ -158,12 +158,12 @@ class TestTransitiveFlag:
         assert is_vertex_transitive(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
 
     def test_flagged_bases_are_transitive(self):
-        for g in flagged_bases():
-            assert g.transitive
+        for g in recipe_bases():
+            assert g.recipe is not None
             assert is_vertex_transitive(g), g
 
     def test_flagged_products_are_transitive(self, rng):
-        bases = flagged_bases()
+        bases = recipe_bases()
         products = [
             strong_product(g, h) for g in bases for h in bases if 2 <= g.n * h.n <= 30
         ]
@@ -173,28 +173,28 @@ class TestTransitiveFlag:
             strong_product(strong_product(cycle_graph(3), complete_graph(2)), edgeless_graph(2)),
         ]
         for g in products:
-            assert g.transitive
+            assert g.recipe is not None
             assert is_vertex_transitive(g), g
 
     def test_flagged_powers_are_transitive(self):
-        for g in flagged_bases():
+        for g in recipe_bases():
             for k in range(2, 6):
                 if g.n ** k > 30:
                     break
                 p = strong_power(g, k)
-                assert p.transitive
+                assert p.recipe is not None
                 assert is_vertex_transitive(p), (g, k)
 
     def test_flag_needs_both_factors(self):
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert not strong_product(cycle_graph(5), path).transitive
-        assert not strong_product(path, cycle_graph(5)).transitive
-        assert not complement(path).transitive
+        assert strong_product(cycle_graph(5), path).recipe is None
+        assert strong_product(path, cycle_graph(5)).recipe is None
+        assert complement(path).recipe is None
 
     def test_other_constructors_leave_it_unset(self):
         c5 = cycle_graph(5)
-        unflagged = [
-            disjoint_union(c5, c5),  # transitive, but not flagged by construction
+        no_recipe = [
+            disjoint_union(c5, c5),  # transitive, but has no recipe
             decode(encode(c5)),
             Graph.from_edges(5, c5.edges()),
             graph_from_bitstring(graph_to_bitstring(c5)),
@@ -203,20 +203,18 @@ class TestTransitiveFlag:
             parse_graph(str(encode(c5))),
             parse_graph("C5+C5"),
         ]
-        for g in unflagged:
+        for g in no_recipe:
             assert g == c5 or g == disjoint_union(c5, c5)
-            assert not g.transitive
-            assert g.orbits is None and orbit_labels(g, 0) is None
-        assert parse_graph("C5^2*K2").transitive
+            assert g.recipe is None and orbit_labels(g, 0) is None
+        assert parse_graph("C5^2*K2").recipe is not None
 
     def test_equality_and_hash_ignore_the_flag(self):
-        for g in flagged_bases():
+        for g in recipe_bases():
             plain = Graph(g.n, g.masks)
-            assert not plain.transitive
+            assert g.recipe is not None and plain.recipe is None
             assert plain == g and g == plain
             assert hash(plain) == hash(g)
             assert len({plain, g}) == 1
-            assert g.orbits is not None and plain.orbits is None
 
 
 def labelled_cases() -> list[Graph]:
@@ -289,21 +287,14 @@ class TestOrbitLabels:
         c3, k2, e2 = cycle_graph(3), complete_graph(2), edgeless_graph(2)
         left = strong_product(strong_product(c3, k2), e2)
         right = strong_product(c3, strong_product(k2, e2))
-        assert left == right and left.orbits == right.orbits
-        assert strong_power(c3, 4).orbits == strong_product(strong_power(c3, 2), strong_power(c3, 2)).orbits
+        assert left == right and left.recipe == right.recipe
+        assert strong_power(c3, 4).recipe == strong_product(strong_power(c3, 2), strong_power(c3, 2)).recipe
         for g in (c3, k2, e2, strong_power(c3, 2)):
             for r in range(g.n):
                 assert orbit_labels(complement(g), r) == orbit_labels(g, r)
         co = complement(strong_power(c3, 2))
         # a complemented product is one coordinate of a product, not two
-        assert len(strong_product(co, c3).orbits[1]) == 2
-
-    def test_hand_flagged_graphs_are_unlabelled(self):
-        c5 = cycle_graph(5)
-        g = Graph(5, c5.masks, transitive=True)
-        assert g.transitive and orbit_labels(g, 0) is None
-        assert strong_product(g, c5).orbits is None
-        assert complement(g).orbits is None
+        assert len(strong_product(co, c3).recipe[1]) == 2
 
 
 class TestStrongProduct:
