@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 from .alpha import (
     IndependentSetWitness,
     LadderValue,
+    PowerLadder,
     ladder,
     solve_alpha,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "IndependentSetWitness",
     "InputError",
     "LadderValue",
+    "PowerLadder",
     "SqueezeResult",
     "UpperBound",
     "VALUE",

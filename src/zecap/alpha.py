@@ -21,8 +21,9 @@ carrying the best set found so far, never a silent claim of optimality.
 
 ``PowerLadder`` is the one source of alpha(g^(2^k)), the lower side of the
 capacity: it squares each power, warm-starts from the squared best set and
-closes the levels past the clique-cover bound.  ``ladder`` and the decision
-procedures in ``decide`` both read their levels from it.
+closes the levels past the clique-cover bound.  ``ladder``, the capacity
+bracket in ``spectrum`` and the decision procedures in ``decide`` all read
+their levels from it.
 """
 
 from __future__ import annotations
@@ -345,20 +346,17 @@ class PowerLadder:
 
 
 def ladder(
-    g: Graph,
-    m_max: int,
-    node_budget: int | None = None,
-    max_power_vertices: int | None = None,
+    powers: PowerLadder, m_max: int, node_budget: int | None = None
 ) -> list[LadderValue]:
-    """Ladder levels 0..m_max: alpha(g^(2^m))^(1/2^m), nondecreasing in m.
+    """Ladder levels 0..m_max of powers.graph: alpha(g^(2^m))^(1/2^m),
+    nondecreasing in m.
 
-    The levels come from one ``PowerLadder``.  The node budget is a shared
-    pool across levels.  On exhaustion the BudgetError carries the levels
-    already certified.
+    The node budget is a shared pool across levels; a level the ladder
+    already holds is reused and charged the nodes it took.  On exhaustion
+    the BudgetError carries the levels already certified.
     """
     if m_max < 0:
         raise InputError("ladder level must be nonnegative")
-    powers = PowerLadder(g, max_power_vertices)
     values: list[LadderValue] = []
     pool = node_budget
     for m in range(m_max + 1):

@@ -181,11 +181,9 @@ def max_zero_error_code(
 class ChannelCapacityReport:
     """Capacity sandwich on both scales: codebook growth and bits per use."""
 
-    channel: Channel
-    graph: Graph
     bounds: BoundsReport
     log2_lower: float
-    log2_upper: float | None
+    log2_upper: float
 
 
 def capacity_bounds(
@@ -195,19 +193,10 @@ def capacity_bounds(
     node_budget: int | None = None,
     max_power_vertices: int | None = None,
 ) -> ChannelCapacityReport:
-    g = confusability_graph(ch)
-    report = sandwich(g, m_max, tol, node_budget, max_power_vertices)
+    """The confusability graph's sandwich; log2 upper is at most log2 of the inputs."""
+    report = sandwich(confusability_graph(ch), m_max, tol, node_budget, max_power_vertices)
     log2_lower = _log2_fraction(report.lower) if report.lower > 0 else 0.0
-    log2_upper = (
-        _log2_fraction(report.upper) if report.upper is not None else None
-    )
-    return ChannelCapacityReport(
-        channel=ch,
-        graph=g,
-        bounds=report,
-        log2_lower=log2_lower,
-        log2_upper=log2_upper,
-    )
+    return ChannelCapacityReport(report, log2_lower, _log2_fraction(report.capped_upper()))
 
 
 def _log2_fraction(q: Fraction) -> float:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .alpha import IndependentSetWitness, ladder, solve_alpha
+from .alpha import IndependentSetWitness, PowerLadder, ladder, solve_alpha
 from .channel import (
     Channel,
     capacity_bounds,
@@ -240,6 +240,16 @@ def _ladder_json(levels) -> list[dict]:
     ]
 
 
+def _interval_json(lower: Fraction, upper: Fraction | None) -> dict:
+    return {
+        "lower": frac_str(lower),
+        "lower_decimal": decimal_string(lower, 12),
+        "upper": None if upper is None else frac_str(upper),
+        "upper_decimal": None if upper is None else decimal_string(upper, 12),
+        "width": None if upper is None else frac_str(upper - lower),
+    }
+
+
 def _bounds_json(report: BoundsReport) -> dict:
     theta = None
     if report.theta is not None:
@@ -251,18 +261,11 @@ def _bounds_json(report: BoundsReport) -> dict:
     cover = None
     if report.clique_cover is not None:
         cover = {"value": frac_str(report.clique_cover.hi)}
-    width = report.width()
     return {
-        "lower": frac_str(report.lower),
-        "lower_decimal": decimal_string(report.lower, 12),
+        **_interval_json(report.lower, report.upper),
         "lower_real": None
         if report.lower_real is None
         else real_json(report.lower_real),
-        "upper": None if report.upper is None else frac_str(report.upper),
-        "upper_decimal": None
-        if report.upper is None
-        else decimal_string(report.upper, 12),
-        "width": None if width is None else frac_str(width),
         "theta": theta,
         "clique_cover": cover,
         "ladder": _ladder_json(report.ladder),
@@ -421,7 +424,7 @@ def _cmd_ladder(args, inputs):
     g = _graph_input(inputs)
     code = 0
     try:
-        levels = ladder(g, args.m_max, args.node_budget, args.power_cap)
+        levels = ladder(PowerLadder(g, args.power_cap), args.m_max, args.node_budget)
         results = {"levels": _ladder_json(levels)}
     except BudgetError as e:
         levels = list(e.partial or [])
@@ -583,13 +586,11 @@ def _cmd_capacity(args, inputs):
     tol = _tol_input(inputs)
     report = capacity_bounds(ch, args.m_max, tol, args.node_budget, args.power_cap)
     return {
-        "graph": graph_json(report.graph),
+        "graph": graph_json(report.bounds.graph),
         "theta_scale": _bounds_json(report.bounds),
         "log2_scale": {
             "lower": round(report.log2_lower, 12),
-            "upper": None
-            if report.log2_upper is None
-            else round(report.log2_upper, 12),
+            "upper": round(report.log2_upper, 12),
         },
     }, 3 if report.bounds.errors else 0
 
@@ -632,11 +633,7 @@ def _cmd_squeeze(args, inputs):
     )
     return {
         "status": result.status,
-        "lower": frac_str(result.lower),
-        "upper": frac_str(result.upper),
-        "width": frac_str(result.width()),
-        "lower_decimal": decimal_string(result.lower, 12),
-        "upper_decimal": decimal_string(result.upper, 12),
+        **_interval_json(result.lower, result.upper),
         "rounds_used": result.rounds_used,
     }, 0 if result.status == VALUE else 3
 

@@ -32,21 +32,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import creal
-# solve_alpha and strong_power go unused here; perfbench/spans.py's REQUIRED_SITES pins them
-from .alpha import PowerLadder, ladder as alpha_ladder, solve_alpha
-from .errors import BudgetError, ConvergenceError, InputError
-from .graphs import (
-    ISO_MAX_VERTICES,
-    Graph,
-    decode,
-    encode,
-    is_isomorphic,
-    power_fits,
-    strong_power,
-)
-from .spectrum import fractional_clique_cover, lovasz_theta, sandwich
+from .alpha import PowerLadder
+from .errors import BudgetError, InputError
+from .graphs import ISO_MAX_VERTICES, Graph, decode, encode, is_isomorphic, power_fits
+from .spectrum import BoundsReport, sandwich
+
+# unused here; perfbench/spans.py's REQUIRED_SITES pins these bindings
+from .alpha import ladder as alpha_ladder, solve_alpha
+from .graphs import strong_power
+from .spectrum import lovasz_theta
 
 HALTED = "Halted"
 BUDGET_EXHAUSTED = "BudgetExhausted"
@@ -56,6 +53,7 @@ DEFAULT_POWER_CAP = 512
 DEFAULT_NODE_BUDGET = 20_000
 DEFAULT_LEVEL_CAP = 6  # 2^6-th powers of approximants stay cheap
 ENUM_POWER_CAP = 256
+LOCATE_MAX_CELLS = 1024  # cells a locate report may list
 
 
 def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
@@ -333,23 +331,31 @@ def locate_grid(
     g: Graph,
     resolution: int,
     tol=Fraction(1, 10**4),
-    m_max: int = 1,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> GridCell:
-    """Locate the capacity among the 2^(2M) dyadic cells at resolution M."""
+    """Locate the capacity among the 2^(2M) dyadic cells at resolution M.
+
+    The bracket is the sandwich at ladder level 1.  More than
+    ``LOCATE_MAX_CELLS`` cells is a BudgetError, raised before any is listed.
+    """
     if resolution < 0:
         raise InputError("resolution must be nonnegative")
     if (1 << resolution) < g.n:
         raise InputError(
             f"resolution 2^{resolution} cannot cover a graph on {g.n} vertices"
         )
-    report = sandwich(g, m_max, tol, node_budget=node_budget)
-    lower = report.lower
-    upper = report.upper if report.upper is not None else Fraction(g.n)
-    upper = min(upper, Fraction(g.n)) if g.n else Fraction(0)
+    report = sandwich(g, 1, tol, node_budget=node_budget)
+    lower, upper = report.lower, report.capped_upper()
     last = (1 << (2 * resolution)) - 1
     first_cell = min(_cell_of(lower, resolution), last)
     last_cell = min(_cell_of(upper, resolution), last)
+    count = last_cell - first_cell + 1
+    if count > LOCATE_MAX_CELLS:
+        raise BudgetError(
+            f"{count} cells at resolution {resolution}, above the cap of {LOCATE_MAX_CELLS}",
+            used=count,
+            reason="cell budget",
+        )
     return GridCell(
         resolution=resolution,
         cells=list(range(first_cell, last_cell + 1)),
@@ -382,45 +388,36 @@ def squeeze_capacity(
 ) -> SqueezeResult:
     """Shrink a certified capacity interval below width 2^-k_bits.
 
-    The plan is ladder level 0, the exact clique cover, theta once (its
-    interval is certified once per graph, so a smaller tolerance could
-    only fail), then ladder levels 1, 2, ... while their powers fit.  The
-    interval is monotone in the budget: more rounds only ever shrink it.
+    One round is one refinement of one ``BoundsReport``: ladder level 0, the
+    exact clique cover, theta once (its interval is certified once per
+    graph, so a smaller tolerance could only fail), then ladder levels 1,
+    2, ... while their powers fit.  The bracket's one ``PowerLadder`` solves
+    each level at most once.  The upper end starts at the vertex count, and
+    the interval is monotone in the budget: more rounds only ever shrink it.
     """
     if k_bits < 0:
         raise InputError("width exponent must be nonnegative")
     if budget < 1:
         raise InputError("budget must be positive")
     target = Fraction(1, 1 << k_bits)
-    lower = Fraction(0)
-    upper = Fraction(g.n)
-    precision = k_bits + 4
+    bits = k_bits + 4
+    report = BoundsReport(PowerLadder(g, power_cap))
+
+    def plan():
+        yield partial(report.add_ladder, 0, node_budget, bits)
+        yield report.add_cover
+        yield partial(report.add_theta, target / 4)
+        level = 1
+        while power_fits(g.n, 1 << level, power_cap):
+            yield partial(report.add_ladder, level, node_budget, bits)
+            level += 1
 
     rounds = 0
-    plan: list[tuple[str, object]] = [("ladder", 0), ("cover", None), ("theta", target / 4)]
-    next_level = 1
-    while rounds < budget:
-        if upper - lower < target:
-            return SqueezeResult(VALUE, lower, upper, rounds)
-        if not plan:
-            if not power_fits(g.n, 1 << next_level, power_cap):
-                break
-            plan.append(("ladder", next_level))
-            next_level += 1
-        action, arg = plan.pop(0)
+    for refine in plan():
+        if rounds == budget or report.capped_upper() - report.lower < target:
+            break
+        refine()
         rounds += 1
-        try:
-            if action == "ladder":
-                steps = alpha_ladder(g, int(arg), node_budget, power_cap)
-                cand = steps[-1].root.lower_bound(precision)
-                lower = max(lower, cand)
-            elif action == "cover":
-                cover = fractional_clique_cover(g)
-                upper = min(upper, cover.hi)
-            elif action == "theta" and g.n > 0:
-                bound = lovasz_theta(g, arg)
-                upper = min(upper, bound.hi)
-        except (BudgetError, ConvergenceError):
-            continue  # a failed refinement leaves the interval as it was
-    status = VALUE if upper - lower < target else BUDGET_EXHAUSTED
-    return SqueezeResult(status, lower, upper, rounds)
+    upper = report.capped_upper()
+    status = VALUE if upper - report.lower < target else BUDGET_EXHAUSTED
+    return SqueezeResult(status, report.lower, upper, rounds)

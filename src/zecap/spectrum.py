@@ -16,6 +16,10 @@ Two spectrum points are computed:
   its clique weights and fractional independent set are proved optimal by
   an integer duality check; the fraction-free Bland-rule simplex in
   integers runs only when that proof fails.
+
+``BoundsReport`` is the capacity bracket: the independence ladder raises its
+lower end, and these two bounds lower its upper end.  ``sandwich`` runs it on
+a fixed plan; ``decide.squeeze_capacity`` on an adaptive one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import creal
-from .alpha import LadderValue, ladder as alpha_ladder
+from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
 from .graphs import Graph
@@ -38,7 +42,7 @@ CHIF_MAX_VERTICES = 24
 CHIF_MAX_CLIQUES = 10_000
 _GRID_BITS = 40  # rational certificates live on a 2^-40 grid
 _GRID = 1 << _GRID_BITS
-_LOWER_BITS = 48  # sandwich reads each ladder root to within 2^-48 from below
+_LOWER_BITS = 48  # the bracket reads ladder roots to within 2^-48 from below
 
 KIND_THETA = "lovasz_theta"
 KIND_CLIQUE_COVER = "fractional_clique_cover"
@@ -314,26 +318,78 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
 
 
 # ---------------------------------------------------------------------------
-# the two-sided sandwich
+# the capacity bracket
 
 
 @dataclass
 class BoundsReport:
-    """Everything the capacity sandwich produced for one graph."""
+    """A certified capacity bracket [lower, upper] of one graph, refined in place.
 
-    graph: Graph
-    ladder: list[LadderValue]
-    theta: UpperBound | None
-    clique_cover: UpperBound | None
-    lower: Fraction
-    lower_real: creal.CReal | None
-    upper: Fraction | None
+    ``lower`` comes only from the independence ladder (never from the theta
+    interval's low end, which bounds theta, not capacity); ``upper`` is the
+    least of the certified theta and clique-cover bounds, None before either
+    is found.  Each refinement only ever narrows the bracket.  A refinement
+    stopped by a budget or by the theta solver leaves the bracket as it was
+    and records the stop under ``errors``; any other exception propagates.
+    """
+
+    powers: PowerLadder
+    ladder: list[LadderValue] = field(default_factory=list)
+    theta: UpperBound | None = None
+    clique_cover: UpperBound | None = None
+    lower: Fraction = Fraction(0)
+    lower_real: creal.CReal | None = None
+    upper: Fraction | None = None
     errors: list[str] = field(default_factory=list)
 
+    @property
+    def graph(self) -> Graph:
+        return self.powers.graph
+
     def width(self) -> Fraction | None:
-        if self.upper is None:
-            return None
-        return self.upper - self.lower
+        return None if self.upper is None else self.upper - self.lower
+
+    def capped_upper(self) -> Fraction:
+        """upper capped at the vertex count, itself a capacity upper bound."""
+        n = Fraction(self.graph.n)
+        return n if self.upper is None else min(self.upper, n)
+
+    def add_ladder(self, m: int, node_budget: int | None = None, bits: int = _LOWER_BITS) -> None:
+        """Raise lower to the best ladder root up to level m, read to within
+        2^-bits from below; node_budget is the ladder's shared pool."""
+        try:
+            steps = alpha_ladder(self.powers, m, node_budget)
+        except BudgetError as e:
+            steps = e.partial
+            self.errors.append(f"ladder: {e}")
+        for step in steps[len(self.ladder):]:
+            cand = step.root.lower_bound(bits)
+            if cand >= self.lower:
+                self.lower, self.lower_real = cand, step.root
+        self.ladder = max(self.ladder, steps, key=len)
+
+    def add_theta(self, tol) -> None:
+        """Lower upper to the certified theta bound at tolerance tol."""
+        if self.graph.n == 0:
+            return  # theta is undefined; the clique cover gives 0
+        try:
+            self.theta = lovasz_theta(self.graph, tol)
+        except (BudgetError, ConvergenceError) as e:
+            self.errors.append(f"theta: {e}")
+            return
+        self._lower_upper(self.theta.hi)
+
+    def add_cover(self) -> None:
+        """Lower upper to the exact fractional clique cover number."""
+        try:
+            self.clique_cover = fractional_clique_cover(self.graph)
+        except (BudgetError, ConvergenceError) as e:
+            self.errors.append(f"clique cover: {e}")
+            return
+        self._lower_upper(self.clique_cover.hi)
+
+    def _lower_upper(self, bound: Fraction) -> None:
+        self.upper = bound if self.upper is None else min(self.upper, bound)
 
 
 def sandwich(
@@ -343,50 +399,9 @@ def sandwich(
     node_budget: int | None = None,
     max_power_vertices: int | None = None,
 ) -> BoundsReport:
-    """Ladder lower bounds plus both upper bounds, with errors aggregated.
-
-    Lower values come only from the independence ladder (never from the
-    theta interval's low end, which bounds theta, not capacity).
-    """
-    tol = Fraction(tol)
-    errors: list[str] = []
-    try:
-        steps = alpha_ladder(g, m_max, node_budget, max_power_vertices)
-    except BudgetError as e:
-        steps = list(e.partial or [])
-        errors.append(f"ladder: {e}")
-    theta_bound = None
-    if g.n > 0:
-        try:
-            theta_bound = lovasz_theta(g, tol)
-        except (BudgetError, ConvergenceError) as e:
-            errors.append(f"theta: {e}")
-    cover_bound = None
-    try:
-        cover_bound = fractional_clique_cover(g)
-    except BudgetError as e:
-        errors.append(f"clique cover: {e}")
-
-    lower = Fraction(0)
-    lower_real = None
-    for step in steps:
-        cand = step.root.lower_bound(_LOWER_BITS)
-        if cand >= lower:
-            lower = cand
-            lower_real = step.root
-    uppers = []
-    if theta_bound is not None:
-        uppers.append(theta_bound.hi)
-    if cover_bound is not None:
-        uppers.append(cover_bound.hi)
-    upper = min(uppers) if uppers else None
-    return BoundsReport(
-        graph=g,
-        ladder=steps,
-        theta=theta_bound,
-        clique_cover=cover_bound,
-        lower=lower,
-        lower_real=lower_real,
-        upper=upper,
-        errors=errors,
-    )
+    """The fixed plan: ladder levels 0..m_max, then theta, then the clique cover."""
+    report = BoundsReport(PowerLadder(g, max_power_vertices))
+    report.add_ladder(m_max, node_budget)
+    report.add_theta(tol)
+    report.add_cover()
+    return report

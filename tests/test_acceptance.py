@@ -13,6 +13,7 @@ from zecap import (
     BUDGET_EXHAUSTED,
     HALTED,
     VALUE,
+    PowerLadder,
     capacity_bounds,
     confusability_graph,
     cycle_graph,
@@ -114,7 +115,7 @@ def test_criterion_3_union_gap_needs_the_limit():
     ok = False
     try:
         g = disjoint_union(single_vertex(), cycle_graph(5))
-        levels = ladder(g, 1)
+        levels = ladder(PowerLadder(g), 1)
         assert [lv.alpha_value for lv in levels] == [3, 10]
         f1 = levels[1].root
 

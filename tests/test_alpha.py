@@ -351,7 +351,7 @@ class TestGreedyCliqueCover:
 
 class TestLadder:
     def test_pentagon_levels(self, pentagon):
-        values = ladder(pentagon, 1)
+        values = ladder(PowerLadder(pentagon), 1)
         assert [v.alpha_value for v in values] == [2, 5]
         assert values[0].root.approx(10) == 2
         # level-1 root is sqrt(5)
@@ -362,7 +362,7 @@ class TestLadder:
     def test_monotone_in_level(self, rng):
         for _ in range(10):
             g = random_graph(rng, 5)
-            values = ladder(g, 1)
+            values = ladder(PowerLadder(g), 1)
             r0 = values[0].root.approx(20)
             r1 = values[1].root.approx(20)
             assert r1 >= r0 - Fraction(2, 1 << 20)
@@ -376,7 +376,7 @@ class TestLadder:
                 perm = list(range(5))
                 rng.shuffle(perm)
                 g = relabel(pentagon, perm)
-            values = ladder(g, 1)
+            values = ladder(PowerLadder(g), 1)
             want = [brute_alpha(g), recursive_alpha(strong_product(g, g))]
             assert [v.alpha_value for v in values] == want
             closed += want[0] == greedy_clique_cover(g)
@@ -399,7 +399,7 @@ class TestLadder:
             return solve_alpha(power, *args, **kwargs)
 
         monkeypatch.setattr(alpha_module, "solve_alpha", counted)
-        values = ladder(g, len(levels) - 1, node_budget=1_000)
+        values = ladder(PowerLadder(g), len(levels) - 1, node_budget=1_000)
         assert [v.alpha_value for v in values] == levels
         assert seen == searched
 
@@ -409,7 +409,7 @@ class TestLadder:
             m = 2 if g.n <= 4 else 1
             powers = PowerLadder(g)
             want = [powers.solve(k) for k in range(m + 1)]
-            assert [v.alpha_value for v in ladder(g, m)] == want
+            assert [v.alpha_value for v in ladder(PowerLadder(g), m)] == want
             assert sorted(powers.alpha) == list(range(m + 1)) and not powers.stops
 
     def test_node_budget_stop_is_kept_and_the_next_level_tried(self, pentagon):
@@ -429,7 +429,7 @@ class TestLadder:
     def test_closed_level_keeps_the_vertex_budget_stop(self):
         g = strong_product(complete_graph(3), edgeless_graph(2))
         with pytest.raises(BudgetError) as exc:
-            ladder(g, 3, max_power_vertices=100)
+            ladder(PowerLadder(g, 100), 3)
         assert exc.value.reason == "vertex budget"
         assert str(exc.value) == (
             "ladder stopped before level 2: strong product needs 1296 vertices, budget is 100"
@@ -438,16 +438,16 @@ class TestLadder:
 
     def test_rejects_negative_level(self, pentagon):
         with pytest.raises(InputError):
-            ladder(pentagon, -1)
+            ladder(PowerLadder(pentagon), -1)
 
     def test_vertex_budget_stops_with_partial(self, pentagon):
         with pytest.raises(BudgetError) as exc:
-            ladder(pentagon, 3, max_power_vertices=100)
+            ladder(PowerLadder(pentagon, 100), 3)
         partial = exc.value.partial
         assert [v.alpha_value for v in partial] == [2, 5]
 
     def test_node_pool_shared_across_levels(self, pentagon):
         with pytest.raises(BudgetError) as exc:
-            ladder(pentagon, 2, node_budget=30)
+            ladder(PowerLadder(pentagon), 2, node_budget=30)
         assert exc.value.reason == "node budget"
         assert isinstance(exc.value.partial, list)

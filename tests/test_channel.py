@@ -175,7 +175,7 @@ class TestZeroErrorCodes:
 class TestCapacityBounds:
     def test_pentagon_rates(self, pentagon_channel):
         report = capacity_bounds(pentagon_channel, 1, Fraction(1, 10**4))
-        assert report.graph == cycle_graph(5)
+        assert report.bounds.graph == cycle_graph(5)
         assert report.bounds.errors == []
         half_log5 = math.log2(5) / 2
         assert abs(report.log2_lower - half_log5) < 1e-3
@@ -195,3 +195,13 @@ class TestCapacityBounds:
         report = capacity_bounds(Channel(4, 4, rows), 1, Fraction(1, 10**4))
         assert abs(report.log2_lower - 2.0) < 1e-9
         assert abs(report.log2_upper - 2.0) < 1e-3
+
+    def test_log2_upper_is_capped_at_the_inputs(self):
+        # 70 inputs are past both the theta and the clique-cover vertex caps,
+        # but capacity <= 70 still holds
+        rows = tuple(
+            tuple(Fraction(int(y == x)) for y in range(70)) for x in range(70)
+        )
+        report = capacity_bounds(Channel(70, 70, rows), 1, Fraction(1, 10**4))
+        assert report.bounds.upper is None and len(report.bounds.errors) == 2
+        assert report.log2_lower == report.log2_upper == math.log2(70)

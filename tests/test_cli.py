@@ -71,10 +71,12 @@ def pentagon_json_file(tmp_path):
 
 
 class TestGolden:
-    def run_against(self, name: str, argv: list[str]):
+    def run_against(self, name: str, argv: list[str], expect_code: int = 0):
         code, report = run(argv)
-        assert code == 0
+        assert code == expect_code
         report["wall_time_s"] = 0.0
+        if report["command"] == "capacity":
+            report["inputs"]["channel"] = Path(report["inputs"]["channel"]).name
         expected = json.loads((GOLDEN / name).read_text())
         assert report == expected
 
@@ -97,6 +99,29 @@ class TestGolden:
             "enumerate_3_2.json",
             ["enumerate", "--lambda", "3/2", "--horizon", "10", "--stages", "12"],
         )
+
+    def test_squeeze(self):
+        self.run_against("squeeze_c5.json", ["squeeze", "--graph", "C5", "--K", "8"])
+
+    def test_squeeze_round_budget(self):
+        self.run_against(
+            "squeeze_s_c5_budget.json",
+            ["squeeze", "--graph", "S+C5", "--K", "4", "--budget", "15"],
+            expect_code=3,
+        )
+
+    def test_locate(self):
+        self.run_against("locate_s_c5.json", ["locate", "--graph", "S+C5", "--M", "3"])
+
+    def test_bounds_partial_ladder(self):
+        self.run_against(
+            "bounds_c5_power_cap.json",
+            ["bounds", "--graph", "C5", "--m", "3", "--power-cap", "100"],
+            expect_code=3,
+        )
+
+    def test_capacity(self, pentagon_csv_file):
+        self.run_against("capacity_pentagon.json", ["capacity", "--channel", pentagon_csv_file])
 
 
 class TestSchemaConformance:
@@ -285,6 +310,14 @@ class TestExitCodes:
         assert code == 3
         assert report["results"]["status"] == "Inconclusive"
         assert report["results"]["tests_used"] == 1000
+
+    def test_locate_cell_budget_is_exit_three(self):
+        # C7 at M = 20 would list 162,939 cells; the count is checked first
+        code, report = run(["locate", "--graph", "C7", "--M", "20"])
+        assert code == 3
+        assert report["results"]["reason"] == "cell budget"
+        assert report["results"]["used"] == 162_939
+        assert len(json.dumps(report, indent=2, sort_keys=True)) < 4096
 
     def test_squeeze_exhausted_is_exit_three(self):
         code, report = run(["squeeze", "--graph", "C5", "--K", "30", "--budget", "1"])

@@ -9,6 +9,7 @@ from zecap import (
     BUDGET_EXHAUSTED,
     HALTED,
     VALUE,
+    BudgetError,
     Certificate,
     DecisionOutcome,
     InputError,
@@ -35,7 +36,7 @@ from zecap import (
 import zecap.alpha as alpha_module
 import zecap.decide as decide_module
 from zecap.alpha import PowerLadder, greedy_clique_cover, solve_alpha
-from zecap.decide import _level_test
+from zecap.decide import LOCATE_MAX_CELLS, _level_test
 from zecap.graphs import Graph, is_isomorphic
 
 from conftest import brute_alpha, random_graph, recursive_alpha
@@ -401,6 +402,14 @@ class TestLocateGrid:
         cell = locate_grid(complete_graph(2), 1)
         assert cell.cells == [1]
 
+    def test_cell_count_is_capped_before_listing(self):
+        # C7's bracket [sqrt(10), theta] spans 162,939 cells of side 2^-20
+        with pytest.raises(BudgetError) as exc:
+            locate_grid(cycle_graph(7), 20)
+        assert exc.value.reason == "cell budget"
+        assert exc.value.used == 162_939
+        assert len(locate_grid(cycle_graph(7), 12).cells) <= LOCATE_MAX_CELLS
+
 
 class TestSqueeze:
     def test_pentagon_narrow_interval(self, pentagon):
@@ -430,16 +439,24 @@ class TestSqueeze:
 
     def test_theta_asked_once(self, pentagon, monkeypatch):
         # the theta interval is certified once per graph, so a second ask at
-        # a smaller tolerance could only return the same hi or fail
+        # a smaller tolerance could only return the same hi or fail; each
+        # ladder level is solved once, on one power ladder
         tols = []
+        sizes = []
 
         def counted(g, tol):
             tols.append(tol)
             return lovasz_theta(g, tol)
 
-        monkeypatch.setattr("zecap.decide.lovasz_theta", counted)
+        def solved(g, *args, **kwargs):
+            sizes.append(g.n)
+            return solve_alpha(g, *args, **kwargs)
+
+        monkeypatch.setattr("zecap.spectrum.lovasz_theta", counted)
+        monkeypatch.setattr("zecap.alpha.solve_alpha", solved)
         result = squeeze_capacity(disjoint_union(single_vertex(), pentagon), 4, budget=15)
         assert tols == [Fraction(1, 64)]
+        assert sizes == [6, 36]
         assert result.status == BUDGET_EXHAUSTED
         assert result.lower == Fraction(1617, 512)
         assert result.upper == Fraction(1779047184823, 549755813888)
@@ -450,7 +467,7 @@ class TestSqueeze:
         def broken(g):
             raise TypeError("broken refinement")
 
-        monkeypatch.setattr("zecap.decide.fractional_clique_cover", broken)
+        monkeypatch.setattr("zecap.spectrum.fractional_clique_cover", broken)
         with pytest.raises(TypeError, match="broken refinement"):
             squeeze_capacity(pentagon, 8)
 

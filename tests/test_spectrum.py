@@ -27,6 +27,7 @@ from zecap import (
     strong_power,
 )
 from zecap import exact, spectrum
+from zecap.alpha import PowerLadder
 from zecap.exact import is_positive_definite
 from zecap.graphs import Graph, complement, strong_product
 
@@ -427,6 +428,22 @@ class TestSandwich:
     def test_isolated_vertex(self):
         r = sandwich(single_vertex(), 1, Fraction(1, 10**4))
         assert r.lower == 1 and r.upper == 1
+
+    def test_refinements_never_widen_and_record_their_stops(self, pentagon):
+        r = BoundsReport(PowerLadder(pentagon, 100))
+        assert (r.lower, r.upper, r.capped_upper()) == (0, None, 5)
+        r.add_cover()
+        assert r.upper == Fraction(5, 2)
+        r.add_ladder(3)  # level 2 needs 625 vertices, over the cap
+        lower = r.lower
+        assert [v.alpha_value for v in r.ladder] == [2, 5] and 2 < lower < r.upper
+        r.add_theta(Fraction(1, 10**12))  # below the certified width: a solver stop
+        assert r.theta is None and r.upper == Fraction(5, 2)
+        r.add_theta(Fraction(1, 10**4))
+        assert r.theta is not None and r.upper == r.theta.hi < Fraction(5, 2)
+        r.add_ladder(0)  # levels already held: nothing changes
+        assert r.lower == lower and len(r.ladder) == 2
+        assert [e.split(":")[0] for e in r.errors] == ["ladder", "theta"]
 
 
 class TestUpperBoundType:
