@@ -1,7 +1,12 @@
 """Exact maximum independent set search and the capacity lower-bound ladder.
 
 The solver runs branch and bound on the complement (max clique) with a
-greedy coloring bound, all on bit-vector vertex sets.  Before the search the
+greedy coloring bound, all on bit-vector vertex sets.  Each node colors its
+candidates into one mask per color class and keeps only the classes above
+k_min = |best| - |R|: a vertex of lower color cannot beat the incumbent, so
+it would only be pruned (San Segundo, Rodriguez-Losada and Jimenez, Comput.
+Oper. Res. 2011, BBMC; Tomita and Kameda, J. Global Optim. 2007).  Branching
+walks the kept classes from the highest color down.  Before the search the
 vertices are renumbered so that bit i is the i-th vertex of a smallest-last
 (degeneracy) order of the complement, which tightens the coloring bound;
 witnesses are mapped back to the caller's labels.  A vertex-transitive
@@ -171,7 +176,8 @@ def solve_alpha(
     order, h, rows = _smallest_last(g)
     # clique search on the complement, in the renumbered labels
     full = (1 << n) - 1
-    comp = [full ^ (1 << v) ^ h.masks[v] for v in range(n)]
+    adj = h.masks
+    comp = [full ^ (1 << v) ^ adj[v] for v in range(n)]
 
     if initial and IndependentSetWitness(list(initial), len(initial)).verify(g):
         label = {v: i for i, v in enumerate(order)}
@@ -181,49 +187,57 @@ def solve_alpha(
     best = {"size": len(seed), "set": seed}
     budget = _Budget(node_budget)
 
-    if n + 16 > sys.getrecursionlimit():
-        sys.setrecursionlimit(n + 1000)
-
     def expand(r_list: list[int], p_mask: int, orbit=None):
         budget.spend()
-        # greedy coloring of p_mask in the complement graph: each color class
-        # is complement-independent, so any clique meets it at most once
-        order: list[int] = []
-        bounds: list[int] = []
+        # greedy coloring of p_mask in the complement graph, one mask per
+        # class: each class is complement-independent, so any clique meets
+        # it at most once.  A vertex colored at most k_min cannot beat the
+        # incumbent, which never shrinks, so only the classes above it are kept
+        depth = len(r_list)
+        k_min = best["size"] - depth
+        classes: list[int] = []
         color = 0
         p = p_mask
         while p:
             color += 1
             q = p
+            cls = 0
             while q:
                 lsb = q & -q
-                v = lsb.bit_length() - 1
-                q &= ~(comp[v] | lsb)
-                p ^= lsb
-                order.append(v)
-                bounds.append(color)
+                cls |= lsb
+                q &= adj[lsb.bit_length() - 1]  # drops lsb and its complement neighbors
+            p ^= cls
+            if color > k_min:
+                classes.append(cls)
+        # branch from the highest color down, each class from its top bit
         sub = p_mask
-        for i in range(len(order) - 1, -1, -1):
-            if len(r_list) + bounds[i] <= best["size"]:
-                return
-            v = order[i]
-            if orbit is not None and not sub >> v & 1:
-                continue  # dropped with an earlier candidate's orbit
-            r_list.append(v)
-            new_p = sub & comp[v]
-            if new_p:
-                expand(r_list, new_p)
-            elif len(r_list) > best["size"]:
-                best["size"] = len(r_list)
-                best["set"] = list(r_list)
-            r_list.pop()
-            sub &= ~(1 << v) if orbit is None else ~orbit[v]
+        for cls in reversed(classes):
+            while cls:
+                if depth + color <= best["size"]:
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                if orbit is not None and not sub >> v & 1:
+                    continue  # dropped with an earlier candidate's orbit
+                r_list.append(v)
+                new_p = sub & comp[v]
+                if new_p:
+                    expand(r_list, new_p)
+                elif len(r_list) > best["size"]:
+                    best["size"] = len(r_list)
+                    best["set"] = list(r_list)
+                r_list.pop()
+                sub &= ~(1 << v) if orbit is None else ~orbit[v]
+            color -= 1
 
     def found() -> IndependentSetWitness:
         return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
 
     orbits = _root_orbits(g, order)
+    limit = sys.getrecursionlimit()
     try:
+        if n + 16 > limit:
+            sys.setrecursionlimit(n + 1000)
         if orbits is None:
             expand([], full)
         else:
@@ -242,6 +256,8 @@ def solve_alpha(
             used=budget.used,
             reason="node budget",
         ) from None
+    finally:
+        sys.setrecursionlimit(limit)  # the limit is process-wide
     return found(), budget.used
 
 

@@ -54,6 +54,7 @@ DEFAULT_NODE_BUDGET = 20_000
 DEFAULT_LEVEL_CAP = 6  # 2^6-th powers of approximants stay cheap
 ENUM_POWER_CAP = 256
 LOCATE_MAX_CELLS = 1024  # cells a locate report may list
+LOCATE_MAX_RESOLUTION = 4096  # cell indices below 2^8192 print in 2,467 digits
 
 
 def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
@@ -338,8 +339,8 @@ def locate_grid(
     The bracket is the sandwich at ladder level 1.  More than
     ``LOCATE_MAX_CELLS`` cells is a BudgetError, raised before any is listed.
     """
-    if resolution < 0:
-        raise InputError("resolution must be nonnegative")
+    if not 0 <= resolution <= LOCATE_MAX_RESOLUTION:
+        raise InputError(f"resolution must be in 0..{LOCATE_MAX_RESOLUTION}, got {resolution}")
     if (1 << resolution) < g.n:
         raise InputError(
             f"resolution 2^{resolution} cannot cover a graph on {g.n} vertices"

@@ -6,16 +6,20 @@ partitions into cliques for clique covers, bijections for automorphisms —
 or by the textbook method (the one-vertex recurrence for independence
 numbers, a Fraction tableau for the simplex, a bitmask rescan for the
 greedy seed), so the optimized solvers are always checked against
-something that cannot share their bugs.
+something that cannot share their bugs.  ``reference_solve_alpha`` is no
+oracle: it is the alpha search with its coloring written out per vertex, so
+a faster coloring can be checked to build the same tree.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from zecap import Graph, Channel, cycle_graph
+from zecap import BudgetError, Graph, Channel, IndependentSetWitness, cycle_graph
+from zecap.alpha import _greedy_seed, _root_orbits, _smallest_last
 from zecap.exact import UnboundedError
 
 
@@ -166,6 +170,85 @@ def reference_greedy_seed(g: Graph) -> list[int]:
         chosen.append(best_v)
         alive &= ~(g.masks[best_v] | (1 << best_v))
     return chosen
+
+
+def reference_solve_alpha(g: Graph, node_budget=None, initial=None):
+    """The solver's search tree with its coloring written out per vertex.
+
+    Same set-up as ``solve_alpha`` (renumbering, seed, warm start, root
+    orbits), but each node colors its whole candidate set into a list of
+    vertices and a parallel list of colors, and branches over that list
+    backwards.  Returns (witness, nodes_used) or raises the same
+    BudgetError, so the solver's tree can be compared node for node.
+    """
+    n = g.n
+    if n == 0:
+        return IndependentSetWitness([], 0), 0
+    order, h, rows = _smallest_last(g)
+    full = (1 << n) - 1
+    comp = [full ^ (1 << v) ^ h.masks[v] for v in range(n)]
+    if initial and IndependentSetWitness(list(initial), len(initial)).verify(g):
+        label = {v: i for i, v in enumerate(order)}
+        seed = [label[v] for v in initial]
+    else:
+        seed = _greedy_seed(h, rows)
+    best = {"size": len(seed), "set": seed}
+    used = 0
+
+    class OutOfNodes(Exception):
+        pass
+
+    def expand(r_list, p_mask, orbit=None):
+        nonlocal used
+        used += 1
+        if node_budget is not None and used > node_budget:
+            raise OutOfNodes()
+        vertices, bounds = [], []
+        color = 0
+        p = p_mask
+        while p:
+            color += 1
+            q = p
+            while q:
+                lsb = q & -q
+                v = lsb.bit_length() - 1
+                q &= ~(comp[v] | lsb)
+                p ^= lsb
+                vertices.append(v)
+                bounds.append(color)
+        sub = p_mask
+        for i in range(len(vertices) - 1, -1, -1):
+            if len(r_list) + bounds[i] <= best["size"]:
+                return
+            v = vertices[i]
+            if orbit is not None and not sub >> v & 1:
+                continue
+            r_list.append(v)
+            new_p = sub & comp[v]
+            if new_p:
+                expand(r_list, new_p)
+            elif len(r_list) > best["size"]:
+                best["size"] = len(r_list)
+                best["set"] = list(r_list)
+            r_list.pop()
+            sub &= ~(1 << v) if orbit is None else ~orbit[v]
+
+    def found():
+        return IndependentSetWitness(sorted(order[i] for i in best["set"]), best["size"])
+
+    orbits = _root_orbits(g, order)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, n + 1000))
+    try:
+        if orbits is None:
+            expand([], full)
+        else:
+            expand([0], comp[0], orbits)
+    except OutOfNodes:
+        raise BudgetError("node budget exhausted", partial=found(), used=used, reason="node budget") from None
+    finally:
+        sys.setrecursionlimit(limit)
+    return found(), used
 
 
 def reference_simplex_max(c, rows, rhs):

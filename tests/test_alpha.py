@@ -1,6 +1,7 @@
 """Exact independence number: brute-force oracle, witnesses, budgets, ladder."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from conftest import (
     random_graph,
     recursive_alpha,
     reference_greedy_seed,
+    reference_solve_alpha,
 )
 
 
@@ -262,6 +264,64 @@ class TestRootFix:
         assert w.size == 18 and w.verify(g) and used <= 2_000
 
 
+class TestTreeParity:
+    """The solver colors into one mask per class and keeps only the classes
+    that can beat the incumbent; it must build the same tree as the
+    per-vertex coloring of ``reference_solve_alpha``: the same witness in
+    the same number of nodes, and the same partial set at every stop."""
+
+    @staticmethod
+    def check(g: Graph, initial=None) -> int:
+        got = solve_alpha(g, initial=initial)
+        want = reference_solve_alpha(g, initial=initial)
+        assert got == want
+        used = got[1]
+        for budget in sorted({0, used // 2, used - 1}):
+            with pytest.raises(BudgetError) as exc:
+                solve_alpha(g, node_budget=budget, initial=initial)
+            with pytest.raises(BudgetError) as ref:
+                reference_solve_alpha(g, node_budget=budget, initial=initial)
+            assert exc.value.partial == ref.value.partial
+            assert exc.value.used == ref.value.used == budget + 1
+        return used
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_random_graphs(self, rng, p):
+        # the greedy seed is often optimal on these, so each graph is also
+        # solved from a one-vertex warm start, which leaves a larger tree
+        nodes = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 40), p)
+            nodes += self.check(g) + self.check(g, initial=[g.n - 1])
+        assert nodes > 100, nodes
+
+    def test_recipe_graphs(self, rng):
+        c5, c7 = cycle_graph(5), cycle_graph(7)
+        for g in (
+            strong_power(c5, 3),
+            strong_power(c7, 2),
+            strong_power(cycle_graph(9), 2),
+            strong_product(c7, complement(c7)),
+            strong_product(complete_graph(3), c5),
+            strong_product(edgeless_graph(2), strong_power(c5, 2)),
+            complement(strong_power(c5, 2)),
+        ):
+            assert g.recipe is not None
+            self.check(g)
+            self.check(g, initial=[g.n - 1])
+        for _ in range(30):
+            g = labelled_graph(rng)
+            self.check(g)
+            self.check(g, initial=[g.n - 1])
+
+    def test_warm_starts(self, pentagon):
+        g = strong_power(pentagon, 3)
+        w, _ = solve_alpha(g)
+        self.check(g, initial=w.vertices[:4])  # verified and kept
+        self.check(g, initial=[0, 1])  # an edge of g: rejected, greedy seed
+        self.check(g, initial=[g.n - 1])
+
+
 class TestAnchors:
     def test_families(self):
         assert solve_alpha(Graph(0, ()))[0].size == 0
@@ -332,6 +392,17 @@ class TestBudgets:
     def test_valid_warm_start_accepted(self, pentagon):
         w, _ = solve_alpha(pentagon, initial=[0, 2])
         assert w.size == 2
+
+    def test_recursion_limit_is_restored(self):
+        # a graph past the recursion limit raises it for the search only;
+        # the limit is process-wide
+        limit = sys.getrecursionlimit()
+        n = limit + 200
+        assert solve_alpha(edgeless_graph(n))[0].size == n
+        assert sys.getrecursionlimit() == limit
+        with pytest.raises(BudgetError):
+            solve_alpha(edgeless_graph(n), node_budget=0)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestGreedyCliqueCover:

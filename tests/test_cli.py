@@ -14,6 +14,7 @@ import pytest
 
 import zecap.cli
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
+from zecap.decide import LOCATE_MAX_RESOLUTION
 from zecap import (
     ConvergenceError,
     IndependentSetWitness,
@@ -227,6 +228,13 @@ class TestExitCodes:
         assert run(["channel-graph", "--channel", "/does/not/exist.csv"])[0] == 2
         assert run(["decide-gt", "--graph", "C5", "--lambda", "2", "--power-cap", "-1"])[0] == 2
         assert run(["preorder", "C5", "E2", "--max-vertices", "-1"])[0] == 2
+
+    def test_locate_resolution_past_the_maximum_is_exit_two(self):
+        # not an internal error from printing a cell count of over 4,300 digits
+        code, report = run(["locate", "--graph", "C5", "--M", "20000"])
+        assert code == 2 and report["results"]["kind"] == "input"
+        code, report = run(["locate", "--graph", "C5", "--M", str(LOCATE_MAX_RESOLUTION)])
+        assert code == 3 and report["results"]["reason"] == "cell budget"
 
     def test_budget_errors(self):
         code, report = run(["alpha", "--graph", "C5^2", "--node-budget", "1"])
