@@ -98,76 +98,3 @@ from .spectrum import (
     maximal_cliques,
     sandwich,
 )
-
-__all__ = [
-    "__version__",
-    "AsymptoticOutcome",
-    "AxiomReport",
-    "BoundsReport",
-    "BUDGET_EXHAUSTED",
-    "BudgetError",
-    "Certificate",
-    "Channel",
-    "ChannelCapacityReport",
-    "ConvergenceError",
-    "CReal",
-    "DecisionOutcome",
-    "EmittedGraph",
-    "EnumerationState",
-    "Graph",
-    "HALTED",
-    "GridCell",
-    "HomWitness",
-    "IndependentSetWitness",
-    "InputError",
-    "LadderValue",
-    "PowerLadder",
-    "SqueezeResult",
-    "UpperBound",
-    "VALUE",
-    "ZecapError",
-    "ZeroErrorCode",
-    "add",
-    "asymptotic_leq_bounded",
-    "capacity_bounds",
-    "channel_from_csv",
-    "channel_from_json",
-    "complement",
-    "complete_graph",
-    "confusability_graph",
-    "cycle_graph",
-    "decimal_string",
-    "decode",
-    "disjoint_union",
-    "edgeless_graph",
-    "encode",
-    "enumerate_gt",
-    "fractional_clique_cover",
-    "from_rational",
-    "graph_from_bitstring",
-    "graph_from_edgetext",
-    "graph_to_bitstring",
-    "index_offset",
-    "is_isomorphic",
-    "ladder",
-    "leq",
-    "lipschitz_constant",
-    "locate_grid",
-    "lovasz_theta",
-    "max_zero_error_code",
-    "maximal_cliques",
-    "parse_real",
-    "root_pow2",
-    "sandwich",
-    "semidecide_gt",
-    "semidecide_level",
-    "single_vertex",
-    "solve_alpha",
-    "sqrt_int",
-    "squeeze_capacity",
-    "strassen_axiom_suite",
-    "strong_power",
-    "strong_product",
-    "test_F",
-    "words_distinguishable",
-]

@@ -39,13 +39,15 @@ from .channel import (
     channel_from_json,
     confusability_graph,
 )
-from .creal import CReal, decimal_string, parse_real
+from .creal import CReal, decimal_string, parse_integer, parse_real
 from .decide import (
     Certificate,
     DEFAULT_NODE_BUDGET,
     DEFAULT_POWER_CAP,
+    ENUM_NODE_BUDGET,
     ENUM_POWER_CAP,
     HALTED,
+    SQUEEZE_ROUND_BUDGET,
     VALUE,
     enumerate_gt,
     locate_grid,
@@ -54,6 +56,7 @@ from .decide import (
 )
 from .errors import BudgetError, ConvergenceError, InputError
 from .graphs import (
+    INDEX_MAX_VERTICES,
     Graph,
     complete_graph,
     cycle_graph,
@@ -68,7 +71,14 @@ from .graphs import (
     strong_power,
     strong_product,
 )
-from .preorder import LEQ_MAX_VERTICES, asymptotic_leq_bounded, leq
+from .preorder import (
+    ASYM_SEARCH_BUDGET,
+    LEQ_MAX_VERTICES,
+    TEST_F_NODE_BUDGET,
+    TEST_F_POWER_CAP,
+    asymptotic_leq_bounded,
+    leq,
+)
 from .spectrum import BoundsReport, fractional_clique_cover, lovasz_theta, sandwich
 
 REAL_BITS = 48  # precision at which computable reals are reported
@@ -160,7 +170,7 @@ class _ExpressionParser:
             token = self.take()
             if not token.isdigit():
                 raise InputError(f"power exponent must be an integer, got {token!r}")
-            g = strong_power(g, int(token))
+            g = strong_power(g, parse_integer(token, "power exponent"))
         return g
 
     def atom(self) -> Graph:
@@ -171,7 +181,7 @@ class _ExpressionParser:
                 raise InputError("unbalanced parentheses in graph expression")
             return g
         if token.isdigit():
-            return decode(int(token))
+            return decode(parse_integer(token, "graph index"))
         return _named_graph(token)
 
 
@@ -182,7 +192,10 @@ def parse_graph(text: str) -> Graph:
         return graph_from_edgetext(stripped)
     if ":" in stripped:
         return graph_from_bitstring(stripped)
-    return _ExpressionParser(_tokenize(stripped)).parse()
+    try:
+        return _ExpressionParser(_tokenize(stripped)).parse()
+    except RecursionError:  # about 250 levels of parentheses
+        raise InputError("graph expression is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +207,13 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def real_json(x: CReal, bits: int = REAL_BITS) -> dict:
-    approx = x.approx(bits)
+def real_json(x: CReal) -> dict:
+    approx = x.approx(REAL_BITS)
     return {
         "decimal": decimal_string(approx, 12),
         "value": frac_str(approx),
-        "modulus": "0/1" if x.exact is not None else frac_str(Fraction(1, 1 << bits)),
-        "precision_bits": bits,
+        "modulus": "0/1" if x.exact is not None else frac_str(Fraction(1, 1 << REAL_BITS)),
+        "precision_bits": REAL_BITS,
         "description": x.description,
         "exact": x.exact is not None,
     }
@@ -273,6 +286,19 @@ def _bounds_json(report: BoundsReport) -> dict:
     }
 
 
+def _budget_json(e: BudgetError) -> dict:
+    """A budget stop: its reason, the amount used and an alpha search's best set."""
+    return {
+        "error": str(e),
+        "kind": "budget",
+        "reason": e.reason,
+        "used": e.used,
+        "partial": {"size": e.partial.size, "witness": sorted(e.partial.vertices)}
+        if isinstance(e.partial, IndependentSetWitness)
+        else None,
+    }
+
+
 def _write_ladder_csv(path: str, levels) -> None:
     lines = ["m,alpha,value"]
     for lv in levels:
@@ -318,7 +344,10 @@ def _tol_input(inputs: dict) -> Fraction:
         raise InputError(f"cannot parse tolerance {text!r}") from None
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    inputs["tol"] = frac_str(tol)
+    try:
+        inputs["tol"] = frac_str(tol)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise InputError(f"tolerance {text!r} has too many digits") from None
     return tol
 
 
@@ -328,15 +357,14 @@ def _lambda_input(inputs: dict) -> CReal:
     return lam
 
 
-def _channel_input(inputs: dict, fmt: str) -> Channel:
+def _channel_input(inputs: dict) -> Channel:
     path = inputs["channel"]
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise InputError(f"cannot read channel file {path!r}: {e}") from e
-    if fmt == "auto":
-        fmt = "json" if path.endswith(".json") or text.lstrip().startswith("{") else "csv"
-    ch = channel_from_json(text) if fmt == "json" else channel_from_csv(text)
+    is_json = path.endswith(".json") or text.lstrip().startswith("{")
+    ch = channel_from_json(text) if is_json else channel_from_csv(text)
     inputs.update(x_size=ch.x_size, y_size=ch.y_size)
     return ch
 
@@ -362,7 +390,6 @@ _FLAGS = {
     "--power-cap": dict(type=int, default=None, help="strong-power vertex cap"),
     "--csv": dict(help="also write the series to this CSV file"),
     "--channel": dict(required=True, help="channel file (CSV or JSON)"),
-    "--format": dict(choices=["auto", "csv", "json"], default="auto"),
 }
 _LADDER_NODE_BUDGET = _arg("--node-budget", type=int,
                            help="branch-and-bound node pool shared by the ladder levels")
@@ -398,6 +425,8 @@ def _command(name, summary, flags, inputs="", budgets="", **defaults):
           inputs="expression")
 def _cmd_encode(args, inputs):
     g = parse_graph(args.expression)
+    if g.n > INDEX_MAX_VERTICES:  # checked before the index is built
+        raise InputError(f"indices are printed up to {INDEX_MAX_VERTICES} vertices, got {g.n}")
     return {"index": encode(g), "graph": graph_json(g)}, 0
 
 
@@ -427,8 +456,8 @@ def _cmd_ladder(args, inputs):
         levels = ladder(PowerLadder(g, args.power_cap), args.m_max, args.node_budget)
         results = {"levels": _ladder_json(levels)}
     except BudgetError as e:
-        levels = list(e.partial or [])
-        results = {"levels": _ladder_json(levels), "error": str(e)}
+        levels = e.partial
+        results = {**_budget_json(e), "levels": _ladder_json(levels)}
         code = 3
     if args.csv:
         _write_ladder_csv(args.csv, levels)
@@ -503,7 +532,7 @@ def _cmd_decide_gt(args, inputs):
            _arg("--horizon", type=int, required=True, help="number of graphs admitted"),
            _arg("--stages", type=int, required=True, help="schedule stages to run")],
           inputs="lambda horizon stages", budgets="power_cap node_budget",
-          node_budget=200_000, power_cap=ENUM_POWER_CAP)
+          node_budget=ENUM_NODE_BUDGET, power_cap=ENUM_POWER_CAP)
 def _cmd_enumerate(args, inputs):
     state = enumerate_gt(
         _lambda_input(inputs),
@@ -551,11 +580,11 @@ def _cmd_preorder(args, inputs):
            _arg("--node-budget", type=int, help="node cap given afresh to each (n,k) test"),
            "--power-cap",
            _arg("--m", type=int, required=True, help="slack denominator"),
-           _arg("--budget", dest="search_budget", type=int, default=32,
+           _arg("--budget", dest="search_budget", type=int, default=ASYM_SEARCH_BUDGET,
                 help="number of (n,k) tests")],
           inputs="left_expression right_expression m",
           budgets="search_budget power_cap node_budget",
-          node_budget=2_000_000, power_cap=512)
+          node_budget=TEST_F_NODE_BUDGET, power_cap=TEST_F_POWER_CAP)
 def _cmd_asym_preorder(args, inputs):
     left = _graph_input(inputs, "left_expression", "left")
     right = _graph_input(inputs, "right_expression", "right")
@@ -571,18 +600,17 @@ def _cmd_asym_preorder(args, inputs):
     }, 0 if outcome.established else 3
 
 
-@_command("channel-graph", "confusability graph of a channel", ["--channel", "--format"],
-          inputs="channel")
+@_command("channel-graph", "confusability graph of a channel", ["--channel"], inputs="channel")
 def _cmd_channel_graph(args, inputs):
-    g = confusability_graph(_channel_input(inputs, args.format))
+    g = confusability_graph(_channel_input(inputs))
     return {"graph": graph_json(g)}, 0
 
 
 @_command("capacity", "zero-error capacity sandwich of a channel",
-          ["--channel", "--format", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap"],
+          ["--channel", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap"],
           inputs="channel m_max tol", budgets="node_budget power_cap")
 def _cmd_capacity(args, inputs):
-    ch = _channel_input(inputs, args.format)
+    ch = _channel_input(inputs)
     tol = _tol_input(inputs)
     report = capacity_bounds(ch, args.m_max, tol, args.node_budget, args.power_cap)
     return {
@@ -619,7 +647,7 @@ def _cmd_locate(args, inputs):
 @_command("squeeze", "shrink the capacity interval below 2^-K",
           ["--graph", _LADDER_NODE_BUDGET, "--power-cap",
            _arg("--K", type=int, required=True, help="target width exponent"),
-           _arg("--budget", dest="round_budget", type=int, default=16,
+           _arg("--budget", dest="round_budget", type=int, default=SQUEEZE_ROUND_BUDGET,
                 help="refinement rounds")],
           inputs="expression K", budgets="round_budget node_budget power_cap",
           node_budget=DEFAULT_NODE_BUDGET, power_cap=DEFAULT_POWER_CAP)
@@ -689,16 +717,7 @@ def run(argv=None) -> tuple[int, dict]:
     except InputError as e:
         results, code = {"error": str(e), "kind": "input"}, 2
     except BudgetError as e:
-        results = {
-            "error": str(e),
-            "kind": "budget",
-            "reason": e.reason,
-            "used": e.used,
-            "partial": {"size": e.partial.size, "witness": sorted(e.partial.vertices)}
-            if isinstance(e.partial, IndependentSetWitness)
-            else None,
-        }
-        code = 3
+        results, code = _budget_json(e), 3
     except ConvergenceError as e:
         results, code = {"error": str(e), "kind": "solver"}, 4
     except Exception as e:  # pragma: no cover - defensive

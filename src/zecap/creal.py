@@ -133,11 +133,19 @@ def parse_real(text: str) -> CReal:
         raise InputError("empty real expression")
     m = _SQRT_RE.match(t)
     if m:
-        return sqrt_int(int(m.group(1)))
+        return sqrt_int(parse_integer(m.group(1), "radicand"))
     m = _SUM_RE.match(t)
     if m:
-        return add(_parse_rational(m.group(1)), sqrt_int(int(m.group(2))))
+        return add(_parse_rational(m.group(1)), sqrt_int(parse_integer(m.group(2), "radicand")))
     return _parse_rational(t)
+
+
+def parse_integer(digits: str, what: str) -> int:
+    """A string of decimal digits as an int; too many digits is an InputError."""
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise InputError(f"{what} has {len(digits)} digits, too many to read") from None
 
 
 def _parse_rational(t: str) -> CReal:

@@ -37,7 +37,8 @@ from functools import partial
 from . import creal
 from .alpha import PowerLadder
 from .errors import BudgetError, InputError
-from .graphs import ISO_MAX_VERTICES, Graph, decode, encode, is_isomorphic, power_fits
+from .graphs import INDEX_MAX_VERTICES, ISO_MAX_VERTICES, Graph, decode, encode, is_isomorphic
+from .graphs import power_fits
 from .spectrum import BoundsReport, sandwich
 
 # unused here; perfbench/spans.py's REQUIRED_SITES pins these bindings
@@ -51,8 +52,11 @@ VALUE = "Value"
 
 DEFAULT_POWER_CAP = 512
 DEFAULT_NODE_BUDGET = 20_000
-DEFAULT_LEVEL_CAP = 6  # 2^6-th powers of approximants stay cheap
+LEVEL_CAP = 6  # 2^6-th powers of approximants stay cheap
 ENUM_POWER_CAP = 256
+ENUM_NODE_BUDGET = 200_000
+SQUEEZE_ROUND_BUDGET = 16
+SQUEEZE_MAX_EXPONENT = 4096  # interval ends on a 2^-4100 grid print in 1,235 digits
 LOCATE_MAX_CELLS = 1024  # cells a locate report may list
 LOCATE_MAX_RESOLUTION = 4096  # cell indices below 2^8192 print in 2,467 digits
 
@@ -88,7 +92,7 @@ def _level_test(
 class Certificate:
     """Exact arithmetic witnessing capacity > threshold at one level."""
 
-    graph_index: int
+    graph_index: int | None  # None above INDEX_MAX_VERTICES vertices
     lambda_expr: str
     level: int
     precision: int
@@ -115,9 +119,9 @@ class _LevelRun:
 
     __slots__ = ("level", "capped", "stepped", "next_n", "slope")
 
-    def __init__(self, level: int, level_cap: int):
+    def __init__(self, level: int):
         self.level = level
-        self.capped = level > level_cap  # past the level cap: never solved
+        self.capped = level > LEVEL_CAP  # past the level cap: never solved
         self.stepped = False
         self.next_n = 1
         self.slope: Fraction | None = None  # set at the first test, once alpha is known
@@ -136,7 +140,8 @@ class _LevelRun:
         sides = _level_test(alpha_value, lam, self.level, n, self.slope)
         if sides is None:
             return None
-        return Certificate(encode(powers.graph), expr, self.level, n, alpha_value, *sides)
+        index = encode(powers.graph) if powers.graph.n <= INDEX_MAX_VERTICES else None
+        return Certificate(index, expr, self.level, n, alpha_value, *sides)
 
     def stalled(self, powers: PowerLadder) -> str | None:
         """level cap / vertex budget / node budget, once a step has met it."""
@@ -161,7 +166,6 @@ def semidecide_level(
     step_budget: int,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     power_cap: int = DEFAULT_POWER_CAP,
-    level_cap: int = DEFAULT_LEVEL_CAP,
     lambda_expr: str = "",
 ) -> DecisionOutcome:
     """Run a single level for up to step_budget precision steps."""
@@ -170,7 +174,7 @@ def semidecide_level(
     if step_budget < 1:
         raise InputError("step budget must be positive")
     powers = PowerLadder(g, power_cap)
-    run = _LevelRun(level, level_cap)
+    run = _LevelRun(level)
     expr = lambda_expr or lam.description
     for step in range(1, step_budget + 1):
         cert = run.step(powers, node_budget, lam, expr)
@@ -186,7 +190,6 @@ def semidecide_gt(
     budget: int,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     power_cap: int = DEFAULT_POWER_CAP,
-    level_cap: int = DEFAULT_LEVEL_CAP,
     lambda_expr: str = "",
 ) -> DecisionOutcome:
     """Dovetail all levels; Halted certifies capacity(g) > threshold.
@@ -205,7 +208,7 @@ def semidecide_gt(
     stage = 0
     while steps_used < budget:
         stage += 1
-        runs.append(_LevelRun(stage - 1, level_cap))
+        runs.append(_LevelRun(stage - 1))
         for run in runs[:stage]:
             if steps_used >= budget:
                 break
@@ -245,8 +248,7 @@ def enumerate_gt(
     graph_horizon: int,
     stage_budget: int,
     power_cap: int = ENUM_POWER_CAP,
-    node_budget: int | None = 200_000,
-    level_cap: int = DEFAULT_LEVEL_CAP,
+    node_budget: int | None = ENUM_NODE_BUDGET,
     lambda_expr: str = "",
 ) -> EnumerationState:
     """Staged enumeration of graphs whose capacity exceeds the threshold.
@@ -287,7 +289,7 @@ def enumerate_gt(
         if stage <= graph_horizon:
             g = decode(stage - 1)
             top = 0  # the highest level up to the level cap whose power fits, or 0
-            while top < level_cap and power_fits(g.n, 1 << (top + 1), power_cap):
+            while top < LEVEL_CAP and power_fits(g.n, 1 << (top + 1), power_cap):
                 top += 1
             pending[stage] = ladder_of(g), top
         for slot in sorted(pending):
@@ -383,7 +385,7 @@ class SqueezeResult:
 def squeeze_capacity(
     g: Graph,
     k_bits: int,
-    budget: int = 16,
+    budget: int = SQUEEZE_ROUND_BUDGET,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     power_cap: int = DEFAULT_POWER_CAP,
 ) -> SqueezeResult:
@@ -398,6 +400,8 @@ def squeeze_capacity(
     """
     if k_bits < 0:
         raise InputError("width exponent must be nonnegative")
+    if k_bits > SQUEEZE_MAX_EXPONENT:
+        raise InputError(f"width exponent {k_bits} is above the maximum {SQUEEZE_MAX_EXPONENT}")
     if budget < 1:
         raise InputError("budget must be positive")
     target = Fraction(1, 1 << k_bits)

@@ -130,18 +130,34 @@ class Graph:
 # numbering
 
 
+# every index of a graph on at most 169 vertices prints in at most 4,274
+# digits, within Python's 4,300-digit int-to-str limit; some on 170 do not
+INDEX_MAX_VERTICES = 169
+
+
 def index_offset(n: int) -> int:
     """First numbering index occupied by graphs on exactly n vertices."""
     return sum(1 << ((j * j - j) // 2) for j in range(n))
 
 
+def _pair_bits(g: Graph) -> str:
+    """One adjacency bit per pair u < v: pair (0, 1) first, row-major."""
+    # row u holds neighbours u + 1.. lowest first; its top bit keeps the
+    # leading zeros and is cut off
+    return "".join(
+        format(g.masks[u] >> (u + 1) | 1 << (g.n - 1 - u), "b")[:0:-1] for u in range(g.n)
+    )
+
+
+def _from_pair_bits(n: int, bits: str) -> Graph:
+    """Inverse of ``_pair_bits`` for a string of (n^2 - n)/2 bits."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, (p for p, bit in zip(pairs, bits) if bit == "1"))
+
+
 def encode(g: Graph) -> int:
     """Numbering index of a labeled graph (arbitrary precision)."""
-    value = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            value = (value << 1) | (g.masks[u] >> v & 1)
-    return index_offset(g.n) + value
+    return index_offset(g.n) + int("0" + _pair_bits(g), 2)
 
 
 def decode(index: int) -> Graph:
@@ -151,17 +167,8 @@ def decode(index: int) -> Graph:
     n = 0
     while index_offset(n + 1) <= index:
         n += 1
-    value = index - index_offset(n)
-    nbits = (n * n - n) // 2
-    masks = [0] * n
-    pos = nbits - 1  # pair (0,1) holds the most significant bit
-    for u in range(n):
-        for v in range(u + 1, n):
-            if value >> pos & 1:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            pos -= 1
-    return Graph(n, tuple(masks))
+    # pair (0,1) holds the most significant bit
+    return _from_pair_bits(n, format(index - index_offset(n), f"0{(n * n - n) // 2}b"))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,8 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
     cap = vertex_budget(cap)
     if n_vertices <= 1:
         return True
-    if exponent * math.log2(n_vertices) > math.log2(cap) + 1e-12:
+    # n^exponent >= 2^exponent; that test first keeps a huge exponent out of the floats
+    if exponent > cap.bit_length() or exponent * math.log2(n_vertices) > math.log2(cap) + 1e-12:
         return False
     return n_vertices ** exponent <= cap
 
@@ -346,7 +354,7 @@ def orbit_labels(g: Graph, root: int) -> list | None:
 ISO_MAX_VERTICES = 10
 
 
-def is_isomorphic(g: Graph, h: Graph, max_vertices: int = ISO_MAX_VERTICES) -> bool:
+def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by backtracking; meant for small graphs."""
     if g.n != h.n:
         return False
@@ -356,9 +364,9 @@ def is_isomorphic(g: Graph, h: Graph, max_vertices: int = ISO_MAX_VERTICES) -> b
     hdeg = [h.degree(v) for v in range(h.n)]
     if sorted(gdeg) != sorted(hdeg):
         return False
-    if g.n > max_vertices:
+    if g.n > ISO_MAX_VERTICES:
         raise BudgetError(
-            f"isomorphism search capped at {max_vertices} vertices, got {g.n}",
+            f"isomorphism search capped at {ISO_MAX_VERTICES} vertices, got {g.n}",
             reason="vertex budget",
         )
     order = sorted(range(g.n), key=lambda v: -gdeg[v])
@@ -394,13 +402,7 @@ def is_isomorphic(g: Graph, h: Graph, max_vertices: int = ISO_MAX_VERTICES) -> b
 
 
 def graph_to_bitstring(g: Graph) -> str:
-    nbits = (g.n * g.n - g.n) // 2
-    bits = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            bits.append("1" if g.masks[u] >> v & 1 else "0")
-    assert len(bits) == nbits
-    return f"{g.n}:{''.join(bits)}"
+    return f"{g.n}:{_pair_bits(g)}"
 
 
 def graph_from_bitstring(text: str) -> Graph:
@@ -418,15 +420,7 @@ def graph_from_bitstring(text: str) -> Graph:
         raise InputError(
             f"bit-string for {n} vertices needs exactly {nbits} bits of 0/1, got {bits!r}"
         )
-    masks = [0] * n
-    pos = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if bits[pos] == "1":
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            pos += 1
-    return Graph(n, tuple(masks))
+    return _from_pair_bits(n, bits)
 
 
 def graph_from_edgetext(text: str) -> Graph:

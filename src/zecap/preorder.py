@@ -37,6 +37,7 @@ from .graphs import (
 LEQ_MAX_VERTICES = 12
 TEST_F_POWER_CAP = 512
 TEST_F_NODE_BUDGET = 2_000_000
+ASYM_SEARCH_BUDGET = 32
 
 
 @dataclass
@@ -269,7 +270,7 @@ def asymptotic_leq_bounded(
     g: Graph,
     h: Graph,
     m: int,
-    search_budget: int = 32,
+    search_budget: int = ASYM_SEARCH_BUDGET,
     power_cap: int = TEST_F_POWER_CAP,
     node_budget: int | None = TEST_F_NODE_BUDGET,
 ) -> AsymptoticOutcome:
@@ -334,7 +335,6 @@ def _label(*graphs: Graph) -> str:
 def strassen_axiom_suite(
     sample: Sequence[tuple[Graph, ...]],
     embed_max: int = 5,
-    max_vertices: int = LEQ_MAX_VERTICES,
     node_budget: int | None = None,
 ) -> AxiomReport:
     """Check the preorder laws on a sample of graph pairs and triples.
@@ -351,7 +351,7 @@ def strassen_axiom_suite(
 
     def related(x: Graph, y: Graph) -> bool | None:
         try:
-            return leq(x, y, max_vertices, node_budget).established
+            return leq(x, y, node_budget=node_budget).established
         except BudgetError as e:
             report.skipped.append(f"{_label(x, y)}: {e}")
             return None

@@ -106,11 +106,7 @@ def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
     return out
 
 
-def fractional_clique_cover(
-    g: Graph,
-    max_vertices: int = CHIF_MAX_VERTICES,
-    max_cliques: int = CHIF_MAX_CLIQUES,
-) -> UpperBound:
+def fractional_clique_cover(g: Graph) -> UpperBound:
     """Exact fractional clique cover number.
 
     Value of  min sum x_C  s.t. every vertex is covered with weight >= 1,
@@ -123,12 +119,12 @@ def fractional_clique_cover(
     """
     if g.n == 0:
         return UpperBound(KIND_CLIQUE_COVER, Fraction(0), Fraction(0), Fraction(0))
-    if g.n > max_vertices:
+    if g.n > CHIF_MAX_VERTICES:
         raise BudgetError(
-            f"clique cover capped at {max_vertices} vertices, got {g.n}",
+            f"clique cover capped at {CHIF_MAX_VERTICES} vertices, got {g.n}",
             reason="vertex budget",
         )
-    cliques = maximal_cliques(g, max_cliques)
+    cliques = maximal_cliques(g)
     rows = [[cl >> v & 1 for v in range(g.n)] for cl in cliques]
     value = packing_optimum(rows)
     if value is None:
@@ -370,26 +366,23 @@ class BoundsReport:
 
     def add_theta(self, tol) -> None:
         """Lower upper to the certified theta bound at tolerance tol."""
-        if self.graph.n == 0:
-            return  # theta is undefined; the clique cover gives 0
-        try:
-            self.theta = lovasz_theta(self.graph, tol)
-        except (BudgetError, ConvergenceError) as e:
-            self.errors.append(f"theta: {e}")
-            return
-        self._lower_upper(self.theta.hi)
+        if self.graph.n > 0:  # theta is undefined on the empty graph; the clique cover gives 0
+            self.theta = self._refine("theta", lovasz_theta, tol) or self.theta
 
     def add_cover(self) -> None:
         """Lower upper to the exact fractional clique cover number."""
-        try:
-            self.clique_cover = fractional_clique_cover(self.graph)
-        except (BudgetError, ConvergenceError) as e:
-            self.errors.append(f"clique cover: {e}")
-            return
-        self._lower_upper(self.clique_cover.hi)
+        cover = self._refine("clique cover", fractional_clique_cover)
+        self.clique_cover = cover or self.clique_cover
 
-    def _lower_upper(self, bound: Fraction) -> None:
-        self.upper = bound if self.upper is None else min(self.upper, bound)
+    def _refine(self, name: str, bound, *args) -> UpperBound | None:
+        """bound(graph, *args) with upper lowered to its hi, or None on a recorded stop."""
+        try:
+            found = bound(self.graph, *args)
+        except (BudgetError, ConvergenceError) as e:
+            self.errors.append(f"{name}: {e}")
+            return None
+        self.upper = found.hi if self.upper is None else min(self.upper, found.hi)
+        return found
 
 
 def sandwich(

@@ -14,7 +14,8 @@ import pytest
 
 import zecap.cli
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
-from zecap.decide import LOCATE_MAX_RESOLUTION
+from zecap.decide import LOCATE_MAX_RESOLUTION, SQUEEZE_MAX_EXPONENT
+from zecap.graphs import INDEX_MAX_VERTICES
 from zecap import (
     ConvergenceError,
     IndependentSetWitness,
@@ -28,6 +29,7 @@ from zecap import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+BIG = "1" * 5000  # past Python's 4,300-digit int-to-str limit
 
 PENTAGON_CSV = (
     "1/2,1/2,0,0,0\n"
@@ -236,6 +238,29 @@ class TestExitCodes:
         code, report = run(["locate", "--graph", "C5", "--M", str(LOCATE_MAX_RESOLUTION)])
         assert code == 3 and report["results"]["reason"] == "cell budget"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "--graph", BIG],
+            ["alpha", "--graph", f"C5^{BIG}"],
+            ["encode", "(" * 260 + "S" + ")" * 260],
+            ["decide-gt", "--graph", "C5", "--lambda", f"sqrt({BIG})"],
+            ["decide-gt", "--graph", "C5", "--lambda", f"1+sqrt({BIG})"],
+            ["theta-sdp", "--graph", "C5", "--tol", "1e-99999"],
+            ["bounds", "--graph", "C5", "--tol", "1e99999"],
+            ["squeeze", "--graph", "C5", "--K", "20000"],
+        ],
+        ids=["index", "exponent", "nesting", "sqrt", "1+sqrt", "tiny-tol", "huge-tol", "K"],
+    )
+    def test_oversized_input_is_exit_two(self, argv):
+        # neither an unreadable number nor deep nesting ends as "internal"
+        code, report = run(argv)
+        assert code == 2 and report["results"]["kind"] == "input"
+
+    def test_readable_huge_exponent_is_a_vertex_budget_stop(self):
+        code, report = run(["alpha", "--graph", "C5^" + "1" * 400])
+        assert code == 3 and report["results"]["reason"] == "vertex budget"
+
     def test_budget_errors(self):
         code, report = run(["alpha", "--graph", "C5^2", "--node-budget", "1"])
         assert code == 3
@@ -331,14 +356,21 @@ class TestExitCodes:
         code, report = run(["squeeze", "--graph", "C5", "--K", "30", "--budget", "1"])
         assert code == 3
         assert report["results"]["status"] == "BudgetExhausted"
+        code, report = run(["squeeze", "--graph", "C5", "--K", str(SQUEEZE_MAX_EXPONENT)])
+        assert code == 3 and report["results"]["status"] == "BudgetExhausted"
 
     def test_partial_ladder_is_exit_three(self):
         code, report = run(
             ["ladder", "--graph", "C5", "--m", "3", "--power-cap", "100"]
         )
         assert code == 3
-        assert [lv["alpha"] for lv in report["results"]["levels"]] == [2, 5]
-        assert "error" in report["results"]
+        r = report["results"]
+        assert [lv["alpha"] for lv in r["levels"]] == [2, 5]
+        assert "error" in r
+        # rendered like every other budget stop
+        assert (r["kind"], r["reason"], r["used"], r["partial"]) == (
+            "budget", "vertex budget", None, None
+        )
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -529,6 +561,24 @@ class TestDeterminism:
         parsed = json.loads(out)
         assert list(parsed) == sorted(parsed)
         assert parsed["command"] == "decode"
+
+    def test_encode_above_the_index_maximum_is_exit_two(self, capsys):
+        # the index of E200 has 5,931 digits; it is refused before it is built
+        code = main(["encode", "E200"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and report["results"]["kind"] == "input"
+        code = main(["encode", f"K{INDEX_MAX_VERTICES}"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["results"]["index"] == encode(complete_graph(INDEX_MAX_VERTICES))
+
+    @pytest.mark.parametrize("n, indexed", [(INDEX_MAX_VERTICES, True), (200, False)])
+    def test_certificate_index_is_null_above_the_maximum(self, capsys, n, indexed):
+        code = main(["decide-gt", "--graph", f"E{n}", "--lambda", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["results"]["status"] == "Halted"
+        index = report["results"]["certificate"]["graph_index"]
+        assert index == (encode(edgeless_graph(n)) if indexed else None)
 
     def test_module_entry_point(self):
         # `python -m zecap` runs __main__.py, which no in-process call reaches

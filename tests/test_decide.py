@@ -36,7 +36,7 @@ from zecap import (
 import zecap.alpha as alpha_module
 import zecap.decide as decide_module
 from zecap.alpha import PowerLadder, greedy_clique_cover, solve_alpha
-from zecap.decide import LOCATE_MAX_CELLS, _level_test
+from zecap.decide import LEVEL_CAP, LOCATE_MAX_CELLS, _level_test
 from zecap.graphs import Graph, is_isomorphic
 
 from conftest import brute_alpha, random_graph, recursive_alpha
@@ -137,11 +137,13 @@ class TestSemidecideGt:
             semidecide_gt(pentagon, from_rational(2), 0)
 
     def test_level_cap_stalls_only_a_stepped_level(self, pentagon):
-        # budget 4 schedules level 2 in stage 3 but runs out before its step
+        # stages 1-7 take 28 steps; stage 8 schedules level 7, one past the
+        # level cap of 6, as its 8th step: budget 35 runs out just before it
+        assert LEVEL_CAP == 6
         lam = sqrt_int(5)
-        early = semidecide_gt(pentagon, lam, 4, level_cap=1).progress[2]
+        early = semidecide_gt(pentagon, lam, 35).progress[7]
         assert early["stalled"] is None and early["last_precision"] == 0
-        late = semidecide_gt(pentagon, lam, 6, level_cap=1).progress[2]
+        late = semidecide_gt(pentagon, lam, 36).progress[7]
         assert late["stalled"] == "level cap" and late["alpha"] is None
 
     def test_progress_reports_stalls(self, pentagon):

@@ -105,6 +105,12 @@ class TestNumbering:
             g = random_graph(rng, rng.randint(0, 9))
             assert decode(encode(g)) == g
 
+    def test_bitstring_is_the_index_numeral(self, rng):
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(2, 12))
+            bits = graph_to_bitstring(g).partition(":")[2]
+            assert int(bits, 2) == encode(g) - index_offset(g.n)
+
 
 class TestConstructors:
     def test_families(self):
@@ -338,6 +344,7 @@ class TestStrongProduct:
         assert power_fits(1, 1 << 40, 10)
         assert not power_fits(2, 1 << 40, 1 << 30)
         assert power_fits(5, 4, 625)
+        assert not power_fits(5, 10**400, 1 << 20)  # past the float range
         assert not power_fits(5, 4, 624)
 
     def test_power_fits_rejects_a_cap_below_one(self):
