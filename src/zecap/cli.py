@@ -20,7 +20,6 @@ vertex), compositions with + (disjoint union), * (strong product),
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -28,7 +27,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 from .alpha import IndependentSetWitness, PowerLadder, ladder, solve_alpha
@@ -39,7 +39,7 @@ from .channel import (
     channel_from_json,
     confusability_graph,
 )
-from .creal import CReal, decimal_string, parse_integer, parse_real
+from .creal import CReal, check_exponent, decimal_string, parse_integer, parse_real
 from .decide import (
     Certificate,
     DEFAULT_NODE_BUDGET,
@@ -80,6 +80,9 @@ from .preorder import (
     leq,
 )
 from .spectrum import BoundsReport, fractional_clique_cover, lovasz_theta, sandwich
+
+if TYPE_CHECKING:
+    import argparse
 
 REAL_BITS = 48  # precision at which computable reals are reported
 
@@ -338,6 +341,7 @@ def _graph_input(inputs: dict, source: str = "expression", key: str = "graph") -
 
 def _tol_input(inputs: dict) -> Fraction:
     text = inputs["tol"]
+    check_exponent(text, "tolerance")
     try:
         tol = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -371,8 +375,8 @@ def _channel_input(inputs: dict) -> Channel:
 
 # ---------------------------------------------------------------------------
 # the command table: each subcommand is declared once, above its handler.
-# Report keys under ``inputs`` and ``budgets`` are argparse dests, recorded
-# by ``run`` before the handler runs.
+# Report keys under ``inputs`` and ``budgets`` are the table's dests,
+# recorded by ``run`` before the handler runs.
 
 
 def _arg(name: str, **kwargs) -> tuple[str, dict]:
@@ -670,31 +674,74 @@ def _cmd_squeeze(args, inputs):
 # parser assembly and the report envelope
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The zecap parser; with ``only``, a command name, just that subparser.
+def _specs(command: _Command) -> list[tuple[str, dict]]:
+    """(name, add_argument keywords) of each flag and positional."""
+    return [(flag, _FLAGS[flag]) if isinstance(flag, str) else flag for flag in command.flags]
 
-    The narrowed parser spells its command metavar out in full, so its usage
-    line, which argparse prints on an unrecognized argument, is the full one.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The zecap parser: the one source of help, usage and error text."""
+    import argparse  # here only: the success path reads argv off the table
+
     parser = argparse.ArgumentParser(
         prog="zecap",
         description="Exact lower bounds, certified upper bounds, and budgeted "
         "decision procedures for the zero-error capacity of graphs and channels.",
     )
     parser.add_argument("--version", action="version", version=f"zecap {__version__}")
-    if only is None:
-        names, metavar = list(_COMMANDS), None
-    else:
-        names, metavar = [only], "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        command = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.summary)
-        for flag in command.flags:
-            flag, kwargs = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+        for flag, kwargs in _specs(command):
             p.add_argument(flag, **kwargs)
         p.set_defaults(**command.defaults)
     return parser
+
+
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """argv read off the command table, as argparse would read it; or None.
+
+    Only exact flag names, each once with a value, and positionals in order
+    are read.  Anything else (``-h``, ``--version``, ``--x=v``, abbreviations,
+    ``--``, a value starting with ``-``, a repeat, a missing or extra
+    argument, a value its type refuses) is None: ``build_parser`` judges it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = _COMMANDS[argv[0]]
+    specs = _specs(command)
+    flags = {name for name, _ in specs if name.startswith("-")}
+    given: dict[str, str] = {}
+    free: list[str] = []
+    rest = iter(argv[1:])
+    for token in rest:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        value = next(rest, "-")  # a flag without a value is argparse's to judge
+        if token not in flags or token in given or value.startswith("-"):
+            return None
+        given[token] = value
+    positionals = [name for name, _ in specs if name not in flags]
+    if len(free) != len(positionals):
+        return None
+    given.update(zip(positionals, free))
+    args = SimpleNamespace(command=argv[0])
+    for name, kwargs in specs:
+        dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        if name in given:
+            value = given[name]
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = command.defaults.get(dest, kwargs.get("default"))
+        if isinstance(value, str):  # as argparse: given values and string defaults
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+        setattr(args, dest, value)
+    return args
 
 
 def run(argv=None) -> tuple[int, dict]:
@@ -705,9 +752,9 @@ def run(argv=None) -> tuple[int, dict]:
     """
     if argv is None:
         argv = sys.argv[1:]
-    # a call pays only for its own subparser; anything else gets them all
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    args = _table_args(argv)
+    if args is None:  # help, version and every argument error
+        args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     start = time.perf_counter()
     inputs = {name: getattr(args, name) for name in command.inputs}

@@ -148,7 +148,24 @@ def parse_integer(digits: str, what: str) -> int:
         raise InputError(f"{what} has {len(digits)} digits, too many to read") from None
 
 
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_DIGIT_LIMIT = 4300  # Python's default int-to-str digit limit
+
+
+def check_exponent(text: str, what: str) -> None:
+    """Refuse a decimal exponent past the int-to-str digit limit before
+    ``Fraction`` expands it in full: ``1e300000000`` is a 10^8-digit int."""
+    m = _EXPONENT_RE.search(text)
+    if m is None:
+        return
+    exponent = m.group(1).replace("_", "").lstrip("0")
+    # by length first: int() itself refuses a numeral past the limit
+    if len(exponent) > len(str(_DIGIT_LIMIT)) or int(exponent or "0") > _DIGIT_LIMIT:
+        raise InputError(f"{what} {text!r} has too many digits")
+
+
 def _parse_rational(t: str) -> CReal:
+    check_exponent(t, "real expression")
     try:
         return from_rational(Fraction(t))
     except (ValueError, ZeroDivisionError):

@@ -1,7 +1,10 @@
 """Command-line surface: golden reports, schema conformance, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -257,6 +260,22 @@ class TestExitCodes:
         code, report = run(argv)
         assert code == 2 and report["results"]["kind"] == "input"
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["decide-gt", "--graph", "C5", "--lambda", "1e3000000"], "real expression"),
+            (["theta-sdp", "--graph", "C5", "--tol", "1e-3000000"], "tolerance"),
+        ],
+        ids=["lambda", "tol"],
+    )
+    def test_long_decimal_exponent_is_refused_before_parsing(self, argv, what):
+        # Fraction would first expand 10^3,000,000 in full, over a second
+        start = time.perf_counter()
+        code, report = run(argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and report["results"]["kind"] == "input"
+        assert report["results"]["error"] == f"{what} {argv[-1]!r} has too many digits"
+
     def test_readable_huge_exponent_is_a_vertex_budget_stop(self):
         code, report = run(["alpha", "--graph", "C5^" + "1" * 400])
         assert code == 3 and report["results"]["reason"] == "vertex budget"
@@ -407,16 +426,128 @@ class TestParser:
             build_parser().parse_args(argv)
         assert (got.value.code, printed) == (expected.value.code, capsys.readouterr())
 
-    def test_a_named_command_gets_only_its_own_subparser(self):
-        assert build_parser("chif").parse_args(["chif", "--graph", "C5"]).command == "chif"
-        with pytest.raises(SystemExit) as exc:
-            build_parser("chif").parse_args(["decode", "2"])
-        assert exc.value.code == 2
-
     def test_argv_defaults_to_the_command_line(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["zecap", "decode", "2"])
         code, report = run()
         assert (code, report["command"], report["inputs"]) == (0, "decode", {"index": 2})
+
+
+# one argv of each form the benchmark's workloads run; the table reader must
+# take each, so no flag added later puts the common path back on argparse
+BENCH_FORMS = [
+    ["alpha", "--graph", "C5^2", "--node-budget", "200000"],
+    ["ladder", "--graph", "689", "--m", "1"],
+    ["theta-sdp", "--graph", "5:1001100101", "--tol", "1e-4"],
+    ["chif", "--graph", "C7"],
+    ["decide-gt", "--graph", "C5", "--lambda", "sqrt(5)"],
+    ["enumerate", "--lambda", "3/2", "--horizon", "200", "--stages", "220"],
+    ["squeeze", "--graph", "C5", "--K", "6", "--budget", "4"],
+    ["bounds", "--graph", "C5", "--m", "1"],
+    ["locate", "--graph", "C5", "--M", "3"],
+    ["capacity", "--channel", "pentagon.csv", "--m", "1"],
+    ["preorder", "C5", "C7"],
+    ["asym-preorder", "C5", "K2", "--m", "2", "--budget", "8"],
+]
+
+INT_VALUES = ["3", "07", "+2", " 8", "1_000", "-3", "x", "", "2.5"]
+TEXT_VALUES = ["C5", "1e-4", "3/2", "sqrt(5)", "", "-1", "-x", "a b"]
+STRAYS = ["-h", "--version", "--", "C5", "-1"]
+
+
+def _fuzz_argv(rng) -> list[str]:
+    """A seeded argv off the command table: random flag subsets and orders,
+    good and bad values, ``--x=v``, repeats, abbreviations and strays."""
+    if rng.random() < 0.03:
+        return rng.choice([[], ["frobnicate"], ["-h"], ["--version"]])
+    name = rng.choice(list(zecap.cli._COMMANDS))
+    specs = zecap.cli._specs(zecap.cli._COMMANDS[name])
+    groups = []
+    for flag, kwargs in rng.sample(specs, len(specs)):
+        if kwargs.get("required", not flag.startswith("-")) and rng.random() < 0.9:
+            pass  # a required argument is usually given
+        elif rng.random() < 0.5:
+            continue
+        value = rng.choice(INT_VALUES if "type" in kwargs else TEXT_VALUES)
+        if not flag.startswith("-"):
+            groups.append([value])
+            continue
+        form = rng.random()
+        if form < 0.75:
+            groups.append([flag, value])
+        elif form < 0.82:
+            groups.append([f"{flag}={value}"])
+        elif form < 0.89:
+            groups.append([flag[:-1], value])  # an abbreviation ('--' for '--m')
+        elif form < 0.96:
+            groups.append([flag, value, flag, rng.choice(INT_VALUES + TEXT_VALUES)])
+        else:
+            groups.append([flag])
+    if rng.random() < 0.1:
+        groups.insert(rng.randint(0, len(groups)), [rng.choice(STRAYS)])
+    return [name] + [token for group in groups for token in group]
+
+
+class TestTableReader:
+    """``run`` reads argv off the command table; whatever the reader takes
+    must read exactly as the full parser reads it."""
+
+    @staticmethod
+    def parsed(parser, argv):
+        # the full parser's namespace as a dict, or None where it exits
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit:
+                return None
+
+    def test_taken_argv_reads_as_the_full_parser_reads_it(self):
+        rng = random.Random(23)
+        parser = build_parser()
+        taken = 0
+        for _ in range(1500):
+            argv = _fuzz_argv(rng)
+            got = zecap.cli._table_args(argv)
+            if got is not None:
+                taken += 1
+                assert vars(got) == self.parsed(parser, argv), argv
+        assert 300 < taken < 1200  # both paths are exercised
+
+    @pytest.mark.parametrize("argv", BENCH_FORMS, ids=lambda argv: argv[0])
+    def test_benchmark_forms_are_read_off_the_table(self, argv):
+        got = zecap.cli._table_args(argv)
+        assert got is not None
+        assert vars(got) == self.parsed(build_parser(), argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["alpha", "--graph", "C5", "--node-budg", "50"],
+            ["alpha", "--graph=C5"],
+            ["decide-gt", "--graph", "C5", "--lambda", "-1"],
+            ["alpha", "--graph", "C5", "--graph", "C7"],
+            ["alpha", "--graph", "C5", "--node-budget", "x"],
+            ["preorder", "C5"],
+            ["preorder", "C5", "C7", "C9"],
+            ["alpha", "--", "--graph", "C5"],
+        ],
+        ids=["abbreviation", "equals", "negative", "repeat", "bad-int", "missing",
+             "extra", "separator"],
+    )
+    def test_uncertain_argv_goes_to_the_full_parser(self, argv):
+        assert zecap.cli._table_args(argv) is None
+
+    def test_importing_the_cli_leaves_argparse_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys, zecap.cli; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestInputEcho:

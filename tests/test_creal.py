@@ -129,6 +129,15 @@ class TestParsing:
                 parse_real(bad)
 
 
+    def test_exponent_past_the_digit_limit_is_refused(self):
+        assert parse_real("2.5e-3").exact == Fraction(1, 400)
+        assert parse_real("1e4_0").exact == 10**40
+        assert parse_real("1e4000").exact == 10**4000
+        for bad in ("1e4301", "1E-4301", "1e4_301", " 1e0004301 ", "1e" + "9" * 5000):
+            with pytest.raises(InputError, match="too many digits"):
+                parse_real(bad)
+
+
 class TestDecimalString:
     def test_terminating(self):
         assert decimal_string(Fraction(5, 2)) == "2.5"
