@@ -753,7 +753,7 @@ def run(argv=None) -> tuple[int, dict]:
     if argv is None:
         argv = sys.argv[1:]
     args = _table_args(argv)
-    if args is None:  # help, version and every argument error
+    if args is None:  # abbreviations, help, version and every argument error
         args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     start = time.perf_counter()
