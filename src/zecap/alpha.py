@@ -21,6 +21,13 @@ the root branch uses orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Program. 2011): once the candidate v is searched, every
 candidate labelled as v is dropped with it, since an automorphism fixing the
 root maps its sets onto v's.  Deeper levels drop only the searched vertex.
+The order and the greedy seed (the first incumbent) are found on bit-sliced
+degree counters, Python ints like the rest of the search: slice j is the
+mask of the vertices whose live degree has bit j set.  The live vertex of
+largest (or smallest) degree is found by narrowing the live mask through the
+slices from the top, and removing a vertex decrements its live neighbors
+with one ripple borrow.  numpy only permutes the adjacency rows into the new
+numbering.
 Budgets are counted in node expansions; running out raises BudgetError
 carrying the best set found so far, never a silent claim of optimality.
 
@@ -87,13 +94,6 @@ class _OutOfNodes(Exception):
     pass
 
 
-def _packed_rows(g: Graph) -> np.ndarray:
-    """The adjacency masks of g as an n x ceil(n/8) uint8 array, little-endian bits."""
-    width = (g.n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
-    return rows.reshape(g.n, width)
-
-
 def _unpacked(rows: np.ndarray, index: np.ndarray):
     """rows[index] unpacked to one 0/1 byte per vertex, in blocks of about 4 MB."""
     n = rows.shape[0]
@@ -102,51 +102,92 @@ def _unpacked(rows: np.ndarray, index: np.ndarray):
         yield np.unpackbits(rows[index[start : start + block]], axis=1, count=n, bitorder="little")
 
 
-def _greedy_seed(g: Graph, rows: np.ndarray) -> list[int]:
+def _degree_slices(masks) -> list[int]:
+    """Every vertex's degree as bit-sliced counters: slice j is the mask of
+    the vertices whose degree has bit j set.  Each adjacency mask is added
+    with one ripple carry; the graph is undirected, so its row sums are its
+    degrees."""
+    slices: list[int] = []
+    for m in masks:
+        carry = m
+        for j, s in enumerate(slices):
+            slices[j] = s ^ carry
+            carry &= s
+            if not carry:
+                break
+        else:
+            if carry:
+                slices.append(carry)
+    return slices
+
+
+def _decrement(slices: list[int], where: int) -> None:
+    """Subtract 1 from the counters of the vertices in where, all positive."""
+    for j, s in enumerate(slices):
+        s ^= where
+        slices[j] = s
+        where &= s  # a bit that was 0, now 1, borrows from the next slice
+        if not where:
+            return
+
+
+def _extreme(slices: list[int], live: int, largest: bool) -> int:
+    """The lowest live vertex of largest (or smallest) degree: narrow live
+    to the vertices with each degree bit set (or clear), top bit first,
+    wherever some are left."""
+    pick = live
+    for s in reversed(slices):
+        narrowed = pick & s if largest else pick & ~s
+        if narrowed:
+            pick = narrowed
+    return (pick & -pick).bit_length() - 1
+
+
+def _greedy_seed(g: Graph) -> list[int]:
     """Repeatedly take a minimum-degree vertex of what is left (lowest label
-    on ties) and drop its closed neighborhood; rows is _packed_rows(g)."""
-    n = g.n
-    degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+    on ties) and drop its closed neighborhood."""
+    slices = _degree_slices(g.masks)
+    live = (1 << g.n) - 1
     chosen = []
-    while alive.any():
-        v = int(degree.argmin())
+    while live:
+        v = _extreme(slices, live, largest=False)
         chosen.append(v)
-        neighbors = np.unpackbits(rows[v], count=n, bitorder="little").view(bool)
-        removed = np.append(np.flatnonzero(alive & neighbors), v)
-        alive[removed] = False
-        for bits in _unpacked(rows, removed):
-            degree -= bits.sum(axis=0, dtype=np.int16)  # a block has <= 2^11 rows
-        # a dead vertex loses at most n - 1 more, so it stays above every live degree
-        degree[removed] = 2 * n
+        removed = g.masks[v] & live | 1 << v
+        live ^= removed
+        while removed:
+            u = (removed & -removed).bit_length() - 1
+            removed &= removed - 1
+            _decrement(slices, g.masks[u] & live)
     return chosen
 
 
-def _smallest_last(g: Graph) -> tuple[list[int], Graph, np.ndarray]:
-    """Smallest-last order of the complement of g, g renumbered by it, and
-    the renumbered graph's packed rows.
+def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
+    """Smallest-last order of the complement of g, and g renumbered by it.
 
     Repeatedly remove a remaining vertex of largest g-degree among those
     left (lowest label on ties); the first vertex removed goes last.  In the
     returned graph, vertex order[i] of g is vertex i.
     """
     n = g.n
-    rows = _packed_rows(g)
-    degree = np.array([m.bit_count() for m in g.masks], dtype=np.int64)
+    slices = _degree_slices(g.masks)
+    live = (1 << n) - 1
     order = [0] * n
     for pos in range(n - 1, -1, -1):
-        v = int(degree.argmax())
+        v = _extreme(slices, live, largest=True)
         order[pos] = v
-        degree -= np.unpackbits(rows[v], count=n, bitorder="little")
-        degree[v] = -1  # removed vertices stay below every live degree
+        live ^= 1 << v
+        _decrement(slices, g.masks[v] & live)
+    # the one bulk step: permute the rows and columns of the packed adjacency
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
     perm = np.array(order, dtype=np.intp)
     packed = np.concatenate([
         np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little")
-        for bits in _unpacked(rows, perm)
+        for bits in _unpacked(rows.reshape(n, width), perm)
     ])
-    data, width = packed.tobytes(), rows.shape[1]
+    data = packed.tobytes()
     masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    return order, Graph(n, tuple(masks)), packed
+    return order, Graph(n, tuple(masks))
 
 
 def _root_orbits(g: Graph, order: list[int]) -> list[int] | None:
@@ -173,7 +214,7 @@ def solve_alpha(
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0
-    order, h, rows = _smallest_last(g)
+    order, h = _smallest_last(g)
     # clique search on the complement, in the renumbered labels
     full = (1 << n) - 1
     adj = h.masks
@@ -183,7 +224,7 @@ def solve_alpha(
         label = {v: i for i, v in enumerate(order)}
         seed = [label[v] for v in initial]
     else:
-        seed = _greedy_seed(h, rows)  # no warm start, or a bad one we do not trust
+        seed = _greedy_seed(h)  # no warm start, or a bad one we do not trust
     best = {"size": len(seed), "set": seed}
     budget = _Budget(node_budget)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alpha import IndependentSetWitness, solve_alpha
+from .creal import check_exponent, decimal_string
 from .errors import InputError
 from .graphs import Graph, strong_power
 from .spectrum import BoundsReport, sandwich
@@ -47,7 +48,7 @@ class Channel:
                 raise InputError(f"row {i}: negative probability")
             total = sum(row)
             if total != 1:
-                raise InputError(f"row {i}: probabilities sum to {total}, not 1")
+                raise InputError(f"row {i}: probabilities sum to {decimal_string(total)}, not 1")
 
     def support(self, x: int) -> int:
         """Bitmask over outputs with positive probability on input x."""
@@ -59,10 +60,17 @@ class Channel:
 
 
 def _parse_probability(text: str, where: str) -> Fraction:
+    """One cell as a Fraction in [0, 1], so that a row's sum stays below its
+    width and prints within the int-to-str digit limit."""
+    text = text.strip()
+    check_exponent(text, f"{where}: probability")
     try:
-        return Fraction(text.strip())
+        p = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"{where}: bad probability {text.strip()!r} ({e})") from e
+        raise InputError(f"{where}: bad probability {text!r} ({e})") from e
+    if not 0 <= p <= 1:
+        raise InputError(f"{where}: probability {text!r} is not in [0, 1]")
+    return p
 
 
 def channel_from_csv(text: str) -> Channel:
@@ -85,7 +93,9 @@ def channel_from_csv(text: str) -> Channel:
             )
         total = sum(row)
         if total != 1:
-            raise InputError(f"line {lineno}: probabilities sum to {total}, not 1")
+            raise InputError(
+                f"line {lineno}: probabilities sum to {decimal_string(total)}, not 1"
+            )
         rows.append(row)
     if not rows:
         raise InputError("channel file has no rows")

@@ -67,6 +67,7 @@ from .graphs import (
     graph_from_bitstring,
     graph_from_edgetext,
     graph_to_bitstring,
+    require_input_fits,
     single_vertex,
     strong_power,
     strong_product,
@@ -119,13 +120,10 @@ def _named_graph(token: str) -> Graph:
         return single_vertex()
     m = _NAME_RE.match(token)
     if m:
-        kind, size = m.group(1), int(m.group(2))
-        if kind == "C" and size >= 3:
-            return cycle_graph(size)
-        if kind == "K" and size >= 1:
-            return complete_graph(size)
-        if kind == "E" and size >= 1:
-            return edgeless_graph(size)
+        kind, size = m.group(1), parse_integer(m.group(2), "graph size")
+        if size >= (3 if kind == "C" else 1):
+            require_input_fits(size)  # before any mask is built
+            return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](size)
     raise InputError(
         f"unknown graph name {token!r} (use S, C3.., K1.., E1.., or an index)"
     )

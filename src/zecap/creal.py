@@ -179,5 +179,6 @@ def decimal_string(q: Fraction, digits: int = 12) -> str:
     whole, rem = divmod(q.numerator, q.denominator)
     if rem == 0:
         return f"{sign}{whole}"
-    frac = rem * 10**digits // q.denominator
-    return f"{sign}{whole}.{str(frac).rjust(digits, '0').rstrip('0')}"
+    frac = str(rem * 10**digits // q.denominator).rjust(digits, "0")
+    # a remainder below the last place keeps its zeros: "1.000", not "1."
+    return f"{sign}{whole}.{frac.rstrip('0') or frac}"

@@ -246,6 +246,16 @@ def require_product_fits(vertices: int, cap: int) -> None:
         )
 
 
+def require_input_fits(vertices: int) -> None:
+    """The vertex-budget stop of a graph read from text, before any mask is built."""
+    cap = vertex_budget()
+    if vertices > cap:
+        raise BudgetError(
+            f"graph needs {vertices} vertices, budget is {cap}",
+            reason="vertex budget",
+        )
+
+
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
     """n-fold strong product of g with itself (n >= 1)."""
     if n < 1:
@@ -432,6 +442,7 @@ def graph_from_edgetext(text: str) -> Graph:
         n = int(head.strip())
     except ValueError:
         raise InputError(f"bad vertex count in {text!r}") from None
+    require_input_fits(n)
     edges = []
     body = body.strip()
     if body:

@@ -4,9 +4,9 @@ The oracles here recompute answers by definition-level enumeration —
 subsets for independence numbers, all vertex maps for homomorphisms,
 partitions into cliques for clique covers, bijections for automorphisms —
 or by the textbook method (the one-vertex recurrence for independence
-numbers, a Fraction tableau for the simplex, a bitmask rescan for the
-greedy seed), so the optimized solvers are always checked against
-something that cannot share their bugs.  ``reference_solve_alpha`` is no
+numbers, a Fraction tableau for the simplex, bitmask rescans for the
+smallest-last order and the greedy seed), so the optimized solvers are
+always checked against something that cannot share their bugs.  ``reference_solve_alpha`` is no
 oracle: it is the alpha search with its coloring written out per vertex, so
 a faster coloring can be checked to build the same tree.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from zecap import BudgetError, Graph, Channel, IndependentSetWitness, cycle_graph
-from zecap.alpha import _greedy_seed, _root_orbits, _smallest_last
+from zecap.alpha import _root_orbits
 from zecap.exact import UnboundedError
 
 
@@ -149,6 +149,30 @@ def is_vertex_transitive(g: Graph) -> bool:
     return all(has_automorphism(g, 0, t) for t in range(g.n))
 
 
+def reference_smallest_last(g: Graph) -> tuple[list[int], Graph]:
+    """The solver's vertex order and renumbered graph, recomputed with
+    bitmasks: remove a live vertex of most live neighbors (lowest label on
+    ties), repeat, and put the first one removed last; then vertex order[i]
+    of g is vertex i."""
+    alive = (1 << g.n) - 1
+    order = []
+    while alive:
+        best_v = -1
+        best_d = -1
+        for v in range(g.n):
+            if alive >> v & 1:
+                d = (g.masks[v] & alive).bit_count()
+                if d > best_d:
+                    best_d = d
+                    best_v = v
+        order.append(best_v)
+        alive &= ~(1 << best_v)
+    order.reverse()
+    label = {v: i for i, v in enumerate(order)}
+    masks = [sum(1 << label[u] for u in range(g.n) if g.masks[v] >> u & 1) for v in order]
+    return order, Graph(g.n, tuple(masks))
+
+
 def reference_greedy_seed(g: Graph) -> list[int]:
     """The solver's initial incumbent, recomputed with bitmasks: take a
     live vertex of fewest live neighbors (lowest label on ties), drop it and
@@ -176,22 +200,22 @@ def reference_solve_alpha(g: Graph, node_budget=None, initial=None):
     """The solver's search tree with its coloring written out per vertex.
 
     Same set-up as ``solve_alpha`` (renumbering, seed, warm start, root
-    orbits), but each node colors its whole candidate set into a list of
-    vertices and a parallel list of colors, and branches over that list
-    backwards.  Returns (witness, nodes_used) or raises the same
+    orbits), with the order and the seed from the rescans above, but each
+    node colors its whole candidate set into a list of vertices and a
+    parallel list of colors, and branches over that list backwards.  Returns (witness, nodes_used) or raises the same
     BudgetError, so the solver's tree can be compared node for node.
     """
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0
-    order, h, rows = _smallest_last(g)
+    order, h = reference_smallest_last(g)
     full = (1 << n) - 1
     comp = [full ^ (1 << v) ^ h.masks[v] for v in range(n)]
     if initial and IndependentSetWitness(list(initial), len(initial)).verify(g):
         label = {v: i for i, v in enumerate(order)}
         seed = [label[v] for v in initial]
     else:
-        seed = _greedy_seed(h, rows)
+        seed = reference_greedy_seed(h)
     best = {"size": len(seed), "set": seed}
     used = 0
 

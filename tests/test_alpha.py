@@ -4,7 +4,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from zecap import (
@@ -26,7 +25,6 @@ import zecap.alpha as alpha_module
 from zecap.alpha import (
     PowerLadder,
     _greedy_seed,
-    _packed_rows,
     _smallest_last,
     greedy_clique_cover,
 )
@@ -39,6 +37,7 @@ from conftest import (
     random_graph,
     recursive_alpha,
     reference_greedy_seed,
+    reference_smallest_last,
     reference_solve_alpha,
 )
 
@@ -91,11 +90,9 @@ class TestRelabelling:
             assert w.verify(h)
 
     def test_order_is_not_the_identity(self):
-        order, h, rows = _smallest_last(self.SHAPE)
-        assert order != list(range(self.SHAPE.n))
-        assert sorted(order) == list(range(self.SHAPE.n))
+        order, h = _smallest_last(self.SHAPE)
+        assert order == [7, 5, 3, 0, 2, 6, 1, 4]
         assert h == relabel(self.SHAPE, [order.index(v) for v in range(self.SHAPE.n)])
-        assert np.array_equal(rows, _packed_rows(h))
 
     def test_witness_in_caller_labels(self):
         g = self.SHAPE
@@ -124,18 +121,50 @@ class TestRelabelling:
         assert w.vertices == start
 
 
+class TestSmallestLast:
+    """The order and renumbered graph that the degree counters give match
+    the textbook rescan of ``reference_smallest_last``."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        order, h = _smallest_last(g)
+        want_order, want = reference_smallest_last(g)
+        assert order == want_order
+        assert h.masks == want.masks
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+    def test_random_graphs(self, rng, p):
+        for _ in range(40):
+            self.check(random_graph(rng, rng.randint(1, 60), p))
+
+    def test_recipe_graphs(self, pentagon):
+        for g in (
+            strong_power(pentagon, 3),
+            strong_power(cycle_graph(9), 2),
+            strong_product(edgeless_graph(2), strong_power(pentagon, 2)),
+            complement(strong_power(pentagon, 2)),
+        ):
+            self.check(g)
+
+
 class TestGreedySeed:
     def test_matches_reference_on_random_graphs(self, rng):
         for _ in range(200):
             n = rng.randint(1, 40)
             g = random_graph(rng, n, p=rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]))
-            assert _greedy_seed(g, _packed_rows(g)) == reference_greedy_seed(g)
+            assert _greedy_seed(g) == reference_greedy_seed(g)
+
+    @staticmethod
+    def check_power(g: Graph) -> None:
+        assert _greedy_seed(g) == reference_greedy_seed(g)
+        _, h = _smallest_last(g)  # the graph the solver seeds from
+        assert _greedy_seed(h) == reference_greedy_seed(h)
 
     def test_matches_reference_on_pentagon_cube(self, pentagon):
-        g = strong_power(pentagon, 3)
-        assert _greedy_seed(g, _packed_rows(g)) == reference_greedy_seed(g)
-        _, h, rows = _smallest_last(g)  # the graph and rows the solver seeds from
-        assert _greedy_seed(h, rows) == reference_greedy_seed(h)
+        self.check_power(strong_power(pentagon, 3))
+
+    def test_matches_reference_on_pentagon_fourth_power(self, pentagon):
+        self.check_power(strong_power(pentagon, 4))  # 625 vertices
 
 
 def recipe_graph(rng) -> Graph:
@@ -229,7 +258,7 @@ class TestRootFix:
 
     def test_partial_witness_in_caller_labels(self, pentagon):
         g = strong_power(pentagon, 3)
-        order, _, _ = _smallest_last(g)
+        order, _ = _smallest_last(g)
         assert order[:3] != [0, 1, 2]
         for budget in (0, 1, 5, 50):
             with pytest.raises(BudgetError) as exc:
@@ -240,7 +269,7 @@ class TestRootFix:
     def test_warm_start_without_the_root_is_honoured(self, pentagon):
         # as in the ladder, whose warm start is the square of the level below
         g = strong_power(pentagon, 2)
-        order, _, _ = _smallest_last(g)
+        order, _ = _smallest_last(g)
         root = order[0]  # the caller's label of the searched root, bit 0
         # the five translates {(i, 2i + c)} of an optimal set partition C5^2
         starts = [sorted(i * 5 + (2 * i + c) % 5 for i in range(5)) for c in range(5)]

@@ -75,6 +75,12 @@ class TestParsing:
         with pytest.raises(InputError):
             channel_from_csv("")
 
+    def test_probabilities_outside_the_unit_interval(self):
+        with pytest.raises(InputError, match="line 1, column 1: probability '3/2' is not in"):
+            channel_from_csv("3/2,-1/2\n")
+        with pytest.raises(InputError, match="row 1, column 2: probability '-1/2' is not in"):
+            channel_from_json('{"x_size": 1, "y_size": 2, "rows": [["1", "-1/2"]]}')
+
     def test_json_round(self):
         ch = channel_from_json(
             '{"x_size": 2, "y_size": 2, "rows": [["1/2", "1/2"], ["0", "1"]]}'

@@ -246,6 +246,7 @@ class TestExitCodes:
         [
             ["alpha", "--graph", BIG],
             ["alpha", "--graph", f"C5^{BIG}"],
+            ["alpha", "--graph", f"E{BIG}"],
             ["encode", "(" * 260 + "S" + ")" * 260],
             ["decide-gt", "--graph", "C5", "--lambda", f"sqrt({BIG})"],
             ["decide-gt", "--graph", "C5", "--lambda", f"1+sqrt({BIG})"],
@@ -253,7 +254,7 @@ class TestExitCodes:
             ["bounds", "--graph", "C5", "--tol", "1e99999"],
             ["squeeze", "--graph", "C5", "--K", "20000"],
         ],
-        ids=["index", "exponent", "nesting", "sqrt", "1+sqrt", "tiny-tol", "huge-tol", "K"],
+        ids=["index", "exponent", "size", "nesting", "sqrt", "1+sqrt", "tiny-tol", "huge-tol", "K"],
     )
     def test_oversized_input_is_exit_two(self, argv):
         # neither an unreadable number nor deep nesting ends as "internal"
@@ -275,6 +276,34 @@ class TestExitCodes:
         assert time.perf_counter() - start < 0.5
         assert code == 2 and report["results"]["kind"] == "input"
         assert report["results"]["error"] == f"{what} {argv[-1]!r} has too many digits"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("tiny.csv", "1e-3000000,1\n0,1\n"),
+            ("below.csv", "1e-4300,1\n0,1\n"),
+            ("long.csv", f"{'9' * 4300},{'9' * 4300}\n0,1\n"),
+            # the sum's denominator 2^13000 3^8000 has 7,731 digits
+            ("coprime.json", json.dumps({"x_size": 1, "y_size": 2, "rows": [[f"1/{2**13000}", f"1/{3**8000}"]]})),
+        ],
+        ids=["tiny", "below", "long", "coprime"],
+    )
+    def test_probability_past_the_digit_limit_is_exit_two(self, tmp_path, name, text):
+        # neither Fraction's expansion of the exponent nor printing the
+        # row's sum may end as "internal"
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        code, report = run(["channel-graph", "--channel", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and report["results"]["kind"] == "input"
+
+    @pytest.mark.parametrize("graph", ["E2000", "K2000", "C2000", "2000;", "2000; 0-1"])
+    def test_input_graph_past_the_vertex_budget_is_a_budget_stop(self, monkeypatch, graph):
+        monkeypatch.setenv("ZW_MAX_VERTICES", "1000")
+        code, report = run(["alpha", "--graph", graph])
+        assert code == 3 and report["results"]["reason"] == "vertex budget"
+        assert run(["alpha", "--graph", graph.replace("2000", "1000")])[0] == 0
 
     def test_readable_huge_exponent_is_a_vertex_budget_stop(self):
         code, report = run(["alpha", "--graph", "C5^" + "1" * 400])

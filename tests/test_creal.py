@@ -147,6 +147,10 @@ class TestDecimalString:
     def test_truncation(self):
         assert decimal_string(Fraction(1, 3), digits=5) == "0.33333"
 
+    def test_remainder_below_the_last_place_keeps_its_zeros(self):
+        assert decimal_string(Fraction(10**13 + 1, 10**13)) == "1.000000000000"
+        assert decimal_string(-Fraction(1, 10**20), digits=3) == "-0.000"
+
     def test_matches_sqrt5(self):
         a = sqrt_int(5).approx(60)
         assert decimal_string(a, digits=10).startswith("2.2360679")
