@@ -68,7 +68,7 @@ class Graph:
         for v, m in enumerate(masks):
             if m < 0 or m >> n:
                 raise InputError(f"vertex {v} mask references vertices outside 0..{n - 1}")
-            if m & (1 << v):
+            if m >> v & 1:
                 raise InputError(f"vertex {v} has a loop")
         self.n = n
         self.masks = tuple(masks)

@@ -9,6 +9,10 @@ Two spectrum points are computed:
   in exact rational arithmetic, by positive-definiteness checks of a dual
   witness and of a primal feasible matrix.  The certified interval is
   cached per graph and each requested tolerance is checked against it.
+  A graph built by the labelled constructions (``Graph.recipe``) is
+  composed instead: theta(K_n) = 1 and theta(E_n) = n are exact, and a
+  strong product multiplies its factors' intervals, so the SDP runs only
+  on each distinct cycle or complement factor.
 
 * The fractional clique cover number, as the exact rational optimum of
   the covering LP over maximal cliques.  It is computed through the
@@ -35,7 +39,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph
+from .graphs import Graph, complement, complete_graph, cycle_graph, edgeless_graph, strong_product
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -278,10 +282,42 @@ def _theta_solve(n: int, erows: np.ndarray, ecols: np.ndarray) -> tuple[np.ndarr
 
 
 @functools.lru_cache(maxsize=512)
-def _theta_interval(g: Graph) -> tuple[Fraction, Fraction]:
+def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
+    """The certified interval of one interior-point solve on g.
+
+    Only this is cached: Graph equality ignores the recipe, so a cached
+    composed interval would be handed to a recipe-less copy of the graph.
+    """
     edge_list = g.edges()
     witness, x = _theta_solve(g.n, *np.array(edge_list, dtype=int).reshape(-1, 2).T)
     return _certify_lower(x, edge_list), _certify_upper(witness, edge_list)
+
+
+def _recipe_graph(d) -> Graph:
+    """The graph that graphs.py's constructors build for recipe d."""
+    kind, arg = d
+    if kind == "co":
+        return complement(_recipe_graph(arg))
+    if kind == "x":
+        return functools.reduce(strong_product, map(_recipe_graph, arg))
+    return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](arg)
+
+
+def _theta_interval(d, g: Graph | None = None) -> tuple[Fraction, Fraction]:
+    """Certified theta interval of the graph g with recipe d: exact on K_n
+    and E_n, the product of the factors' intervals on a strong product
+    (Lovász 1979, Theorem 7), and one SDP on any other graph."""
+    kind, arg = d or (None, None)
+    if kind == "x":
+        lo = hi = Fraction(1)
+        for factor in arg:
+            a, b = _theta_interval(factor)
+            lo, hi = lo * a, hi * b
+        return lo, hi
+    if kind in ("K", "E"):
+        value = Fraction(1 if kind == "K" else arg)
+        return value, value
+    return _sdp_interval(g if g is not None else _recipe_graph(d))
 
 
 def lovasz_theta(g: Graph, tol) -> UpperBound:
@@ -289,11 +325,15 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
 
     One interior-point solve per graph proposes a primal and a dual
     matrix; both ends are proved exactly, once, and that interval is
-    cached and checked against every tol.  Returns [lo, hi] with
-    hi - lo <= tol and theta in the interval; hi is a genuine capacity
-    upper bound regardless of solver accuracy.  Raises ConvergenceError
-    when the certified interval is wider than tol, as it always is for tol
-    below about n * 2^-32 * (theta - 1).
+    cached and checked against every tol.  A graph with a recipe is
+    composed from its factors: K_n and E_n are exact, and a strong
+    product's interval is the product of its factors' intervals, each
+    factor solved once.  Returns [lo, hi] with hi - lo <= tol and theta in
+    the interval; hi is a genuine capacity upper bound regardless of solver
+    accuracy.  Raises ConvergenceError when the certified interval is wider
+    than tol, as it always is for tol below about n * 2^-32 * (theta - 1),
+    n and theta taken per SDP factor (the product's width is about the sum
+    of each factor's width times the other factors' theta).
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
@@ -305,7 +345,7 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    lo, hi = _theta_interval(g)
+    lo, hi = _theta_interval(g.recipe, g)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}"

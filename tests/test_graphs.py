@@ -38,6 +38,20 @@ class TestGraphType:
         with pytest.raises(InputError):
             Graph(2, (0b100, 0b000))
 
+    def test_checks_every_vertex_mask(self):
+        # a loop or an outside bit at any vertex, among legal neighbour bits
+        for n in (3, 70, 1000):
+            for v in (0, n // 2, n - 1):
+                legal = [0] * n
+                u = (v + 1) % n
+                legal[v], legal[u] = 1 << u, 1 << v
+                assert Graph(n, tuple(legal)).edges() == [(min(u, v), max(u, v))]
+                for bad, what in ((1 << v, "loop"), (1 << n, "outside"), (1 << 3 * n, "outside")):
+                    masks = list(legal)
+                    masks[v] |= bad
+                    with pytest.raises(InputError, match=f"vertex {v} .*{what}"):
+                        Graph(n, tuple(masks))
+
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(InputError):
             Graph(-1, ())

@@ -281,11 +281,19 @@ class TestTheta:
         assert float(b.lo) <= t <= float(b.hi)
 
     def test_complete_and_edgeless(self):
+        tiny = Fraction(1, 10**30)
         for n in (1, 2, 4):
-            b = lovasz_theta(complete_graph(n), TOL)
+            b = lovasz_theta(complete_graph(n), tiny)
+            assert b.lo == b.hi == 1
+            e = lovasz_theta(edgeless_graph(n), tiny)
+            assert e.lo == e.hi == n
+            # with no recipe the same graphs go to the SDP
+            b = lovasz_theta(Graph(n, complete_graph(n).masks), TOL)
             assert b.lo <= 1 <= b.hi
-            e = lovasz_theta(edgeless_graph(n), TOL)
+            e = lovasz_theta(Graph(n, edgeless_graph(n).masks), TOL)
             assert e.lo <= n <= e.hi
+        b = lovasz_theta(strong_product(complete_graph(3), edgeless_graph(2)), tiny)
+        assert b.lo == b.hi == 2
 
     def test_union_with_single_vertex(self, pentagon):
         # theta(K1 + C5) = 1 + sqrt(5)
@@ -304,7 +312,7 @@ class TestTheta:
             lovasz_theta(Graph(0, ()), TOL)
         with pytest.raises(InputError):
             lovasz_theta(pentagon, 0)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError):  # the cap holds although E65 composes exactly
             lovasz_theta(edgeless_graph(65), TOL)
         # below the certifiable width (about n * 2^-32 * theta) is a solver stop
         with pytest.raises(ConvergenceError):
@@ -331,6 +339,70 @@ class TestTheta:
         assert b.hi - b.lo <= tol
         assert b.hi >= solve_alpha(g)[0].size
         assert b.hi * lovasz_theta(complement(g), tol).hi >= 30
+
+
+def stripped(g: Graph) -> Graph:
+    """g with its recipe dropped, so theta runs one SDP on all of it."""
+    return Graph(g.n, g.masks)
+
+
+class TestComposedTheta:
+    """theta of a recipe graph is composed from one SDP per distinct
+    cycle or complement factor; K_n and E_n are exact."""
+
+    POOL = [*map(cycle_graph, range(4, 10)), *map(complete_graph, (2, 3, 4)),
+            *map(edgeless_graph, (2, 3)), complement(cycle_graph(5)), complement(cycle_graph(7))]
+
+    def test_products_agree_with_the_flat_sdp(self):
+        rng = random.Random(25)
+        checked = 0
+        while checked < 10:
+            factors = [rng.choice(self.POOL) for _ in range(rng.randint(2, 3))]
+            if math.prod(f.n for f in factors) > 64:
+                continue
+            checked += 1
+            g = factors[0]
+            for f in factors[1:]:
+                g = strong_product(g, f)
+            lo, hi = spectrum._theta_interval(g.recipe, g)
+            flat_lo, flat_hi = spectrum._sdp_interval(stripped(g))
+            assert lo <= flat_hi and flat_lo <= hi, g.recipe
+            assert hi - lo <= flat_hi - flat_lo, g.recipe
+
+    def test_call_order_does_not_swap_answers(self):
+        recipe = strong_power(cycle_graph(5), 2)
+        flat = stripped(recipe)
+        assert flat == recipe  # equal as graphs: the cache key cannot tell them apart
+        answers = []
+        for order in ((flat, recipe), (recipe, flat)):
+            spectrum._sdp_interval.cache_clear()
+            answers.append({id(g): lovasz_theta(g, TOL) for g in order})
+        assert answers[0] == answers[1]
+        assert answers[0][id(flat)] != answers[0][id(recipe)]
+
+    def test_the_sdp_never_sees_a_product(self, monkeypatch):
+        solve = spectrum._theta_solve
+        sizes = []
+
+        def counted(n, erows, ecols):
+            sizes.append(n)
+            return solve(n, erows, ecols)
+
+        monkeypatch.setattr(spectrum, "_theta_solve", counted)
+        spectrum._sdp_interval.cache_clear()
+        c5, c7 = cycle_graph(5), cycle_graph(7)
+        for g in (strong_power(c5, 2), strong_product(c7, c7),
+                  strong_product(complement(c7), complete_graph(3)),
+                  strong_product(strong_product(c5, edgeless_graph(2)), c5)):
+            lovasz_theta(g, TOL)
+        assert sizes == [5, 7, 7]  # C5, C7 and the complement of C7, once each
+
+    def test_tolerance_is_checked_on_the_product(self):
+        c5_2 = strong_power(cycle_graph(5), 2)
+        with pytest.raises(ConvergenceError):
+            lovasz_theta(c5_2, Fraction(1, 10**12))
+        b = lovasz_theta(c5_2, TOL)
+        assert b.lo < 5 < b.hi  # the square of C5's interval around sqrt(5)
 
 
 class TestCertificationRetry:
@@ -388,7 +460,7 @@ class TestCertificateHotPath:
             raise AssertionError(f"elimination fallback reached at n = {len(a)}")
 
         monkeypatch.setattr(exact, "_bareiss", fallback)
-        lo, hi = spectrum._theta_interval.__wrapped__(g)  # past the cache
+        lo, hi = spectrum._sdp_interval.__wrapped__(g)  # one SDP on g, past the cache
         assert 0 < lo <= hi
 
 
