@@ -59,7 +59,6 @@ from .decide import (
     lipschitz_constant,
     locate_grid,
     semidecide_gt,
-    semidecide_level,
     squeeze_capacity,
 )
 from .errors import BudgetError, ConvergenceError, InputError, ZecapError

@@ -48,6 +48,7 @@ import numpy as np
 from . import creal
 from .errors import BudgetError, InputError
 from .graphs import Graph, orbit_labels, require_product_fits, strong_product, vertex_budget
+from .graphs import power_fits
 
 
 @dataclass
@@ -363,6 +364,14 @@ class PowerLadder:
         self._vertices = g.n  # of that power, also once it is no longer built
         self._bound = greedy_clique_cover(g)  # c^(2^k) at that level
         self._best: list[int] | None = None  # its best set, squared into the next warm start
+
+    def top(self, most: int) -> int:
+        """The highest level up to most whose power fits the vertex budget;
+        every power of a graph on at most one vertex fits."""
+        level = most if self.graph.n <= 1 else 0
+        while level < most and power_fits(self.graph.n, 2 << level, self._cap):
+            level += 1
+        return level
 
     def solve(self, level: int, node_budget: int | None = None) -> int | None:
         """alpha at this level, or None once it has stopped (see ``stops``).

@@ -18,8 +18,8 @@ each level at most once, in order, by squaring and warm-starting, and closes
 the levels above the first one that meets the clique-cover bound (Shannon
 1956).  Each level it searches gets the full per-solve node budget.  This
 module adds only its own policy: the level cap, the dovetail and the level
-test.  The dovetail, the single-level run and the enumeration all read from
-a ladder; the enumeration shares one ladder among isomorphic graphs.
+test.  The dovetail and the enumeration both read from a ladder; the
+enumeration shares one ladder among isomorphic graphs.
 
 Levels are dovetailed on a triangular schedule (stage t runs one step of
 each of levels 0..t-1), so every level gets unbounded attention if the
@@ -30,15 +30,13 @@ nodes per alpha solve, and strong-power vertex counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import creal
 from .alpha import PowerLadder
 from .errors import BudgetError, InputError
 from .graphs import INDEX_MAX_VERTICES, ISO_MAX_VERTICES, Graph, decode, encode, is_isomorphic
-from .graphs import power_fits
 from .spectrum import BoundsReport, sandwich
 
 # unused here; perfbench/spans.py's REQUIRED_SITES pins these bindings
@@ -111,7 +109,7 @@ class DecisionOutcome:
     certificate: Certificate | None
     progress: dict[int, dict]
     steps_used: int
-    log: list[tuple[int, int, int]] = field(default_factory=list)
+    log: list[tuple[int, int, int]]
 
 
 class _LevelRun:
@@ -157,31 +155,6 @@ class _LevelRun:
             "stalled": self.stalled(powers),
             "nodes_used": powers.nodes.get(self.level, 0),
         }
-
-
-def semidecide_level(
-    g: Graph,
-    lam: creal.CReal,
-    level: int,
-    step_budget: int,
-    node_budget: int | None = DEFAULT_NODE_BUDGET,
-    power_cap: int = DEFAULT_POWER_CAP,
-    lambda_expr: str = "",
-) -> DecisionOutcome:
-    """Run a single level for up to step_budget precision steps."""
-    if level < 0:
-        raise InputError("level must be nonnegative")
-    if step_budget < 1:
-        raise InputError("step budget must be positive")
-    powers = PowerLadder(g, power_cap)
-    run = _LevelRun(level)
-    expr = lambda_expr or lam.description
-    for step in range(1, step_budget + 1):
-        cert = run.step(powers, node_budget, lam, expr)
-        if cert is not None or run.stalled(powers) is not None:
-            break
-    status = BUDGET_EXHAUSTED if cert is None else HALTED
-    return DecisionOutcome(status, cert, {level: run.describe(powers)}, step)
 
 
 def semidecide_gt(
@@ -287,11 +260,8 @@ def enumerate_gt(
     stage = 0
     for stage in range(1, stage_budget + 1):
         if stage <= graph_horizon:
-            g = decode(stage - 1)
-            top = 0  # the highest level up to the level cap whose power fits, or 0
-            while top < LEVEL_CAP and power_fits(g.n, 1 << (top + 1), power_cap):
-                top += 1
-            pending[stage] = ladder_of(g), top
+            powers = ladder_of(decode(stage - 1))
+            pending[stage] = powers, powers.top(LEVEL_CAP)
         for slot in sorted(pending):
             powers, top = pending[slot]
             age = stage - slot + 1
@@ -391,12 +361,13 @@ def squeeze_capacity(
 ) -> SqueezeResult:
     """Shrink a certified capacity interval below width 2^-k_bits.
 
-    One round is one refinement of one ``BoundsReport``: ladder level 0, the
-    exact clique cover, theta once (its interval is certified once per
-    graph, so a smaller tolerance could only fail), then ladder levels 1,
-    2, ... while their powers fit.  The bracket's one ``PowerLadder`` solves
-    each level at most once.  The upper end starts at the vertex count, and
-    the interval is monotone in the budget: more rounds only ever shrink it.
+    One round is one step of ``BoundsReport.refine``'s plan: ladder level 0,
+    the exact clique cover, theta once at 2^-(k_bits+2) (its interval is
+    certified once per graph, and a tolerance it misses still yields that
+    interval), then ladder levels 1, 2, ... while their powers fit and no
+    level has stopped.  The bracket's one ``PowerLadder`` solves each level
+    at most once.  The upper end starts at the vertex count, and the
+    interval is monotone in the budget: more rounds only ever shrink it.
     """
     if k_bits < 0:
         raise InputError("width exponent must be nonnegative")
@@ -405,24 +376,9 @@ def squeeze_capacity(
     if budget < 1:
         raise InputError("budget must be positive")
     target = Fraction(1, 1 << k_bits)
-    bits = k_bits + 4
     report = BoundsReport(PowerLadder(g, power_cap))
-
-    def plan():
-        yield partial(report.add_ladder, 0, node_budget, bits)
-        yield report.add_cover
-        yield partial(report.add_theta, target / 4)
-        level = 1
-        while power_fits(g.n, 1 << level, power_cap):
-            yield partial(report.add_ladder, level, node_budget, bits)
-            level += 1
-
-    rounds = 0
-    for refine in plan():
-        if rounds == budget or report.capped_upper() - report.lower < target:
-            break
-        refine()
-        rounds += 1
+    top = report.powers.top(budget)  # no plan of budget rounds reaches a higher level
+    rounds = report.refine(top, target / 4, node_budget, k_bits + 4, budget, target)
     upper = report.capped_upper()
     status = VALUE if upper - report.lower < target else BUDGET_EXHAUSTED
     return SqueezeResult(status, report.lower, upper, rounds)

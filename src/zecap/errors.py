@@ -24,4 +24,11 @@ class BudgetError(ZecapError):
 
 
 class ConvergenceError(ZecapError):
-    """An iterative solver could not reach the requested tolerance."""
+    """An iterative solver could not reach the requested tolerance.
+
+    Carries the certified result it did reach, if any, as ``partial``.
+    """
+
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial

@@ -22,13 +22,15 @@ Two spectrum points are computed:
   integers runs only when that proof fails.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
-lower end, and these two bounds lower its upper end.  ``sandwich`` runs it on
-a fixed plan; ``decide.squeeze_capacity`` on an adaptive one.
+lower end, and these two bounds lower its upper end.  Its one plan,
+``BoundsReport.refine``, runs to the end in ``sandwich`` and to a target width
+or round budget in ``decide.squeeze_capacity``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -333,7 +335,8 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     accuracy.  Raises ConvergenceError when the certified interval is wider
     than tol, as it always is for tol below about n * 2^-32 * (theta - 1),
     n and theta taken per SDP factor (the product's width is about the sum
-    of each factor's width times the other factors' theta).
+    of each factor's width times the other factors' theta); the error
+    carries that interval, still certified, as its ``partial``.
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
@@ -348,7 +351,8 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     lo, hi = _theta_interval(g.recipe, g)
     if hi - lo > tol:
         raise ConvergenceError(
-            f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}"
+            f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",
+            partial=UpperBound(KIND_THETA, lo, hi, tol),
         )
     return UpperBound(KIND_THETA, lo, hi, tol)
 
@@ -364,9 +368,9 @@ class BoundsReport:
     ``lower`` comes only from the independence ladder (never from the theta
     interval's low end, which bounds theta, not capacity); ``upper`` is the
     least of the certified theta and clique-cover bounds, None before either
-    is found.  Each refinement only ever narrows the bracket.  A refinement
-    stopped by a budget or by the theta solver leaves the bracket as it was
-    and records the stop under ``errors``; any other exception propagates.
+    is found.  Each refinement only ever narrows the bracket.  A stop of a
+    budget or of the theta solver is recorded under ``errors``, and any
+    certified bound it carries is kept; any other exception propagates.
     """
 
     powers: PowerLadder
@@ -390,6 +394,36 @@ class BoundsReport:
         n = Fraction(self.graph.n)
         return n if self.upper is None else min(self.upper, n)
 
+    def refine(
+        self,
+        top: int,
+        tol,
+        node_budget: int | None = None,
+        bits: int = _LOWER_BITS,
+        rounds: int | None = None,
+        target: Fraction | None = None,
+    ) -> int:
+        """Run the plan: ladder level 0, the clique cover, theta at tol, then
+        ladder levels 1..top, none after a level that stopped.  Levels share
+        node_budget and are read to 2^-bits.  Ends early after ``rounds``
+        refinements or once capped_upper() - lower < target; returns the
+        number of refinements run."""
+        if top < 0:
+            raise InputError("ladder level must be nonnegative")
+        used = 0
+        plan = (0, self.add_cover, functools.partial(self.add_theta, tol))  # ints are ladder levels
+        for step in itertools.chain(plan, range(1, top + 1)):
+            if used == rounds or target is not None and self.capped_upper() - self.lower < target:
+                break
+            if callable(step):
+                step()
+            elif len(self.ladder) < step:
+                break  # a lower level stopped, and only ladder levels are left
+            else:
+                self.add_ladder(step, node_budget, bits)
+            used += 1
+        return used
+
     def add_ladder(self, m: int, node_budget: int | None = None, bits: int = _LOWER_BITS) -> None:
         """Raise lower to the best ladder root up to level m, read to within
         2^-bits from below; node_budget is the ladder's shared pool."""
@@ -407,21 +441,22 @@ class BoundsReport:
     def add_theta(self, tol) -> None:
         """Lower upper to the certified theta bound at tolerance tol."""
         if self.graph.n > 0:  # theta is undefined on the empty graph; the clique cover gives 0
-            self.theta = self._refine("theta", lovasz_theta, tol) or self.theta
+            self.theta = self._add_upper("theta", lovasz_theta, tol) or self.theta
 
     def add_cover(self) -> None:
         """Lower upper to the exact fractional clique cover number."""
-        cover = self._refine("clique cover", fractional_clique_cover)
+        cover = self._add_upper("clique cover", fractional_clique_cover)
         self.clique_cover = cover or self.clique_cover
 
-    def _refine(self, name: str, bound, *args) -> UpperBound | None:
-        """bound(graph, *args) with upper lowered to its hi, or None on a recorded stop."""
+    def _add_upper(self, name: str, bound, *args) -> UpperBound | None:
+        """bound(graph, *args), or the bound its recorded stop carries; upper drops to its hi."""
         try:
             found = bound(self.graph, *args)
         except (BudgetError, ConvergenceError) as e:
             self.errors.append(f"{name}: {e}")
-            return None
-        self.upper = found.hi if self.upper is None else min(self.upper, found.hi)
+            found = e.partial
+        if found is not None:
+            self.upper = found.hi if self.upper is None else min(self.upper, found.hi)
         return found
 
 
@@ -432,9 +467,7 @@ def sandwich(
     node_budget: int | None = None,
     max_power_vertices: int | None = None,
 ) -> BoundsReport:
-    """The fixed plan: ladder levels 0..m_max, then theta, then the clique cover."""
+    """The bracket after the whole plan, up to ladder level m_max."""
     report = BoundsReport(PowerLadder(g, max_power_vertices))
-    report.add_ladder(m_max, node_budget)
-    report.add_theta(tol)
-    report.add_cover()
+    report.refine(m_max, tol, node_budget)
     return report

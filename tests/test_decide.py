@@ -9,6 +9,7 @@ from zecap import (
     BUDGET_EXHAUSTED,
     HALTED,
     VALUE,
+    BoundsReport,
     BudgetError,
     Certificate,
     DecisionOutcome,
@@ -25,8 +26,8 @@ from zecap import (
     locate_grid,
     lovasz_theta,
     parse_real,
+    sandwich,
     semidecide_gt,
-    semidecide_level,
     single_vertex,
     sqrt_int,
     squeeze_capacity,
@@ -132,6 +133,14 @@ class TestSemidecideGt:
                 assert n == seen[level] + 1 or n == seen[level]
             seen[level] = n
 
+    def test_level_zero_cannot_see_it(self, pentagon):
+        # alpha(C5) = 2 is not above threshold 2, and a power cap of 5
+        # vertices keeps every higher level from building its power
+        out = semidecide_gt(pentagon, from_rational(2), 50, power_cap=5)
+        assert out.status == BUDGET_EXHAUSTED
+        assert out.progress[0]["alpha"] == 2
+        assert out.progress[1]["stalled"] == "vertex budget"
+
     def test_budget_validation(self, pentagon):
         with pytest.raises(InputError):
             semidecide_gt(pentagon, from_rational(2), 0)
@@ -185,8 +194,6 @@ class TestCliqueCoverClosure:
             g = pentagon if i % 8 == 0 else random_graph(rng, rng.randint(0, 5), p=0.5)
             lam = from_rational(g.n)  # capacity never exceeds n: nothing fires
             want = recursive_alpha(strong_product(g, g))
-            single = semidecide_level(g, lam, 1, 1)
-            assert single.progress[1]["alpha"] == want
             # the dovetail solves level 0 first, then level 1
             out = semidecide_gt(g, lam, 3)
             assert out.status == BUDGET_EXHAUSTED
@@ -205,6 +212,23 @@ class TestCliqueCoverClosure:
         assert levels[1]["nodes_used"] == levels[2]["nodes_used"] == 0
         assert levels[3]["stalled"] == "vertex budget"
 
+    def test_lower_levels_close_the_asked_one(self, monkeypatch):
+        # level 0 of K3 x E2 meets its 2-clique cover, so levels 1 and 2 are
+        # closed at 2^2 and 2^4 without building or searching a power (level 2
+        # would search 1,296 vertices)
+        built = []
+
+        def recorded(g, h, cap=None):
+            built.append(g.n * h.n)
+            return strong_product(g, h, cap)
+
+        monkeypatch.setattr(alpha_module, "strong_product", recorded)
+        out = semidecide_gt(two_triangles(), from_rational(2), 6, power_cap=50_000)
+        assert out.status == BUDGET_EXHAUSTED
+        assert [out.progress[k]["alpha"] for k in (0, 1, 2)] == [2, 4, 16]
+        assert out.progress[2]["nodes_used"] == 0
+        assert built == []
+
     def test_open_graph_still_searches(self, pentagon):
         out = semidecide_gt(pentagon, sqrt_int(5), 30)
         assert out.progress[1]["alpha"] == 5
@@ -215,45 +239,6 @@ class TestCliqueCoverClosure:
         assert out.progress[1]["alpha"] == 4 and out.progress[1]["nodes_used"] == 0
         assert out.progress[2]["alpha"] is None
         assert out.progress[2]["stalled"] == "vertex budget"
-
-
-class TestSemidecideLevel:
-    def test_level_one_fires_for_pentagon(self, pentagon):
-        out = semidecide_level(pentagon, from_rational(2), 1, 20, lambda_expr="2")
-        assert out.status == HALTED
-        assert out.certificate.level == 1
-
-    def test_level_zero_cannot_see_it(self, pentagon):
-        # alpha(C5) = 2 is not above threshold 2
-        out = semidecide_level(pentagon, from_rational(2), 0, 50)
-        assert out.status == BUDGET_EXHAUSTED
-
-    def test_oversized_level_stalls(self, pentagon):
-        out = semidecide_level(pentagon, from_rational(2), 9, 10)
-        assert out.status == BUDGET_EXHAUSTED
-        assert out.progress[9]["stalled"] == "level cap"
-
-    def test_lower_levels_close_the_asked_one(self, monkeypatch):
-        # level 0 of K3 x E2 meets its 2-clique cover, so level 2 is closed
-        # at 2^4 without building or searching the 1,296-vertex power
-        built = []
-
-        def recorded(g, h, cap=None):
-            built.append(g.n * h.n)
-            return strong_product(g, h, cap)
-
-        monkeypatch.setattr(alpha_module, "strong_product", recorded)
-        out = semidecide_level(two_triangles(), from_rational(2), 2, 5, power_cap=50_000)
-        assert out.status == BUDGET_EXHAUSTED
-        assert out.progress[2]["alpha"] == 16
-        assert out.progress[2]["nodes_used"] == 0
-        assert built == []
-
-    def test_validation(self, pentagon):
-        with pytest.raises(InputError):
-            semidecide_level(pentagon, from_rational(2), -1, 5)
-        with pytest.raises(InputError):
-            semidecide_level(pentagon, from_rational(2), 0, 0)
 
 
 class TestCertificate:
@@ -463,6 +448,43 @@ class TestSqueeze:
         assert result.lower == Fraction(1617, 512)
         assert result.upper == Fraction(1779047184823, 549755813888)
         assert result.rounds_used == 4  # ladder 0, cover, theta, ladder 1
+
+    def test_sandwich_and_squeeze_run_one_plan(self, pentagon, monkeypatch):
+        # a squeeze whose target is out of reach runs the plan sandwich runs;
+        # level 2 stops at the node budget in both
+        seen = []
+        for name in ("add_ladder", "add_cover", "add_theta"):
+
+            def recorded(report, *args, name=name, method=getattr(BoundsReport, name)):
+                seen.append(f"ladder {args[0]}" if name == "add_ladder" else name[4:])
+                return method(report, *args)
+
+            monkeypatch.setattr(BoundsReport, name, recorded)
+        plan = ["ladder 0", "cover", "theta", "ladder 1", "ladder 2"]
+        sandwich(pentagon, 2, Fraction(1, 10**4), node_budget=2000)
+        assert seen == plan
+        seen.clear()
+        result = squeeze_capacity(pentagon, 40, node_budget=2000, power_cap=1000)
+        assert seen == plan
+        assert result.status == BUDGET_EXHAUSTED and result.rounds_used == 5
+
+    def test_no_ladder_level_after_a_stop(self):
+        # level 1 stops at its one-node budget; level 2 fits the cap but is
+        # not scheduled, so the plan ends after 4 of its 16 rounds
+        result = squeeze_capacity(cycle_graph(5), 30, budget=16, node_budget=1, power_cap=1000)
+        assert result.status == BUDGET_EXHAUSTED
+        assert result.rounds_used == 4
+        assert result.lower == 2
+
+    def test_upper_end_never_rises_with_k(self, pentagon):
+        # theta's certified interval is kept at any tolerance asked for, so
+        # the upper end stays theta's hi, never the cover's 5/2, and every
+        # width exponent up to 33 is met (about 1.0e-10 above sqrt(5))
+        results = {k: squeeze_capacity(pentagon, k) for k in range(8, 41)}
+        uppers = [r.upper for r in results.values()]
+        assert all(a >= b for a, b in zip(uppers, uppers[1:]))
+        assert uppers[-1] < Fraction(5, 2)
+        assert [k for k, r in results.items() if r.status == VALUE] == list(range(8, 34))
 
     def test_programming_errors_propagate(self, pentagon, monkeypatch):
         # only budget and convergence stops may leave a round as a no-op

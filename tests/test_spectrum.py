@@ -509,10 +509,12 @@ class TestSandwich:
         r.add_ladder(3)  # level 2 needs 625 vertices, over the cap
         lower = r.lower
         assert [v.alpha_value for v in r.ladder] == [2, 5] and 2 < lower < r.upper
-        r.add_theta(Fraction(1, 10**12))  # below the certified width: a solver stop
-        assert r.theta is None and r.upper == Fraction(5, 2)
-        r.add_theta(Fraction(1, 10**4))
+        # below the certified width: a solver stop that keeps the certified interval
+        r.add_theta(Fraction(1, 10**12))
         assert r.theta is not None and r.upper == r.theta.hi < Fraction(5, 2)
+        kept = r.upper
+        r.add_theta(Fraction(1, 10**4))
+        assert r.theta is not None and r.upper == r.theta.hi == kept
         r.add_ladder(0)  # levels already held: nothing changes
         assert r.lower == lower and len(r.ladder) == 2
         assert [e.split(":")[0] for e in r.errors] == ["ladder", "theta"]
