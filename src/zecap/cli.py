@@ -13,9 +13,9 @@ beside them determines them.  Result graphs always list every edge.
 Graphs are given as expressions: numbering indices ("689"), named
 shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9 edgeless, S the single
 vertex), compositions with + (disjoint union), * (strong product),
-^ (strong power), parentheses — or the literal forms "n:bits" and
-"n; u-v, u-v".  Thresholds accept "a/b", decimals, "sqrt(k)", and
-"a+sqrt(k)".
+^ (strong power), the prefix ~ (complement, binding tightest: ~C7^2 is
+(~C7)^2), parentheses — or the literal forms "n:bits" and "n; u-v, u-v".
+Thresholds accept "a/b", decimals, "sqrt(k)", and "a+sqrt(k)".
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .errors import BudgetError, ConvergenceError, InputError
 from .graphs import (
     INDEX_MAX_VERTICES,
     Graph,
+    complement,
     complete_graph,
     cycle_graph,
     decode,
@@ -92,7 +93,7 @@ REAL_BITS = 48  # precision at which computable reals are reported
 # graph expressions
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+|[+*^()])")
+_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+|[+*^()~])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -175,15 +176,20 @@ class _ExpressionParser:
         return g
 
     def atom(self) -> Graph:
+        flip = False
+        while self.peek() == "~":  # ~~g is g: count the prefixes, build one complement
+            self.take()
+            flip = not flip
         token = self.take()
         if token == "(":
             g = self.union()
             if self.take() != ")":
                 raise InputError("unbalanced parentheses in graph expression")
-            return g
-        if token.isdigit():
-            return decode(parse_integer(token, "graph index"))
-        return _named_graph(token)
+        elif token.isdigit():
+            g = decode(parse_integer(token, "graph index"))
+        else:
+            g = _named_graph(token)
+        return complement(g) if flip else g
 
 
 def parse_graph(text: str) -> Graph:

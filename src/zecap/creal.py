@@ -66,10 +66,8 @@ def _int_nth_root(x: int, d: int) -> int:
     """floor(x ** (1/d)) for nonnegative integers, exact."""
     if x < 0:
         raise InputError("radicand must be nonnegative")
-    if x == 0:
-        return 0
-    if d == 1:
-        return x
+    if x <= 1 or d == 1:
+        return x  # a Newton step from 2 would build 2^(d-1)
     if d == 2:
         return math.isqrt(x)
     # Newton iteration on integers, seeded from the bit length

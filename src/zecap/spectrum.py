@@ -2,17 +2,18 @@
 
 Two spectrum points are computed:
 
-* Lovász theta, by one primal-dual interior-point solve per graph of the
-  SDP pair  max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t
-  s.t. tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float
-  solution is only a proposal: both ends of the interval are proved once,
-  in exact rational arithmetic, by positive-definiteness checks of a dual
-  witness and of a primal feasible matrix.  The certified interval is
-  cached per graph and each requested tolerance is checked against it.
-  A graph built by the labelled constructions (``Graph.recipe``) is
-  composed instead: theta(K_n) = 1 and theta(E_n) = n are exact, and a
-  strong product multiplies its factors' intervals, so the SDP runs only
-  on each distinct cycle or complement factor.
+* Lovász theta.  A graph built by the labelled constructions
+  (``Graph.recipe``) gets it in closed form over the recipe, at any
+  precision: exact on complete and edgeless graphs and even cycles, an
+  integer enclosure of n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, the
+  product over strong products and n / theta over complements.  Any other
+  graph gets one primal-dual interior-point solve of the SDP pair
+  max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
+  tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float solution is
+  only a proposal: both ends of the interval are proved once, in exact
+  rational arithmetic, by positive-definiteness checks of a dual witness
+  and of a primal feasible matrix.  The certified interval is cached per
+  graph and each requested tolerance is checked against it.
 
 * The fractional clique cover number, as the exact rational optimum of
   the covering LP over maximal cliques.  It is computed through the
@@ -41,7 +42,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, complement, complete_graph, cycle_graph, edgeless_graph, strong_product
+from .graphs import Graph
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -49,6 +50,7 @@ CHIF_MAX_CLIQUES = 10_000
 _GRID_BITS = 40  # rational certificates live on a 2^-40 grid
 _GRID = 1 << _GRID_BITS
 _LOWER_BITS = 48  # the bracket reads ladder roots to within 2^-48 from below
+_CLOSED_MIN_BITS = 64  # closed-form theta of recipe graphs starts on a 2^-64 grid
 
 KIND_THETA = "lovasz_theta"
 KIND_CLIQUE_COVER = "fractional_clique_cover"
@@ -295,52 +297,112 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
     return _certify_lower(x, edge_list), _certify_upper(witness, edge_list)
 
 
-def _recipe_graph(d) -> Graph:
-    """The graph that graphs.py's constructors build for recipe d."""
+# ---------------------------------------------------------------------------
+# theta of recipe graphs in closed form
+#
+# Every recipe construction is vertex-transitive, so theta composes over the
+# recipe with no SDP (Lovász 1979): theta(C_n) = n cos(pi/n) / (1 + cos(pi/n))
+# for odd n (Corollary 5), theta(G x H) = theta(G) theta(H) (Theorem 7) and
+# theta(co G) = n / theta(G) (Theorem 8).  The odd-cycle value is enclosed in
+# Python ints at w = p + guard bits, each end rounded away from theta.
+
+
+def _arctan_inv(x: int, w: int) -> tuple[int, int]:
+    """2^w * arctan(1/x) for x >= 2, and a bound on its error.
+
+    Each term floor(2^w / ((2k+1) x^(2k+1))) is exact to below 1, and the
+    alternating tail after the last nonzero one is below 1 as well."""
+    total, power, k = 0, (1 << w) // x, 0
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power //= x * x
+        k += 1
+    return total, k + 1
+
+
+def _cos_bounds(t_lo: int, t_hi: int, w: int) -> tuple[int, int]:
+    """Ints lo <= 2^w cos(t) <= hi for every t in [t_lo, t_hi] / 2^w, 0 < t < 1.
+
+    Terms 2^w t^(2k) / (2k)! are enclosed from t_lo below and t_hi above; they
+    fall with k, so the Taylor series stopped after a subtracted term is a
+    lower bound, and one term before that an upper bound."""
+    sq_lo, sq_hi = t_lo * t_lo >> w, -(-t_hi * t_hi >> w)  # 2^w t^2, rounded outward
+    term_lo = term_hi = lo = hi = 1 << w
+    k = 0
+    while k % 2 == 0 or term_hi > 1:
+        k += 1
+        term_lo = (term_lo * sq_lo >> w) // ((2 * k - 1) * 2 * k)
+        term_hi = -((-term_hi * sq_hi >> w) // ((2 * k - 1) * 2 * k))
+        if k % 2:
+            lo, hi = lo - term_hi, hi - term_lo
+        else:
+            lo, hi = lo + term_lo, hi + term_hi
+    return lo, hi + term_lo
+
+
+@functools.lru_cache(maxsize=256)
+def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
+    """theta(C_n), odd n >= 5, on the 2^-p grid; pi is Machin's formula."""
+    w = p + p.bit_length() + n.bit_length() + 16
+    (a, ea), (b, eb) = _arctan_inv(5, w), _arctan_inv(239, w)
+    pi, err = 16 * a - 4 * b, 16 * ea + 4 * eb
+    c_lo, c_hi = _cos_bounds((pi - err) // n, -(-(pi + err) // n), w)
+    one = 1 << w
+    # n c / (1 + c) rises with c
+    return (Fraction((n * c_lo << p) // (one + c_lo), 1 << p),
+            Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
+
+
+def _theta_closed(d, p: int) -> tuple[Fraction, Fraction, int]:
+    """(lo, hi, n): theta's interval for recipe d at p bits, and its vertex count."""
     kind, arg = d
-    if kind == "co":
-        return complement(_recipe_graph(arg))
-    if kind == "x":
-        return functools.reduce(strong_product, map(_recipe_graph, arg))
-    return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](arg)
-
-
-def _theta_interval(d, g: Graph | None = None) -> tuple[Fraction, Fraction]:
-    """Certified theta interval of the graph g with recipe d: exact on K_n
-    and E_n, the product of the factors' intervals on a strong product
-    (Lovász 1979, Theorem 7), and one SDP on any other graph."""
-    kind, arg = d or (None, None)
     if kind == "x":
         lo = hi = Fraction(1)
+        n = 1
         for factor in arg:
-            a, b = _theta_interval(factor)
-            lo, hi = lo * a, hi * b
-        return lo, hi
-    if kind in ("K", "E"):
-        value = Fraction(1 if kind == "K" else arg)
-        return value, value
-    return _sdp_interval(g if g is not None else _recipe_graph(d))
+            a, b, m = _theta_closed(factor, p)
+            lo, hi, n = lo * a, hi * b, n * m
+        return lo, hi, n
+    if kind == "co":
+        lo, hi, n = _theta_closed(arg, p)
+        return n / hi, n / lo, n
+    if kind == "C" and arg >= 5 and arg % 2:
+        return (*_odd_cycle_theta(arg, p), arg)
+    value = Fraction({"K": 1, "E": arg, "C": arg // 2 if arg >= 4 else 1}[kind])
+    return value, value, arg
+
+
+def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified theta interval, at most tol wide, of the graph with recipe d.
+
+    p starts at 64 bits, so the interval is never wider than an SDP's, and
+    rises until it fits: the width shrinks like 2^-p."""
+    p = _CLOSED_MIN_BITS
+    while True:
+        lo, hi, _ = _theta_closed(d, p)
+        if hi - lo <= tol:
+            return lo, hi
+        excess = (hi - lo) / tol
+        p += excess.numerator.bit_length() - excess.denominator.bit_length() + 2
 
 
 def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
-    One interior-point solve per graph proposes a primal and a dual
-    matrix; both ends are proved exactly, once, and that interval is
-    cached and checked against every tol.  A graph with a recipe is
-    composed from its factors: K_n and E_n are exact, and a strong
-    product's interval is the product of its factors' intervals, each
-    factor solved once.  Returns [lo, hi] with hi - lo <= tol and theta in
-    the interval; hi is a genuine capacity upper bound regardless of solver
-    accuracy.  Raises ConvergenceError when the certified interval is wider
-    than tol, as it always is for tol below about n * 2^-32 * (theta - 1),
-    n and theta taken per SDP factor (the product's width is about the sum
-    of each factor's width times the other factors' theta); the error
+    A graph with a recipe gets theta in closed form over its recipe, at any
+    tol and any size; no SDP runs.  Any other graph gets one interior-point
+    solve, which proposes a primal and a dual matrix; both ends are proved
+    exactly, once, and that interval is cached and checked against every
+    tol.  Returns [lo, hi] with hi - lo <= tol and theta in the interval; hi
+    is a genuine capacity upper bound regardless of solver accuracy.  The
+    SDP takes at most THETA_MAX_VERTICES vertices (else BudgetError), and
+    raises ConvergenceError when its certified interval is wider than tol,
+    as it always is for tol below about n * 2^-32 * (theta - 1); the error
     carries that interval, still certified, as its ``partial``.
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
-    if g.n > THETA_MAX_VERTICES:
+    if g.recipe is None and g.n > THETA_MAX_VERTICES:
         raise BudgetError(
             f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
             reason="vertex budget",
@@ -348,7 +410,7 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    lo, hi = _theta_interval(g.recipe, g)
+    lo, hi = _sdp_interval(g) if g.recipe is None else _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",

@@ -18,7 +18,7 @@ import pytest
 import zecap.cli
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
 from zecap.decide import LOCATE_MAX_RESOLUTION, SQUEEZE_MAX_EXPONENT
-from zecap.graphs import INDEX_MAX_VERTICES
+from zecap.graphs import INDEX_MAX_VERTICES, complement
 from zecap import (
     ConvergenceError,
     IndependentSetWitness,
@@ -353,12 +353,18 @@ class TestExitCodes:
         assert report["budgets"] == {}  # theta-sdp takes no budget
 
     def test_tolerance_below_the_certifiable_width_is_a_solver_stop(self):
-        code, report = run(["theta-sdp", "--graph", "C5", "--tol", "1e-12"])
+        # C5 as a bit string has no recipe, so its theta is the SDP's
+        code, report = run(["theta-sdp", "--graph", "5:1001100101", "--tol", "1e-12"])
         assert code == 4
         assert report["results"]["kind"] == "solver"
-        assert report["inputs"]["expression"] == "C5"
+        assert report["inputs"]["expression"] == "5:1001100101"
         assert report["inputs"]["graph"]["index"] == 689
         assert report["inputs"]["tol"] == "1/1000000000000"
+        # the named C5 is in closed form at any tolerance
+        code, report = run(["theta-sdp", "--graph", "C5", "--tol", "1e-12"])
+        assert code == 0
+        lo, hi = Fraction(report["results"]["lo"]), Fraction(report["results"]["hi"])
+        assert lo * lo < 5 < hi * hi and hi - lo <= Fraction(1, 10**12)
 
     @pytest.mark.parametrize("command", ["theta-sdp", "bounds"])
     def test_huge_tolerance_is_not_an_internal_error(self, command):
@@ -404,8 +410,20 @@ class TestExitCodes:
         code, report = run(["squeeze", "--graph", "C5", "--K", "30", "--budget", "1"])
         assert code == 3
         assert report["results"]["status"] == "BudgetExhausted"
-        code, report = run(["squeeze", "--graph", "C5", "--K", str(SQUEEZE_MAX_EXPONENT)])
+        argv = ["squeeze", "--graph", "5:1001100101", "--K", str(SQUEEZE_MAX_EXPONENT)]
+        code, report = run(argv)
         assert code == 3 and report["results"]["status"] == "BudgetExhausted"
+        # the named C5's closed-form theta meets even the finest width
+        code, report = run(["squeeze", "--graph", "C5", "--K", str(SQUEEZE_MAX_EXPONENT)])
+        assert code == 0 and report["results"]["status"] == "Value"
+
+    def test_one_vertex_ladder_is_fast(self):
+        # every level of K1 has alpha 1, whose 2^32-th root once took a
+        # 2^32-bit Newton step
+        start = time.perf_counter()
+        code, report = run(["bounds", "--graph", "K1", "--m", "32"])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and report["results"]["lower"] == report["results"]["upper"] == "1/1"
 
     def test_partial_ladder_is_exit_three(self):
         code, report = run(
@@ -674,6 +692,31 @@ class TestExpressionParser:
         assert parse_graph(" C5 + S ") == disjoint_union(
             cycle_graph(5), edgeless_graph(1)
         )
+
+    def test_complement_binds_tightest(self):
+        c7, c9 = cycle_graph(7), cycle_graph(9)
+        assert parse_graph("~C7^2") == strong_power(complement(c7), 2)
+        assert parse_graph("~(C7*C9)") == complement(strong_product(c7, c9))
+        assert parse_graph("~C7*C9") == strong_product(complement(c7), c9)
+
+    def test_complement_keeps_the_recipe(self):
+        assert parse_graph("~~C5") == cycle_graph(5)
+        assert parse_graph("~(K3*E2)").recipe == ("co", ("x", (("K", 3), ("E", 2))))
+        assert parse_graph("~~~C5").recipe == ("co", ("C", 5))
+        # an index or a union has no recipe, and its complement none either
+        assert parse_graph("~689").recipe is None and parse_graph("~689") == complement(cycle_graph(5))
+        assert parse_graph("~(S+C5)").recipe is None
+
+    def test_complement_input_errors(self, monkeypatch):
+        for bad in ("~", "C5~", "~+C5"):
+            assert run(["theta-sdp", "--graph", bad])[0] == 2
+        # the operand stops at the vertex budget before any mask is built
+        built = []
+        monkeypatch.setattr(zecap.cli, "complement", built.append)
+        start = time.perf_counter()
+        code, report = run(["theta-sdp", "--graph", "~E3000000"])
+        assert time.perf_counter() - start < 1
+        assert code == 3 and report["results"]["reason"] == "vertex budget" and built == []
 
     def test_rejects_malformed(self):
         from zecap import InputError

@@ -461,10 +461,11 @@ class TestSqueeze:
 
             monkeypatch.setattr(BoundsReport, name, recorded)
         plan = ["ladder 0", "cover", "theta", "ladder 1", "ladder 2"]
-        sandwich(pentagon, 2, Fraction(1, 10**4), node_budget=2000)
+        flat = Graph(5, pentagon.masks)  # the SDP's floor keeps 2^-40 out of reach
+        sandwich(flat, 2, Fraction(1, 10**4), node_budget=2000)
         assert seen == plan
         seen.clear()
-        result = squeeze_capacity(pentagon, 40, node_budget=2000, power_cap=1000)
+        result = squeeze_capacity(flat, 40, node_budget=2000, power_cap=1000)
         assert seen == plan
         assert result.status == BUDGET_EXHAUSTED and result.rounds_used == 5
 
@@ -478,13 +479,16 @@ class TestSqueeze:
 
     def test_upper_end_never_rises_with_k(self, pentagon):
         # theta's certified interval is kept at any tolerance asked for, so
-        # the upper end stays theta's hi, never the cover's 5/2, and every
-        # width exponent up to 33 is met (about 1.0e-10 above sqrt(5))
-        results = {k: squeeze_capacity(pentagon, k) for k in range(8, 41)}
-        uppers = [r.upper for r in results.values()]
-        assert all(a >= b for a, b in zip(uppers, uppers[1:]))
-        assert uppers[-1] < Fraction(5, 2)
-        assert [k for k, r in results.items() if r.status == VALUE] == list(range(8, 34))
+        # the upper end stays theta's hi, never the cover's 5/2.  Without its
+        # recipe C5 gets the SDP's interval, which meets every width exponent
+        # up to 33 (about 1.0e-10 above sqrt(5)); with it, the closed form
+        # meets them all
+        for g, met in ((Graph(5, pentagon.masks), range(8, 34)), (pentagon, range(8, 41))):
+            results = {k: squeeze_capacity(g, k) for k in range(8, 41)}
+            uppers = [r.upper for r in results.values()]
+            assert all(a >= b for a, b in zip(uppers, uppers[1:]))
+            assert uppers[-1] < Fraction(5, 2)
+            assert [k for k, r in results.items() if r.status == VALUE] == list(met)
 
     def test_programming_errors_propagate(self, pentagon, monkeypatch):
         # only budget and convergence stops may leave a round as a no-op

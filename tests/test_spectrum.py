@@ -271,14 +271,38 @@ class TestTheta:
         assert b.value == b.hi
 
     def test_pentagon_closed_form(self, pentagon):
-        b = lovasz_theta(pentagon, TOL)
-        # theta(C5) = sqrt(5): certify the bracket by exact squaring
-        assert b.lo > 0 and b.lo * b.lo < 5 < b.hi * b.hi
+        # theta(C5) = sqrt(5): certify the bracket by exact squaring, through
+        # the SDP and through the closed form far below the SDP's floor
+        for g, tol in ((stripped(pentagon), TOL), (pentagon, TOL), (pentagon, Fraction(1, 10**30))):
+            b = lovasz_theta(g, tol)
+            assert b.lo > 0 and b.lo * b.lo < 5 < b.hi * b.hi and b.hi - b.lo <= tol
 
     def test_heptagon_closed_form(self):
-        b = lovasz_theta(cycle_graph(7), TOL)
         t = odd_cycle_theta(7)
+        b = lovasz_theta(stripped(cycle_graph(7)), TOL)
         assert float(b.lo) <= t <= float(b.hi)
+        # the closed-form interval is narrower than a float's rounding of t
+        b = lovasz_theta(cycle_graph(7), TOL)
+        assert abs(float(b.lo) - t) < 1e-15 and abs(float(b.hi) - t) < 1e-15
+
+    @pytest.mark.parametrize(
+        "n, poly",
+        [(5, (4, -2, -1)), (7, (8, -4, -4, 1)), (9, (8, 0, -6, -1))],
+        ids=["C5", "C7", "C9"],
+    )
+    def test_odd_cycles_bracket_an_algebraic_root(self, n, poly):
+        # cos(pi/n) is the largest root of poly, which rises past it, and
+        # c = theta/(n - theta) rises with theta: exact at any precision
+        def at(c: Fraction) -> Fraction:
+            value = Fraction(0)
+            for a in poly:
+                value = value * c + a
+            return value
+
+        for tol in (Fraction(1, 10**4), Fraction(1, 10**40), Fraction(1, 2**600)):
+            b = lovasz_theta(cycle_graph(n), tol)
+            assert b.hi - b.lo <= tol
+            assert at(b.lo / (n - b.lo)) < 0 < at(b.hi / (n - b.hi))
 
     def test_complete_and_edgeless(self):
         tiny = Fraction(1, 10**30)
@@ -312,11 +336,13 @@ class TestTheta:
             lovasz_theta(Graph(0, ()), TOL)
         with pytest.raises(InputError):
             lovasz_theta(pentagon, 0)
-        with pytest.raises(BudgetError):  # the cap holds although E65 composes exactly
-            lovasz_theta(edgeless_graph(65), TOL)
-        # below the certifiable width (about n * 2^-32 * theta) is a solver stop
-        with pytest.raises(ConvergenceError):
-            lovasz_theta(pentagon, Fraction(1, 10**12))
+        with pytest.raises(BudgetError):  # the SDP's cap: E65 without its recipe
+            lovasz_theta(stripped(edgeless_graph(65)), TOL)
+        assert lovasz_theta(edgeless_graph(65), TOL).hi == 65  # closed forms have no cap
+        # below the SDP's certifiable width (about n * 2^-32 * theta) is a solver stop
+        with pytest.raises(ConvergenceError) as stop:
+            lovasz_theta(stripped(pentagon), Fraction(1, 10**12))
+        assert stop.value.partial.lo * stop.value.partial.lo < 5 < stop.value.partial.hi ** 2
 
     def test_vertex_transitive_products(self):
         # theta(G) * theta(complement G) = n when G is vertex-transitive
@@ -324,7 +350,10 @@ class TestTheta:
         petersen = Graph.from_edges(
             10, [(i, j) for i, j in combinations(range(10), 2) if not set(pairs[i]) & set(pairs[j])]
         )
-        for g in (*map(cycle_graph, (5, 7, 9, 11)), strong_power(cycle_graph(5), 2), petersen):
+        c5, c7 = cycle_graph(5), cycle_graph(7)
+        recipes = (*map(cycle_graph, (5, 7, 9, 11)), strong_power(c5, 2),
+                   strong_product(complement(c7), complete_graph(3)), strong_product(c5, complement(c7)))
+        for g in (*recipes, *map(stripped, recipes[:5]), petersen):
             b, c = lovasz_theta(g, TOL), lovasz_theta(complement(g), TOL)
             assert b.lo * c.lo <= g.n <= b.hi * c.hi
         b = lovasz_theta(petersen, TOL)
@@ -347,27 +376,33 @@ def stripped(g: Graph) -> Graph:
 
 
 class TestComposedTheta:
-    """theta of a recipe graph is composed from one SDP per distinct
-    cycle or complement factor; K_n and E_n are exact."""
+    """theta of a recipe graph is composed in closed form over its recipe:
+    cycles, complete and edgeless graphs, complements and strong products.
+    No SDP runs on it."""
 
     POOL = [*map(cycle_graph, range(4, 10)), *map(complete_graph, (2, 3, 4)),
-            *map(edgeless_graph, (2, 3)), complement(cycle_graph(5)), complement(cycle_graph(7))]
+            *map(edgeless_graph, (2, 3)), *(complement(cycle_graph(n)) for n in (5, 7, 9))]
 
     def test_products_agree_with_the_flat_sdp(self):
+        # soundness: each closed form lies inside the SDP interval of the
+        # same graph without its recipe (complements of products included)
         rng = random.Random(25)
-        checked = 0
-        while checked < 10:
-            factors = [rng.choice(self.POOL) for _ in range(rng.randint(2, 3))]
+        seen = set()
+        while len(seen) < 14:
+            factors = [rng.choice(self.POOL) for _ in range(rng.randint(1, 3))]
             if math.prod(f.n for f in factors) > 64:
                 continue
-            checked += 1
             g = factors[0]
             for f in factors[1:]:
                 g = strong_product(g, f)
-            lo, hi = spectrum._theta_interval(g.recipe, g)
+            if rng.random() < 0.4:
+                g = complement(g)
+            if g.recipe in seen or g.edge_count() > 500:  # keep each SDP under a second
+                continue
+            seen.add(g.recipe)
+            lo, hi = spectrum._theta_interval(g.recipe, TOL)
             flat_lo, flat_hi = spectrum._sdp_interval(stripped(g))
-            assert lo <= flat_hi and flat_lo <= hi, g.recipe
-            assert hi - lo <= flat_hi - flat_lo, g.recipe
+            assert flat_lo <= lo <= hi <= flat_hi, g.recipe
 
     def test_call_order_does_not_swap_answers(self):
         recipe = strong_power(cycle_graph(5), 2)
@@ -390,19 +425,23 @@ class TestComposedTheta:
 
         monkeypatch.setattr(spectrum, "_theta_solve", counted)
         spectrum._sdp_interval.cache_clear()
-        c5, c7 = cycle_graph(5), cycle_graph(7)
-        for g in (strong_power(c5, 2), strong_product(c7, c7),
+        c5, c7, c9 = cycle_graph(5), cycle_graph(7), cycle_graph(9)
+        for g in (c5, c7, c9, strong_power(c5, 2), strong_product(c7, c7),
+                  complement(strong_product(c7, c9)),
                   strong_product(complement(c7), complete_graph(3)),
                   strong_product(strong_product(c5, edgeless_graph(2)), c5)):
             lovasz_theta(g, TOL)
-        assert sizes == [5, 7, 7]  # C5, C7 and the complement of C7, once each
+        assert sizes == []
+        lovasz_theta(stripped(c5), TOL)  # without its recipe C5 goes to the SDP
+        assert sizes == [5]
 
     def test_tolerance_is_checked_on_the_product(self):
         c5_2 = strong_power(cycle_graph(5), 2)
-        with pytest.raises(ConvergenceError):
-            lovasz_theta(c5_2, Fraction(1, 10**12))
-        b = lovasz_theta(c5_2, TOL)
-        assert b.lo < 5 < b.hi  # the square of C5's interval around sqrt(5)
+        with pytest.raises(ConvergenceError):  # the SDP's floor, on the flat square
+            lovasz_theta(stripped(c5_2), Fraction(1, 10**12))
+        for tol in (TOL, Fraction(1, 10**12), Fraction(1, 10**50)):
+            b = lovasz_theta(c5_2, tol)
+            assert b.lo < 5 < b.hi and b.hi - b.lo <= tol  # the square of C5's interval
 
 
 class TestCertificationRetry:
@@ -502,7 +541,7 @@ class TestSandwich:
         assert r.lower == 1 and r.upper == 1
 
     def test_refinements_never_widen_and_record_their_stops(self, pentagon):
-        r = BoundsReport(PowerLadder(pentagon, 100))
+        r = BoundsReport(PowerLadder(stripped(pentagon), 100))  # theta by the SDP
         assert (r.lower, r.upper, r.capped_upper()) == (0, None, 5)
         r.add_cover()
         assert r.upper == Fraction(5, 2)
