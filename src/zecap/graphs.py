@@ -317,11 +317,12 @@ def _coordinates(d) -> tuple:
     return d[1] if d[0] == "x" else (d,)
 
 
-def _orbit_size(d) -> int:
+def recipe_vertices(d) -> int:
+    """The vertex count of the graph with recipe d."""
     kind, arg = d
     if kind == "x":
-        return math.prod(_orbit_size(c) for c in arg)
-    return _orbit_size(arg) if kind == "co" else arg
+        return math.prod(recipe_vertices(c) for c in arg)
+    return recipe_vertices(arg) if kind == "co" else arg
 
 
 def _labels(d, root: int) -> list:
@@ -336,7 +337,7 @@ def _labels(d, root: int) -> list:
         return [int(x != root) for x in range(arg)]
     parts = []
     for c in reversed(arg):
-        root, r = divmod(root, _orbit_size(c))
+        root, r = divmod(root, recipe_vertices(c))
         parts.append(_labels(c, r))
     parts.reverse()
     # coordinates of equal factors can be permuted: sort their labels

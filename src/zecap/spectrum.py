@@ -42,7 +42,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph
+from .graphs import Graph, recipe_vertices
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -353,23 +353,23 @@ def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
             Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
 
 
-def _theta_closed(d, p: int) -> tuple[Fraction, Fraction, int]:
-    """(lo, hi, n): theta's interval for recipe d at p bits, and its vertex count."""
+def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
+    """theta's interval for recipe d at p bits."""
     kind, arg = d
     if kind == "x":
         lo = hi = Fraction(1)
-        n = 1
         for factor in arg:
-            a, b, m = _theta_closed(factor, p)
-            lo, hi, n = lo * a, hi * b, n * m
-        return lo, hi, n
+            a, b = _theta_closed(factor, p)
+            lo, hi = lo * a, hi * b
+        return lo, hi
     if kind == "co":
-        lo, hi, n = _theta_closed(arg, p)
-        return n / hi, n / lo, n
+        lo, hi = _theta_closed(arg, p)
+        n = recipe_vertices(arg)
+        return n / hi, n / lo
     if kind == "C" and arg >= 5 and arg % 2:
-        return (*_odd_cycle_theta(arg, p), arg)
+        return _odd_cycle_theta(arg, p)
     value = Fraction({"K": 1, "E": arg, "C": arg // 2 if arg >= 4 else 1}[kind])
-    return value, value, arg
+    return value, value
 
 
 def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
@@ -379,7 +379,7 @@ def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
     rises until it fits: the width shrinks like 2^-p."""
     p = _CLOSED_MIN_BITS
     while True:
-        lo, hi, _ = _theta_closed(d, p)
+        lo, hi = _theta_closed(d, p)
         if hi - lo <= tol:
             return lo, hi
         excess = (hi - lo) / tol
@@ -402,15 +402,18 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
-    if g.recipe is None and g.n > THETA_MAX_VERTICES:
-        raise BudgetError(
-            f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
-            reason="vertex budget",
-        )
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    lo, hi = _sdp_interval(g) if g.recipe is None else _theta_interval(g.recipe, tol)
+    if g.recipe is None:
+        if g.n > THETA_MAX_VERTICES:
+            raise BudgetError(
+                f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
+                reason="vertex budget",
+            )
+        lo, hi = _sdp_interval(g)
+    else:
+        lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",
