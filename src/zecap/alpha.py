@@ -10,17 +10,18 @@ walks the kept classes from the highest color down.  Before the search the
 vertices are renumbered so that bit i is the i-th vertex of a smallest-last
 (degeneracy) order of the complement, which tightens the coloring bound;
 witnesses are mapped back to the caller's labels.  A vertex-transitive
-graph has a maximum independent set through every vertex, so when the graph
-has a construction recipe (``Graph.recipe``: cycles, complete and edgeless
-graphs, and their complements and strong products, hence strong powers and
-the ladder's squares) the search branches only from bit 0:
-alpha(G) = 1 + alpha(G - N[v]).  Every other graph is searched in full.
-The recipe also labels the vertices (``graphs.orbit_labels``) so that equal
-labels relative to the root lie in one orbit of the root's stabilizer, and
-the root branch uses orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Program. 2011): once the candidate v is searched, every
-candidate labelled as v is dropped with it, since an automorphism fixing the
-root maps its sets onto v's.  Deeper levels drop only the searched vertex.
+graph has a maximum independent set through every vertex, so when
+``graphs.orbit_labels`` labels the graph's vertices (its construction
+recipe, ``Graph.recipe``, has no disjoint union inside: cycles, complete
+and edgeless graphs, and their complements and strong products, hence
+strong powers and the ladder's squares) the search branches only from
+bit 0: alpha(G) = 1 + alpha(G - N[v]).  Every other graph, a union among
+them, is searched in full.  Equal labels relative to the root lie in one
+orbit of the root's stabilizer, and the root branch uses orbital branching
+(Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011): once the
+candidate v is searched, every candidate labelled as v is dropped with it,
+since an automorphism fixing the root maps its sets onto v's.  Deeper
+levels drop only the searched vertex.
 The order and the greedy seed (the first incumbent) are found on bit-sliced
 degree counters, Python ints like the rest of the search: slice j is the
 mask of the vertices whose live degree has bit j set.  The live vertex of
@@ -194,7 +195,7 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
 def _root_orbits(g: Graph, order: list[int]) -> list[int] | None:
     """Entry i: the renumbered vertices whose label relative to the root
     order[0], bit 0, is that of renumbered vertex i, as a mask; None when g
-    has no recipe."""
+    has no labels."""
     labels = orbit_labels(g, order[0])
     if labels is None:
         return None

@@ -10,11 +10,12 @@ Input graphs of at most 64 vertices are echoed under ``inputs`` edge by
 edge; larger ones as ``{"vertices", "edge_count"}``, since the expression
 beside them determines them.  Result graphs always list every edge.
 
-Graphs are given as expressions: numbering indices ("689"), named
-shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9 edgeless, S the single
-vertex), compositions with + (disjoint union), * (strong product),
-^ (strong power), the prefix ~ (complement, binding tightest: ~C7^2 is
-(~C7)^2), parentheses — or the literal forms "n:bits" and "n; u-v, u-v".
+Graphs are given as expressions: numbering indices ("689"), bit strings
+("5:1001100101"), named shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9
+edgeless, S the single vertex), compositions with + (disjoint union),
+* (strong product), ^ (strong power), the prefix ~ (complement, binding
+tightest: ~C7^2 is (~C7)^2), parentheses — or, as the whole text, the edge
+list "n; u-v, u-v".
 Thresholds accept "a/b", decimals, "sqrt(k)", and "a+sqrt(k)".
 """
 
@@ -93,7 +94,8 @@ REAL_BITS = 48  # precision at which computable reals are reported
 # graph expressions
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+|[+*^()~])")
+_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+:[01]*|\d+|[+*^()~])")
+_OPERATORS = frozenset("+*^()~")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -152,11 +154,11 @@ class _ExpressionParser:
         return g
 
     def union(self) -> Graph:
-        g = self.product()
+        terms = [self.product()]
         while self.peek() == "+":
             self.take()
-            g = disjoint_union(g, self.product())
-        return g
+            terms.append(self.product())
+        return terms[0] if len(terms) == 1 else disjoint_union(*terms)
 
     def product(self) -> Graph:
         g = self.power()
@@ -187,17 +189,22 @@ class _ExpressionParser:
                 raise InputError("unbalanced parentheses in graph expression")
         elif token.isdigit():
             g = decode(parse_integer(token, "graph index"))
+        elif ":" in token:
+            g = graph_from_bitstring(token)
         else:
             g = _named_graph(token)
         return complement(g) if flip else g
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse an index, a literal form, or a composition expression."""
+    """Parse an index, a literal form, or a composition expression.
+
+    A bit string 'n:0101' is an atom of the expression grammar; an edge
+    list is read only as the whole text."""
     stripped = text.strip()
     if ";" in stripped:
         return graph_from_edgetext(stripped)
-    if ":" in stripped:
+    if ":" in stripped and _OPERATORS.isdisjoint(stripped):  # a whole bit string
         return graph_from_bitstring(stripped)
     try:
         return _ExpressionParser(_tokenize(stripped)).parse()

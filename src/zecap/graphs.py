@@ -49,13 +49,15 @@ class Graph:
 
     ``recipe`` records how the graph was built, as an expression over the
     labelled constructions (see "stabilizer orbit labels" below): cycles,
-    complete and edgeless graphs, and their complements and strong
-    products.  Each of them is vertex-transitive, and ``orbit_labels``
-    labels its vertices relative to a root so that vertices with equal
-    labels lie in one orbit of the root's stabilizer in the automorphism
-    group.  Labels may split an orbit, which only costs the alpha solver
-    speed; they never merge two.  Every other graph has recipe ``None`` and
-    is searched in full.  Equality and hashing ignore it.
+    complete and edgeless graphs, and their complements, strong products
+    and disjoint unions.  A recipe does not by itself make the graph
+    vertex-transitive: one with no union inside (``transitive``) is, and
+    for it ``orbit_labels`` labels the vertices relative to a root so that
+    vertices with equal labels lie in one orbit of the root's stabilizer in
+    the automorphism group.  Labels may split an orbit, which only costs
+    the alpha solver speed; they never merge two.  Every other graph, a
+    union or a graph with recipe ``None``, is searched in full.  Equality
+    and hashing ignore the recipe.
     """
 
     __slots__ = ("n", "masks", "recipe", "_hash")
@@ -207,10 +209,19 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, masks, recipe)
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Graph sum: h's vertices are shifted above g's."""
-    masks = g.masks + tuple(m << g.n for m in h.masks)
-    return Graph(g.n + h.n, masks)
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Graph sum: each graph's vertices are shifted above those before it.
+
+    Built in one pass, so a sum of k terms costs linear time, not k passes."""
+    masks: list[int] = []
+    for g in graphs:
+        shift = len(masks)
+        masks.extend(m << shift for m in g.masks)
+    recipe = None
+    if all(g.recipe is not None for g in graphs):
+        terms = itertools.chain.from_iterable(_operands("+", g.recipe) for g in graphs)
+        recipe = ("+", tuple(terms))
+    return Graph(len(masks), tuple(masks), recipe)
 
 
 def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
@@ -233,7 +244,7 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             masks.append(row)
     recipe = None
     if g.recipe is not None and h.recipe is not None:
-        recipe = ("x", _coordinates(g.recipe) + _coordinates(h.recipe))
+        recipe = ("x", _operands("x", g.recipe) + _operands("x", h.recipe))
     return Graph(g.n * nh, tuple(masks), recipe)
 
 
@@ -299,22 +310,27 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # stabilizer orbit labels
 #
 # ``Graph.recipe`` is an expression over the labelled constructions, with
-# complements and strong products folded in:
+# complements, strong products and disjoint unions folded in:
 #   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
 #   ("co", d)                     complement of d
 #   ("x", (d1, ..., dk))          strong product; vertex index is mixed radix
 #                                 over the coordinates, the last one fastest
-# Equal expressions build equal graphs.  Each construction's labels are kept
-# by a vertex-transitive group of automorphisms acting on root and vertex
+#   ("+", (d1, ..., dk))          disjoint union; d1's vertices come first
+# Products and unions are flat: neither lists an operand of its own kind.
+# Equal expressions build equal graphs.  A recipe with no union inside is
+# vertex-transitive, and each of its constructions' labels is kept by a
+# vertex-transitive group of automorphisms acting on root and vertex
 # together, which is what lets a product sort the labels of equal factors.
 # A leaf without such a group, say one labelled by vertex index, would make
 # that sort unsound: in C5 x C5 with root (0, 1), (2, 3) and (3, 2) would
-# share a label, yet they share 1 and 2 neighbours with the root.
+# share a label, yet they share 1 and 2 neighbours with the root.  A union
+# is in general not vertex-transitive (S + C5 is not even regular), so
+# nothing with a union inside gets labels.
 
 
-def _coordinates(d) -> tuple:
-    """The factors of a product, or d as one opaque coordinate."""
-    return d[1] if d[0] == "x" else (d,)
+def _operands(kind: str, d) -> tuple:
+    """The operands of d if it is a kind node, else d as one operand."""
+    return d[1] if d[0] == kind else (d,)
 
 
 def recipe_vertices(d) -> int:
@@ -322,7 +338,20 @@ def recipe_vertices(d) -> int:
     kind, arg = d
     if kind == "x":
         return math.prod(recipe_vertices(c) for c in arg)
+    if kind == "+":
+        return sum(recipe_vertices(c) for c in arg)
     return recipe_vertices(arg) if kind == "co" else arg
+
+
+def transitive(d) -> bool:
+    """Whether the graph with recipe d is vertex-transitive by construction:
+    true when no union is inside d."""
+    kind, arg = d
+    if kind == "+":
+        return False
+    if kind == "x":
+        return all(map(transitive, arg))
+    return kind != "co" or transitive(arg)
 
 
 def _labels(d, root: int) -> list:
@@ -351,12 +380,15 @@ def _labels(d, root: int) -> list:
 
 
 def orbit_labels(g: Graph, root: int) -> list | None:
-    """Labels of g's vertices relative to root, or None if g has no recipe.
+    """Labels of g's vertices relative to root, or None unless g has a
+    recipe with no union inside.
 
     Two vertices with equal labels are mapped to each other by some
     automorphism of g that fixes root.
     """
-    return None if g.recipe is None else _labels(g.recipe, root)
+    if g.recipe is None or not transitive(g.recipe):
+        return None
+    return _labels(g.recipe, root)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Two spectrum points are computed:
   (``Graph.recipe``) gets it in closed form over the recipe, at any
   precision: exact on complete and edgeless graphs and even cycles, an
   integer enclosure of n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, the
-  product over strong products and n / theta over complements.  Any other
-  graph gets one primal-dual interior-point solve of the SDP pair
+  product over strong products, the sum over disjoint unions and n / theta
+  over complements of vertex-transitive graphs.  Any other graph, a
+  complemented union inside its recipe included, gets one primal-dual
+  interior-point solve of the SDP pair
   max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
   tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float solution is
   only a proposal: both ends of the interval are proved once, in exact
@@ -42,7 +44,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, recipe_vertices
+from .graphs import Graph, recipe_vertices, transitive
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -300,11 +302,14 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # theta of recipe graphs in closed form
 #
-# Every recipe construction is vertex-transitive, so theta composes over the
-# recipe with no SDP (Lovász 1979): theta(C_n) = n cos(pi/n) / (1 + cos(pi/n))
-# for odd n (Corollary 5), theta(G x H) = theta(G) theta(H) (Theorem 7) and
-# theta(co G) = n / theta(G) (Theorem 8).  The odd-cycle value is enclosed in
-# Python ints at w = p + guard bits, each end rounded away from theta.
+# theta composes over the recipe with no SDP (Lovász 1979): theta(C_n) =
+# n cos(pi/n) / (1 + cos(pi/n)) for odd n (Corollary 5), theta(G x H) =
+# theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) when G is
+# vertex-transitive (Theorem 8); theta(G + H) = theta(G) + theta(H) (Knuth,
+# The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
+# so a recipe with a complemented union inside has no closed form here.  The
+# odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
+# rounded away from theta.
 
 
 def _arctan_inv(x: int, w: int) -> tuple[int, int]:
@@ -353,9 +358,21 @@ def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
             Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
 
 
-def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
-    """theta's interval for recipe d at p bits."""
+def _has_closed_theta(d) -> bool:
+    """Whether theta composes over recipe d: every complement in it is of a
+    vertex-transitive graph."""
     kind, arg = d
+    if kind == "co":
+        return transitive(arg)
+    return kind not in ("x", "+") or all(map(_has_closed_theta, arg))
+
+
+def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
+    """theta's interval at p bits for recipe d, which _has_closed_theta accepts."""
+    kind, arg = d
+    if kind == "+":
+        parts = [_theta_closed(term, p) for term in arg]
+        return sum(lo for lo, _ in parts), sum(hi for _, hi in parts)
     if kind == "x":
         lo = hi = Fraction(1)
         for factor in arg:
@@ -389,15 +406,17 @@ def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
 def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
-    A graph with a recipe gets theta in closed form over its recipe, at any
-    tol and any size; no SDP runs.  Any other graph gets one interior-point
-    solve, which proposes a primal and a dual matrix; both ends are proved
-    exactly, once, and that interval is cached and checked against every
-    tol.  Returns [lo, hi] with hi - lo <= tol and theta in the interval; hi
-    is a genuine capacity upper bound regardless of solver accuracy.  The
-    SDP takes at most THETA_MAX_VERTICES vertices (else BudgetError), and
-    raises ConvergenceError when its certified interval is wider than tol,
-    as it always is for tol below about n * 2^-32 * (theta - 1); the error
+    A graph whose recipe complements only vertex-transitive graphs gets
+    theta in closed form over the recipe, at any tol and any size; no SDP
+    runs.  Any other graph, one with no recipe or with a complemented union
+    in it, gets one interior-point solve of g itself, which proposes a
+    primal and a dual matrix; both ends are proved exactly, once, and that
+    interval is cached and checked against every tol.  Returns [lo, hi]
+    with hi - lo <= tol and theta in the interval; hi is a genuine capacity
+    upper bound regardless of solver accuracy.  The SDP takes at most
+    THETA_MAX_VERTICES vertices (else BudgetError), and raises
+    ConvergenceError when its certified interval is wider than tol, as it
+    always is for tol below about n * 2^-32 * (theta - 1); the error
     carries that interval, still certified, as its ``partial``.
     """
     if g.n == 0:
@@ -405,15 +424,15 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    if g.recipe is None:
+    if g.recipe is not None and _has_closed_theta(g.recipe):
+        lo, hi = _theta_interval(g.recipe, tol)
+    else:
         if g.n > THETA_MAX_VERTICES:
             raise BudgetError(
                 f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
                 reason="vertex budget",
             )
         lo, hi = _sdp_interval(g)
-    else:
-        lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",

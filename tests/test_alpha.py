@@ -28,7 +28,7 @@ from zecap.alpha import (
     _smallest_last,
     greedy_clique_cover,
 )
-from zecap.graphs import Graph
+from zecap.graphs import Graph, orbit_labels
 
 from conftest import (
     brute_alpha,
@@ -201,6 +201,24 @@ def labelled_graph(rng) -> Graph:
         return g
 
 
+def summed_graph(rng) -> Graph:
+    """A random graph with a union inside its recipe on at most 12
+    vertices: a sum of two or three cycles, complete or edgeless graphs,
+    complemented at times, maybe a factor of a product, maybe complemented
+    as a whole."""
+    kinds = (cycle_graph, complete_graph, edgeless_graph)
+    while True:
+        terms = [rng.choice(kinds)(rng.randint(1, 6)) for _ in range(rng.randint(2, 3))]
+        g = disjoint_union(*(complement(t) if rng.random() < 0.3 else t for t in terms))
+        if rng.random() < 0.4:
+            h = rng.choice(kinds)(rng.randint(1, 3))
+            g = strong_product(g, h) if rng.random() < 0.5 else strong_product(h, g)
+        if rng.random() < 0.2:
+            g = complement(g)
+        if g.n <= 12:
+            return g
+
+
 class TestRootFix:
     """A graph with a recipe (vertex-transitive by construction) is searched
     from one root vertex, dropping each root candidate's stabilizer orbit."""
@@ -213,6 +231,18 @@ class TestRootFix:
             plain, _ = solve_alpha(Graph(g.n, g.masks))
             assert w.size == plain.size == brute_alpha(g)
             assert w.verify(g)
+
+    def test_sums_are_searched_in_full(self, rng):
+        # a union inside the recipe means no labels, so no root fix: the
+        # solve builds the tree of the recipe-less copy
+        for _ in range(60):
+            g = summed_graph(rng)
+            assert g.recipe is not None and orbit_labels(g, 0) is None
+            got = solve_alpha(g)
+            assert got == solve_alpha(Graph(g.n, g.masks))
+            assert got[0].size == brute_alpha(g) and got[0].verify(g)
+        w, used = solve_alpha(strong_power(disjoint_union(single_vertex(), cycle_graph(5)), 2))
+        assert (w.size, used) == (10, 205)
 
     @staticmethod
     def check_labelled(g: Graph, best: int) -> tuple[int, int]:

@@ -19,14 +19,17 @@ import zecap.cli
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
 from zecap.decide import LOCATE_MAX_RESOLUTION, SQUEEZE_MAX_EXPONENT
 from zecap.graphs import INDEX_MAX_VERTICES, complement
+from zecap import spectrum
 from zecap import (
     ConvergenceError,
+    InputError,
     IndependentSetWitness,
     complete_graph,
     cycle_graph,
     disjoint_union,
     edgeless_graph,
     encode,
+    lovasz_theta,
     strong_power,
     strong_product,
 )
@@ -703,9 +706,41 @@ class TestExpressionParser:
         assert parse_graph("~~C5") == cycle_graph(5)
         assert parse_graph("~(K3*E2)").recipe == ("co", ("x", (("K", 3), ("E", 2))))
         assert parse_graph("~~~C5").recipe == ("co", ("C", 5))
-        # an index or a union has no recipe, and its complement none either
+        # an index has no recipe, and its complement none either
         assert parse_graph("~689").recipe is None and parse_graph("~689") == complement(cycle_graph(5))
-        assert parse_graph("~(S+C5)").recipe is None
+        # a union keeps its recipe under a complement, but is not
+        # vertex-transitive, so theta is the SDP's: 6 / theta(S+C5) = 1.85...
+        # is not theta(~(S+C5)) = sqrt(5)
+        g = parse_graph("~(S+C5)")
+        assert g.recipe == ("co", ("+", (("E", 1), ("C", 5))))
+        b = lovasz_theta(g, Fraction(1, 10**4))
+        assert (b.lo, b.hi) == spectrum._sdp_interval(g)
+        assert b.lo ** 2 < 5 < b.hi ** 2
+
+    def test_bitstring_is_an_atom(self, monkeypatch):
+        c5 = cycle_graph(5)
+        assert parse_graph("~5:1001100101") == parse_graph("~689") == complement(c5)
+        assert parse_graph("(5:1001100101)") == c5
+        assert parse_graph("5:1001100101*C5") == strong_power(c5, 2)
+        assert parse_graph(" 5:1001100101 + S ") == disjoint_union(c5, edgeless_graph(1))
+        assert parse_graph("5:1001100101*C5").recipe is None
+        for graph in ("~5:1001100101", "(5:1001100101)", "5:1001100101*C5"):
+            assert run(["theta-sdp", "--graph", graph])[0] == 0
+        for bad in ("5:10011*C5", "5:1001100101*", "5:1001100102+C5", "~5;", "(5; 0-1)"):
+            with pytest.raises(InputError):
+                parse_graph(bad)
+        # a whole bit string is read directly, not through the tokenizer
+        monkeypatch.setattr(zecap.cli, "_tokenize", None)
+        assert parse_graph(" 5:1001100101 ") == c5
+        with pytest.raises(InputError, match="needs exactly 10 bits of 0/1, got 'abc'"):
+            parse_graph("5:abc")
+
+    def test_long_sum_is_one_flat_node(self):
+        # 2,000 terms nest no deeper than two, and theta adds them up
+        code, report = run(["theta-sdp", "--graph", "+".join(["C5"] * 2000)])
+        assert code == 0
+        lo, hi = (Fraction(report["results"][end]) / 2000 for end in ("lo", "hi"))
+        assert lo * lo <= 5 <= hi * hi
 
     def test_complement_input_errors(self, monkeypatch):
         for bad in ("~", "C5~", "~+C5"):
@@ -719,8 +754,6 @@ class TestExpressionParser:
         assert code == 3 and report["results"]["reason"] == "vertex budget" and built == []
 
     def test_rejects_malformed(self):
-        from zecap import InputError
-
         for bad in ("", "C5+", "C2", "K0", "E0", "C5^0", "(C5", "C5)", "C5^S", "Q1"):
             with pytest.raises(InputError):
                 parse_graph(bad)

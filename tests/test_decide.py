@@ -441,7 +441,9 @@ class TestSqueeze:
 
         monkeypatch.setattr("zecap.spectrum.lovasz_theta", counted)
         monkeypatch.setattr("zecap.alpha.solve_alpha", solved)
-        result = squeeze_capacity(disjoint_union(single_vertex(), pentagon), 4, budget=15)
+        # S+C5 without its recipe, so theta is the SDP's interval
+        s_c5 = disjoint_union(single_vertex(), pentagon)
+        result = squeeze_capacity(Graph(6, s_c5.masks), 4, budget=15)
         assert tols == [Fraction(1, 64)]
         assert sizes == [6, 36]
         assert result.status == BUDGET_EXHAUSTED

@@ -24,7 +24,7 @@ from zecap import (
 )
 from zecap.channel import confusability_graph
 from zecap.cli import parse_graph
-from zecap.graphs import orbit_labels, power_fits, vertex_budget
+from zecap.graphs import orbit_labels, power_fits, recipe_vertices, transitive, vertex_budget
 
 from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
 
@@ -214,19 +214,47 @@ class TestTransitiveFlag:
     def test_other_constructors_leave_it_unset(self):
         c5 = cycle_graph(5)
         no_recipe = [
-            disjoint_union(c5, c5),  # transitive, but has no recipe
             decode(encode(c5)),
             Graph.from_edges(5, c5.edges()),
             graph_from_bitstring(graph_to_bitstring(c5)),
             graph_from_edgetext("5; 0-1, 1-2, 2-3, 3-4, 0-4"),
             confusability_graph(make_pentagon_channel()),
             parse_graph(str(encode(c5))),
-            parse_graph("C5+C5"),
+            parse_graph("5:1001100101+C5"),  # a sum with a recipe-less term
         ]
         for g in no_recipe:
             assert g == c5 or g == disjoint_union(c5, c5)
             assert g.recipe is None and orbit_labels(g, 0) is None
         assert parse_graph("C5^2*K2").recipe is not None
+        # a sum carries a recipe but no labels, even where it is transitive
+        for g in (disjoint_union(c5, c5), parse_graph("C5+C5")):
+            assert g.recipe == ("+", (("C", 5), ("C", 5)))
+            assert orbit_labels(g, 0) is None
+
+    def test_sums_are_flat_and_never_labelled(self, rng):
+        # any graph with a union inside its recipe, however deep, gets no
+        # labels, so the alpha solver never takes it for vertex-transitive
+        c3, c5, k2 = cycle_graph(3), cycle_graph(5), complete_graph(2)
+        s_c5 = disjoint_union(single_vertex(), c5)
+        assert not is_vertex_transitive(s_c5)
+        nested = disjoint_union(disjoint_union(c3, k2), disjoint_union(c5, s_c5))
+        assert nested.recipe == ("+", (("C", 3), ("K", 2), ("C", 5), ("E", 1), ("C", 5)))
+        assert nested == disjoint_union(c3, k2, c5, single_vertex(), c5)
+        assert parse_graph("C3+(K2+C5)+(S+C5)").recipe == nested.recipe
+        with_sums = [s_c5, nested, complement(s_c5), strong_power(s_c5, 2),
+                     strong_product(c5, s_c5), strong_product(complement(s_c5), k2),
+                     disjoint_union(complement(c5), complement(c3))]
+        bases = recipe_bases()
+        for _ in range(20):
+            terms = rng.sample(bases, rng.randint(2, 3))
+            g = disjoint_union(*terms)
+            with_sums += [g, complement(g), strong_product(g, rng.choice(bases))]
+        for g in with_sums:
+            assert g.recipe is not None and not transitive(g.recipe)
+            assert recipe_vertices(g.recipe) == g.n
+            assert all(orbit_labels(g, r) is None for r in range(g.n))
+        for g in recipe_bases():
+            assert transitive(g.recipe) and orbit_labels(g, 0) is not None
 
     def test_equality_and_hash_ignore_the_flag(self):
         for g in recipe_bases():

@@ -377,8 +377,8 @@ def stripped(g: Graph) -> Graph:
 
 class TestComposedTheta:
     """theta of a recipe graph is composed in closed form over its recipe:
-    cycles, complete and edgeless graphs, complements and strong products.
-    No SDP runs on it."""
+    cycles, complete and edgeless graphs, complements of vertex-transitive
+    graphs, strong products and disjoint unions.  No SDP runs on it."""
 
     POOL = [*map(cycle_graph, range(4, 10)), *map(complete_graph, (2, 3, 4)),
             *map(edgeless_graph, (2, 3)), *(complement(cycle_graph(n)) for n in (5, 7, 9))]
@@ -404,6 +404,28 @@ class TestComposedTheta:
             flat_lo, flat_hi = spectrum._sdp_interval(stripped(g))
             assert flat_lo <= lo <= hi <= flat_hi, g.recipe
 
+    def test_sums_agree_with_the_flat_sdp(self):
+        # soundness over unions: sums, products with a sum factor and sums
+        # of complemented factors, each closed form inside the SDP interval
+        # of the same graph without its recipe
+        rng = random.Random(28)
+        pool = [*self.POOL, single_vertex()]
+        seen = set()
+        while len(seen) < 16:
+            terms = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.4:
+                terms = [complement(t) if rng.random() < 0.5 else t for t in terms]
+            g = disjoint_union(*terms)
+            if rng.random() < 0.5:
+                g = strong_product(g, rng.choice(pool))
+            if g.n > 64 or g.recipe in seen or g.edge_count() > 500:
+                continue
+            seen.add(g.recipe)
+            lo, hi = spectrum._theta_interval(g.recipe, TOL)
+            flat_lo, flat_hi = spectrum._sdp_interval(stripped(g))
+            assert flat_lo <= lo <= hi <= flat_hi, g.recipe
+        assert sum(d[0] == "x" for d in seen) >= 4 and sum(d[0] == "+" for d in seen) >= 4
+
     def test_call_order_does_not_swap_answers(self):
         recipe = strong_power(cycle_graph(5), 2)
         flat = stripped(recipe)
@@ -426,14 +448,21 @@ class TestComposedTheta:
         monkeypatch.setattr(spectrum, "_theta_solve", counted)
         spectrum._sdp_interval.cache_clear()
         c5, c7, c9 = cycle_graph(5), cycle_graph(7), cycle_graph(9)
+        s_c5 = disjoint_union(single_vertex(), c5)
         for g in (c5, c7, c9, strong_power(c5, 2), strong_product(c7, c7),
                   complement(strong_product(c7, c9)),
                   strong_product(complement(c7), complete_graph(3)),
-                  strong_product(strong_product(c5, edgeless_graph(2)), c5)):
+                  strong_product(strong_product(c5, edgeless_graph(2)), c5),
+                  s_c5, disjoint_union(c5, c7), strong_product(s_c5, c5)):
             lovasz_theta(g, TOL)
         assert sizes == []
+        b = lovasz_theta(s_c5, Fraction(1, 10**40))  # 1 + sqrt(5) at any precision
+        assert (b.lo - 1) ** 2 < 5 < (b.hi - 1) ** 2
         lovasz_theta(stripped(c5), TOL)  # without its recipe C5 goes to the SDP
-        assert sizes == [5]
+        # a complemented union is not vertex-transitive: n / theta does not
+        # hold, so the SDP runs on the whole graph
+        lovasz_theta(complement(s_c5), TOL)
+        assert sizes == [5, 6]
 
     def test_tolerance_is_checked_on_the_product(self):
         c5_2 = strong_power(cycle_graph(5), 2)
