@@ -94,8 +94,7 @@ REAL_BITS = 48  # precision at which computable reals are reported
 # graph expressions
 
 
-_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+:[01]*|\d+|[+*^()~])")
-_OPERATORS = frozenset("+*^()~")
+_TOKEN_RE = re.compile(r"\s*([A-Z]\d*|\d+:[^\s+*^()~]*|\d+|[+*^()~])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -204,8 +203,6 @@ def parse_graph(text: str) -> Graph:
     stripped = text.strip()
     if ";" in stripped:
         return graph_from_edgetext(stripped)
-    if ":" in stripped and _OPERATORS.isdisjoint(stripped):  # a whole bit string
-        return graph_from_bitstring(stripped)
     try:
         return _ExpressionParser(_tokenize(stripped)).parse()
     except RecursionError:  # about 250 levels of parentheses

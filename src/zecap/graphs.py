@@ -49,8 +49,9 @@ class Graph:
 
     ``recipe`` records how the graph was built, as an expression over the
     labelled constructions (see "stabilizer orbit labels" below): cycles,
-    complete and edgeless graphs, and their complements, strong products
-    and disjoint unions.  A recipe does not by itself make the graph
+    complete and edgeless graphs, their strong products and disjoint
+    unions, and complements of those with no union inside; any other graph
+    has recipe ``None``.  A recipe does not by itself make the graph
     vertex-transitive: one with no union inside (``transitive``) is, and
     for it ``orbit_labels`` labels the vertices relative to a root so that
     vertices with equal labels lie in one orbit of the root's stabilizer in
@@ -205,7 +206,9 @@ def single_vertex() -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    recipe = None if g.recipe is None else ("co", g.recipe)  # same automorphisms, labels as g's
+    # same automorphisms and labels as g's; a complemented union has neither
+    # labels nor a closed-form theta, so it keeps no recipe
+    recipe = ("co", g.recipe) if g.recipe is not None and transitive(g.recipe) else None
     return Graph(g.n, masks, recipe)
 
 
@@ -312,7 +315,7 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # ``Graph.recipe`` is an expression over the labelled constructions, with
 # complements, strong products and disjoint unions folded in:
 #   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
-#   ("co", d)                     complement of d
+#   ("co", d)                     complement of d, a recipe with no union inside
 #   ("x", (d1, ..., dk))          strong product; vertex index is mixed radix
 #                                 over the coordinates, the last one fastest
 #   ("+", (d1, ..., dk))          disjoint union; d1's vertices come first

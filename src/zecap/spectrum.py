@@ -7,9 +7,9 @@ Two spectrum points are computed:
   precision: exact on complete and edgeless graphs and even cycles, an
   integer enclosure of n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, the
   product over strong products, the sum over disjoint unions and n / theta
-  over complements of vertex-transitive graphs.  Any other graph, a
-  complemented union inside its recipe included, gets one primal-dual
-  interior-point solve of the SDP pair
+  over complements, which the recipe keeps only for vertex-transitive
+  graphs.  Any other graph, a complemented union included, gets one
+  primal-dual interior-point solve of the SDP pair
   max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
   tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float solution is
   only a proposal: both ends of the interval are proved once, in exact
@@ -44,7 +44,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, recipe_vertices, transitive
+from .graphs import Graph, recipe_vertices
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -307,7 +307,7 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 # theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) when G is
 # vertex-transitive (Theorem 8); theta(G + H) = theta(G) + theta(H) (Knuth,
 # The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
-# so a recipe with a complemented union inside has no closed form here.  The
+# so graphs.complement gives a complemented union no recipe.  The
 # odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
 # rounded away from theta.
 
@@ -358,17 +358,8 @@ def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
             Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
 
 
-def _has_closed_theta(d) -> bool:
-    """Whether theta composes over recipe d: every complement in it is of a
-    vertex-transitive graph."""
-    kind, arg = d
-    if kind == "co":
-        return transitive(arg)
-    return kind not in ("x", "+") or all(map(_has_closed_theta, arg))
-
-
 def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
-    """theta's interval at p bits for recipe d, which _has_closed_theta accepts."""
+    """theta's interval at p bits for the graph with recipe d."""
     kind, arg = d
     if kind == "+":
         parts = [_theta_closed(term, p) for term in arg]
@@ -406,10 +397,9 @@ def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
 def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
-    A graph whose recipe complements only vertex-transitive graphs gets
-    theta in closed form over the recipe, at any tol and any size; no SDP
-    runs.  Any other graph, one with no recipe or with a complemented union
-    in it, gets one interior-point solve of g itself, which proposes a
+    A graph with a recipe gets theta in closed form over it, at any tol
+    and any size; no SDP runs.  A graph with no recipe, a complemented
+    union among them, gets one interior-point solve, which proposes a
     primal and a dual matrix; both ends are proved exactly, once, and that
     interval is cached and checked against every tol.  Returns [lo, hi]
     with hi - lo <= tol and theta in the interval; hi is a genuine capacity
@@ -424,15 +414,15 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    if g.recipe is not None and _has_closed_theta(g.recipe):
-        lo, hi = _theta_interval(g.recipe, tol)
-    else:
+    if g.recipe is None:
         if g.n > THETA_MAX_VERTICES:
             raise BudgetError(
                 f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
                 reason="vertex budget",
             )
         lo, hi = _sdp_interval(g)
+    else:
+        lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",

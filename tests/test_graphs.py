@@ -241,18 +241,23 @@ class TestTransitiveFlag:
         assert nested.recipe == ("+", (("C", 3), ("K", 2), ("C", 5), ("E", 1), ("C", 5)))
         assert nested == disjoint_union(c3, k2, c5, single_vertex(), c5)
         assert parse_graph("C3+(K2+C5)+(S+C5)").recipe == nested.recipe
-        with_sums = [s_c5, nested, complement(s_c5), strong_power(s_c5, 2),
-                     strong_product(c5, s_c5), strong_product(complement(s_c5), k2),
+        with_sums = [s_c5, nested, strong_power(s_c5, 2), strong_product(c5, s_c5),
                      disjoint_union(complement(c5), complement(c3))]
+        # a complemented union keeps no recipe, nor does anything built on it
+        co_sums = [complement(s_c5), strong_product(complement(s_c5), k2),
+                   disjoint_union(complement(s_c5), c5)]
         bases = recipe_bases()
         for _ in range(20):
             terms = rng.sample(bases, rng.randint(2, 3))
             g = disjoint_union(*terms)
-            with_sums += [g, complement(g), strong_product(g, rng.choice(bases))]
+            with_sums += [g, strong_product(g, rng.choice(bases))]
+            co_sums.append(complement(g))
         for g in with_sums:
             assert g.recipe is not None and not transitive(g.recipe)
             assert recipe_vertices(g.recipe) == g.n
             assert all(orbit_labels(g, r) is None for r in range(g.n))
+        for g in co_sums:
+            assert g.recipe is None and orbit_labels(g, 0) is None
         for g in recipe_bases():
             assert transitive(g.recipe) and orbit_labels(g, 0) is not None
 

@@ -459,8 +459,8 @@ class TestComposedTheta:
         b = lovasz_theta(s_c5, Fraction(1, 10**40))  # 1 + sqrt(5) at any precision
         assert (b.lo - 1) ** 2 < 5 < (b.hi - 1) ** 2
         lovasz_theta(stripped(c5), TOL)  # without its recipe C5 goes to the SDP
-        # a complemented union is not vertex-transitive: n / theta does not
-        # hold, so the SDP runs on the whole graph
+        # a union is not vertex-transitive, so n / theta does not hold for
+        # its complement, which keeps no recipe: the SDP runs on the whole graph
         lovasz_theta(complement(s_c5), TOL)
         assert sizes == [5, 6]
 
