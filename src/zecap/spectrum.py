@@ -8,8 +8,11 @@ Two spectrum points are computed:
   integer enclosure of n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, the
   product over strong products, the sum over disjoint unions and n / theta
   over complements, which the recipe keeps only for vertex-transitive
-  graphs.  Any other graph, a complemented union included, gets one
-  primal-dual interior-point solve of the SDP pair
+  graphs.  A graph with no recipe gets the integer k exactly where a greedy
+  independent set and a greedy partition into cliques both have size k
+  (``alpha.greedy_bounds``): the sandwich alpha <= theta <= chi-bar
+  (Lovász 1979) pins theta to k.  Any other graph, a complemented union
+  included, gets one primal-dual interior-point solve of the SDP pair
   max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
   tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float solution is
   only a proposal: both ends of the interval are proved once, in exact
@@ -17,12 +20,13 @@ Two spectrum points are computed:
   and of a primal feasible matrix.  The certified interval is cached per
   graph and each requested tolerance is checked against it.
 
-* The fractional clique cover number, as the exact rational optimum of
-  the covering LP over maximal cliques.  It is computed through the
-  equal-value packing dual: a float simplex proposes an optimal basis, and
-  its clique weights and fractional independent set are proved optimal by
-  an integer duality check; the fraction-free Bland-rule simplex in
-  integers runs only when that proof fails.
+* The fractional clique cover number: k where the same greedy bounds meet
+  at k, else the exact rational optimum of the covering LP over maximal
+  cliques, computed through the equal-value packing dual: a float simplex
+  proposes an optimal basis, and its clique weights and fractional
+  independent set are proved optimal by an integer duality check; the
+  fraction-free Bland-rule simplex in integers runs only when that proof
+  fails.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -41,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import creal
-from .alpha import LadderValue, PowerLadder, ladder as alpha_ladder
+from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
 from .graphs import Graph, recipe_vertices
@@ -126,6 +130,8 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
     exact.packing_optimum proves the optimum from a float-proposed basis:
     integer clique weights pi and vertex weights y over a common D, both
     feasible and of equal sum.  simplex_max runs only when that proof fails.
+    None of this runs when alpha.greedy_bounds meets at k: an independent set
+    and a partition into cliques of the same size k pin chi_f-bar to k.
     """
     if g.n == 0:
         return UpperBound(KIND_CLIQUE_COVER, Fraction(0), Fraction(0), Fraction(0))
@@ -134,6 +140,9 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
             f"clique cover capped at {CHIF_MAX_VERTICES} vertices, got {g.n}",
             reason="vertex budget",
         )
+    k, cover = greedy_bounds(g)
+    if k == cover:  # the sandwich closes: alpha = chi_f-bar = k
+        return UpperBound(KIND_CLIQUE_COVER, Fraction(k), Fraction(k), Fraction(0))
     cliques = maximal_cliques(g)
     rows = [[cl >> v & 1 for v in range(g.n)] for cl in cliques]
     value = packing_optimum(rows)
@@ -398,15 +407,17 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
     A graph with a recipe gets theta in closed form over it, at any tol
-    and any size; no SDP runs.  A graph with no recipe, a complemented
-    union among them, gets one interior-point solve, which proposes a
-    primal and a dual matrix; both ends are proved exactly, once, and that
-    interval is cached and checked against every tol.  Returns [lo, hi]
-    with hi - lo <= tol and theta in the interval; hi is a genuine capacity
-    upper bound regardless of solver accuracy.  The SDP takes at most
-    THETA_MAX_VERTICES vertices (else BudgetError), and raises
-    ConvergenceError when its certified interval is wider than tol, as it
-    always is for tol below about n * 2^-32 * (theta - 1); the error
+    and any size; no SDP runs.  A graph with no recipe takes at most
+    THETA_MAX_VERTICES vertices (else BudgetError).  Where its greedy
+    independent set and greedy partition into cliques have the same size k
+    (``alpha.greedy_bounds``), theta is k exactly, at any tol.  Any other,
+    a complemented union among them, gets one interior-point solve, which
+    proposes a primal and a dual matrix; both ends are proved exactly,
+    once, and that interval is cached and checked against every tol.
+    Returns [lo, hi] with hi - lo <= tol and theta in the interval; hi is a
+    genuine capacity upper bound regardless of solver accuracy.  The SDP
+    raises ConvergenceError when its certified interval is wider than tol,
+    as it always is for tol below about n * 2^-32 * (theta - 1); the error
     carries that interval, still certified, as its ``partial``.
     """
     if g.n == 0:
@@ -420,7 +431,8 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
                 f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
                 reason="vertex budget",
             )
-        lo, hi = _sdp_interval(g)
+        k, cover = greedy_bounds(g)
+        lo, hi = (Fraction(k), Fraction(k)) if k == cover else _sdp_interval(g)
     else:
         lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +27,7 @@ from zecap.alpha import (
     PowerLadder,
     _greedy_seed,
     _smallest_last,
+    greedy_bounds,
     greedy_clique_cover,
 )
 from zecap.graphs import Graph, orbit_labels
@@ -477,6 +479,39 @@ class TestGreedyCliqueCover:
         assert greedy_clique_cover(edgeless_graph(7)) == 7
         assert greedy_clique_cover(pentagon) == 3
         assert greedy_clique_cover(strong_product(complete_graph(3), edgeless_graph(2))) == 2
+
+
+class TestGreedyBounds:
+    def test_every_small_graph(self):
+        # every labelled graph on at most 5 vertices: the greedy set is
+        # independent, the cover never below the fewest cliques, and where
+        # they meet alpha is k. All but the 12 labelled pentagons meet (each
+        # is perfect, so alpha = fewest cliques), 86 only through the
+        # partitions started at each vertex
+        met = beyond_one_cover = 0
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                seed = _greedy_seed(g)
+                assert IndependentSetWitness(seed, len(seed)).verify(g)
+                lo, hi = greedy_bounds(g)
+                assert lo == len(seed)
+                assert brute_clique_cover(g) <= hi <= greedy_clique_cover(g)
+                if lo == hi:
+                    assert brute_alpha(g) == lo
+                    met += 1
+                    beyond_one_cover += hi < greedy_clique_cover(g)
+                else:
+                    assert (n, len(g.edges()), brute_alpha(g), hi) == (5, 5, 2, 3)
+        assert (met, beyond_one_cover) == (1088, 86)
+
+    def test_families(self, pentagon):
+        assert greedy_bounds(Graph(0, ())) == (0, 0)
+        assert greedy_bounds(complete_graph(7)) == (1, 1)
+        assert greedy_bounds(edgeless_graph(7)) == (7, 7)
+        assert greedy_bounds(pentagon) == (2, 3)
+        assert greedy_bounds(strong_product(complete_graph(3), edgeless_graph(2))) == (2, 2)
 
 
 class TestLadder:

@@ -27,7 +27,7 @@ from zecap import (
     strong_power,
 )
 from zecap import exact, spectrum
-from zecap.alpha import PowerLadder
+from zecap.alpha import PowerLadder, greedy_bounds
 from zecap.exact import is_positive_definite
 from zecap.graphs import Graph, complement, strong_product
 
@@ -164,6 +164,12 @@ class TestCliqueCoverCertificate:
               "K3*E2": Fraction(2), "K1": Fraction(1), "E6": Fraction(6)}
     # values of seeded G(n, 1/2) from simplex_max alone
     RANDOM = {16: Fraction(4), 20: Fraction(5), 24: Fraction(43, 7)}
+
+    @pytest.fixture(autouse=True)
+    def no_closure(self, monkeypatch):
+        """Keeps the sandwich closure from answering before the LP: K2, P3,
+        K3*E2, E6 and K_{3,...,3} have greedy bounds that meet."""
+        monkeypatch.setattr(spectrum, "greedy_bounds", lambda g: (0, g.n))
 
     @pytest.fixture
     def fallbacks(self, monkeypatch) -> list[int]:
@@ -311,11 +317,12 @@ class TestTheta:
             assert b.lo == b.hi == 1
             e = lovasz_theta(edgeless_graph(n), tiny)
             assert e.lo == e.hi == n
-            # with no recipe the same graphs go to the SDP
-            b = lovasz_theta(Graph(n, complete_graph(n).masks), TOL)
-            assert b.lo <= 1 <= b.hi
-            e = lovasz_theta(Graph(n, edgeless_graph(n).masks), TOL)
-            assert e.lo <= n <= e.hi
+            # with no recipe the same graphs close by the sandwich: one
+            # clique and a one-vertex independent set, or n of each
+            b = lovasz_theta(Graph(n, complete_graph(n).masks), tiny)
+            assert b.lo == b.hi == 1
+            e = lovasz_theta(Graph(n, edgeless_graph(n).masks), tiny)
+            assert e.lo == e.hi == n
         b = lovasz_theta(strong_product(complete_graph(3), edgeless_graph(2)), tiny)
         assert b.lo == b.hi == 2
 
@@ -471,6 +478,92 @@ class TestComposedTheta:
         for tol in (TOL, Fraction(1, 10**12), Fraction(1, 10**50)):
             b = lovasz_theta(c5_2, tol)
             assert b.lo < 5 < b.hi and b.hi - b.lo <= tol  # the square of C5's interval
+
+
+class TestSandwichClosure:
+    """A graph with no recipe whose greedy independent set and greedy
+    partition into cliques have the same size k has theta and chi_f-bar
+    exactly k: no SDP and no LP runs on it."""
+
+    # theta-random's G(n, 1/2) jobs as the benchmark relabels them at seed 0
+    CLOSING = {
+        "6:111101111111000": 3,
+        "7:100011010001111101010": 3,
+        "8:1100110101001100001010010100": 4,
+        "10:101111001011111111010011000101010001110011111": 3,
+        "12:100000010100110010001110001000000011000000010110000100111101001011": 5,
+    }
+
+    @pytest.fixture
+    def solves(self, monkeypatch) -> list[int]:
+        """The vertex counts of the solves that reach spectrum._theta_solve."""
+        solve = spectrum._theta_solve
+        sizes = []
+
+        def counted(n, erows, ecols):
+            sizes.append(n)
+            return solve(n, erows, ecols)
+
+        monkeypatch.setattr(spectrum, "_theta_solve", counted)
+        spectrum._sdp_interval.cache_clear()
+        return sizes
+
+    def test_closing_graphs_run_no_sdp(self, solves):
+        from zecap.cli import parse_graph
+
+        for bits, k in self.CLOSING.items():
+            g = parse_graph(bits)
+            assert g.recipe is None and greedy_bounds(g) == (k, k)
+            for tol in (TOL, Fraction(1, 10**30)):  # far below the SDP's floor
+                b = lovasz_theta(g, tol)
+                assert b.lo == b.hi == k, bits
+        assert solves == []
+
+    def test_open_graphs_keep_their_sdp(self, solves):
+        c5 = stripped(cycle_graph(5))
+        s_c5 = stripped(disjoint_union(single_vertex(), cycle_graph(5)))
+        assert greedy_bounds(c5) == (2, 3) and greedy_bounds(s_c5) == (3, 4)
+        b = lovasz_theta(c5, TOL)
+        assert (b.lo, b.hi) == (Fraction(122929137152, 54975581453),
+                                Fraction(1229291370935, 549755813888))
+        b = lovasz_theta(s_c5, TOL)
+        assert (b.lo, b.hi) == (Fraction(3558094371079, 1099511629319),
+                                Fraction(1779047184823, 549755813888))
+        with pytest.raises(ConvergenceError):  # the SDP's floor stays
+            lovasz_theta(c5, Fraction(1, 10**12))
+        assert solves == [5, 6]
+
+    def test_chif_closes_before_the_clique_list(self, monkeypatch):
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return maximal_cliques(g, *args)
+
+        monkeypatch.setattr(spectrum, "maximal_cliques", counted)
+        flat = stripped(strong_product(complete_graph(3), edgeless_graph(2)))
+        assert fractional_clique_cover(flat) == UpperBound(
+            "fractional_clique_cover", Fraction(2), Fraction(2), Fraction(0))
+        assert calls == []
+        assert fractional_clique_cover(stripped(cycle_graph(5))).value == Fraction(5, 2)
+        assert calls == [5]
+
+    def test_closed_graphs_agree_with_the_sdp_and_the_lp(self):
+        # soundness: on a seeded G(n, p) sweep every k where the bounds meet
+        # lies inside the SDP interval and is the exact LP optimum
+        rng = random.Random(29)
+        closed = 0
+        for i in range(90):
+            g = random_graph(rng, rng.randint(2, 16), (0.1, 0.3, 0.5, 0.7, 0.9)[i % 5])
+            k, cover = greedy_bounds(g)
+            if k != cover:
+                continue
+            closed += 1
+            lo, hi = spectrum._sdp_interval(g)
+            assert lo <= k <= hi
+            assert exact.packing_optimum(clique_rows(g)) == k
+            assert lovasz_theta(g, TOL).hi == fractional_clique_cover(g).value == k
+        assert closed >= 60, closed
 
 
 class TestCertificationRetry:
