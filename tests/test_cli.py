@@ -103,6 +103,15 @@ class TestGolden:
             ["decide-gt", "--graph", "C5", "--lambda", "2", "--budget", "100"],
         )
 
+    def test_decide_exhausted(self):
+        # 36 steps are 8 stages: levels 2-6 stall on the vertex budget and
+        # level 7, stepped last, on the level cap
+        self.run_against(
+            "decide_c5_exhausted.json",
+            ["decide-gt", "--graph", "C5", "--lambda", "sqrt(5)", "--budget", "36"],
+            expect_code=3,
+        )
+
     def test_enumerate(self):
         self.run_against(
             "enumerate_3_2.json",
