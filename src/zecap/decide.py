@@ -7,19 +7,21 @@ exactly when
     alpha(g^(2^k)) - r(n)^(2^k)  >  L_k * 2^-n
 
 with L_k = 2^k * (|r(1)| + 1)^(2^k - 1), a certified Lipschitz constant for
-t -> t^(2^k) on the interval the approximants can reach.  A firing is an
-exact rational certificate that the capacity exceeds the threshold; the
-test never fires when it does not.  The comparison runs in integers, and
-the rational sides are built only when it fires.  Certificates are
-re-checked by the same function.
+t -> t^(2^k) on the interval the approximants can reach; its one cache is on
+``lipschitz_constant``.  A firing is an exact rational certificate that the
+capacity exceeds the threshold; the test never fires when it does not.  The
+comparison runs in integers, and the rational sides are built only when it
+fires.  Certificates are re-checked by the same function.
 
 The alpha values come from one ``alpha.PowerLadder`` per graph, which finds
 each level at most once, in order, by squaring and warm-starting, and closes
 the levels above the first one that meets the clique-cover bound (Shannon
-1956).  Each level it searches gets the full per-solve node budget.  This
-module adds only its own policy: the level cap, the dovetail and the level
-test.  The dovetail and the enumeration both read from a ladder; the
-enumeration shares one ladder among isomorphic graphs.
+1956).  Each level it searches gets the full per-solve node budget.  The
+dovetail and the enumeration take every step through one level step,
+``_test_level``, which solves the level on a ladder, runs the level test
+and builds the certificate when it fires; the enumeration shares one ladder
+among isomorphic graphs.  This module adds only its own policy: the level
+cap and the two schedules.
 
 Levels are dovetailed on a triangular schedule (stage t runs one step of
 each of levels 0..t-1), so every level gets unbounded attention if the
@@ -29,6 +31,8 @@ nodes per alpha solve, and strong-power vertex counts.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,7 @@ LOCATE_MAX_CELLS = 1024  # cells a locate report may list
 LOCATE_MAX_RESOLUTION = 4096  # cell indices below 2^8192 print in 2,467 digits
 
 
+@functools.lru_cache
 def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
     """Certified |t^(2^k)| slope bound around the threshold approximants."""
     r1 = abs(lam.approx(1))
@@ -66,17 +71,14 @@ def lipschitz_constant(lam: creal.CReal, k: int) -> Fraction:
 
 
 def _level_test(
-    alpha_power: int, lam: creal.CReal, k: int, n: int, slope: Fraction | None = None
+    alpha_power: int, lam: creal.CReal, k: int, n: int
 ) -> tuple[Fraction, Fraction] | None:
     """The sides (lhs, rhs) of the level-k test at precision n if it fires.
 
-    slope is ``lipschitz_constant(lam, k)``, which callers that test one
-    level many times pass in.  The comparison runs on integers: with
-    r(n) = p/q and e = 2^k, lhs > rhs exactly when
-    (alpha q^e - p^e) 2^n den(slope) > num(slope) q^e.
+    The comparison runs on integers: with r(n) = p/q, e = 2^k and slope
+    L = L_k, lhs > rhs exactly when (alpha q^e - p^e) 2^n den(L) > num(L) q^e.
     """
-    if slope is None:
-        slope = lipschitz_constant(lam, k)
+    slope = lipschitz_constant(lam, k)
     r = lam.approx(n)
     e = 1 << k
     q_e = r.denominator**e
@@ -103,6 +105,14 @@ class Certificate:
         return sides == (self.lhs, self.rhs)
 
 
+def _test_level(powers, level, n, node_budget, lam, expr, index) -> Certificate | None:
+    """Solve level on the ladder and test it at precision n: the certificate
+    if the test fires, None if it does not or the level has stopped."""
+    alpha_value = powers.solve(level, node_budget)
+    sides = None if alpha_value is None else _level_test(alpha_value, lam, level, n)
+    return None if sides is None else Certificate(index, expr, level, n, alpha_value, *sides)
+
+
 @dataclass
 class DecisionOutcome:
     status: str
@@ -110,51 +120,6 @@ class DecisionOutcome:
     progress: dict[int, dict]
     steps_used: int
     log: list[tuple[int, int, int]]
-
-
-class _LevelRun:
-    """Precision counter of one level inside the dovetail."""
-
-    __slots__ = ("level", "capped", "stepped", "next_n", "slope")
-
-    def __init__(self, level: int):
-        self.level = level
-        self.capped = level > LEVEL_CAP  # past the level cap: never solved
-        self.stepped = False
-        self.next_n = 1
-        self.slope: Fraction | None = None  # set at the first test, once alpha is known
-
-    def step(
-        self, powers: PowerLadder, node_budget: int | None, lam: creal.CReal, expr: str
-    ) -> Certificate | None:
-        self.stepped = True
-        alpha_value = None if self.capped else powers.solve(self.level, node_budget)
-        if alpha_value is None:
-            return None
-        if self.slope is None:
-            self.slope = lipschitz_constant(lam, self.level)
-        n = self.next_n
-        self.next_n += 1
-        sides = _level_test(alpha_value, lam, self.level, n, self.slope)
-        if sides is None:
-            return None
-        index = encode(powers.graph) if powers.graph.n <= INDEX_MAX_VERTICES else None
-        return Certificate(index, expr, self.level, n, alpha_value, *sides)
-
-    def stalled(self, powers: PowerLadder) -> str | None:
-        """level cap / vertex budget / node budget, once a step has met it."""
-        if self.capped:
-            return "level cap" if self.stepped else None
-        stop = powers.stops.get(self.level)
-        return None if stop is None else str(stop.reason)
-
-    def describe(self, powers: PowerLadder) -> dict:
-        return {
-            "alpha": powers.alpha.get(self.level),
-            "last_precision": self.next_n - 1,
-            "stalled": self.stalled(powers),
-            "nodes_used": powers.nodes.get(self.level, 0),
-        }
 
 
 def semidecide_gt(
@@ -167,32 +132,43 @@ def semidecide_gt(
 ) -> DecisionOutcome:
     """Dovetail all levels; Halted certifies capacity(g) > threshold.
 
-    budget counts dovetail steps (one scheduled level-step each).  The
-    triangular schedule guarantees that after t stages level k has run
-    t - k steps, so no level starves.
+    budget counts scheduled steps, not tests: a step on a level past the
+    level cap, or on one that has stopped, still counts and runs no test.
+    The triangular schedule guarantees that after t stages level k has had
+    t - k steps, so no level starves; its first step is step (k+1)(k+2)/2.
     """
     if budget < 1:
         raise InputError("budget must be positive")
     expr = lambda_expr or lam.description
+    index = encode(g) if g.n <= INDEX_MAX_VERTICES else None
     powers = PowerLadder(g, power_cap)
-    runs: list[_LevelRun] = []
-    steps_used = 0
+    tests: list[int] = []  # tests[k] run at level k, the last at precision tests[k]
     log: list[tuple[int, int, int]] = []
-    stage = 0
-    while steps_used < budget:
-        stage += 1
-        runs.append(_LevelRun(stage - 1))
-        for run in runs[:stage]:
-            if steps_used >= budget:
-                break
-            steps_used += 1
-            cert = run.step(powers, node_budget, lam, expr)
-            log.append((stage, run.level, run.next_n - 1))
-            if cert is not None:
-                progress = {r.level: r.describe(powers) for r in runs}
-                return DecisionOutcome(HALTED, cert, progress, steps_used, log)
-    progress = {r.level: r.describe(powers) for r in runs}
-    return DecisionOutcome(BUDGET_EXHAUSTED, None, progress, steps_used, log)
+    cert = None
+    schedule = ((stage, level) for stage in itertools.count(1) for level in range(stage))
+    for stage, level in itertools.islice(schedule, budget):
+        if level == 0:
+            tests.append(0)  # each stage brings in one more level
+        if level <= LEVEL_CAP:
+            cert = _test_level(powers, level, tests[level] + 1, node_budget, lam, expr, index)
+            tests[level] += level in powers.alpha  # no test ran if the level stopped
+        log.append((stage, level, tests[level]))
+        if cert is not None:
+            break
+    steps_used = len(log)
+    progress = {
+        k: {
+            "alpha": powers.alpha.get(k),
+            "last_precision": n,
+            "stalled": str(powers.stops[k].reason) if k in powers.stops else None,
+            "nodes_used": powers.nodes.get(k, 0),
+        }
+        for k, n in enumerate(tests)
+    }
+    for k in range(LEVEL_CAP + 1, len(tests)):
+        if steps_used >= (k + 1) * (k + 2) // 2:  # level k's first step
+            progress[k]["stalled"] = "level cap"
+    return DecisionOutcome(HALTED if cert else BUDGET_EXHAUSTED, cert, progress, steps_used, log)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +230,6 @@ def enumerate_gt(
         bucket.append(PowerLadder(g, power_cap))
         return bucket[-1]
 
-    slopes: dict[int, Fraction] = {}  # lipschitz_constant(lam, level)
     pending: dict[int, tuple[PowerLadder, int]] = {}  # slot -> (ladder, top level)
     emitted: list[EmittedGraph] = []
     stage = 0
@@ -268,14 +243,8 @@ def enumerate_gt(
             level = min(age, top)
             while level > 0 and level in powers.stops:
                 level -= 1
-            alpha_value = powers.solve(level, node_budget)
-            if alpha_value is None:
-                continue
-            if level not in slopes:
-                slopes[level] = lipschitz_constant(lam, level)
-            sides = _level_test(alpha_value, lam, level, age, slopes[level])
-            if sides is not None:
-                cert = Certificate(slot - 1, expr, level, age, alpha_value, *sides)
+            cert = _test_level(powers, level, age, node_budget, lam, expr, slot - 1)
+            if cert is not None:
                 emitted.append(EmittedGraph(slot=slot, graph_index=slot - 1, certificate=cert))
                 del pending[slot]
     return EnumerationState(stage=stage, pending=sorted(pending), emitted=emitted)

@@ -61,7 +61,7 @@ class Graph:
     and hashing ignore the recipe.
     """
 
-    __slots__ = ("n", "masks", "recipe", "_hash")
+    __slots__ = ("n", "masks", "recipe")
 
     def __init__(self, n: int, masks: tuple[int, ...], recipe=None):
         if n < 0:
@@ -76,7 +76,6 @@ class Graph:
         self.n = n
         self.masks = tuple(masks)
         self.recipe = recipe
-        self._hash = hash((n, self.masks))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -123,7 +122,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
