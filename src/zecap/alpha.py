@@ -391,8 +391,8 @@ class PowerLadder:
     Level k is searched on the square of level k - 1's power, warm-started
     from the square of the best set found there, which is a partial set when
     that level stopped at its node budget.  The search runs until a level j
-    meets the clique-cover bound: alpha(g^(2^j)) = c^(2^j) for a greedy
-    partition of g into c cliques (``greedy_clique_cover``).  That closes
+    meets the clique-cover bound: alpha(g^(2^j)) = c^(2^j) for a partition
+    of g into c cliques, the upper end of ``greedy_bounds``.  That closes
     every later level k: products of cliques are cliques, so
     alpha(g^(2^k)) <= c^(2^k), and products of independent sets are
     independent, so alpha(g^(2^k)) >= alpha(g^(2^j))^(2^(k-j)) = c^(2^k)
@@ -414,7 +414,7 @@ class PowerLadder:
         self._level = -1  # the last level reached
         self._power: Graph | None = g  # its power; None once the ladder is closed
         self._vertices = g.n  # of that power, also once it is no longer built
-        self._bound = greedy_clique_cover(g)  # c^(2^k) at that level
+        self._bound = greedy_bounds(g)[1]  # c^(2^k) at that level
         self._best: list[int] | None = None  # its best set, squared into the next warm start
 
     def top(self, most: int) -> int:

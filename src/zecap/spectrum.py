@@ -20,13 +20,17 @@ Two spectrum points are computed:
   and of a primal feasible matrix.  The certified interval is cached per
   graph and each requested tolerance is checked against it.
 
-* The fractional clique cover number: k where the same greedy bounds meet
-  at k, else the exact rational optimum of the covering LP over maximal
-  cliques, computed through the equal-value packing dual: a float simplex
-  proposes an optimal basis, and its clique weights and fractional
-  independent set are proved optimal by an integer duality check; the
-  fraction-free Bland-rule simplex in integers runs only when that proof
-  fails.
+* The fractional clique cover number chi_f-bar.  A recipe graph gets it
+  exactly, at any size, from the fold over the recipe that gives theta:
+  n/2 on C_n for n >= 4, n / alpha on the complement of a leaf, the product
+  over strong products and the sum over disjoint unions.  Any other graph,
+  one with a complement over a non-leaf included, gets k where the same
+  greedy bounds meet at k, else the exact rational optimum of the covering
+  LP over maximal cliques, computed through the equal-value packing dual: a
+  float simplex proposes an optimal basis, and its clique weights and
+  fractional independent set are proved optimal by an integer duality
+  check; the fraction-free Bland-rule simplex in integers runs only when
+  that proof fails.  Only these graphs are capped at CHIF_MAX_VERTICES.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -130,11 +134,16 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
     exact.packing_optimum proves the optimum from a float-proposed basis:
     integer clique weights pi and vertex weights y over a common D, both
     feasible and of equal sum.  simplex_max runs only when that proof fails.
-    None of this runs when alpha.greedy_bounds meets at k: an independent set
+    None of this runs on a recipe graph with a closed form (``_chif_leaf``),
+    at any size, nor when alpha.greedy_bounds meets at k: an independent set
     and a partition into cliques of the same size k pin chi_f-bar to k.
+    Only the graphs left take at most CHIF_MAX_VERTICES (else BudgetError).
     """
     if g.n == 0:
         return UpperBound(KIND_CLIQUE_COVER, Fraction(0), Fraction(0), Fraction(0))
+    closed = g.recipe and _fold(g.recipe, _chif_leaf)
+    if closed is not None:
+        return UpperBound(KIND_CLIQUE_COVER, *closed, Fraction(0))
     if g.n > CHIF_MAX_VERTICES:
         raise BudgetError(
             f"clique cover capped at {CHIF_MAX_VERTICES} vertices, got {g.n}",
@@ -309,7 +318,7 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# theta of recipe graphs in closed form
+# theta and chi_f-bar of recipe graphs in closed form
 #
 # theta composes over the recipe with no SDP (Lovász 1979): theta(C_n) =
 # n cos(pi/n) / (1 + cos(pi/n)) for odd n (Corollary 5), theta(G x H) =
@@ -318,7 +327,9 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 # The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
 # so graphs.complement gives a complemented union no recipe.  The
 # odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
-# rounded away from theta.
+# rounded away from theta.  chi_f-bar composes over x and + the same way
+# (Scheinerman and Ullman, Fractional Graph Theory, 1997, ch. 3); on the
+# complement of a vertex-transitive leaf it is the leaf's chi_f = n / alpha.
 
 
 def _arctan_inv(x: int, w: int) -> tuple[int, int]:
@@ -367,25 +378,47 @@ def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
             Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
 
 
+def _fold(d, leaf):
+    """One spectrum point's interval on the graph with recipe d, or None.
+
+    Every point of the asymptotic spectrum adds over + and multiplies over x
+    (Zuiddam 2019); leaf(kind, arg) gives it on leaves and complements, or
+    None where it has no closed form there."""
+    kind, arg = d
+    if kind not in ("+", "x"):
+        return leaf(kind, arg)
+    parts = [_fold(term, leaf) for term in arg]
+    if None in parts:
+        return None
+    combine = sum if kind == "+" else math.prod
+    return combine(lo for lo, _ in parts), combine(hi for _, hi in parts)
+
+
 def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
     """theta's interval at p bits for the graph with recipe d."""
-    kind, arg = d
-    if kind == "+":
-        parts = [_theta_closed(term, p) for term in arg]
-        return sum(lo for lo, _ in parts), sum(hi for _, hi in parts)
-    if kind == "x":
-        lo = hi = Fraction(1)
-        for factor in arg:
-            a, b = _theta_closed(factor, p)
-            lo, hi = lo * a, hi * b
-        return lo, hi
-    if kind == "co":
-        lo, hi = _theta_closed(arg, p)
-        n = recipe_vertices(arg)
-        return n / hi, n / lo
-    if kind == "C" and arg >= 5 and arg % 2:
-        return _odd_cycle_theta(arg, p)
-    value = Fraction({"K": 1, "E": arg, "C": arg // 2 if arg >= 4 else 1}[kind])
+    def leaf(kind, arg):
+        if kind == "co":
+            lo, hi = _theta_closed(arg, p)
+            n = recipe_vertices(arg)
+            return n / hi, n / lo
+        if kind == "C" and arg >= 5 and arg % 2:
+            return _odd_cycle_theta(arg, p)
+        return _chif_leaf(kind, arg)  # K_n, E_n and the other cycles are perfect
+
+    return _fold(d, leaf)
+
+
+def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction] | None:
+    """chi_f-bar of a leaf, or of the complement of a leaf, where it is the
+    leaf's n / alpha; None for a complement of anything else."""
+    if kind != "co":
+        cycle = Fraction(arg, 2) if arg >= 4 else 1
+        value = Fraction({"K": min(arg, 1), "E": arg, "C": cycle}[kind])
+    elif arg[0] in ("K", "E", "C"):
+        kind, n = arg
+        value = Fraction(n, max({"K": 1, "E": n, "C": n // 2}[kind], 1))
+    else:
+        return None
     return value, value
 
 

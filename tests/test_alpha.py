@@ -568,6 +568,17 @@ class TestLadder:
         assert [v.alpha_value for v in values] == levels
         assert seen == searched
 
+    def test_greedy_bounds_close_the_ladder(self):
+        # greedy_clique_cover alone finds 5 cliques on this G(12, 1/2), one
+        # more than alpha = 4, so level 1 used to search 128 nodes for 16
+        from zecap.cli import parse_graph
+
+        g = parse_graph("12:100011010010110100011001011111100100011101001001100010101100010001")
+        assert greedy_bounds(g) == (4, 4) and greedy_clique_cover(g) == 5
+        powers = PowerLadder(g)
+        assert powers.solve(1) == 16 == solve_alpha(strong_product(g, g))[0].size
+        assert powers.nodes[1] == 0
+
     def test_reads_the_power_ladder(self, rng, pentagon):
         for i in range(30):
             g = pentagon if i == 0 else random_graph(rng, rng.randint(0, 5), p=0.5)

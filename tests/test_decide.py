@@ -36,7 +36,7 @@ from zecap import (
 )
 import zecap.alpha as alpha_module
 import zecap.decide as decide_module
-from zecap.alpha import PowerLadder, greedy_clique_cover, solve_alpha
+from zecap.alpha import PowerLadder, greedy_bounds, solve_alpha
 from zecap.decide import LEVEL_CAP, LOCATE_MAX_CELLS, _level_test
 from zecap.graphs import Graph, is_isomorphic
 
@@ -197,7 +197,7 @@ class TestCliqueCoverClosure:
             out = semidecide_gt(g, lam, 3)
             assert out.status == BUDGET_EXHAUSTED
             assert [out.progress[k]["alpha"] for k in (0, 1)] == [brute_alpha(g), want]
-            tight = brute_alpha(g) == greedy_clique_cover(g)
+            tight = brute_alpha(g) == greedy_bounds(g)[1]
             assert (out.progress[1]["nodes_used"] == 0) == tight
             closed += tight
         assert closed == 35, closed  # every random graph here, and no pentagon

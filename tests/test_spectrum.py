@@ -114,8 +114,9 @@ class TestCliqueCover:
         assert fractional_clique_cover(c7_e3).value == Fraction(21, 2)
 
     def test_vertex_cap(self):
-        with pytest.raises(BudgetError):
-            fractional_clique_cover(edgeless_graph(25))
+        with pytest.raises(BudgetError):  # the LP's cap: E25 without its recipe
+            fractional_clique_cover(stripped(edgeless_graph(25)))
+        assert fractional_clique_cover(edgeless_graph(25)).value == 25  # closed forms have no cap
 
 
 def clique_rows(g: Graph) -> list[list[int]]:
@@ -188,7 +189,9 @@ class TestCliqueCoverCertificate:
 
         monkeypatch.setattr(spectrum, "simplex_max", unreachable)
         for expr, value in self.CLOSED.items():
-            assert fractional_clique_cover(parse_graph(expr)).value == value, expr
+            g = parse_graph(expr)  # through the recipe fold, then the LP on the flat copy
+            assert fractional_clique_cover(g).value == value, expr
+            assert fractional_clique_cover(stripped(g)).value == value, expr
         for n, value in self.RANDOM.items():
             assert fractional_clique_cover(random_graph(random.Random(n), n)).value == value, n
 
@@ -244,7 +247,7 @@ class TestCliqueCoverCertificate:
         # every basis before Bland's rule stops, the slack basis first, is
         # feasible but not optimal: its dual pi is infeasible
         basis = exact._packing_basis
-        for g in (cycle_graph(7), random_graph(random.Random(16), 16)):
+        for g in (stripped(cycle_graph(7)), random_graph(random.Random(16), 16)):
             a = np.array(clique_rows(g), dtype=float)
             want = exact_chif(g)
             pivots = next(k for k in range(1, 200) if basis(a, k) == basis(a, k + 1))
@@ -267,6 +270,76 @@ class TestCliqueCoverCertificate:
             g = disjoint_union(g, complete_graph(3))
         monkeypatch.setattr(spectrum, "simplex_max", unreachable)
         assert fractional_clique_cover(complement(g)).value == 3
+
+
+def no_cliques(*args):
+    raise AssertionError("maximal_cliques reached")
+
+
+class TestClosedCliqueCover:
+    """chi_f-bar of a recipe graph is folded over its recipe, at any size:
+    n/2 on cycles, n / alpha on complements of leaves, products over x and
+    sums over +.  No clique list and no LP runs on it."""
+
+    @staticmethod
+    def operand(rng: random.Random) -> Graph:
+        make = rng.choice((complete_graph, edgeless_graph, cycle_graph))
+        leaf = make(rng.randint(1, 9))
+        return complement(leaf) if rng.random() < 0.3 else leaf
+
+    def test_sweep_matches_the_lp(self, monkeypatch):
+        # soundness: each closed form is the exact LP optimum on the same
+        # graph without its recipe
+        rng = random.Random(31)
+        seen = set()
+        while len(seen) < 100:
+            terms = [self.operand(rng) for _ in range(rng.randint(1, 3))]
+            g = terms[0]
+            if len(terms) > 1 and rng.random() < 0.5:
+                for t in terms[1:]:
+                    g = strong_product(g, t)
+            elif len(terms) > 1:
+                if rng.random() < 0.3:  # a product inside the union
+                    terms[0] = strong_product(terms[0], self.operand(rng))
+                g = disjoint_union(*terms)
+            if g.n > 24 or g.recipe in seen:
+                continue
+            seen.add(g.recipe)
+            monkeypatch.setattr(spectrum, "maximal_cliques", no_cliques)
+            closed = fractional_clique_cover(g)
+            monkeypatch.undo()
+            assert closed.lo == closed.hi == exact_chif(stripped(g)), g.recipe
+        kinds = [d[0] for d in seen]
+        assert min(kinds.count("x"), kinds.count("+"), kinds.count("co")) >= 15, kinds
+        assert sum("'co'" in repr(d) for d in seen if d[0] != "co") >= 20
+        assert sum("'x'" in repr(d) for d in seen if d[0] == "+") >= 5
+
+    def test_beyond_the_lp_cap(self, monkeypatch):
+        from zecap.cli import parse_graph, run
+
+        monkeypatch.setattr(spectrum, "maximal_cliques", no_cliques)
+        for expr, value in {"C5^2": Fraction(25, 4), "C7^2": Fraction(49, 4), "E25": Fraction(25),
+                            "~C7": Fraction(7, 3), "S+C5": Fraction(7, 2)}.items():
+            assert fractional_clique_cover(parse_graph(expr)) == UpperBound(
+                "fractional_clique_cover", value, value, Fraction(0)), expr
+        for expr, value in {"C5": "5/2", "C7": "7/2", "S+C5": "7/2"}.items():
+            code, report = run(["chif", "--graph", expr])
+            assert code == 0 and report["results"]["value"] == value, expr
+
+    def test_other_complements_keep_the_lp(self, monkeypatch):
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return maximal_cliques(g, *args)
+
+        monkeypatch.setattr(spectrum, "maximal_cliques", counted)
+        g = complement(strong_product(cycle_graph(5), cycle_graph(4)))
+        assert g.recipe == ("co", ("x", (("C", 5), ("C", 4))))
+        assert fractional_clique_cover(g).value == exact_chif(stripped(g))
+        assert calls == [20]
+        with pytest.raises(BudgetError):  # and its cap
+            fractional_clique_cover(complement(strong_power(cycle_graph(5), 2)))
 
 
 class TestTheta:
