@@ -392,7 +392,10 @@ class PowerLadder:
     from the square of the best set found there, which is a partial set when
     that level stopped at its node budget.  The search runs until a level j
     meets the clique-cover bound: alpha(g^(2^j)) = c^(2^j) for a partition
-    of g into c cliques, the upper end of ``greedy_bounds``.  That closes
+    of g into c cliques.  c starts as ``greedy_clique_cover`` and drops to
+    the upper end of ``greedy_bounds`` just before the first power is built:
+    its n more partitions of g cost less than the n^2-vertex level they may
+    close, but can cost far more than level 0's search.  That closes
     every later level k: products of cliques are cliques, so
     alpha(g^(2^k)) <= c^(2^k), and products of independent sets are
     independent, so alpha(g^(2^k)) >= alpha(g^(2^j))^(2^(k-j)) = c^(2^k)
@@ -414,7 +417,7 @@ class PowerLadder:
         self._level = -1  # the last level reached
         self._power: Graph | None = g  # its power; None once the ladder is closed
         self._vertices = g.n  # of that power, also once it is no longer built
-        self._bound = greedy_bounds(g)[1]  # c^(2^k) at that level
+        self._bound = greedy_clique_cover(g)  # c^(2^k) at that level
         self._best: list[int] | None = None  # its best set, squared into the next warm start
 
     def top(self, most: int) -> int:
@@ -446,6 +449,11 @@ class PowerLadder:
             except BudgetError as e:
                 self.stops[k] = e
                 return
+            if self._power is not None and k == 1:
+                c = greedy_bounds(self.graph)[1]
+                self._bound = c * c
+                if self.alpha.get(0) == c:
+                    self._power = None  # level 0 meets the sharper cover
             if self._power is not None:
                 self._power = strong_product(self._power, self._power, self._cap)
                 self._best = [u * side + v for u in self._best for v in self._best]

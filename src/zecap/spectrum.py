@@ -411,9 +411,10 @@ def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
 def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction] | None:
     """chi_f-bar of a leaf, or of the complement of a leaf, where it is the
     leaf's n / alpha; None for a complement of anything else."""
-    if kind != "co":
-        cycle = Fraction(arg, 2) if arg >= 4 else 1
-        value = Fraction({"K": min(arg, 1), "E": arg, "C": cycle}[kind])
+    if kind == "C" and arg >= 4:
+        value = Fraction(arg, 2)
+    elif kind != "co":
+        value = Fraction({"K": min(arg, 1), "E": arg, "C": 1}[kind])
     elif arg[0] in ("K", "E", "C"):
         kind, n = arg
         value = Fraction(n, max({"K": 1, "E": n, "C": n // 2}[kind], 1))

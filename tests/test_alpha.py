@@ -568,7 +568,7 @@ class TestLadder:
         assert [v.alpha_value for v in values] == levels
         assert seen == searched
 
-    def test_greedy_bounds_close_the_ladder(self):
+    def test_greedy_bounds_close_the_ladder(self, monkeypatch):
         # greedy_clique_cover alone finds 5 cliques on this G(12, 1/2), one
         # more than alpha = 4, so level 1 used to search 128 nodes for 16
         from zecap.cli import parse_graph
@@ -578,6 +578,13 @@ class TestLadder:
         powers = PowerLadder(g)
         assert powers.solve(1) == 16 == solve_alpha(strong_product(g, g))[0].size
         assert powers.nodes[1] == 0
+        # the extra partitions wait for the first power: level 0 alone never
+        # pays for them (on C5^4 they cost a hundred times the single cover)
+        def unreachable(g):
+            raise AssertionError("greedy_bounds reached")
+
+        monkeypatch.setattr(alpha_module, "greedy_bounds", unreachable)
+        assert PowerLadder(strong_power(cycle_graph(5), 3)).solve(0) == 10
 
     def test_reads_the_power_ladder(self, rng, pentagon):
         for i in range(30):

@@ -326,6 +326,15 @@ class TestClosedCliqueCover:
             code, report = run(["chif", "--graph", expr])
             assert code == 0 and report["results"]["value"] == value, expr
 
+    def test_empty_and_one_vertex_leaves(self):
+        # K_0 adds nothing to a union, and C_1 is one vertex with alpha = 1
+        g = disjoint_union(complete_graph(0), cycle_graph(5))
+        assert fractional_clique_cover(g).value == Fraction(5, 2)
+        b = lovasz_theta(g, TOL)
+        assert b.lo ** 2 < 5 < b.hi ** 2
+        g = disjoint_union(complement(cycle_graph(1)), cycle_graph(5))
+        assert fractional_clique_cover(g).value == Fraction(7, 2)
+
     def test_other_complements_keep_the_lp(self, monkeypatch):
         calls = []
 
