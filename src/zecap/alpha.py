@@ -12,11 +12,11 @@ vertices are renumbered so that bit i is the i-th vertex of a smallest-last
 witnesses are mapped back to the caller's labels.  A vertex-transitive
 graph has a maximum independent set through every vertex, so when
 ``graphs.orbit_labels`` labels the graph's vertices (its construction
-recipe, ``Graph.recipe``, has no disjoint union inside: cycles, complete
-and edgeless graphs, and their complements and strong products, hence
-strong powers and the ladder's squares) the search branches only from
-bit 0: alpha(G) = 1 + alpha(G - N[v]).  Every other graph, a union among
-them, is searched in full.  Equal labels relative to the root lie in one
+recipe, ``Graph.recipe``, has no disjoint union and no literal inside:
+cycles, complete and edgeless graphs, and their complements and strong
+products, hence strong powers and the ladder's squares) the search
+branches only from bit 0: alpha(G) = 1 + alpha(G - N[v]).  Every other
+graph, a union or a literal among them, is searched in full.  Equal labels relative to the root lie in one
 orbit of the root's stabilizer, and the root branch uses orbital branching
 (Ostrowski, Linderoth, Rossi and Smriglio, Math. Program. 2011): once the
 candidate v is searched, every candidate labelled as v is dropped with it,

@@ -49,16 +49,17 @@ class Graph:
 
     ``recipe`` records how the graph was built, as an expression over the
     labelled constructions (see "stabilizer orbit labels" below): cycles,
-    complete and edgeless graphs, their strong products and disjoint
-    unions, and complements of those with no union inside; any other graph
-    has recipe ``None``.  A recipe does not by itself make the graph
-    vertex-transitive: one with no union inside (``transitive``) is, and
-    for it ``orbit_labels`` labels the vertices relative to a root so that
-    vertices with equal labels lie in one orbit of the root's stabilizer in
-    the automorphism group.  Labels may split an orbit, which only costs
-    the alpha solver speed; they never merge two.  Every other graph, a
-    union or a graph with recipe ``None``, is searched in full.  Equality
-    and hashing ignore the recipe.
+    complete and edgeless graphs, literal graphs, their strong products and
+    disjoint unions, and complements.  A graph built without one, say from
+    an index, a bit string or an edge list, is the literal leaf
+    ``("G", masks)``.  A recipe does not by itself make the graph
+    vertex-transitive: one with no union and no literal inside
+    (``transitive``) is, and for it ``orbit_labels`` labels the vertices
+    relative to a root so that vertices with equal labels lie in one orbit
+    of the root's stabilizer in the automorphism group.  Labels may split
+    an orbit, which only costs the alpha solver speed; they never merge
+    two.  Every other graph is searched in full.  Equality and hashing
+    ignore the recipe.
     """
 
     __slots__ = ("n", "masks", "recipe")
@@ -75,7 +76,8 @@ class Graph:
                 raise InputError(f"vertex {v} has a loop")
         self.n = n
         self.masks = tuple(masks)
-        self.recipe = recipe
+        # the leaf holds the masks, not the graph, so no reference cycle forms
+        self.recipe = ("G", self.masks) if recipe is None else recipe
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -205,10 +207,9 @@ def single_vertex() -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    # same automorphisms and labels as g's; a complemented union has neither
-    # labels nor a closed-form theta, so it keeps no recipe
-    recipe = ("co", g.recipe) if g.recipe is not None and transitive(g.recipe) else None
-    return Graph(g.n, masks, recipe)
+    # same automorphisms and labels as g's; theta(co g) = n / theta(g) needs
+    # g vertex-transitive, so any other complement is a fresh literal
+    return Graph(g.n, masks, ("co", g.recipe) if transitive(g.recipe) else None)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -219,11 +220,8 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         shift = len(masks)
         masks.extend(m << shift for m in g.masks)
-    recipe = None
-    if all(g.recipe is not None for g in graphs):
-        terms = itertools.chain.from_iterable(_operands("+", g.recipe) for g in graphs)
-        recipe = ("+", tuple(terms))
-    return Graph(len(masks), tuple(masks), recipe)
+    terms = itertools.chain.from_iterable(_operands("+", g.recipe) for g in graphs)
+    return Graph(len(masks), tuple(masks), ("+", tuple(terms)))
 
 
 def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
@@ -244,9 +242,7 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             row = pattern * closed_h[b]
             row ^= 1 << (a * nh + b)  # drop the vertex itself
             masks.append(row)
-    recipe = None
-    if g.recipe is not None and h.recipe is not None:
-        recipe = ("x", _operands("x", g.recipe) + _operands("x", h.recipe))
+    recipe = ("x", _operands("x", g.recipe) + _operands("x", h.recipe))
     return Graph(g.n * nh, tuple(masks), recipe)
 
 
@@ -314,20 +310,22 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # ``Graph.recipe`` is an expression over the labelled constructions, with
 # complements, strong products and disjoint unions folded in:
 #   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
-#   ("co", d)                     complement of d, a recipe with no union inside
+#   ("G", masks)                  literal graph with these adjacency masks
+#   ("co", d)                     complement of d, a recipe with no union and
+#                                 no literal inside
 #   ("x", (d1, ..., dk))          strong product; vertex index is mixed radix
 #                                 over the coordinates, the last one fastest
 #   ("+", (d1, ..., dk))          disjoint union; d1's vertices come first
 # Products and unions are flat: neither lists an operand of its own kind.
-# Equal expressions build equal graphs.  A recipe with no union inside is
-# vertex-transitive, and each of its constructions' labels is kept by a
-# vertex-transitive group of automorphisms acting on root and vertex
-# together, which is what lets a product sort the labels of equal factors.
-# A leaf without such a group, say one labelled by vertex index, would make
-# that sort unsound: in C5 x C5 with root (0, 1), (2, 3) and (3, 2) would
-# share a label, yet they share 1 and 2 neighbours with the root.  A union
-# is in general not vertex-transitive (S + C5 is not even regular), so
-# nothing with a union inside gets labels.
+# Equal expressions build equal graphs.  A recipe with no union and no
+# literal inside is vertex-transitive, and each of its constructions'
+# labels is kept by a vertex-transitive group of automorphisms acting on
+# root and vertex together, which is what lets a product sort the labels of
+# equal factors.  A leaf without such a group, say a literal labelled by
+# vertex index, would make that sort unsound: in C5 x C5 with root (0, 1),
+# (2, 3) and (3, 2) would share a label, yet they share 1 and 2 neighbours
+# with the root.  A union is in general not vertex-transitive (S + C5 is not
+# even regular), so nothing with a union or a literal inside gets labels.
 
 
 def _operands(kind: str, d) -> tuple:
@@ -342,14 +340,16 @@ def recipe_vertices(d) -> int:
         return math.prod(recipe_vertices(c) for c in arg)
     if kind == "+":
         return sum(recipe_vertices(c) for c in arg)
+    if kind == "G":
+        return len(arg)
     return recipe_vertices(arg) if kind == "co" else arg
 
 
 def transitive(d) -> bool:
     """Whether the graph with recipe d is vertex-transitive by construction:
-    true when no union is inside d."""
+    true when no union and no literal is inside d."""
     kind, arg = d
-    if kind == "+":
+    if kind in ("+", "G"):
         return False
     if kind == "x":
         return all(map(transitive, arg))
@@ -382,13 +382,13 @@ def _labels(d, root: int) -> list:
 
 
 def orbit_labels(g: Graph, root: int) -> list | None:
-    """Labels of g's vertices relative to root, or None unless g has a
-    recipe with no union inside.
+    """Labels of g's vertices relative to root, or None unless g's recipe
+    has no union and no literal inside.
 
     Two vertices with equal labels are mapped to each other by some
     automorphism of g that fixes root.
     """
-    if g.recipe is None or not transitive(g.recipe):
+    if not transitive(g.recipe):
         return None
     return _labels(g.recipe, root)
 

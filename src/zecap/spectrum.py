@@ -1,36 +1,38 @@
 """Certified upper bounds on graph Shannon capacity.
 
-Two spectrum points are computed:
+Two spectrum points are computed, Lovász theta and the fractional clique
+cover number chi_f-bar, each by one fold over ``Graph.recipe``: both
+multiply over strong products and add over disjoint unions (Zuiddam 2019).
 
-* Lovász theta.  A graph built by the labelled constructions
-  (``Graph.recipe``) gets it in closed form over the recipe, at any
-  precision: exact on complete and edgeless graphs and even cycles, an
-  integer enclosure of n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, the
-  product over strong products, the sum over disjoint unions and n / theta
-  over complements, which the recipe keeps only for vertex-transitive
-  graphs.  A graph with no recipe gets the integer k exactly where a greedy
-  independent set and a greedy partition into cliques both have size k
-  (``alpha.greedy_bounds``): the sandwich alpha <= theta <= chi-bar
-  (Lovász 1979) pins theta to k.  Any other graph, a complemented union
-  included, gets one primal-dual interior-point solve of the SDP pair
-  max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
-  tI - A PSD, A = 1 on the diagonal and on non-edges.  Its float solution is
-  only a proposal: both ends of the interval are proved once, in exact
-  rational arithmetic, by positive-definiteness checks of a dual witness
-  and of a primal feasible matrix.  The certified interval is cached per
-  graph and each requested tolerance is checked against it.
+* Lovász theta is closed-form at any precision on the named leaves: exact
+  on complete and edgeless graphs and even cycles, an integer enclosure of
+  n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, and n / theta over
+  complements, which the recipe keeps only for vertex-transitive graphs.
 
-* The fractional clique cover number chi_f-bar.  A recipe graph gets it
-  exactly, at any size, from the fold over the recipe that gives theta:
-  n/2 on C_n for n >= 4, n / alpha on the complement of a leaf, the product
-  over strong products and the sum over disjoint unions.  Any other graph,
-  one with a complement over a non-leaf included, gets k where the same
-  greedy bounds meet at k, else the exact rational optimum of the covering
-  LP over maximal cliques, computed through the equal-value packing dual: a
-  float simplex proposes an optimal basis, and its clique weights and
-  fractional independent set are proved optimal by an integer duality
-  check; the fraction-free Bland-rule simplex in integers runs only when
-  that proof fails.  Only these graphs are capped at CHIF_MAX_VERTICES.
+* chi_f-bar is exact on the named leaves: n/2 on C_n for n >= 4 and
+  n / alpha on the complement of a named leaf.  A complement of anything
+  else has no closed form, so a graph with one inside is taken whole, as
+  one literal.
+
+A literal leaf (a graph built from an index, a bit string, an edge list or
+a channel) is the one place where a solver runs (``_literal``).  It gets
+the integer k exactly where a greedy independent set and a greedy
+partition into cliques both have size k (``alpha.greedy_bounds``): the
+sandwich alpha <= theta <= chi_f-bar <= chi-bar (Lovász 1979) pins both
+points to k.  Otherwise theta is one primal-dual interior-point solve of
+the SDP pair
+max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
+tI - A PSD, A = 1 on the diagonal and on non-edges, on at most
+THETA_MAX_VERTICES vertices.  Its float solution is only a proposal: both
+ends of the interval are proved once, in exact rational arithmetic, by
+positive-definiteness checks of a dual witness and of a primal feasible
+matrix, and the interval is cached per graph.  chi_f-bar is the exact
+rational optimum of the covering LP over maximal cliques, on at most
+CHIF_MAX_VERTICES vertices, computed through the equal-value packing dual:
+a float simplex proposes an optimal basis, and its clique weights and
+fractional independent set are proved optimal by an integer duality check;
+the fraction-free Bland-rule simplex in integers runs only when that proof
+fails.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -128,36 +130,30 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
     """Exact fractional clique cover number.
 
     Value of  min sum x_C  s.t. every vertex is covered with weight >= 1,
-    x >= 0, over maximal cliques; solved as the equal-value packing dual
+    x >= 0, over maximal cliques.  It is folded over g's recipe
+    (``_chif_leaf``), at any size; only a literal leaf, or the whole graph
+    where a complement of a non-leaf is inside, goes to ``_literal``: the
+    greedy sandwich, else the LP on at most CHIF_MAX_VERTICES vertices
+    (else BudgetError).  The LP is solved as the equal-value packing dual
     max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal clique, which has
     a feasible slack start.  Strong LP duality makes the optima equal.
     exact.packing_optimum proves the optimum from a float-proposed basis:
     integer clique weights pi and vertex weights y over a common D, both
     feasible and of equal sum.  simplex_max runs only when that proof fails.
-    None of this runs on a recipe graph with a closed form (``_chif_leaf``),
-    at any size, nor when alpha.greedy_bounds meets at k: an independent set
-    and a partition into cliques of the same size k pin chi_f-bar to k.
-    Only the graphs left take at most CHIF_MAX_VERTICES (else BudgetError).
     """
-    if g.n == 0:
-        return UpperBound(KIND_CLIQUE_COVER, Fraction(0), Fraction(0), Fraction(0))
-    closed = g.recipe and _fold(g.recipe, _chif_leaf)
-    if closed is not None:
-        return UpperBound(KIND_CLIQUE_COVER, *closed, Fraction(0))
-    if g.n > CHIF_MAX_VERTICES:
-        raise BudgetError(
-            f"clique cover capped at {CHIF_MAX_VERTICES} vertices, got {g.n}",
-            reason="vertex budget",
-        )
-    k, cover = greedy_bounds(g)
-    if k == cover:  # the sandwich closes: alpha = chi_f-bar = k
-        return UpperBound(KIND_CLIQUE_COVER, Fraction(k), Fraction(k), Fraction(0))
+    closed = _fold(g.recipe, _chif_leaf)
+    lo, hi = closed or _literal(g.masks, "clique cover", CHIF_MAX_VERTICES, _clique_lp)
+    return UpperBound(KIND_CLIQUE_COVER, lo, hi, Fraction(0))
+
+
+def _clique_lp(g: Graph) -> tuple[Fraction, Fraction]:
+    """chi_f-bar of g by the packing LP over its maximal cliques."""
     cliques = maximal_cliques(g)
     rows = [[cl >> v & 1 for v in range(g.n)] for cl in cliques]
     value = packing_optimum(rows)
     if value is None:
         value, _ = simplex_max([1] * g.n, rows, [1] * len(rows))
-    return UpperBound(KIND_CLIQUE_COVER, value, value, Fraction(0))
+    return value, value
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,8 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
     """The certified interval of one interior-point solve on g.
 
     Only this is cached: Graph equality ignores the recipe, so a cached
-    composed interval would be handed to a recipe-less copy of the graph.
+    composed interval would be handed to a copy of the graph built another
+    way.
     """
     edge_list = g.edges()
     witness, x = _theta_solve(g.n, *np.array(edge_list, dtype=int).reshape(-1, 2).T)
@@ -318,14 +315,14 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# theta and chi_f-bar of recipe graphs in closed form
+# theta and chi_f-bar folded over the recipe
 #
 # theta composes over the recipe with no SDP (Lovász 1979): theta(C_n) =
 # n cos(pi/n) / (1 + cos(pi/n)) for odd n (Corollary 5), theta(G x H) =
 # theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) when G is
 # vertex-transitive (Theorem 8); theta(G + H) = theta(G) + theta(H) (Knuth,
-# The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
-# so graphs.complement gives a complemented union no recipe.  The
+# The Sandwich Theorem, 1994).  A union or a literal is not vertex-transitive
+# in general, so graphs.complement makes its complement a fresh literal.  The
 # odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
 # rounded away from theta.  chi_f-bar composes over x and + the same way
 # (Scheinerman and Ullman, Fractional Graph Theory, 1997, ch. 3); on the
@@ -383,7 +380,7 @@ def _fold(d, leaf):
 
     Every point of the asymptotic spectrum adds over + and multiplies over x
     (Zuiddam 2019); leaf(kind, arg) gives it on leaves and complements, or
-    None where it has no closed form there."""
+    None where it has none there."""
     kind, arg = d
     if kind not in ("+", "x"):
         return leaf(kind, arg)
@@ -394,12 +391,32 @@ def _fold(d, leaf):
     return combine(lo for lo, _ in parts), combine(hi for _, hi in parts)
 
 
+def _literal(masks: tuple[int, ...], what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
+    """A spectrum point's interval on the literal graph with these masks.
+
+    The graph takes at most cap vertices (else BudgetError, with what
+    naming the solver).  Where alpha.greedy_bounds meets at k, an
+    independent set and a partition into cliques of the same size k pin
+    the point to k; otherwise solve(g) gives it."""
+    g = Graph(len(masks), masks)
+    if g.n > cap:
+        raise BudgetError(f"{what} capped at {cap} vertices, got {g.n}", reason="vertex budget")
+    k, cover = greedy_bounds(g)
+    if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
+        return Fraction(k), Fraction(k)
+    return solve(g)
+
+
 def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
     """theta's interval at p bits for the graph with recipe d."""
     def leaf(kind, arg):
+        if kind == "G":
+            return _literal(arg, "theta solver", THETA_MAX_VERTICES, _sdp_interval)
         if kind == "co":
-            lo, hi = _theta_closed(arg, p)
             n = recipe_vertices(arg)
+            if not n:  # the complement of the empty graph is empty
+                return Fraction(0), Fraction(0)
+            lo, hi = _theta_closed(arg, p)
             return n / hi, n / lo
         if kind == "C" and arg >= 5 and arg % 2:
             return _odd_cycle_theta(arg, p)
@@ -409,8 +426,10 @@ def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
 
 
 def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction] | None:
-    """chi_f-bar of a leaf, or of the complement of a leaf, where it is the
-    leaf's n / alpha; None for a complement of anything else."""
+    """chi_f-bar of a leaf, or of the complement of a named leaf, where it
+    is the leaf's n / alpha; None for a complement of anything else."""
+    if kind == "G":
+        return _literal(arg, "clique cover", CHIF_MAX_VERTICES, _clique_lp)
     if kind == "C" and arg >= 4:
         value = Fraction(arg, 2)
     elif kind != "co":
@@ -424,51 +443,47 @@ def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction] | None:
 
 
 def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified theta interval, at most tol wide, of the graph with recipe d.
+    """Certified theta interval of the graph with recipe d, at most tol wide
+    unless a literal leaf's SDP interval keeps it wider.
 
-    p starts at 64 bits, so the interval is never wider than an SDP's, and
-    rises until it fits: the width shrinks like 2^-p."""
+    p starts at 64 bits, so a closed form is never wider than an SDP's, and
+    rises until the interval fits.  Each raise adds at least 2 bits, which
+    shrinks the closed-form parts 4x (2x where an end's rounding straddles
+    a grid point), while an SDP leaf's width is fixed; so p stops rising
+    once a raise leaves more than 3/4 of the width."""
     p = _CLOSED_MIN_BITS
-    while True:
-        lo, hi = _theta_closed(d, p)
-        if hi - lo <= tol:
-            return lo, hi
-        excess = (hi - lo) / tol
+    lo, hi = _theta_closed(d, p)
+    while hi - lo > tol:
+        width = hi - lo
+        excess = width / tol
         p += excess.numerator.bit_length() - excess.denominator.bit_length() + 2
+        lo, hi = _theta_closed(d, p)
+        if 4 * (hi - lo) > 3 * width:
+            break
+    return lo, hi
 
 
 def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
-    A graph with a recipe gets theta in closed form over it, at any tol
-    and any size; no SDP runs.  A graph with no recipe takes at most
-    THETA_MAX_VERTICES vertices (else BudgetError).  Where its greedy
-    independent set and greedy partition into cliques have the same size k
-    (``alpha.greedy_bounds``), theta is k exactly, at any tol.  Any other,
-    a complemented union among them, gets one interior-point solve, which
-    proposes a primal and a dual matrix; both ends are proved exactly,
-    once, and that interval is cached and checked against every tol.
-    Returns [lo, hi] with hi - lo <= tol and theta in the interval; hi is a
-    genuine capacity upper bound regardless of solver accuracy.  The SDP
-    raises ConvergenceError when its certified interval is wider than tol,
-    as it always is for tol below about n * 2^-32 * (theta - 1); the error
-    carries that interval, still certified, as its ``partial``.
+    theta is folded over g's recipe (``_theta_closed``): closed forms on the
+    named leaves, at any tol and any size, and on a literal leaf the greedy
+    sandwich, where it meets at k, else one interior-point solve on at most
+    THETA_MAX_VERTICES vertices (else BudgetError).  That solve proposes a
+    primal and a dual matrix; both ends are proved exactly, once, and the
+    interval is cached and checked against every tol.  Returns [lo, hi]
+    with hi - lo <= tol and theta in the interval; hi is a genuine capacity
+    upper bound regardless of solver accuracy.  When a literal leaf's
+    certified interval keeps the result wider than tol, as it does for tol
+    below about n * 2^-32 * (theta - 1), ConvergenceError is raised; it
+    carries the interval, still certified, as its ``partial``.
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    if g.recipe is None:
-        if g.n > THETA_MAX_VERTICES:
-            raise BudgetError(
-                f"theta solver capped at {THETA_MAX_VERTICES} vertices, got {g.n}",
-                reason="vertex budget",
-            )
-        k, cover = greedy_bounds(g)
-        lo, hi = (Fraction(k), Fraction(k)) if k == cover else _sdp_interval(g)
-    else:
-        lo, hi = _theta_interval(g.recipe, tol)
+    lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",

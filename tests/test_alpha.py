@@ -30,7 +30,7 @@ from zecap.alpha import (
     greedy_bounds,
     greedy_clique_cover,
 )
-from zecap.graphs import Graph, orbit_labels
+from zecap.graphs import Graph, orbit_labels, transitive
 
 from conftest import (
     brute_alpha,
@@ -207,7 +207,7 @@ def summed_graph(rng) -> Graph:
     """A random graph built with a union on at most 12 vertices: a sum of
     two or three cycles, complete or edgeless graphs, complemented at times,
     maybe a factor of a product, maybe complemented as a whole, when it
-    keeps no recipe."""
+    is a literal leaf."""
     kinds = (cycle_graph, complete_graph, edgeless_graph)
     while True:
         terms = [rng.choice(kinds)(rng.randint(1, 6)) for _ in range(rng.randint(2, 3))]
@@ -228,7 +228,7 @@ class TestRootFix:
     def test_flagged_graphs_match_oracle_and_unflagged_solve(self, rng):
         for _ in range(120):
             g = recipe_graph(rng)
-            assert g.recipe is not None and is_vertex_transitive(g)
+            assert transitive(g.recipe) and is_vertex_transitive(g)
             w, _ = solve_alpha(g)
             plain, _ = solve_alpha(Graph(g.n, g.masks))
             assert w.size == plain.size == brute_alpha(g)
@@ -236,7 +236,7 @@ class TestRootFix:
 
     def test_sums_are_searched_in_full(self, rng):
         # a union inside the recipe means no labels, so no root fix: the
-        # solve builds the tree of the recipe-less copy
+        # solve builds the tree of the literal copy
         for _ in range(60):
             g = summed_graph(rng)
             assert orbit_labels(g, 0) is None
@@ -251,7 +251,7 @@ class TestRootFix:
         """Solve g cold and from a one-vertex warm start, then stop the warm
         solve at budgets 0, used/2 and used - 1; returns the warm solve's
         nodes and the number of stops."""
-        assert g.recipe is not None
+        assert transitive(g.recipe)
         w, _ = solve_alpha(g)
         assert w.size == best and w.verify(g)
         # a one-vertex warm start leaves the search more to do
@@ -367,7 +367,7 @@ class TestTreeParity:
             strong_product(edgeless_graph(2), strong_power(c5, 2)),
             complement(strong_power(c5, 2)),
         ):
-            assert g.recipe is not None
+            assert transitive(g.recipe)
             self.check(g)
             self.check(g, initial=[g.n - 1])
         for _ in range(30):

@@ -365,7 +365,7 @@ class TestExitCodes:
         assert report["budgets"] == {}  # theta-sdp takes no budget
 
     def test_tolerance_below_the_certifiable_width_is_a_solver_stop(self):
-        # C5 as a bit string has no recipe, so its theta is the SDP's
+        # C5 as a bit string is a literal leaf, so its theta is the SDP's
         code, report = run(["theta-sdp", "--graph", "5:1001100101", "--tol", "1e-12"])
         assert code == 4
         assert report["results"]["kind"] == "solver"
@@ -715,14 +715,16 @@ class TestExpressionParser:
         assert parse_graph("~~C5") == cycle_graph(5)
         assert parse_graph("~(K3*E2)").recipe == ("co", ("x", (("K", 3), ("E", 2))))
         assert parse_graph("~~~C5").recipe == ("co", ("C", 5))
-        # an index has no recipe, and its complement none either
-        assert parse_graph("~689").recipe is None and parse_graph("~689") == complement(cycle_graph(5))
-        # a union is not vertex-transitive, so its complement keeps no recipe
-        # and theta is the SDP's: 6 / theta(S+C5) = 1.85... is not
+        # an index is a literal leaf, and its complement a fresh leaf
+        co = parse_graph("~689")
+        assert co == complement(cycle_graph(5)) and co.recipe == ("G", co.masks)
+        # a union is not vertex-transitive, so its complement is a fresh
+        # leaf and theta is the SDP's: 6 / theta(S+C5) = 1.85... is not
         # theta(~(S+C5)) = sqrt(5)
         g = parse_graph("~(S+C5)")
         assert parse_graph("S+C5").recipe == ("+", (("E", 1), ("C", 5)))
-        assert g.recipe is None and parse_graph("~(S+C5)*C5").recipe is None
+        assert g.recipe == ("G", g.masks)
+        assert parse_graph("~(S+C5)*C5").recipe == ("x", (("G", g.masks), ("C", 5)))
         b = lovasz_theta(g, Fraction(1, 10**4))
         assert (b.lo, b.hi) == spectrum._sdp_interval(g)
         assert b.lo ** 2 < 5 < b.hi ** 2
@@ -733,7 +735,8 @@ class TestExpressionParser:
         assert parse_graph("(5:1001100101)") == c5
         assert parse_graph("5:1001100101*C5") == strong_power(c5, 2)
         assert parse_graph(" 5:1001100101 + S ") == disjoint_union(c5, edgeless_graph(1))
-        assert parse_graph("5:1001100101*C5").recipe is None
+        # the literal is a leaf that composes with the named factor
+        assert parse_graph("5:1001100101*C5").recipe == ("x", (("G", c5.masks), ("C", 5)))
         for graph in ("~5:1001100101", "(5:1001100101)", "5:1001100101*C5"):
             assert run(["theta-sdp", "--graph", graph])[0] == 0
         for bad in ("5:10011*C5", "5:1001100101*", "5:1001100102+C5", "~5;", "(5; 0-1)"):

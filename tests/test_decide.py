@@ -440,7 +440,7 @@ class TestSqueeze:
 
         monkeypatch.setattr("zecap.spectrum.lovasz_theta", counted)
         monkeypatch.setattr("zecap.alpha.solve_alpha", solved)
-        # S+C5 without its recipe, so theta is the SDP's interval
+        # S+C5 as a literal, so theta is the SDP's interval
         s_c5 = disjoint_union(single_vertex(), pentagon)
         result = squeeze_capacity(Graph(6, s_c5.masks), 4, budget=15)
         assert tols == [Fraction(1, 64)]

@@ -179,7 +179,7 @@ class TestTransitiveFlag:
 
     def test_flagged_bases_are_transitive(self):
         for g in recipe_bases():
-            assert g.recipe is not None
+            assert transitive(g.recipe)
             assert is_vertex_transitive(g), g
 
     def test_flagged_products_are_transitive(self, rng):
@@ -193,7 +193,7 @@ class TestTransitiveFlag:
             strong_product(strong_product(cycle_graph(3), complete_graph(2)), edgeless_graph(2)),
         ]
         for g in products:
-            assert g.recipe is not None
+            assert transitive(g.recipe)
             assert is_vertex_transitive(g), g
 
     def test_flagged_powers_are_transitive(self):
@@ -202,30 +202,38 @@ class TestTransitiveFlag:
                 if g.n ** k > 30:
                     break
                 p = strong_power(g, k)
-                assert p.recipe is not None
+                assert transitive(p.recipe)
                 assert is_vertex_transitive(p), (g, k)
 
     def test_flag_needs_both_factors(self):
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert strong_product(cycle_graph(5), path).recipe is None
-        assert strong_product(path, cycle_graph(5)).recipe is None
-        assert complement(path).recipe is None
+        leaf = ("G", path.masks)
+        assert path.recipe == leaf and not transitive(leaf)
+        assert strong_product(cycle_graph(5), path).recipe == ("x", (("C", 5), leaf))
+        assert strong_product(path, cycle_graph(5)).recipe == ("x", (leaf, ("C", 5)))
+        co = complement(path)  # a fresh leaf, not the complement of one
+        assert co.recipe == ("G", co.masks)
+        for g in (strong_product(cycle_graph(5), path), strong_product(path, cycle_graph(5)), co):
+            assert not transitive(g.recipe) and orbit_labels(g, 0) is None
 
     def test_other_constructors_leave_it_unset(self):
         c5 = cycle_graph(5)
-        no_recipe = [
+        leaves = [
             decode(encode(c5)),
             Graph.from_edges(5, c5.edges()),
             graph_from_bitstring(graph_to_bitstring(c5)),
             graph_from_edgetext("5; 0-1, 1-2, 2-3, 3-4, 0-4"),
             confusability_graph(make_pentagon_channel()),
             parse_graph(str(encode(c5))),
-            parse_graph("5:1001100101+C5"),  # a sum with a recipe-less term
         ]
-        for g in no_recipe:
-            assert g == c5 or g == disjoint_union(c5, c5)
-            assert g.recipe is None and orbit_labels(g, 0) is None
-        assert parse_graph("C5^2*K2").recipe is not None
+        for g in leaves:
+            assert g == c5 and g.recipe == ("G", c5.masks)
+            assert not transitive(g.recipe) and orbit_labels(g, 0) is None
+        # a sum with a literal term keeps the leaf and gets no labels
+        g = parse_graph("5:1001100101+C5")
+        assert g == disjoint_union(c5, c5) and g.recipe == ("+", (("G", c5.masks), ("C", 5)))
+        assert orbit_labels(g, 0) is None
+        assert transitive(parse_graph("C5^2*K2").recipe)
         # a sum carries a recipe but no labels, even where it is transitive
         for g in (disjoint_union(c5, c5), parse_graph("C5+C5")):
             assert g.recipe == ("+", (("C", 5), ("C", 5)))
@@ -243,7 +251,8 @@ class TestTransitiveFlag:
         assert parse_graph("C3+(K2+C5)+(S+C5)").recipe == nested.recipe
         with_sums = [s_c5, nested, strong_power(s_c5, 2), strong_product(c5, s_c5),
                      disjoint_union(complement(c5), complement(c3))]
-        # a complemented union keeps no recipe, nor does anything built on it
+        # a complemented union is a fresh literal leaf, and anything built
+        # on it has that leaf inside
         co_sums = [complement(s_c5), strong_product(complement(s_c5), k2),
                    disjoint_union(complement(s_c5), c5)]
         bases = recipe_bases()
@@ -253,18 +262,20 @@ class TestTransitiveFlag:
             with_sums += [g, strong_product(g, rng.choice(bases))]
             co_sums.append(complement(g))
         for g in with_sums:
-            assert g.recipe is not None and not transitive(g.recipe)
+            assert not transitive(g.recipe)
             assert recipe_vertices(g.recipe) == g.n
             assert all(orbit_labels(g, r) is None for r in range(g.n))
         for g in co_sums:
-            assert g.recipe is None and orbit_labels(g, 0) is None
+            assert "'G'" in repr(g.recipe) and recipe_vertices(g.recipe) == g.n
+            assert not transitive(g.recipe) and orbit_labels(g, 0) is None
+        assert complement(s_c5).recipe == ("G", complement(s_c5).masks)
         for g in recipe_bases():
             assert transitive(g.recipe) and orbit_labels(g, 0) is not None
 
     def test_equality_and_hash_ignore_the_flag(self):
         for g in recipe_bases():
             plain = Graph(g.n, g.masks)
-            assert g.recipe is not None and plain.recipe is None
+            assert g.recipe != plain.recipe == ("G", g.masks)
             assert plain == g and g == plain
             assert hash(plain) == hash(g)
             assert len({plain, g}) == 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,9 +30,9 @@ from zecap import (
 from zecap import exact, spectrum
 from zecap.alpha import PowerLadder, greedy_bounds
 from zecap.exact import is_positive_definite
-from zecap.graphs import Graph, complement, strong_product
+from zecap.graphs import Graph, complement, orbit_labels, strong_product
 
-from conftest import brute_alpha, random_graph
+from conftest import brute_alpha, random_graph, recursive_alpha
 
 TOL = Fraction(1, 10**6)
 
@@ -98,12 +99,14 @@ class TestCliqueCover:
         assert fractional_clique_cover(g).value == Fraction(7, 2)
 
     def test_multiplicative_under_strong_product(self, rng):
-        # a point of the asymptotic spectrum multiplies under the strong product
+        # a point of the asymptotic spectrum multiplies under the strong
+        # product; the product is rebuilt as a literal, so the LP runs on it
+        # rather than composing the factors' values by construction
         for _ in range(40):
             a = rng.randint(1, 6)
             g = random_graph(rng, a)
             h = random_graph(rng, rng.randint(1, 24 // a))
-            assert fractional_clique_cover(strong_product(g, h)).value == (
+            assert fractional_clique_cover(stripped(strong_product(g, h))).value == (
                 fractional_clique_cover(g).value * fractional_clique_cover(h).value
             )
 
@@ -114,7 +117,7 @@ class TestCliqueCover:
         assert fractional_clique_cover(c7_e3).value == Fraction(21, 2)
 
     def test_vertex_cap(self):
-        with pytest.raises(BudgetError):  # the LP's cap: E25 without its recipe
+        with pytest.raises(BudgetError):  # the LP's cap: E25 as a literal
             fractional_clique_cover(stripped(edgeless_graph(25)))
         assert fractional_clique_cover(edgeless_graph(25)).value == 25  # closed forms have no cap
 
@@ -289,7 +292,7 @@ class TestClosedCliqueCover:
 
     def test_sweep_matches_the_lp(self, monkeypatch):
         # soundness: each closed form is the exact LP optimum on the same
-        # graph without its recipe
+        # graph as a literal
         rng = random.Random(31)
         seen = set()
         while len(seen) < 100:
@@ -399,7 +402,7 @@ class TestTheta:
             assert b.lo == b.hi == 1
             e = lovasz_theta(edgeless_graph(n), tiny)
             assert e.lo == e.hi == n
-            # with no recipe the same graphs close by the sandwich: one
+            # as literals the same graphs close by the sandwich: one
             # clique and a one-vertex independent set, or n of each
             b = lovasz_theta(Graph(n, complete_graph(n).masks), tiny)
             assert b.lo == b.hi == 1
@@ -425,7 +428,7 @@ class TestTheta:
             lovasz_theta(Graph(0, ()), TOL)
         with pytest.raises(InputError):
             lovasz_theta(pentagon, 0)
-        with pytest.raises(BudgetError):  # the SDP's cap: E65 without its recipe
+        with pytest.raises(BudgetError):  # the SDP's cap: E65 as a literal
             lovasz_theta(stripped(edgeless_graph(65)), TOL)
         assert lovasz_theta(edgeless_graph(65), TOL).hi == 65  # closed forms have no cap
         # below the SDP's certifiable width (about n * 2^-32 * theta) is a solver stop
@@ -459,8 +462,23 @@ class TestTheta:
         assert b.hi * lovasz_theta(complement(g), tol).hi >= 30
 
 
+@pytest.fixture
+def solves(monkeypatch) -> list[int]:
+    """The vertex counts of the solves that reach spectrum._theta_solve."""
+    solve = spectrum._theta_solve
+    sizes = []
+
+    def counted(n, erows, ecols):
+        sizes.append(n)
+        return solve(n, erows, ecols)
+
+    monkeypatch.setattr(spectrum, "_theta_solve", counted)
+    spectrum._sdp_interval.cache_clear()
+    return sizes
+
+
 def stripped(g: Graph) -> Graph:
-    """g with its recipe dropped, so theta runs one SDP on all of it."""
+    """g rebuilt as one literal leaf, so theta runs one SDP on all of it."""
     return Graph(g.n, g.masks)
 
 
@@ -474,7 +492,7 @@ class TestComposedTheta:
 
     def test_products_agree_with_the_flat_sdp(self):
         # soundness: each closed form lies inside the SDP interval of the
-        # same graph without its recipe (complements of products included)
+        # same graph as a literal (complements of products included)
         rng = random.Random(25)
         seen = set()
         while len(seen) < 14:
@@ -496,7 +514,7 @@ class TestComposedTheta:
     def test_sums_agree_with_the_flat_sdp(self):
         # soundness over unions: sums, products with a sum factor and sums
         # of complemented factors, each closed form inside the SDP interval
-        # of the same graph without its recipe
+        # of the same graph as a literal
         rng = random.Random(28)
         pool = [*self.POOL, single_vertex()]
         seen = set()
@@ -526,16 +544,7 @@ class TestComposedTheta:
         assert answers[0] == answers[1]
         assert answers[0][id(flat)] != answers[0][id(recipe)]
 
-    def test_the_sdp_never_sees_a_product(self, monkeypatch):
-        solve = spectrum._theta_solve
-        sizes = []
-
-        def counted(n, erows, ecols):
-            sizes.append(n)
-            return solve(n, erows, ecols)
-
-        monkeypatch.setattr(spectrum, "_theta_solve", counted)
-        spectrum._sdp_interval.cache_clear()
+    def test_the_sdp_never_sees_a_product(self, solves):
         c5, c7, c9 = cycle_graph(5), cycle_graph(7), cycle_graph(9)
         s_c5 = disjoint_union(single_vertex(), c5)
         for g in (c5, c7, c9, strong_power(c5, 2), strong_product(c7, c7),
@@ -544,14 +553,14 @@ class TestComposedTheta:
                   strong_product(strong_product(c5, edgeless_graph(2)), c5),
                   s_c5, disjoint_union(c5, c7), strong_product(s_c5, c5)):
             lovasz_theta(g, TOL)
-        assert sizes == []
+        assert solves == []
         b = lovasz_theta(s_c5, Fraction(1, 10**40))  # 1 + sqrt(5) at any precision
         assert (b.lo - 1) ** 2 < 5 < (b.hi - 1) ** 2
-        lovasz_theta(stripped(c5), TOL)  # without its recipe C5 goes to the SDP
+        lovasz_theta(stripped(c5), TOL)  # as a literal C5 goes to the SDP
         # a union is not vertex-transitive, so n / theta does not hold for
-        # its complement, which keeps no recipe: the SDP runs on the whole graph
+        # its complement, which is a fresh literal: the SDP runs on all of it
         lovasz_theta(complement(s_c5), TOL)
-        assert sizes == [5, 6]
+        assert solves == [5, 6]
 
     def test_tolerance_is_checked_on_the_product(self):
         c5_2 = strong_power(cycle_graph(5), 2)
@@ -563,7 +572,7 @@ class TestComposedTheta:
 
 
 class TestSandwichClosure:
-    """A graph with no recipe whose greedy independent set and greedy
+    """A literal graph whose greedy independent set and greedy
     partition into cliques have the same size k has theta and chi_f-bar
     exactly k: no SDP and no LP runs on it."""
 
@@ -576,26 +585,12 @@ class TestSandwichClosure:
         "12:100000010100110010001110001000000011000000010110000100111101001011": 5,
     }
 
-    @pytest.fixture
-    def solves(self, monkeypatch) -> list[int]:
-        """The vertex counts of the solves that reach spectrum._theta_solve."""
-        solve = spectrum._theta_solve
-        sizes = []
-
-        def counted(n, erows, ecols):
-            sizes.append(n)
-            return solve(n, erows, ecols)
-
-        monkeypatch.setattr(spectrum, "_theta_solve", counted)
-        spectrum._sdp_interval.cache_clear()
-        return sizes
-
     def test_closing_graphs_run_no_sdp(self, solves):
         from zecap.cli import parse_graph
 
         for bits, k in self.CLOSING.items():
             g = parse_graph(bits)
-            assert g.recipe is None and greedy_bounds(g) == (k, k)
+            assert g.recipe == ("G", g.masks) and greedy_bounds(g) == (k, k)
             for tol in (TOL, Fraction(1, 10**30)):  # far below the SDP's floor
                 b = lovasz_theta(g, tol)
                 assert b.lo == b.hi == k, bits
@@ -646,6 +641,139 @@ class TestSandwichClosure:
             assert exact.packing_optimum(clique_rows(g)) == k
             assert lovasz_theta(g, TOL).hi == fractional_clique_cover(g).value == k
         assert closed >= 60, closed
+
+
+C5_BITS = "5:1001100101"  # C5 as a literal: its greedy bounds (2, 3) do not meet
+
+
+class TestLiteralLeaves:
+    """A literal graph is the recipe leaf ("G", masks): theta and chi_f-bar
+    compose over it like over the named leaves, and only the leaf itself
+    takes the greedy sandwich, the SDP or the LP."""
+
+    @staticmethod
+    def expression(rng: random.Random) -> Graph:
+        """A literal leaf under a strong product or a disjoint union with K,
+        E and C leaves, some complemented, and at times a product with a sum
+        inside.  The literals are G(n, p) with n <= 6, and relabelled C5s,
+        some with a sixth vertex, whose greedy bounds do not meet."""
+
+        def literal() -> Graph:
+            if rng.random() < 0.6:
+                return random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.7)))
+            n = rng.randint(5, 6)
+            perm = rng.sample(range(n), n)
+            edges = [(perm[v], perm[(v + 1) % 5]) for v in range(5)]
+            return Graph.from_edges(n, edges + [(perm[v], perm[-1]) for v in range(n - 1)
+                                                if n == 6 and rng.random() < 0.5])
+
+        def operand() -> Graph:
+            if rng.random() < 0.4:
+                return literal()
+            leaf = rng.choice((complete_graph, edgeless_graph, cycle_graph))(rng.randint(1, 6))
+            return complement(leaf) if rng.random() < 0.3 else leaf
+
+        terms = [literal(), *(operand() for _ in range(rng.randint(1, 2)))]
+        rng.shuffle(terms)
+        if rng.random() < 0.5:
+            return disjoint_union(*terms)
+        g = strong_product(terms[0], terms[1])
+        if len(terms) == 3:
+            g = strong_product(g, terms[2]) if rng.random() < 0.5 else disjoint_union(g, terms[2])
+        return g
+
+    def test_sweep_matches_the_flat_graph(self, monkeypatch, solves):
+        # soundness: the composed theta interval meets the SDP interval of
+        # the flat graph (certified intervals around one number), and the
+        # composed chi_f-bar is the exact simplex optimum on it
+        rng = random.Random(32)
+        theta_seen, chif_seen = set(), set()
+        sdp_leaves = []
+        while len(theta_seen) < 16 or len(chif_seen) < 40:
+            g = self.expression(rng)
+            assert "'G'" in repr(g.recipe) and orbit_labels(g, 0) is None
+            if g.n <= 24 and g.recipe not in chif_seen:
+                chif_seen.add(g.recipe)
+                cliques = []
+
+                def counted(h, *args):
+                    cliques.append(h.n)
+                    return maximal_cliques(h, *args)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(spectrum, "maximal_cliques", counted)
+                    closed = fractional_clique_cover(g)
+                assert all(n <= 6 for n in cliques), (g.recipe, cliques)  # leaves only
+                assert closed.lo == closed.hi == exact_chif(g), g.recipe
+            if (len(theta_seen) < 16 and g.n <= 40 and g.edge_count() <= 500
+                    and g.recipe not in theta_seen):
+                theta_seen.add(g.recipe)
+                solves.clear()
+                lo, hi = spectrum._theta_interval(g.recipe, TOL)
+                sdp_leaves += solves
+                flat_lo, flat_hi = spectrum._sdp_interval(g)
+                assert max(lo, flat_lo) <= min(hi, flat_hi), g.recipe
+        # the SDP ran on leaves, some of them, and never on anything bigger
+        assert len(sdp_leaves) >= 5 and max(sdp_leaves) <= 6
+        for seen, products in ((theta_seen, 5), (chif_seen, 10)):
+            assert sum(d[0] == "x" for d in seen) >= products
+            assert sum(d[0] == "+" for d in seen) >= products
+
+    def test_alpha_of_products_with_a_literal_factor(self):
+        from zecap.cli import parse_graph
+
+        rng = random.Random(33)
+        named = (complete_graph, edgeless_graph, cycle_graph)
+        for _ in range(30):
+            leaf = random_graph(rng, rng.randint(2, 4), rng.choice((0.3, 0.5, 0.7)))
+            other = rng.choice((leaf, rng.choice(named)(rng.randint(2, 4))))
+            g = strong_product(leaf, other) if rng.random() < 0.5 else strong_product(other, leaf)
+            assert orbit_labels(g, 0) is None
+            w, _ = solve_alpha(g)
+            assert w.size == brute_alpha(g) and w.verify(g), g.recipe
+        # past the subset scan, the memoized recurrence is the oracle
+        for expr, alpha in ((f"{C5_BITS}^2", 5), (f"{C5_BITS}*C3", 2), (f"({C5_BITS}+S)^2", 10)):
+            g = parse_graph(expr)
+            w, _ = solve_alpha(g)
+            assert w.size == recursive_alpha(g) == alpha and w.verify(g), expr
+
+    def test_literal_powers_take_one_small_sdp(self, solves):
+        from zecap.cli import parse_graph, run
+
+        g = parse_graph(f"{C5_BITS}^3")
+        assert g.n == 125 and g.recipe == ("x", (("G", parse_graph(C5_BITS).masks),) * 3)
+        b = lovasz_theta(g, Fraction(1, 10**4))
+        assert b.lo ** 2 < 125 < b.hi ** 2  # theta(C5)^3 = 5 sqrt(5)
+        code, _ = run(["theta-sdp", "--graph", f"{C5_BITS}^3", "--tol", "1e-4"])
+        assert code == 0 and solves == [5]
+        assert fractional_clique_cover(parse_graph(f"{C5_BITS}*C5")).value == Fraction(25, 4)
+        code, report = run(["chif", "--graph", f"{C5_BITS}*C5"])
+        assert code == 0 and report["results"]["value"] == "25/4"
+
+    @pytest.mark.parametrize("expr, square", [(f"{C5_BITS}+C5", 20), (f"{C5_BITS}^2", 25)])
+    def test_fixed_width_leaves_stop(self, expr, square, monkeypatch):
+        # the SDP leaf's width is fixed, so raising p stops once the width
+        # no longer shrinks: a solver stop with the certified interval
+        from zecap.cli import parse_graph
+
+        closed = spectrum._theta_closed
+        calls = []
+        monkeypatch.setattr(spectrum, "_theta_closed", lambda d, p: calls.append(p) or closed(d, p))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as stop:
+            lovasz_theta(parse_graph(expr), Fraction(1, 10**12))
+        assert time.perf_counter() - start < 1
+        assert len(calls) <= 4, calls
+        partial = stop.value.partial
+        assert partial.lo ** 2 < square < partial.hi ** 2  # 2 sqrt(5) and 5
+
+    def test_complement_of_an_empty_operand(self):
+        # theta of the empty graph's complement is 0, so it adds nothing
+        c5 = cycle_graph(5)
+        for empty in (edgeless_graph(0), complete_graph(0), strong_product(edgeless_graph(0), c5)):
+            g = disjoint_union(complement(empty), c5)
+            assert lovasz_theta(g, TOL) == lovasz_theta(c5, TOL)
+            assert fractional_clique_cover(g).value == Fraction(5, 2)
 
 
 class TestCertificationRetry:
