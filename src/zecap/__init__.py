@@ -82,11 +82,9 @@ from .graphs import (
 )
 from .preorder import (
     AsymptoticOutcome,
-    AxiomReport,
     HomWitness,
     asymptotic_leq_bounded,
     leq,
-    strassen_axiom_suite,
     test_F,
 )
 from .spectrum import (

@@ -12,6 +12,7 @@ read as a binary numeral, most significant bit first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -50,9 +51,10 @@ class Graph:
     ``recipe`` records how the graph was built, as an expression over the
     labelled constructions (see "stabilizer orbit labels" below): cycles,
     complete and edgeless graphs, literal graphs, their strong products and
-    disjoint unions, and complements.  A graph built without one, say from
-    an index, a bit string or an edge list, is the literal leaf
-    ``("G", masks)``.  A recipe does not by itself make the graph
+    disjoint unions, and the complement of any of these (the complement of
+    a complement records its operand's recipe).  A graph built without
+    one, say from an index, a bit string or an edge list, is the literal
+    leaf ``("G", masks)``.  A recipe does not by itself make the graph
     vertex-transitive: one with no union and no literal inside
     (``transitive``) is, and for it ``orbit_labels`` labels the vertices
     relative to a root so that vertices with equal labels lie in one orbit
@@ -207,9 +209,14 @@ def single_vertex() -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    # same automorphisms and labels as g's; theta(co g) = n / theta(g) needs
-    # g vertex-transitive, so any other complement is a fresh literal
-    return Graph(g.n, masks, ("co", g.recipe) if transitive(g.recipe) else None)
+    # same automorphisms and labels as g's; the complement of a complement
+    # is the operand again
+    return Graph(g.n, masks, co_recipe(g.recipe))
+
+
+def co_recipe(d) -> tuple:
+    """The recipe of the complement of the graph with recipe d."""
+    return d[1] if d[0] == "co" else ("co", d)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -311,21 +318,21 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # complements, strong products and disjoint unions folded in:
 #   ("C", n), ("K", n), ("E", n)  cycle, complete and edgeless graph
 #   ("G", masks)                  literal graph with these adjacency masks
-#   ("co", d)                     complement of d, a recipe with no union and
-#                                 no literal inside
+#   ("co", d)                     complement of d, any recipe but a "co"
 #   ("x", (d1, ..., dk))          strong product; vertex index is mixed radix
 #                                 over the coordinates, the last one fastest
 #   ("+", (d1, ..., dk))          disjoint union; d1's vertices come first
 # Products and unions are flat: neither lists an operand of its own kind.
-# Equal expressions build equal graphs.  A recipe with no union and no
-# literal inside is vertex-transitive, and each of its constructions'
-# labels is kept by a vertex-transitive group of automorphisms acting on
-# root and vertex together, which is what lets a product sort the labels of
-# equal factors.  A leaf without such a group, say a literal labelled by
-# vertex index, would make that sort unsound: in C5 x C5 with root (0, 1),
-# (2, 3) and (3, 2) would share a label, yet they share 1 and 2 neighbours
-# with the root.  A union is in general not vertex-transitive (S + C5 is not
-# even regular), so nothing with a union or a literal inside gets labels.
+# Equal expressions build equal graphs (``recipe_graph``).  A recipe with
+# no union and no literal inside is vertex-transitive, and each of its
+# constructions' labels is kept by a vertex-transitive group of
+# automorphisms acting on root and vertex together, which is what lets a
+# product sort the labels of equal factors.  A leaf without such a group,
+# say a literal labelled by vertex index, would make that sort unsound: in
+# C5 x C5 with root (0, 1), (2, 3) and (3, 2) would share a label, yet they
+# share 1 and 2 neighbours with the root.  A union is in general not vertex-transitive (S + C5 is not
+# even regular), so nothing with a union or a literal inside gets labels,
+# not even under a complement.
 
 
 def _operands(kind: str, d) -> tuple:
@@ -343,6 +350,20 @@ def recipe_vertices(d) -> int:
     if kind == "G":
         return len(arg)
     return recipe_vertices(arg) if kind == "co" else arg
+
+
+def recipe_graph(d) -> Graph:
+    """The graph with recipe d, built by the constructions d names."""
+    kind, arg = d
+    if kind == "G":
+        return Graph(len(arg), arg)
+    if kind == "co":
+        return complement(recipe_graph(arg))
+    if kind == "+":
+        return disjoint_union(*map(recipe_graph, arg))
+    if kind == "x":
+        return functools.reduce(strong_product, map(recipe_graph, arg))
+    return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](arg)
 
 
 def transitive(d) -> bool:

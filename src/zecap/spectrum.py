@@ -2,20 +2,21 @@
 
 Two spectrum points are computed, Lovász theta and the fractional clique
 cover number chi_f-bar, each by one fold over ``Graph.recipe``: both
-multiply over strong products and add over disjoint unions (Zuiddam 2019).
+multiply over strong products, add over disjoint unions and take the
+larger side over a join, the complement of a union of complements
+(Zuiddam 2019).
 
 * Lovász theta is closed-form at any precision on the named leaves: exact
   on complete and edgeless graphs and even cycles, an integer enclosure of
-  n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, and n / theta over
-  complements, which the recipe keeps only for vertex-transitive graphs.
+  n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, and n / theta over the
+  complement of a vertex-transitive graph.
 
 * chi_f-bar is exact on the named leaves: n/2 on C_n for n >= 4 and
-  n / alpha on the complement of a named leaf.  A complement of anything
-  else has no closed form, so a graph with one inside is taken whole, as
-  one literal.
+  n / alpha on the complement of a named leaf.
 
-A literal leaf (a graph built from an index, a bit string, an edge list or
-a channel) is the one place where a solver runs (``_literal``).  It gets
+A complement with no closed form is taken whole, as a literal leaf (a graph
+built from an index, a bit string, an edge list or a channel) is, and these
+are the one place where a solver runs (``_literal``).  Each gets
 the integer k exactly where a greedy independent set and a greedy
 partition into cliques both have size k (``alpha.greedy_bounds``): the
 sandwich alpha <= theta <= chi_f-bar <= chi-bar (Lovász 1979) pins both
@@ -54,7 +55,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, recipe_vertices
+from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, transitive
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -131,18 +132,17 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
 
     Value of  min sum x_C  s.t. every vertex is covered with weight >= 1,
     x >= 0, over maximal cliques.  It is folded over g's recipe
-    (``_chif_leaf``), at any size; only a literal leaf, or the whole graph
-    where a complement of a non-leaf is inside, goes to ``_literal``: the
-    greedy sandwich, else the LP on at most CHIF_MAX_VERTICES vertices
-    (else BudgetError).  The LP is solved as the equal-value packing dual
+    (``_chif_leaf``), at any size; only a literal leaf, or a complement
+    with no closed form, goes to ``_literal``: the greedy sandwich, else
+    the LP on that leaf's at most CHIF_MAX_VERTICES vertices (else
+    BudgetError).  The LP is solved as the equal-value packing dual
     max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal clique, which has
     a feasible slack start.  Strong LP duality makes the optima equal.
     exact.packing_optimum proves the optimum from a float-proposed basis:
     integer clique weights pi and vertex weights y over a common D, both
     feasible and of equal sum.  simplex_max runs only when that proof fails.
     """
-    closed = _fold(g.recipe, _chif_leaf)
-    lo, hi = closed or _literal(g.masks, "clique cover", CHIF_MAX_VERTICES, _clique_lp)
+    lo, hi = _fold(g.recipe, _chif_leaf)
     return UpperBound(KIND_CLIQUE_COVER, lo, hi, Fraction(0))
 
 
@@ -321,8 +321,11 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 # n cos(pi/n) / (1 + cos(pi/n)) for odd n (Corollary 5), theta(G x H) =
 # theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) when G is
 # vertex-transitive (Theorem 8); theta(G + H) = theta(G) + theta(H) (Knuth,
-# The Sandwich Theorem, 1994).  A union or a literal is not vertex-transitive
-# in general, so graphs.complement makes its complement a fresh literal.  The
+# The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
+# but its complement is the join of its terms' complements, and on a join
+# both points take the larger side: every pair across it is adjacent, so
+# the sides' representations or clique covers combine freely.  Any other
+# complement of a union or a literal is taken whole, as a literal.  The
 # odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
 # rounded away from theta.  chi_f-bar composes over x and + the same way
 # (Scheinerman and Ullman, Fractional Graph Theory, 1997, ch. 3); on the
@@ -375,32 +378,38 @@ def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
             Fraction(-(-(n * c_hi << p) // (one + c_hi)), 1 << p))
 
 
-def _fold(d, leaf):
-    """One spectrum point's interval on the graph with recipe d, or None.
+# how each point combines its operands' values; an empty join is empty
+_COMBINE = {"+": sum, "x": math.prod, "join": functools.partial(max, default=Fraction(0))}
 
-    Every point of the asymptotic spectrum adds over + and multiplies over x
-    (Zuiddam 2019); leaf(kind, arg) gives it on leaves and complements, or
-    None where it has none there."""
+
+def _fold(d, leaf):
+    """One spectrum point's interval on the graph with recipe d.
+
+    Every point of the asymptotic spectrum adds over +, multiplies over x
+    and takes the larger side over a join co(co G + co H) (Zuiddam 2019);
+    leaf(kind, arg) gives it on leaves and on every other complement."""
     kind, arg = d
-    if kind not in ("+", "x"):
+    if kind == "co" and arg[0] == "+":
+        kind, arg = "join", [co_recipe(term) for term in arg[1]]
+    if kind not in _COMBINE:
         return leaf(kind, arg)
     parts = [_fold(term, leaf) for term in arg]
-    if None in parts:
-        return None
-    combine = sum if kind == "+" else math.prod
+    combine = _COMBINE[kind]
     return combine(lo for lo, _ in parts), combine(hi for _, hi in parts)
 
 
-def _literal(masks: tuple[int, ...], what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
-    """A spectrum point's interval on the literal graph with these masks.
+def _literal(d, what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
+    """A spectrum point's interval on the graph with recipe d, taken whole.
 
     The graph takes at most cap vertices (else BudgetError, with what
-    naming the solver).  Where alpha.greedy_bounds meets at k, an
-    independent set and a partition into cliques of the same size k pin
-    the point to k; otherwise solve(g) gives it."""
-    g = Graph(len(masks), masks)
-    if g.n > cap:
-        raise BudgetError(f"{what} capped at {cap} vertices, got {g.n}", reason="vertex budget")
+    naming the solver), checked before it is built.  Where
+    alpha.greedy_bounds meets at k, an independent set and a partition into
+    cliques of the same size k pin the point to k; otherwise solve(g) gives
+    it."""
+    n = recipe_vertices(d)
+    if n > cap:
+        raise BudgetError(f"{what} capped at {cap} vertices, got {n}", reason="vertex budget")
+    g = recipe_graph(d)
     k, cover = greedy_bounds(g)
     if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
         return Fraction(k), Fraction(k)
@@ -410,14 +419,12 @@ def _literal(masks: tuple[int, ...], what: str, cap: int, solve) -> tuple[Fracti
 def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
     """theta's interval at p bits for the graph with recipe d."""
     def leaf(kind, arg):
-        if kind == "G":
-            return _literal(arg, "theta solver", THETA_MAX_VERTICES, _sdp_interval)
-        if kind == "co":
-            n = recipe_vertices(arg)
-            if not n:  # the complement of the empty graph is empty
-                return Fraction(0), Fraction(0)
-            lo, hi = _theta_closed(arg, p)
+        # n / theta; an empty complement is taken as a literal, which closes at 0
+        if kind == "co" and transitive(arg) and recipe_vertices(arg):
+            n, (lo, hi) = recipe_vertices(arg), _theta_closed(arg, p)
             return n / hi, n / lo
+        if kind in ("G", "co"):
+            return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval)
         if kind == "C" and arg >= 5 and arg % 2:
             return _odd_cycle_theta(arg, p)
         return _chif_leaf(kind, arg)  # K_n, E_n and the other cycles are perfect
@@ -425,20 +432,19 @@ def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
     return _fold(d, leaf)
 
 
-def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction] | None:
-    """chi_f-bar of a leaf, or of the complement of a named leaf, where it
-    is the leaf's n / alpha; None for a complement of anything else."""
-    if kind == "G":
-        return _literal(arg, "clique cover", CHIF_MAX_VERTICES, _clique_lp)
+def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction]:
+    """chi_f-bar of a leaf or a complement: closed on the named leaves and
+    on their complements, where it is the leaf's n / alpha; any other
+    complement is taken whole, as a literal leaf is."""
     if kind == "C" and arg >= 4:
         value = Fraction(arg, 2)
-    elif kind != "co":
+    elif kind in ("K", "E", "C"):
         value = Fraction({"K": min(arg, 1), "E": arg, "C": 1}[kind])
-    elif arg[0] in ("K", "E", "C"):
+    elif kind == "co" and arg[0] in ("K", "E", "C"):
         kind, n = arg
         value = Fraction(n, max({"K": 1, "E": n, "C": n // 2}[kind], 1))
     else:
-        return None
+        return _literal((kind, arg), "clique cover", CHIF_MAX_VERTICES, _clique_lp)
     return value, value
 
 
@@ -467,8 +473,9 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
     theta is folded over g's recipe (``_theta_closed``): closed forms on the
-    named leaves, at any tol and any size, and on a literal leaf the greedy
-    sandwich, where it meets at k, else one interior-point solve on at most
+    named leaves and joins, at any tol and any size, and on a literal leaf
+    or a complement with no closed form the greedy sandwich, where it meets
+    at k, else one interior-point solve on that leaf's at most
     THETA_MAX_VERTICES vertices (else BudgetError).  That solve proposes a
     primal and a dual matrix; both ends are proved exactly, once, and the
     interval is cached and checked against every tol.  Returns [lo, hi]

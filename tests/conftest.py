@@ -9,16 +9,32 @@ smallest-last order and the greedy seed), so the optimized solvers are
 always checked against something that cannot share their bugs.  ``reference_solve_alpha`` is no
 oracle: it is the alpha search with its coloring written out per vertex, so
 a faster coloring can be checked to build the same tree.
+``strassen_axiom_suite`` is no oracle either: it checks the preorder's
+ordered-semiring laws on a sample of graphs (README criterion 6).
 """
 
 import itertools
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from zecap import BudgetError, Graph, Channel, IndependentSetWitness, cycle_graph
+from zecap import (
+    BudgetError,
+    Graph,
+    Channel,
+    IndependentSetWitness,
+    cycle_graph,
+    disjoint_union,
+    edgeless_graph,
+    encode,
+    leq,
+    solve_alpha,
+    strong_product,
+)
 from zecap.alpha import _root_orbits
 from zecap.exact import UnboundedError
 
@@ -322,6 +338,127 @@ def reference_simplex_max(c, rows, rhs):
         if b < n:
             y[b] = tab[i][-1]
     return -cost[-1], y
+
+
+@dataclass
+class AxiomCheck:
+    law: str
+    subject: str
+    holds: bool
+    detail: str = ""
+
+
+@dataclass
+class AxiomReport:
+    checks: list[AxiomCheck] = field(default_factory=list)
+    skipped: list[str] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[AxiomCheck]:
+        return [c for c in self.checks if not c.holds]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def add(self, law: str, subject: str, holds: bool, detail: str = ""):
+        self.checks.append(AxiomCheck(law, subject, holds, detail))
+
+
+def _label(*graphs: Graph) -> str:
+    return ",".join(str(encode(x)) for x in graphs)
+
+
+def strassen_axiom_suite(
+    sample: Sequence[tuple[Graph, ...]],
+    embed_max: int = 5,
+    node_budget: int | None = None,
+) -> AxiomReport:
+    """Check the preorder laws on a sample of graph pairs and triples.
+
+    Pairs (g, h) are checked for reflexivity, alpha-monotonicity of an
+    established order, and the existence of r with g <= edgeless(r) ⊠ h
+    whenever h has a vertex.  Triples (a, b, c) are checked for
+    transitivity.  Consecutive established pairs are combined to check
+    that disjoint union and strong product respect the order.  The
+    counting-order law — edgeless(i) <= edgeless(j) iff i <= j — is
+    checked exhaustively up to embed_max.
+    """
+    report = AxiomReport()
+
+    def related(x: Graph, y: Graph) -> bool | None:
+        try:
+            return leq(x, y, node_budget=node_budget).established
+        except BudgetError as e:
+            report.skipped.append(f"{_label(x, y)}: {e}")
+            return None
+
+    for i in range(embed_max + 1):
+        for j in range(embed_max + 1):
+            got = related(edgeless_graph(i), edgeless_graph(j))
+            if got is None:
+                continue
+            report.add(
+                "counting-order",
+                f"edgeless {i} vs {j}",
+                got == (i <= j),
+                f"expected {i <= j}, got {got}",
+            )
+
+    established_pairs: list[tuple[Graph, Graph]] = []
+    for item in sample:
+        if len(item) == 2:
+            g, h = item
+            for x in (g, h):
+                got = related(x, x)
+                if got is not None:
+                    report.add("reflexivity", _label(x), bool(got))
+            got = related(g, h)
+            if got is None:
+                continue
+            if got:
+                established_pairs.append((g, h))
+                a_g = solve_alpha(g)[0].size
+                a_h = solve_alpha(h)[0].size
+                report.add(
+                    "alpha-monotonicity",
+                    _label(g, h),
+                    a_g <= a_h,
+                    f"alpha {a_g} vs {a_h}",
+                )
+            if h.n > 0:
+                r = next(
+                    (
+                        r
+                        for r in range(1, g.n + 2)
+                        if related(g, strong_product(edgeless_graph(r), h))
+                    ),
+                    None,
+                )
+                report.add(
+                    "scaling-witness",
+                    _label(g, h),
+                    r is not None,
+                    f"r={r}",
+                )
+        elif len(item) == 3:
+            a, b, c = item
+            ab = related(a, b)
+            bc = related(b, c)
+            if ab and bc:
+                ac = related(a, c)
+                if ac is not None:
+                    report.add("transitivity", _label(a, b, c), bool(ac))
+
+    for (a, b), (c, d) in zip(established_pairs, established_pairs[1:]):
+        got = related(disjoint_union(a, c), disjoint_union(b, d))
+        if got is not None:
+            report.add("union-monotone", _label(a, b, c, d), bool(got))
+        got = related(strong_product(a, c), strong_product(b, d))
+        if got is not None:
+            report.add("product-monotone", _label(a, b, c, d), bool(got))
+
+    return report
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

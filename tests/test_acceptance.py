@@ -33,12 +33,13 @@ from zecap import (
     single_vertex,
     solve_alpha,
     squeeze_capacity,
-    strassen_axiom_suite,
     strong_product,
     words_distinguishable,
 )
 
-from conftest import brute_alpha, make_bsc, make_pentagon_channel, random_graph
+from conftest import (
+    brute_alpha, make_bsc, make_pentagon_channel, random_graph, strassen_axiom_suite,
+)
 
 
 class _Verdict:

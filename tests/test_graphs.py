@@ -24,7 +24,9 @@ from zecap import (
 )
 from zecap.channel import confusability_graph
 from zecap.cli import parse_graph
-from zecap.graphs import orbit_labels, power_fits, recipe_vertices, transitive, vertex_budget
+from zecap.graphs import (
+    orbit_labels, power_fits, recipe_graph, recipe_vertices, transitive, vertex_budget,
+)
 
 from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
 
@@ -211,8 +213,8 @@ class TestTransitiveFlag:
         assert path.recipe == leaf and not transitive(leaf)
         assert strong_product(cycle_graph(5), path).recipe == ("x", (("C", 5), leaf))
         assert strong_product(path, cycle_graph(5)).recipe == ("x", (leaf, ("C", 5)))
-        co = complement(path)  # a fresh leaf, not the complement of one
-        assert co.recipe == ("G", co.masks)
+        co = complement(path)  # the complement of the leaf
+        assert co.recipe == ("co", leaf)
         for g in (strong_product(cycle_graph(5), path), strong_product(path, cycle_graph(5)), co):
             assert not transitive(g.recipe) and orbit_labels(g, 0) is None
 
@@ -251,8 +253,8 @@ class TestTransitiveFlag:
         assert parse_graph("C3+(K2+C5)+(S+C5)").recipe == nested.recipe
         with_sums = [s_c5, nested, strong_power(s_c5, 2), strong_product(c5, s_c5),
                      disjoint_union(complement(c5), complement(c3))]
-        # a complemented union is a fresh literal leaf, and anything built
-        # on it has that leaf inside
+        # a complemented union keeps the union under its "co", and anything
+        # built on it has that union inside
         co_sums = [complement(s_c5), strong_product(complement(s_c5), k2),
                    disjoint_union(complement(s_c5), c5)]
         bases = recipe_bases()
@@ -266,9 +268,9 @@ class TestTransitiveFlag:
             assert recipe_vertices(g.recipe) == g.n
             assert all(orbit_labels(g, r) is None for r in range(g.n))
         for g in co_sums:
-            assert "'G'" in repr(g.recipe) and recipe_vertices(g.recipe) == g.n
+            assert "'+'" in repr(g.recipe) and recipe_vertices(g.recipe) == g.n
             assert not transitive(g.recipe) and orbit_labels(g, 0) is None
-        assert complement(s_c5).recipe == ("G", complement(s_c5).masks)
+        assert complement(s_c5).recipe == ("co", s_c5.recipe)
         for g in recipe_bases():
             assert transitive(g.recipe) and orbit_labels(g, 0) is not None
 
@@ -279,6 +281,50 @@ class TestTransitiveFlag:
             assert plain == g and g == plain
             assert hash(plain) == hash(g)
             assert len({plain, g}) == 1
+
+
+class TestRecipeGraph:
+    """Equal expressions build equal graphs: recipe_graph rebuilds any
+    graph, recipe and all, from its recipe alone."""
+
+    @staticmethod
+    def expression(rng, depth: int = 2) -> str:
+        """A random expression of at most a few hundred vertices: named
+        leaves, bit strings and indices under ~, ~~, + and *."""
+        if depth == 0 or rng.random() < 0.3:
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.choice(("S", "C3", "C4", "C5", "K2", "K3", "E2", "E3"))
+            lit = random_graph(rng, rng.randint(0, 4), rng.choice((0.3, 0.5, 0.7)))
+            return str(encode(lit)) if kind == 1 else graph_to_bitstring(lit)
+        a, b = (TestRecipeGraph.expression(rng, depth - 1) for _ in range(2))
+        return rng.choice((f"~({a}+{b})", f"~~({a})", f"~({a}*{b})", f"({a})+({b})",
+                           f"({a})*({b})", f"~({a})"))
+
+    def test_round_trip_over_parsed_expressions(self, rng):
+        kinds = set()
+        for _ in range(150):
+            text = self.expression(rng)
+            g = parse_graph(text)
+            back = recipe_graph(g.recipe)
+            assert back == g and back.recipe == g.recipe, text
+            assert recipe_vertices(g.recipe) == g.n
+            if g.recipe[0] == "co":
+                operand = g.recipe[1]
+                kinds.add((operand[0], "'G'" in repr(operand)))
+        # complements over unions, literals and products holding a literal
+        assert {("+", True), ("G", True), ("x", True)} <= kinds
+
+    def test_complement_of_a_complement_is_the_operand(self):
+        lit = parse_graph("5:1001100101")
+        for g in (lit, disjoint_union(single_vertex(), cycle_graph(5)),
+                  strong_product(lit, cycle_graph(3))):
+            co = complement(g)
+            assert co.recipe == ("co", g.recipe)
+            twice = complement(co)
+            assert twice == g and twice.recipe == g.recipe
+            assert recipe_graph(co.recipe) == co
+        assert parse_graph("~~(5:1001100101+C5)").recipe == parse_graph("5:1001100101+C5").recipe
 
 
 def labelled_cases() -> list[Graph]:

@@ -14,7 +14,6 @@ from zecap import (
     edgeless_graph,
     leq,
     single_vertex,
-    strassen_axiom_suite,
     strong_power,
     strong_product,
 )
@@ -22,7 +21,7 @@ from zecap import test_F as slack_test  # aliased so pytest does not collect it
 from zecap.graphs import Graph, complement
 from zecap.preorder import ESTABLISHED, INCONCLUSIVE, HomWitness, _hom_search
 
-from conftest import brute_clique_cover, brute_hom_exists, random_graph
+from conftest import brute_clique_cover, brute_hom_exists, random_graph, strassen_axiom_suite
 
 
 def brute_leq(g: Graph, h: Graph) -> bool:

@@ -558,9 +558,10 @@ class TestComposedTheta:
         assert (b.lo - 1) ** 2 < 5 < (b.hi - 1) ** 2
         lovasz_theta(stripped(c5), TOL)  # as a literal C5 goes to the SDP
         # a union is not vertex-transitive, so n / theta does not hold for
-        # its complement, which is a fresh literal: the SDP runs on all of it
+        # its complement; that is a join, which takes its larger side with
+        # no SDP
         lovasz_theta(complement(s_c5), TOL)
-        assert solves == [5, 6]
+        assert solves == [5]
 
     def test_tolerance_is_checked_on_the_product(self):
         c5_2 = strong_power(cycle_graph(5), 2)
@@ -774,6 +775,84 @@ class TestLiteralLeaves:
             g = disjoint_union(complement(empty), c5)
             assert lovasz_theta(g, TOL) == lovasz_theta(c5, TOL)
             assert fractional_clique_cover(g).value == Fraction(5, 2)
+
+    @staticmethod
+    def join(rng: random.Random) -> Graph:
+        """A join co(co G + co H + ...): the complement of a union of two or
+        three small operands (G(n, p) literals, relabelled C5s, named
+        leaves, their complements, small unions, products and joins), at
+        times under a product or inside a union."""
+
+        def operand(depth: int = 1) -> Graph:
+            r = rng.random()
+            if r < 0.25:
+                return random_graph(rng, rng.randint(1, 5), rng.choice((0.3, 0.5, 0.7)))
+            if r < 0.4:
+                perm = rng.sample(range(5), 5)
+                return Graph.from_edges(5, [(perm[v], perm[v - 1]) for v in range(5)])
+            if r < 0.7 or not depth:
+                leaf = rng.choice((complete_graph, edgeless_graph))(rng.randint(1, 4))
+                leaf = cycle_graph(rng.randint(3, 7)) if rng.random() < 0.5 else leaf
+                return complement(leaf) if rng.random() < 0.3 else leaf
+            a, b = operand(0), operand(0)
+            if r < 0.8:
+                return disjoint_union(a, b)
+            return strong_product(a, b) if r < 0.9 else complement(disjoint_union(a, b))
+
+        g = complement(disjoint_union(*(operand() for _ in range(rng.randint(2, 3)))))
+        r = rng.random()
+        if r < 0.2:
+            g = strong_product(g, rng.choice((complete_graph(2), edgeless_graph(2),
+                                              cycle_graph(4))))
+        elif r < 0.4:
+            g = disjoint_union(g, operand(0))
+        return g
+
+    def test_joins_match_the_flat_graph(self):
+        # a join takes the larger side's value: the composed theta interval
+        # meets the SDP interval of the flat graph, and the composed
+        # chi_f-bar is the exact simplex optimum on it.  A join's maximal
+        # cliques are the products of its sides', so the Fraction simplex
+        # only takes flat graphs of at most 200 cliques (625 take it seconds)
+        rng = random.Random(34)
+        theta_seen, chif_seen = set(), set()
+        while len(theta_seen) < 16 or len(chif_seen) < 40:
+            g = self.join(rng)
+            assert "('co', ('+'" in repr(g.recipe)
+            if g.n <= 24 and g.recipe not in chif_seen and len(maximal_cliques(g)) <= 200:
+                chif_seen.add(g.recipe)
+                closed = fractional_clique_cover(g)
+                assert closed.lo == closed.hi == exact_chif(g), g.recipe
+            if (len(theta_seen) < 16 and g.n <= 40 and g.edge_count() <= 500
+                    and g.recipe not in theta_seen):
+                theta_seen.add(g.recipe)
+                lo, hi = spectrum._theta_interval(g.recipe, TOL)
+                flat_lo, flat_hi = spectrum._sdp_interval(g)
+                assert max(lo, flat_lo) <= min(hi, flat_hi), g.recipe
+
+    def test_a_join_takes_the_lp_on_its_operand_alone(self, monkeypatch):
+        # the complement of a product has no closed chi_f-bar, so it is one
+        # LP on its 20 or 21 vertices; the rest stays closed, though the
+        # whole graph is over the LP's 24-vertex cap
+        from zecap.cli import run
+
+        cliques = []
+        monkeypatch.setattr(spectrum, "maximal_cliques",
+                            lambda h, *args: cliques.append(h.n) or maximal_cliques(h, *args))
+        for expr, value, lp in (("~(C5*C4)+C5^2", "45/4", 20), ("~(E3*C7)+C9^4", "19795/48", 21)):
+            cliques.clear()
+            code, report = run(["chif", "--graph", expr])
+            assert code == 0 and report["results"]["value"] == value, expr
+            assert cliques == [lp], expr
+
+    def test_empty_join(self):
+        from zecap.cli import parse_graph
+
+        b = fractional_clique_cover(complement(disjoint_union()))
+        assert b.lo == b.hi == 0 and type(b.hi) is Fraction
+        tol = Fraction(1, 10**20)
+        b = lovasz_theta(parse_graph("~(0:+C5)"), tol)  # the larger side, sqrt(5)
+        assert b.hi - b.lo <= tol and b.lo ** 2 < 5 < b.hi ** 2
 
 
 class TestCertificationRetry:
