@@ -52,7 +52,7 @@ import numpy as np
 
 from . import creal
 from .errors import BudgetError, InputError
-from .graphs import Graph, orbit_labels, require_product_fits, strong_product, vertex_budget
+from .graphs import Graph, orbit_labels, require_fits, strong_product, vertex_budget
 from .graphs import power_fits
 
 
@@ -445,7 +445,7 @@ class PowerLadder:
             self._vertices *= side
             self._bound *= self._bound
             try:
-                require_product_fits(self._vertices, self._cap)
+                require_fits("strong product", self._vertices, self._cap)
             except BudgetError as e:
                 self.stops[k] = e
                 return

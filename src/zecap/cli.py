@@ -3,9 +3,12 @@
 Reports share a fixed envelope — command, canonicalized inputs, results,
 budgets, version, wall time — and serialize with sorted keys so identical
 inputs produce identical bytes (wall time aside).  Exit codes: 0 success,
-2 input error, 3 budget exhausted, 4 solver failure.  An error report keeps
-the inputs parsed before the stop and all budgets; a budget stop also
-carries its ``reason``, the amount ``used`` and any ``partial`` result.
+2 input error, 3 budget exhausted, 4 solver failure; ``bounds`` and
+``capacity`` exit 3 if a budget stopped a refinement, else 4 if a solver
+did.  An error report keeps the inputs parsed before the stop and all
+budgets.  Every stop carries its certified ``partial`` result (an alpha
+search's best set, a theta interval, or null); a budget stop also carries
+its ``reason`` and the amount ``used``, on a size stop the vertices needed.
 Input graphs of at most 64 vertices are echoed under ``inputs`` edge by
 edge; larger ones as ``{"vertices", "edge_count"}``, since the expression
 beside them determines them.  Result graphs always list every edge.
@@ -60,19 +63,17 @@ from .graphs import (
     INDEX_MAX_VERTICES,
     Graph,
     complement,
-    complete_graph,
-    cycle_graph,
     decode,
     disjoint_union,
-    edgeless_graph,
     encode,
     graph_from_bitstring,
     graph_from_edgetext,
     graph_to_bitstring,
-    require_input_fits,
-    single_vertex,
+    recipe_graph,
+    require_fits,
     strong_power,
     strong_product,
+    vertex_budget,
 )
 from .preorder import (
     ASYM_SEARCH_BUDGET,
@@ -82,7 +83,7 @@ from .preorder import (
     asymptotic_leq_bounded,
     leq,
 )
-from .spectrum import BoundsReport, fractional_clique_cover, lovasz_theta, sandwich
+from .spectrum import BoundsReport, UpperBound, fractional_clique_cover, lovasz_theta, sandwich
 
 if TYPE_CHECKING:
     import argparse
@@ -119,13 +120,13 @@ _NAME_RE = re.compile(r"([CKE])(\d+)$")
 
 def _named_graph(token: str) -> Graph:
     if token == "S":
-        return single_vertex()
+        return recipe_graph(("E", 1))
     m = _NAME_RE.match(token)
     if m:
         kind, size = m.group(1), parse_integer(m.group(2), "graph size")
         if size >= (3 if kind == "C" else 1):
-            require_input_fits(size)  # before any mask is built
-            return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](size)
+            require_fits("graph", size, vertex_budget())  # before any mask is built
+            return recipe_graph((kind, size))
     raise InputError(
         f"unknown graph name {token!r} (use S, C3.., K1.., E1.., or an index)"
     )
@@ -297,17 +298,24 @@ def _bounds_json(report: BoundsReport) -> dict:
     }
 
 
-def _budget_json(e: BudgetError) -> dict:
-    """A budget stop: its reason, the amount used and an alpha search's best set."""
-    return {
-        "error": str(e),
-        "kind": "budget",
-        "reason": e.reason,
-        "used": e.used,
-        "partial": {"size": e.partial.size, "witness": sorted(e.partial.vertices)}
-        if isinstance(e.partial, IndependentSetWitness)
-        else None,
-    }
+def _stop_json(e: BudgetError | ConvergenceError) -> dict:
+    """A budget or solver stop and its certified partial: an alpha search's
+    best set, or a theta interval.  A budget stop adds its reason and the
+    amount used."""
+    partial = None
+    if isinstance(e.partial, IndependentSetWitness):
+        partial = {"size": e.partial.size, "witness": sorted(e.partial.vertices)}
+    elif isinstance(e.partial, UpperBound):
+        partial = {"lo": frac_str(e.partial.lo), "hi": frac_str(e.partial.hi)}
+    if isinstance(e, ConvergenceError):
+        return {"error": str(e), "kind": "solver", "partial": partial}
+    return {"error": str(e), "kind": "budget", "reason": e.reason, "used": e.used,
+            "partial": partial}
+
+
+def _stops_code(stops) -> int:
+    """3 if any of these stops is a budget's, else 4 if any is a solver's, else 0."""
+    return min((3 if isinstance(e, BudgetError) else 4 for e in stops), default=0)
 
 
 def _write_ladder_csv(path: str, levels) -> None:
@@ -463,14 +471,12 @@ def _cmd_alpha(args, inputs):
           inputs="expression m_max", budgets="node_budget power_cap")
 def _cmd_ladder(args, inputs):
     g = _graph_input(inputs)
-    code = 0
     try:
         levels = ladder(PowerLadder(g, args.power_cap), args.m_max, args.node_budget)
-        results = {"levels": _ladder_json(levels)}
+        results, code = {"levels": _ladder_json(levels)}, 0
     except BudgetError as e:
         levels = e.partial
-        results = {**_budget_json(e), "levels": _ladder_json(levels)}
-        code = 3
+        results, code = {**_stop_json(e), "levels": _ladder_json(levels)}, 3
     if args.csv:
         _write_ladder_csv(args.csv, levels)
     return results, code
@@ -484,7 +490,7 @@ def _cmd_bounds(args, inputs):
     report = sandwich(g, args.m_max, _tol_input(inputs), args.node_budget, args.power_cap)
     if args.csv:
         _write_bounds_csv(args.csv, report)
-    return _bounds_json(report), 3 if report.errors else 0
+    return _bounds_json(report), _stops_code(e for _, e in report.stops)
 
 
 @_command("theta-sdp", "certified Lovász theta interval", ["--graph", "--tol"],
@@ -632,7 +638,7 @@ def _cmd_capacity(args, inputs):
             "lower": round(report.log2_lower, 12),
             "upper": round(report.log2_upper, 12),
         },
-    }, 3 if report.bounds.errors else 0
+    }, _stops_code(e for _, e in report.bounds.stops)
 
 
 @_command("locate", "dyadic grid cells containing the capacity",
@@ -771,10 +777,8 @@ def run(argv=None) -> tuple[int, dict]:
         results, code = command.handler(args, inputs)
     except InputError as e:
         results, code = {"error": str(e), "kind": "input"}, 2
-    except BudgetError as e:
-        results, code = _budget_json(e), 3
-    except ConvergenceError as e:
-        results, code = {"error": str(e), "kind": "solver"}, 4
+    except (BudgetError, ConvergenceError) as e:
+        results, code = _stop_json(e), _stops_code([e])
     except Exception as e:  # pragma: no cover - defensive
         results, code = {"error": f"{type(e).__name__}: {e}", "kind": "internal"}, 4
     report = {

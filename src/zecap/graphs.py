@@ -233,7 +233,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
     """Strong graph product; vertex (a, b) gets index a * h.n + b."""
-    require_product_fits(g.n * h.n, vertex_budget(max_vertices))
+    require_fits("strong product", g.n * h.n, vertex_budget(max_vertices))
     nh = h.n
     closed_h = [h.masks[b] | (1 << b) for b in range(nh)]
     masks = []
@@ -253,21 +253,13 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
     return Graph(g.n * nh, tuple(masks), recipe)
 
 
-def require_product_fits(vertices: int, cap: int) -> None:
-    """The vertex-budget stop of a strong product on this many vertices."""
+def require_fits(what: str, vertices: int, cap: int) -> None:
+    """The one vertex-budget stop, when what needs more vertices than cap;
+    its ``used`` is the count needed."""
     if vertices > cap:
         raise BudgetError(
-            f"strong product needs {vertices} vertices, budget is {cap}",
-            reason="vertex budget",
-        )
-
-
-def require_input_fits(vertices: int) -> None:
-    """The vertex-budget stop of a graph read from text, before any mask is built."""
-    cap = vertex_budget()
-    if vertices > cap:
-        raise BudgetError(
-            f"graph needs {vertices} vertices, budget is {cap}",
+            f"{what} needs {vertices} vertices, budget is {cap}",
+            used=vertices,
             reason="vertex budget",
         )
 
@@ -430,11 +422,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     hdeg = [h.degree(v) for v in range(h.n)]
     if sorted(gdeg) != sorted(hdeg):
         return False
-    if g.n > ISO_MAX_VERTICES:
-        raise BudgetError(
-            f"isomorphism search capped at {ISO_MAX_VERTICES} vertices, got {g.n}",
-            reason="vertex budget",
-        )
+    require_fits("isomorphism search", g.n, ISO_MAX_VERTICES)
     order = sorted(range(g.n), key=lambda v: -gdeg[v])
     image = [-1] * g.n
     used = [False] * h.n
@@ -498,7 +486,7 @@ def graph_from_edgetext(text: str) -> Graph:
         n = int(head.strip())
     except ValueError:
         raise InputError(f"bad vertex count in {text!r}") from None
-    require_input_fits(n)
+    require_fits("graph", n, vertex_budget())  # before any mask is built
     edges = []
     body = body.strip()
     if body:

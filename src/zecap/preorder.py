@@ -25,6 +25,7 @@ from .graphs import (
     complement,
     edgeless_graph,
     power_fits,
+    require_fits,
     single_vertex,
     strong_power,
     strong_product,
@@ -191,12 +192,7 @@ def leq(
     """Decide the cohomomorphism order g <= h by exhaustive search."""
     if max_vertices < 0:
         raise InputError(f"vertex cap must be nonnegative, got {max_vertices}")
-    if g.n > max_vertices or h.n > max_vertices:
-        raise BudgetError(
-            f"order test capped at {max_vertices} vertices, "
-            f"got {g.n} and {h.n}",
-            reason="vertex budget",
-        )
+    require_fits("order test", max(g.n, h.n), max_vertices)
     src = complement(g)
     dst = complement(h)
     if g.n > 0 and g.edge_count() == 0:

@@ -55,7 +55,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, transitive
+from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, require_fits, transitive
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -401,14 +401,13 @@ def _fold(d, leaf):
 def _literal(d, what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
     """A spectrum point's interval on the graph with recipe d, taken whole.
 
-    The graph takes at most cap vertices (else BudgetError, with what
-    naming the solver), checked before it is built.  Where
+    The graph takes at most cap vertices (else ``require_fits``'s stop, with
+    what naming the solver), checked before it is built.  Where
     alpha.greedy_bounds meets at k, an independent set and a partition into
     cliques of the same size k pin the point to k; otherwise solve(g) gives
     it."""
     n = recipe_vertices(d)
-    if n > cap:
-        raise BudgetError(f"{what} capped at {cap} vertices, got {n}", reason="vertex budget")
+    require_fits(what, n, cap)
     g = recipe_graph(d)
     k, cover = greedy_bounds(g)
     if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
@@ -511,8 +510,9 @@ class BoundsReport:
     interval's low end, which bounds theta, not capacity); ``upper`` is the
     least of the certified theta and clique-cover bounds, None before either
     is found.  Each refinement only ever narrows the bracket.  A stop of a
-    budget or of the theta solver is recorded under ``errors``, and any
-    certified bound it carries is kept; any other exception propagates.
+    budget or of the theta solver is recorded under ``stops`` as a (name,
+    exception) pair, and any certified bound it carries is kept; any other
+    exception propagates.  ``errors`` renders the stops as "name: message".
     """
 
     powers: PowerLadder
@@ -522,11 +522,15 @@ class BoundsReport:
     lower: Fraction = Fraction(0)
     lower_real: creal.CReal | None = None
     upper: Fraction | None = None
-    errors: list[str] = field(default_factory=list)
+    stops: list[tuple[str, BudgetError | ConvergenceError]] = field(default_factory=list)
 
     @property
     def graph(self) -> Graph:
         return self.powers.graph
+
+    @property
+    def errors(self) -> list[str]:
+        return [f"{name}: {e}" for name, e in self.stops]
 
     def width(self) -> Fraction | None:
         return None if self.upper is None else self.upper - self.lower
@@ -573,7 +577,7 @@ class BoundsReport:
             steps = alpha_ladder(self.powers, m, node_budget)
         except BudgetError as e:
             steps = e.partial
-            self.errors.append(f"ladder: {e}")
+            self.stops.append(("ladder", e))
         for step in steps[len(self.ladder):]:
             cand = step.root.lower_bound(bits)
             if cand >= self.lower:
@@ -595,7 +599,7 @@ class BoundsReport:
         try:
             found = bound(self.graph, *args)
         except (BudgetError, ConvergenceError) as e:
-            self.errors.append(f"{name}: {e}")
+            self.stops.append((name, e))
             found = e.partial
         if found is not None:
             self.upper = found.hi if self.upper is None else min(self.upper, found.hi)

@@ -358,7 +358,7 @@ class TestExitCodes:
         monkeypatch.setattr(zecap.cli, "lovasz_theta", fail)
         code, report = run(["theta-sdp", "--graph", "C5", "--tol", "1/1000"])
         assert code == 4
-        assert report["results"] == {"error": "did not converge", "kind": "solver"}
+        assert report["results"] == {"error": "did not converge", "kind": "solver", "partial": None}
         assert report["inputs"]["expression"] == "C5"
         assert report["inputs"]["graph"]["index"] == 689
         assert report["inputs"]["tol"] == "1/1000"
@@ -377,6 +377,28 @@ class TestExitCodes:
         assert code == 0
         lo, hi = Fraction(report["results"]["lo"]), Fraction(report["results"]["hi"])
         assert lo * lo < 5 < hi * hi and hi - lo <= Fraction(1, 10**12)
+
+    def test_solver_stop_carries_its_certified_interval(self):
+        code, report = run(["theta-sdp", "--graph", "5:1001100101", "--tol", "1e-12"])
+        assert code == 4
+        partial = report["results"]["partial"]
+        lo, hi = Fraction(partial["lo"]), Fraction(partial["hi"])
+        assert lo * lo < 5 < hi * hi and hi - lo > Fraction(1, 10**12)
+
+    @pytest.mark.parametrize(
+        "argv, want, stops",
+        [
+            (["--m", "0"], 0, []),
+            (["--tol", "1e-12", "--m", "0"], 4, ["theta"]),
+            (["--tol", "1e-12", "--m", "2", "--power-cap", "100"], 3, ["theta", "ladder"]),
+        ],
+        ids=["no-stop", "solver", "solver-and-budget"],
+    )
+    def test_bounds_exit_follows_its_stops(self, argv, want, stops):
+        # 3 if any budget stopped, else 4 if a solver did, else 0
+        code, report = run(["bounds", "--graph", "5:1001100101", *argv])
+        assert code == want
+        assert [e.split(":")[0] for e in report["results"]["errors"]] == stops
 
     @pytest.mark.parametrize("command", ["theta-sdp", "bounds"])
     def test_huge_tolerance_is_not_an_internal_error(self, command):
@@ -447,7 +469,7 @@ class TestExitCodes:
         assert "error" in r
         # rendered like every other budget stop
         assert (r["kind"], r["reason"], r["used"], r["partial"]) == (
-            "budget", "vertex budget", None, None
+            "budget", "vertex budget", 625, None
         )
 
     def test_version_flag(self, capsys):

@@ -6,6 +6,7 @@ from zecap import (
     BudgetError,
     Graph,
     InputError,
+    PowerLadder,
     complement,
     complete_graph,
     cycle_graph,
@@ -13,11 +14,14 @@ from zecap import (
     disjoint_union,
     edgeless_graph,
     encode,
+    fractional_clique_cover,
     graph_from_bitstring,
     graph_from_edgetext,
     graph_to_bitstring,
     index_offset,
     is_isomorphic,
+    leq,
+    lovasz_theta,
     single_vertex,
     strong_power,
     strong_product,
@@ -522,3 +526,39 @@ class TestSerialization:
             graph_from_edgetext("3; 1-1")
         with pytest.raises(InputError):
             graph_from_edgetext("nope")
+
+
+def _ladder_stop(cap: int):
+    powers = PowerLadder(cycle_graph(5), cap)
+    assert powers.solve(2) is None
+    raise powers.stops[2]
+
+
+class TestVertexBudgetStop:
+    """Every vertex-budget stop is ``require_fits``'s: one reason, the count
+    it needed as ``used``, and one message."""
+
+    @pytest.mark.parametrize(
+        "stop, what, used, cap",
+        [
+            (lambda: strong_product(cycle_graph(5), cycle_graph(5), 20), "strong product", 25, 20),
+            (lambda: _ladder_stop(100), "strong product", 625, 100),
+            (lambda: graph_from_edgetext("2000;"), "graph", 2000, 1000),
+            (lambda: parse_graph("E2000"), "graph", 2000, 1000),
+            (lambda: is_isomorphic(cycle_graph(11), cycle_graph(11)), "isomorphism search", 11, 10),
+            (lambda: leq(strong_power(cycle_graph(5), 2), cycle_graph(5)), "order test", 25, 12),
+            (lambda: lovasz_theta(Graph(65, (0,) * 65), 1), "theta solver", 65, 64),
+            (
+                lambda: fractional_clique_cover(Graph(25, strong_power(cycle_graph(5), 2).masks)),
+                "clique cover", 25, 24,
+            ),
+        ],
+        ids=["product", "ladder", "edge-list", "named", "isomorphism", "order", "theta", "cover"],
+    )
+    def test_reason_used_and_message(self, monkeypatch, stop, what, used, cap):
+        monkeypatch.setenv("ZW_MAX_VERTICES", "1000")  # the cap of text input
+        with pytest.raises(BudgetError) as exc:
+            stop()
+        e = exc.value
+        assert (e.reason, e.used, e.partial) == ("vertex budget", used, None)
+        assert str(e) == f"{what} needs {used} vertices, budget is {cap}"
