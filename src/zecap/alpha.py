@@ -38,9 +38,9 @@ the fractional clique cover number off them with no solver.
 
 ``PowerLadder`` is the one source of alpha(g^(2^k)), the lower side of the
 capacity: it squares each power, warm-starts from the squared best set and
-closes the levels past the clique-cover bound.  ``ladder``, the capacity
-bracket in ``spectrum`` and the decision procedures in ``decide`` all read
-their levels from it.
+closes every level past one that meets the bound of ``greedy_bounds``.
+``ladder``, the capacity bracket in ``spectrum`` and the decision procedures
+in ``decide`` all read their levels from it.
 """
 
 from __future__ import annotations
@@ -389,19 +389,16 @@ class PowerLadder:
     """alpha(g^(2^k)) for the levels k of one graph, found in order, each at most once.
 
     Level k is searched on the square of level k - 1's power, warm-started
-    from the square of the best set found there, which is a partial set when
-    that level stopped at its node budget.  The search runs until a level j
-    meets the clique-cover bound: alpha(g^(2^j)) = c^(2^j) for a partition
-    of g into c cliques.  c starts as ``greedy_clique_cover`` and drops to
-    the upper end of ``greedy_bounds`` just before the first power is built:
-    its n more partitions of g cost less than the n^2-vertex level they may
-    close, but can cost far more than level 0's search.  That closes
-    every later level k: products of cliques are cliques, so
-    alpha(g^(2^k)) <= c^(2^k), and products of independent sets are
-    independent, so alpha(g^(2^k)) >= alpha(g^(2^j))^(2^(k-j)) = c^(2^k)
-    (Shannon 1956).  A closed level builds no power, runs no search and
-    takes 0 nodes, but stops at the vertex budget exactly where its power
-    would.
+    from the square of the best set found there (a partial set when that
+    level stopped at its node budget).  When level 1 fits the vertex
+    budget, c is read as the upper end of ``greedy_bounds``, a partition of
+    g into c cliques, before any power is built: it costs less than the
+    n^2-vertex level it may close, but can cost far more than level 0's
+    search.  Once a level j meets c^(2^j), every later level k is c^(2^k)
+    (Shannon 1956): products of cliques are cliques, and products of
+    independent sets are independent.  So level 0 meeting c closes level 1
+    at once.  A closed level builds no power, runs no search and takes 0
+    nodes, but stops at the vertex budget exactly where its power would.
 
     ``alpha`` and ``nodes`` hold each level found; ``stops`` holds the
     BudgetError of each level that was not.  A node-budget stop does not end
@@ -416,8 +413,7 @@ class PowerLadder:
         self.stops: dict[int, BudgetError] = {}
         self._level = -1  # the last level reached
         self._power: Graph | None = g  # its power; None once the ladder is closed
-        self._vertices = g.n  # of that power, also once it is no longer built
-        self._bound = greedy_clique_cover(g)  # c^(2^k) at that level
+        self._cover = 0  # greedy_bounds' upper end, read at level 1
         self._best: list[int] | None = None  # its best set, squared into the next warm start
 
     def top(self, most: int) -> int:
@@ -441,24 +437,21 @@ class PowerLadder:
         self._level += 1
         k = self._level
         if k > 0:
-            side = self._vertices
-            self._vertices *= side
-            self._bound *= self._bound
             try:
-                require_fits("strong product", self._vertices, self._cap)
+                require_fits("strong product", self.graph.n ** (1 << k), self._cap)
             except BudgetError as e:
                 self.stops[k] = e
                 return
-            if self._power is not None and k == 1:
-                c = greedy_bounds(self.graph)[1]
-                self._bound = c * c
-                if self.alpha.get(0) == c:
-                    self._power = None  # level 0 meets the sharper cover
+            if k == 1:
+                self._cover = greedy_bounds(self.graph)[1]
+                if self.alpha.get(0) == self._cover:
+                    self._power = None  # closed
             if self._power is not None:
+                side = self._power.n
                 self._power = strong_product(self._power, self._power, self._cap)
                 self._best = [u * side + v for u in self._best for v in self._best]
         if self._power is None:
-            self.alpha[k], self.nodes[k] = self._bound, 0
+            self.alpha[k], self.nodes[k] = self._cover ** (1 << k), 0
             return
         try:
             witness, self.nodes[k] = solve_alpha(self._power, node_budget, initial=self._best)
@@ -467,7 +460,7 @@ class PowerLadder:
             self._best = e.partial.vertices
             return
         self.alpha[k], self._best = witness.size, witness.vertices
-        if witness.size == self._bound:
+        if k > 0 and witness.size == self._cover ** (1 << k):
             self._power = None  # closed
 
 

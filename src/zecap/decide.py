@@ -188,9 +188,6 @@ class EnumerationState:
     pending: list[int]  # schedule slots still undecided (1-based)
     emitted: list[EmittedGraph]
 
-    def emitted_indices(self) -> list[int]:
-        return [e.graph_index for e in self.emitted]
-
 
 def enumerate_gt(
     lam: creal.CReal,

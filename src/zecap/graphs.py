@@ -113,13 +113,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
 
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.masks[u] >> v & 1) == (self.masks[v] >> u & 1)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.masks == other.masks

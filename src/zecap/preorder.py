@@ -74,21 +74,18 @@ def _hom_search(
     """Find a homomorphism src -> dst (edges to edges) or prove none exists.
 
     Source vertices are taken smallest domain first, ties to higher source
-    degree.  Candidates are read lowest target first, cut down by two
-    symmetry rules that never lose a solution:
+    degree.  Candidates are read lowest target first, cut down by a twin
+    rule that never loses a solution: target vertices with equal open
+    neighbourhoods, or equal closed ones, form a twin class.  A source
+    vertex may map to any target already in the image, but among the
+    unused members of a class only to the lowest.  Swapping two unused
+    twins is an automorphism of dst that fixes the partial image
+    pointwise, so it leaves every forward-checked domain as it is and
+    carries the subtree under one twin onto the subtree under the other.
 
-    - Twin rule.  Target vertices with equal open neighbourhoods, or equal
-      closed ones, form a twin class.  A source vertex may map to any
-      target already in the image, but among the unused members of a
-      class only to the lowest.  Swapping two unused twins is an
-      automorphism of dst that fixes the partial image pointwise, so it
-      leaves every forward-checked domain as it is and carries the subtree
-      under one twin onto the subtree under the other.
-    - Ascending rule.  The images of a clique source are pairwise distinct
-      and every order of its vertices is an automorphism of it, so images
-      are forced to rise in assignment order.  Both rules hold together:
-      any injective map is first moved, within each twin class, onto the
-      class's lowest vertices, and then assigned in ascending order.
+    A clique source asks for an independent set of its size in the
+    complement of dst; ``leq`` answers that with ``solve_alpha`` and never
+    sends one here.
     """
     if node_budget is not None and node_budget < 0:
         raise InputError(f"node budget must be nonnegative, got {node_budget}")
@@ -124,19 +121,16 @@ def _hom_search(
     domains = [full] * ns
     sizes = [nt] * ns
     rows = dst.masks
-    clique_source = all(len(adj) == ns - 1 for adj in nbrs)
     nodes = 0
 
-    # floor masks a clique source's candidates to targets above the previous
-    # image (the ascending rule); it is -1, every target, otherwise
-    def assign(depth: int, floor: int) -> bool:
+    def assign(depth: int) -> bool:
         nonlocal nodes, used, allowed
         if depth == ns:
             return True
         i = sizes.index(min(sizes))
         domain, size = domains[i], sizes[i]
         sizes[i] = done
-        cand = domain & allowed & floor
+        cand = domain & allowed
         while cand:
             lsb = cand & -cand
             cand ^= lsb
@@ -167,7 +161,7 @@ def _hom_search(
                     domains[w] = nd
                     sizes[w] = nd.bit_count()
             else:
-                if assign(depth + 1, -(lsb << 1) if clique_source else -1):
+                if assign(depth + 1):
                     return True
             for w, d, s in saved:
                 domains[w] = d
@@ -178,7 +172,7 @@ def _hom_search(
         domains[i], sizes[i] = domain, size
         return False
 
-    if assign(0, -1):
+    if assign(0):
         return tuple(domains[position[v]].bit_length() - 1 for v in range(ns)), nodes
     return None, nodes
 

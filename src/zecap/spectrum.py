@@ -96,7 +96,7 @@ def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
             out.append(r)
             if len(out) > cap:
                 raise BudgetError(
-                    f"more than {cap} maximal cliques", reason="clique budget"
+                    f"more than {cap} maximal cliques", used=len(out), reason="clique budget"
                 )
             return
         # pivot with most candidates knocked out

@@ -586,6 +586,36 @@ class TestLadder:
         monkeypatch.setattr(alpha_module, "greedy_bounds", unreachable)
         assert PowerLadder(strong_power(cycle_graph(5), 3)).solve(0) == 10
 
+    def test_greedy_bounds_read_once_from_level_one(self, monkeypatch, rng):
+        # the ladder's one bound is greedy_bounds' upper end, read when level
+        # 1 is first climbed; greedy_clique_cover runs only inside it
+        bounds, cover = alpha_module.greedy_bounds, alpha_module.greedy_clique_cover
+        calls, inside = [], []
+
+        def counted_bounds(g):
+            calls.append(g)
+            inside.append(g)
+            try:
+                return bounds(g)
+            finally:
+                inside.pop()
+
+        def counted_cover(g):
+            assert inside, "greedy_clique_cover called outside greedy_bounds"
+            return cover(g)
+
+        monkeypatch.setattr(alpha_module, "greedy_bounds", counted_bounds)
+        monkeypatch.setattr(alpha_module, "greedy_clique_cover", counted_cover)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(0, 4), p=rng.choice([0.2, 0.5, 0.8]))
+            calls.clear()
+            powers = PowerLadder(g)
+            got = [powers.solve(0)]
+            assert calls == []
+            got += [powers.solve(1), powers.solve(2)]
+            assert calls == [g]
+            assert got[:2] == [brute_alpha(g), recursive_alpha(strong_product(g, g))]
+
     def test_reads_the_power_ladder(self, rng, pentagon):
         for i in range(30):
             g = pentagon if i == 0 else random_graph(rng, rng.randint(0, 5), p=0.5)

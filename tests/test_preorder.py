@@ -18,6 +18,7 @@ from zecap import (
     strong_product,
 )
 from zecap import test_F as slack_test  # aliased so pytest does not collect it
+import zecap.preorder as preorder_module
 from zecap.graphs import Graph, complement
 from zecap.preorder import ESTABLISHED, INCONCLUSIVE, HomWitness, _hom_search
 
@@ -99,6 +100,32 @@ class TestTwinRichTargets:
                     assert w.verify()
 
 
+def _is_clique(g: Graph) -> bool:
+    return g.n > 0 and g.edge_count() == g.n * (g.n - 1) // 2
+
+
+def test_no_clique_source_reaches_the_search(monkeypatch, rng):
+    # leq answers every edgeless left side, the empty graph aside, with
+    # solve_alpha, so the homomorphism search never sees a clique source
+    searched = []
+
+    def guarded(src, dst, node_budget):
+        assert not _is_clique(src), src
+        searched.append(src.n)
+        return _hom_search(src, dst, node_budget)
+
+    monkeypatch.setattr(preorder_module, "_hom_search", guarded)
+    for i in range(150):
+        n = rng.randint(0, 6)
+        g = edgeless_graph(n) if i % 3 == 0 else random_graph(rng, n)
+        h = random_graph(rng, rng.randint(0, 6), p=rng.choice([0.3, 0.5, 0.7]))
+        w = leq(g, h)
+        assert w.established == brute_leq(g, h), (g, h)
+        if w.established:
+            assert w.verify()
+    assert searched  # the sweep also reached the search
+
+
 class TestSearchNodeCounts:
     """Node counts the twin rule and the smallest-domain order keep small."""
 
@@ -116,12 +143,16 @@ class TestSearchNodeCounts:
         # C5^3 needs 16 cliques to cover it, so 8 = 2^(0+3) do not suffice
         assert slack_test(pentagon, edgeless_graph(2), 2, 3, 0, node_budget=1000) == 0
 
-    def test_clique_source_images_ascend(self, pentagon):
-        # C5^2 has no twins and no 5-clique; ascending images visit each
-        # 4-clique once instead of once per order
-        mapping, nodes = _hom_search(complete_graph(5), strong_power(pentagon, 2), None)
-        assert mapping is None
-        assert nodes <= 300
+    def test_clique_sources_take_the_alpha_route(self, pentagon):
+        # an edgeless left side makes the source a clique: C5^2 has no
+        # 5-clique but a 4-clique, and solve_alpha on its complement says so
+        # at once
+        h = complement(strong_power(pentagon, 2))
+        w = leq(edgeless_graph(5), h, max_vertices=25)
+        assert not w.established
+        assert w.nodes_used == 1
+        w = leq(edgeless_graph(4), h, max_vertices=25)
+        assert w.established and w.verify()
 
 
 class TestLeqAnchors:

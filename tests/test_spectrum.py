@@ -71,8 +71,10 @@ class TestMaximalCliques:
         g = complete_graph(3)
         for _ in range(7):
             g = disjoint_union(g, complete_graph(3))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as exc:
             maximal_cliques(complement(g), cap=1000)
+        assert exc.value.reason == "clique budget"
+        assert exc.value.used == 1001  # the clique past the cap
 
 
 class TestCliqueCover:

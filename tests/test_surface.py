@@ -1,10 +1,11 @@
 """The library keeps what its commands use.
 
 Every top-level function or class in ``src/zecap`` (``__init__`` aside,
-whose re-exports would otherwise vouch for everything) must be referenced
-from somewhere outside its own definition: the rest of the package, the
-CLI's ``@_command`` table, or README's python block.  Test-only surface
-cannot grow back unnoticed.
+whose re-exports would otherwise vouch for everything), and every method
+and property of a top-level class but the dunders, must be referenced from
+somewhere outside its own definition: the rest of the package, the CLI's
+``@_command`` table, or README's python block.  Test-only surface cannot
+grow back unnoticed.
 """
 
 import ast
@@ -19,9 +20,11 @@ PACKAGE = ROOT / "src" / "zecap"
 ALLOWED = {
     # README criterion 7 and the module table's zecap.channel row document
     # the optimal two-letter zero-error code of the pentagon channel
-    "max_zero_error_code",
+    "channel.max_zero_error_code",
     # criterion 7 verifies that code's words pairwise with it
-    "words_distinguishable",
+    "channel.words_distinguishable",
+    # README criterion 3 proves sqrt(10) < 1 + sqrt(5) with it
+    "creal.CReal.upper_bound",
 }
 
 
@@ -48,9 +51,21 @@ def _readme_python() -> ast.Module:
     return ast.parse("\n".join(blocks))
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class, and of
+    each method of such a class but the dunders."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_command(node):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreferenced(package: Path = PACKAGE) -> list[str]:
-    """module.name of each top-level function or class read from nowhere
-    outside its own definition."""
+    """module.name of each definition read from nowhere outside itself."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(package.glob("*.py"))
@@ -61,24 +76,32 @@ def unreferenced(package: Path = PACKAGE) -> list[str]:
         reads += _reads(tree)
     out = []
     for stem, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_command(node):
-                continue
+        for name, node in _definitions(tree):
             if reads[node.name] <= _reads(node)[node.name]:
-                out.append(f"{stem}.{node.name}")
+                out.append(f"{stem}.{name}")
     return out
 
 
 def test_every_top_level_definition_is_used():
-    assert sorted(unreferenced()) == sorted(
-        f"channel.{name}" for name in ALLOWED
-    )
+    assert sorted(unreferenced()) == sorted(ALLOWED)
 
 
 def test_the_scan_sees_an_unused_definition(tmp_path):
-    # a copy of the package with one dead helper added: the scan names it
+    # a copy of the package with a dead helper and a dead method added, and
+    # a dunder beside the method: the scan names the helper and the method
     for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text())
-    with open(tmp_path / "graphs.py", "a") as f:
-        f.write("\n\ndef _dead_helper():\n    return _dead_helper()\n")
-    assert "graphs._dead_helper" in unreferenced(tmp_path)
+        text = path.read_text()
+        if path.stem == "graphs":
+            text = text.replace(
+                "class Graph:\n",
+                "class Graph:\n"
+                "    def _dead_method(self):\n        return self._dead_method()\n\n"
+                "    def __dead_dunder__(self):\n        return None\n\n",
+                1,
+            )
+            text += "\n\ndef _dead_helper():\n    return _dead_helper()\n"
+        (tmp_path / path.name).write_text(text)
+    found = unreferenced(tmp_path)
+    assert "graphs._dead_helper" in found
+    assert "graphs.Graph._dead_method" in found
+    assert not any("__dead_dunder__" in name for name in found)
