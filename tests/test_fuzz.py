@@ -49,8 +49,10 @@ def case(rng: random.Random) -> list[str]:
         return [command, "--graph", g, "--node-budget", nodes]
     if command == "theta-sdp":
         return [command, "--graph", g, "--tol", rng.choice(["1e-2", "1e-4", "1e-8"])]
-    if command in ("chif", "encode"):
-        return [command, "--graph", g] if command == "chif" else [command, g]
+    if command == "chif":
+        return [command, "--graph", g]
+    if command == "encode":
+        return [command, g]
     if command in ("bounds", "ladder"):
         return [command, "--graph", g, "--m", str(rng.randint(0, 2)), "--node-budget", nodes]
     if command == "decide-gt":
