@@ -315,9 +315,9 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 # product sort the labels of equal factors.  A leaf without such a group,
 # say a literal labelled by vertex index, would make that sort unsound: in
 # C5 x C5 with root (0, 1), (2, 3) and (3, 2) would share a label, yet they
-# share 1 and 2 neighbours with the root.  A union is in general not vertex-transitive (S + C5 is not
-# even regular), so nothing with a union or a literal inside gets labels,
-# not even under a complement.
+# share 1 and 2 neighbours with the root.  A union is in general not
+# vertex-transitive (S + C5 is not even regular), so nothing with a union
+# or a literal inside gets labels, not even under a complement.
 
 
 def _operands(kind: str, d) -> tuple:

@@ -8,20 +8,20 @@ larger side over a join, the complement of a union of complements
 
 * Lovász theta is closed-form at any precision on the named leaves: exact
   on complete and edgeless graphs and even cycles, an integer enclosure of
-  n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, and n / theta over the
-  complement of a vertex-transitive graph.
+  n cos(pi/n) / (1 + cos(pi/n)) on odd cycles, and n / theta on their
+  complements.  It multiplies over the complement of a product too.
 
 * chi_f-bar is exact on the named leaves: n/2 on C_n for n >= 4 and
   n / alpha on the complement of a named leaf.
 
 A complement with no closed form is taken whole, as a literal leaf (a graph
 built from an index, a bit string, an edge list or a channel) is, and these
-are the one place where a solver runs (``_literal``).  Each gets
-the integer k exactly where a greedy independent set and a greedy
-partition into cliques both have size k (``alpha.greedy_bounds``): the
-sandwich alpha <= theta <= chi_f-bar <= chi-bar (Lovász 1979) pins both
-points to k.  Otherwise theta is one primal-dual interior-point solve of
-the SDP pair
+are the one place where a solver runs (``_literal``); for theta that is
+only the complement of a literal.  Each gets the integer k exactly where a
+greedy independent set and a greedy partition into cliques both have size
+k (``alpha.greedy_bounds``): the sandwich alpha <= theta <= chi_f-bar <=
+chi-bar (Lovász 1979) pins both points to k.  Otherwise theta is one
+primal-dual interior-point solve of the SDP pair
 max <J,X> s.t. tr X = 1, X_uv = 0 on edges, X PSD  and  min t s.t.
 tI - A PSD, A = 1 on the diagonal and on non-edges, on at most
 THETA_MAX_VERTICES vertices.  Its float solution is only a proposal: both
@@ -55,7 +55,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, require_fits, transitive
+from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, require_fits
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -319,17 +319,16 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
 #
 # theta composes over the recipe with no SDP (Lovász 1979): theta(C_n) =
 # n cos(pi/n) / (1 + cos(pi/n)) for odd n (Corollary 5), theta(G x H) =
-# theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) when G is
-# vertex-transitive (Theorem 8); theta(G + H) = theta(G) + theta(H) (Knuth,
-# The Sandwich Theorem, 1994).  A union is not vertex-transitive in general,
-# but its complement is the join of its terms' complements, and on a join
-# both points take the larger side: every pair across it is adjacent, so
-# the sides' representations or clique covers combine freely.  Any other
-# complement of a union or a literal is taken whole, as a literal.  The
-# odd-cycle value is enclosed in Python ints at w = p + guard bits, each end
-# rounded away from theta.  chi_f-bar composes over x and + the same way
-# (Scheinerman and Ullman, Fractional Graph Theory, 1997, ch. 3); on the
-# complement of a vertex-transitive leaf it is the leaf's chi_f = n / alpha.
+# theta(G) theta(H) (Theorem 7), and theta(co G) = n / theta(G) on the
+# named leaves, all vertex-transitive (Theorem 8).  theta adds over + and
+# multiplies over the co-normal product co G * co H = co(G x H) (Knuth, The
+# Sandwich Theorem, 1994).  The complement of a union is the join of its
+# terms' complements, and on a join both points take the larger side: every
+# pair across it is adjacent, so the sides' representations or clique
+# covers combine freely.  The odd-cycle value is enclosed in Python ints at
+# w = p + guard bits, each end rounded away from theta.  chi_f-bar composes
+# over x and + alike (Scheinerman and Ullman, Fractional Graph Theory, 1997,
+# ch. 3), not over co-normal products; on co K, co E, co C it is n / alpha.
 
 
 def _arctan_inv(x: int, w: int) -> tuple[int, int]:
@@ -416,12 +415,13 @@ def _literal(d, what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
 
 
 def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
-    """theta's interval at p bits for the graph with recipe d."""
+    """theta's interval at p bits for recipe d, co over x read as a co-normal product."""
     def leaf(kind, arg):
-        # n / theta; an empty complement is taken as a literal, which closes at 0
-        if kind == "co" and transitive(arg) and recipe_vertices(arg):
-            n, (lo, hi) = recipe_vertices(arg), _theta_closed(arg, p)
-            return n / hi, n / lo
+        if kind == "co" and arg[0] == "x":  # the product of the factors' complements
+            return _fold(("x", tuple(map(co_recipe, arg[1]))), leaf)
+        if kind == "co" and arg[0] != "G" and arg[1]:  # n / theta on K, E, C; empty, a literal's 0
+            lo, hi = leaf(*arg)
+            return arg[1] / hi, arg[1] / lo
         if kind in ("G", "co"):
             return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval)
         if kind == "C" and arg >= 5 and arg % 2:
@@ -472,17 +472,17 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     """Certified interval around the Lovász theta number of g.
 
     theta is folded over g's recipe (``_theta_closed``): closed forms on the
-    named leaves and joins, at any tol and any size, and on a literal leaf
-    or a complement with no closed form the greedy sandwich, where it meets
-    at k, else one interior-point solve on that leaf's at most
-    THETA_MAX_VERTICES vertices (else BudgetError).  That solve proposes a
-    primal and a dual matrix; both ends are proved exactly, once, and the
-    interval is cached and checked against every tol.  Returns [lo, hi]
-    with hi - lo <= tol and theta in the interval; hi is a genuine capacity
-    upper bound regardless of solver accuracy.  When a literal leaf's
-    certified interval keeps the result wider than tol, as it does for tol
-    below about n * 2^-32 * (theta - 1), ConvergenceError is raised; it
-    carries the interval, still certified, as its ``partial``.
+    named leaves, their complements, joins and complements of products, at
+    any tol and any size, and on a literal leaf or its complement the
+    greedy sandwich, where it meets at k, else one interior-point solve on
+    at most THETA_MAX_VERTICES vertices (else BudgetError).  Both ends of
+    its interval are proved exactly, once, and it is cached and checked
+    against every tol.  Returns [lo, hi] with hi - lo <= tol and theta in
+    the interval; hi is a genuine capacity upper bound regardless of solver
+    accuracy.  When a literal leaf's certified interval keeps the result
+    wider than tol, as it does for tol below about n * 2^-32 * (theta - 1),
+    ConvergenceError is raised; it carries the interval, still certified,
+    as its ``partial``.
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")

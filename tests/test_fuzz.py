@@ -1,19 +1,24 @@
-"""Grammar-driven CLI fuzz: every stop is classified, none is ``internal``.
+"""Grammar-driven fuzz: every stop is classified, and the bounds hold.
 
 Seeded random graph expressions over small atoms, with ``~``, ``+``, ``*``
 and ``^1``..``^3``, run through ``cli.run`` under explicit node budgets.
 Every report must match the schema and exit 0, 2, 3 or 4, and exit 4 only
-for a solver stop.
+for a solver stop.  The same expressions, parsed, check the spectrum
+points' invariants against each other and against the flat solvers.
 """
 
 import json
 import random
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from zecap.cli import run
+from zecap import BudgetError, InputError, fractional_clique_cover, lovasz_theta, solve_alpha
+from zecap import spectrum
+from zecap.cli import parse_graph, run
+from zecap.graphs import Graph, complement
 
 CASES = 200
 ATOMS = ["S", "C3", "C4", "C5", "C6", "C7", "K1", "K2", "K3", "E1", "E2", "E3",
@@ -90,3 +95,52 @@ def test_every_stop_is_classified(monkeypatch, schema):
             assert kind == "solver" or (argv[0] == "bounds" and kind is None), argv
         codes.add(code)
     assert {0, 2, 3} <= codes  # the cases reach answers, input errors and budget stops
+
+
+def test_spectrum_invariants(monkeypatch):
+    # on each graph G and its complement: alpha <= theta <= chi_f-bar and
+    # theta(G) theta(co G) >= n; within the flat solvers' reach the
+    # composed theta overlaps the SDP interval of the flat graph and the
+    # composed chi_f-bar is its LP optimum.  Outside them, every theta
+    # certifies, and the SDP runs only on literal atoms
+    monkeypatch.setenv("ZW_MAX_VERTICES", "4096")
+    solve, sizes = spectrum._theta_solve, []
+    monkeypatch.setattr(spectrum, "_theta_solve",
+                        lambda n, *edges: sizes.append(n) or solve(n, *edges))
+    spectrum._sdp_interval.cache_clear()
+    tol = Fraction(1, 10**4)
+    rng = random.Random(36)
+    seen = set()
+    while len(seen) < CASES:
+        text = expression(rng)
+        try:
+            g = parse_graph(text)
+        except (BudgetError, InputError):
+            continue
+        if g.recipe in seen:
+            continue
+        seen.add(g.recipe)
+        his = []
+        for h in (g, complement(g)):
+            sizes.clear()
+            theta = lovasz_theta(h, tol)
+            # the largest literal atom, 5:1001100101, has 5 vertices
+            assert max(sizes, default=0) <= 5, (text, h.recipe, sizes)
+            his.append(theta.hi)
+            try:
+                w, _ = solve_alpha(h, 2000)
+                assert w.size <= theta.hi, (text, h.recipe)
+            except BudgetError:
+                pass
+            try:
+                cover = fractional_clique_cover(h)
+                assert theta.lo <= cover.value, (text, h.recipe)
+            except BudgetError:
+                cover = None
+            flat = Graph(h.n, h.masks)
+            if h.n <= 30 and h.edge_count() <= 500:
+                flat_lo, flat_hi = spectrum._sdp_interval(flat)
+                assert max(theta.lo, flat_lo) <= min(theta.hi, flat_hi), (text, h.recipe)
+            if h.n <= 24 and len(spectrum.maximal_cliques(flat)) <= 200:
+                assert cover.lo == cover.hi == spectrum._clique_lp(flat)[0], (text, h.recipe)
+        assert his[0] * his[1] >= g.n, text

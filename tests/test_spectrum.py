@@ -486,8 +486,10 @@ def stripped(g: Graph) -> Graph:
 
 class TestComposedTheta:
     """theta of a recipe graph is composed in closed form over its recipe:
-    cycles, complete and edgeless graphs, complements of vertex-transitive
-    graphs, strong products and disjoint unions.  No SDP runs on it."""
+    cycles, complete and edgeless graphs and their complements, strong
+    products, disjoint unions, and the complements of products (co-normal
+    products of the complements) and of unions (joins).  No SDP runs on
+    it."""
 
     POOL = [*map(cycle_graph, range(4, 10)), *map(complete_graph, (2, 3, 4)),
             *map(edgeless_graph, (2, 3)), *(complement(cycle_graph(n)) for n in (5, 7, 9))]
@@ -547,6 +549,8 @@ class TestComposedTheta:
         assert answers[0][id(flat)] != answers[0][id(recipe)]
 
     def test_the_sdp_never_sees_a_product(self, solves):
+        from zecap.cli import parse_graph
+
         c5, c7, c9 = cycle_graph(5), cycle_graph(7), cycle_graph(9)
         s_c5 = disjoint_union(single_vertex(), c5)
         for g in (c5, c7, c9, strong_power(c5, 2), strong_product(c7, c7),
@@ -555,6 +559,11 @@ class TestComposedTheta:
                   strong_product(strong_product(c5, edgeless_graph(2)), c5),
                   s_c5, disjoint_union(c5, c7), strong_product(s_c5, c5)):
             lovasz_theta(g, TOL)
+        # the complement of a product with a literal or a union inside
+        # multiplies its factors' complements: theta(co 40) = 2 times
+        # sqrt(5), theta(co C7) or that of the join co S v co C5
+        for expr in ("~(40*C5)", "~(40*C7)", "~((S+C5)*C5)"):
+            lovasz_theta(parse_graph(expr), Fraction(1, 10**8))
         assert solves == []
         b = lovasz_theta(s_c5, Fraction(1, 10**40))  # 1 + sqrt(5) at any precision
         assert (b.lo - 1) ** 2 < 5 < (b.hi - 1) ** 2
@@ -658,8 +667,9 @@ class TestLiteralLeaves:
     def expression(rng: random.Random) -> Graph:
         """A literal leaf under a strong product or a disjoint union with K,
         E and C leaves, some complemented, and at times a product with a sum
-        inside.  The literals are G(n, p) with n <= 6, and relabelled C5s,
-        some with a sixth vertex, whose greedy bounds do not meet."""
+        inside or the complement of a product.  The literals are G(n, p)
+        with n <= 6, and relabelled C5s, some with a sixth vertex, whose
+        greedy bounds do not meet."""
 
         def literal() -> Graph:
             if rng.random() < 0.6:
@@ -683,7 +693,7 @@ class TestLiteralLeaves:
         g = strong_product(terms[0], terms[1])
         if len(terms) == 3:
             g = strong_product(g, terms[2]) if rng.random() < 0.5 else disjoint_union(g, terms[2])
-        return g
+        return complement(g) if g.recipe[0] == "x" and rng.random() < 0.3 else g
 
     def test_sweep_matches_the_flat_graph(self, monkeypatch, solves):
         # soundness: the composed theta interval meets the SDP interval of
@@ -706,7 +716,10 @@ class TestLiteralLeaves:
                 with monkeypatch.context() as patch:
                     patch.setattr(spectrum, "maximal_cliques", counted)
                     closed = fractional_clique_cover(g)
-                assert all(n <= 6 for n in cliques), (g.recipe, cliques)  # leaves only
+                if g.recipe[0] == "co":  # no closed form: at most one LP on all of g
+                    assert cliques in ([], [g.n]), (g.recipe, cliques)
+                else:
+                    assert all(n <= 6 for n in cliques), (g.recipe, cliques)  # leaves only
                 assert closed.lo == closed.hi == exact_chif(g), g.recipe
             if (len(theta_seen) < 16 and g.n <= 40 and g.edge_count() <= 500
                     and g.recipe not in theta_seen):
@@ -716,10 +729,12 @@ class TestLiteralLeaves:
                 sdp_leaves += solves
                 flat_lo, flat_hi = spectrum._sdp_interval(g)
                 assert max(lo, flat_lo) <= min(hi, flat_hi), g.recipe
-        # the SDP ran on leaves, some of them, and never on anything bigger
+        # the SDP ran on leaves, some of them, and never on anything bigger,
+        # not even under the complement of a product
         assert len(sdp_leaves) >= 5 and max(sdp_leaves) <= 6
         for seen, products in ((theta_seen, 5), (chif_seen, 10)):
-            assert sum(d[0] == "x" for d in seen) >= products
+            assert sum(d[0] in ("x", "co") for d in seen) >= products
+            assert sum(d[0] == "co" for d in seen) >= 2
             assert sum(d[0] == "+" for d in seen) >= products
 
     def test_alpha_of_products_with_a_literal_factor(self):
@@ -749,6 +764,12 @@ class TestLiteralLeaves:
         assert b.lo ** 2 < 125 < b.hi ** 2  # theta(C5)^3 = 5 sqrt(5)
         code, _ = run(["theta-sdp", "--graph", f"{C5_BITS}^3", "--tol", "1e-4"])
         assert code == 0 and solves == [5]
+        # its complement is the co-normal power of the literal's complement
+        solves.clear()
+        code, report = run(["theta-sdp", "--graph", f"~({C5_BITS}^2)", "--tol", "1e-8"])
+        assert code == 0 and solves == [5]
+        r = report["results"]
+        assert Fraction(r["lo"]) < 5 < Fraction(r["hi"])  # theta(co C5)^2 = sqrt(5)^2
         assert fractional_clique_cover(parse_graph(f"{C5_BITS}*C5")).value == Fraction(25, 4)
         code, report = run(["chif", "--graph", f"{C5_BITS}*C5"])
         assert code == 0 and report["results"]["value"] == "25/4"
