@@ -27,8 +27,11 @@ degree counters, Python ints like the rest of the search: slice j is the
 mask of the vertices whose live degree has bit j set.  The live vertex of
 largest (or smallest) degree is found by narrowing the live mask through the
 slices from the top, and removing a vertex decrements its live neighbors
-with one ripple borrow.  numpy only permutes the adjacency rows into the new
-numbering.
+with one ripple borrow.  The adjacency is renumbered into the new order by
+an integer gather over its set bits when it has few (``_gathers``: up to
+about 1,000 + n^2/100, so C5^2, C9^2 and E_n), and by one numpy permutation
+of the packed rows otherwise; both give the same masks, and numpy is
+imported only then.
 Budgets are counted in node expansions; running out raises BudgetError
 carrying the best set found so far, never a silent claim of optimality.
 
@@ -47,8 +50,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import creal
 from .errors import BudgetError, InputError
@@ -98,14 +99,6 @@ class _Budget:
 
 class _OutOfNodes(Exception):
     pass
-
-
-def _unpacked(rows: np.ndarray, index: np.ndarray):
-    """rows[index] unpacked to one 0/1 byte per vertex, in blocks of about 4 MB."""
-    n = rows.shape[0]
-    block = max(1, (1 << 22) // n)
-    for start in range(0, len(index), block):
-        yield np.unpackbits(rows[index[start : start + block]], axis=1, count=n, bitorder="little")
 
 
 def _degree_slices(masks) -> list[int]:
@@ -167,6 +160,19 @@ def _greedy_seed(g: Graph) -> list[int]:
     return chosen
 
 
+def _gathers(n: int, bits: int) -> bool:
+    """Whether the integer gather renumbers a graph of n vertices and the
+    given number of set bits (twice its edges) faster than numpy.
+
+    Measured as first-call cost in a fresh interpreter with numpy loaded:
+    the gather takes about 0.2 us per set bit, numpy about 0.17 ms plus
+    2.5 ns per entry of the n x n bit matrix.  C11^2 (968 bits) is
+    gathered, C13^2 (1,352) and C5^3 (3,250) permuted, and C5^2 x E800
+    (160,000 bits on 20,000 vertices) gathered, 6x faster.
+    """
+    return bits <= 1024 + n * n // 100
+
+
 def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
     """Smallest-last order of the complement of g, and g renumbered by it.
 
@@ -176,6 +182,7 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
     """
     n = g.n
     slices = _degree_slices(g.masks)
+    sparse = _gathers(n, sum(s.bit_count() << j for j, s in enumerate(slices)))
     live = (1 << n) - 1
     order = [0] * n
     for pos in range(n - 1, -1, -1):
@@ -183,17 +190,48 @@ def _smallest_last(g: Graph) -> tuple[list[int], Graph]:
         order[pos] = v
         live ^= 1 << v
         _decrement(slices, g.masks[v] & live)
-    # the one bulk step: permute the rows and columns of the packed adjacency
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), dtype=np.uint8)
-    perm = np.array(order, dtype=np.intp)
-    packed = np.concatenate([
-        np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little")
-        for bits in _unpacked(rows.reshape(n, width), perm)
-    ])
-    data = packed.tobytes()
-    masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    masks = _gathered(g.masks, order) if sparse else _permuted(g.masks, order)
     return order, Graph(n, tuple(masks))
+
+
+def _gathered(masks, order: list[int]) -> list[int]:
+    """masks renumbered so that vertex order[i] is i, by the set bits: new
+    row i is the OR of 1 << pos[u] over the neighbours u of order[i]."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    rows = []
+    for v in order:
+        m = masks[v]
+        row = 0
+        while m:
+            u = m.bit_length() - 1
+            row |= 1 << pos[u]
+            m ^= 1 << u
+        rows.append(row)
+    return rows
+
+
+def _permuted(masks, order: list[int]) -> list[int]:
+    """masks renumbered so that vertex order[i] is i, by numpy: the rows
+    packed to n/8 bytes, then unpacked, permuted and packed again in blocks
+    of about 4 MB."""
+    import numpy as np
+
+    n = len(order)
+    if n == 0:
+        return []
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    rows = rows.reshape(n, width)
+    perm = np.array(order, dtype=np.intp)
+    block = max(1, (1 << 22) // n)
+    packed = []
+    for start in range(0, n, block):
+        bits = np.unpackbits(rows[perm[start : start + block]], axis=1, count=n, bitorder="little")
+        packed.append(np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little"))
+    data = np.concatenate(packed).tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def _root_orbits(g: Graph, order: list[int]) -> list[int] | None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
 
 # The rounded factor has |entries| <= 2^51 and is split at 2^26 into int64
 # halves, so every partial sum of its three int64 products stays below
@@ -111,6 +110,8 @@ def packing_optimum(rows: list[list[int]]) -> Fraction | None:
     duality checked in Python ints proves their common value optimal.
     None means "not proved"; the caller then runs simplex_max.
     """
+    import numpy as np
+
     a = np.array(rows, dtype=float)
     cert = _packing_certificate(a, *_packing_basis(a, 10 * sum(a.shape)))
     if cert is None or not _proves_packing(rows, *cert):
@@ -125,6 +126,8 @@ def _packing_basis(a: np.ndarray, max_pivots: int) -> tuple[list[int], list[int]
     is condensed (Tucker), (m+1)(n+1) floats, not m(m+n): row i reads
     x_rowvar[i] + sum_j tab[i, j] x_colvar[j] = tab[i, n], the last row has
     the objective, and variables n.. are the slacks."""
+    import numpy as np
+
     m, n = a.shape
     tab = np.zeros((m + 1, n + 1))
     tab[:m, :n] = a
@@ -154,6 +157,8 @@ def _packing_certificate(a: np.ndarray, tight: list[int], basic: list[int]):
     """(y, pi, D) from B = a[tight, basic]: D = |det B|, and the ints y and
     pi are D B^-1 1 and D B^-T 1 (adjugate sums), rounded and padded with
     zeros.  None when B is singular or too large for float rounding."""
+    import numpy as np
+
     b = a[np.ix_(tight, basic)]
     det = abs(np.linalg.det(b))
     if not 0.5 < det < 2.0**50:
@@ -211,6 +216,8 @@ def _residual_certificate(a: list[list[int]]) -> bool:
     every row of R proves a = (R + L L^T * 2^e) / 2^2k positive definite.
     Float error can only make the check fail: False means "not proved".
     """
+    import numpy as np
+
     n = len(a)
     e = max(max(map(abs, row)) for row in a).bit_length()
     # the row test proves a > 0 only for a symmetric, nonzero a

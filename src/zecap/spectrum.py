@@ -49,8 +49,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import creal
 from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
@@ -188,6 +186,8 @@ def _certify_upper(witness: np.ndarray, edge_list: list[tuple[int, int]]) -> Fra
     edge entries are snapped to the grid and hi*I - A is certified positive
     definite, starting just above the float estimate of lambda_max.
     """
+    import numpy as np
+
     n = len(witness)
     minus_a = [[-_GRID] * n for _ in range(n)]
     for u, v in edge_list:
@@ -205,6 +205,8 @@ def _certify_lower(x: np.ndarray, edge_list: list[tuple[int, int]]) -> Fraction:
     and lift it by c*I until positive definite; normalized to trace 1,
     B + c*I is primal feasible, so <J, B + cI> / tr(B + cI) bounds theta.
     """
+    import numpy as np
+
     s = 0.5 * (x + x.T)
     for u, v in edge_list:
         s[u, v] = s[v, u] = 0.0
@@ -226,6 +228,8 @@ def _theta_solve(n: int, erows: np.ndarray, ecols: np.ndarray) -> tuple[np.ndarr
     returns the dual witness tI - S and the primal X of the iterate whose
     certified interval promises to be narrowest.
     """
+    import numpy as np
+
     b = np.concatenate(([1.0], np.zeros(len(erows))))  # tr X = 1, X_uv = 0
     jmat = np.ones((n, n))
     x = np.eye(n) / n
@@ -309,6 +313,8 @@ def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
     composed interval would be handed to a copy of the graph built another
     way.
     """
+    import numpy as np
+
     edge_list = g.edges()
     witness, x = _theta_solve(g.n, *np.array(edge_list, dtype=int).reshape(-1, 2).T)
     return _certify_lower(x, edge_list), _certify_upper(witness, edge_list)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,10 @@ from zecap import (
 import zecap.alpha as alpha_module
 from zecap.alpha import (
     PowerLadder,
+    _gathered,
+    _gathers,
     _greedy_seed,
+    _permuted,
     _smallest_last,
     greedy_bounds,
     greedy_clique_cover,
@@ -147,6 +151,41 @@ class TestSmallestLast:
             complement(strong_power(pentagon, 2)),
         ):
             self.check(g)
+
+
+class TestRenumbering:
+    """The integer gather and the numpy permutation renumber alike, on
+    either side of the switch between them."""
+
+    @staticmethod
+    def check(g: Graph) -> bool:
+        order, h = _smallest_last(g)
+        assert _gathered(g.masks, order) == _permuted(g.masks, order) == list(h.masks)
+        return _gathers(g.n, sum(m.bit_count() for m in g.masks))
+
+    def test_random_graphs(self, rng):
+        sparse = {
+            self.check(random_graph(rng, n, p)) for p in (0.05, 0.1, 0.3, 0.5) for n in range(61)
+        }
+        assert sparse == {True, False}
+
+    def test_families(self):
+        for n in range(1, 41):
+            for g in (edgeless_graph(n), cycle_graph(n), complete_graph(n)):
+                self.check(g)
+        self.check(Graph(0, ()))
+
+    def test_edgeless_graph_is_gathered_in_linear_memory(self):
+        # the numpy permutation packed E20000 into n^2/8 bytes (144 MB peak)
+        g = edgeless_graph(20_000)
+        tracemalloc.start()
+        try:
+            order, h = _smallest_last(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == list(range(g.n - 1, -1, -1)) and h.masks == g.masks
+        assert peak < 4 << 20, peak
 
 
 class TestGreedySeed:

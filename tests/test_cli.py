@@ -631,6 +631,48 @@ class TestTableReader:
         assert proc.stdout.strip() == "[]"
 
 
+class TestNumpyAtFirstUse:
+    """numpy is imported where floats are: theta's SDP, chi_f's float
+    simplex and the renumbering of graphs denser than the alpha solver's
+    integer gather takes."""
+
+    def test_small_integer_commands_leave_numpy_out(self):
+        # a fresh interpreter, since the test modules themselves import numpy
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = """
+import json, sys
+import zecap.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in (
+    ["alpha", "--graph", "C5^2"],
+    ["decide-gt", "--graph", "C5", "--lambda", "2"],
+    ["bounds", "--graph", "C7", "--m", "1"],
+    ["preorder", "C5", "C7"],
+    ["theta-sdp", "--graph", "5:1001100101"],
+):
+    exit_code, _ = zecap.cli.run(argv)
+    loaded[argv[0]] = [exit_code, "numpy" in sys.modules]
+print(json.dumps(loaded))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import": False,
+            "alpha": [0, False],
+            "decide-gt": [0, False],
+            "bounds": [0, False],
+            "preorder": [0, False],
+            "theta-sdp": [0, True],  # the SDP on a literal leaf loads it
+        }
+
+    def test_edgeless_graph_answers(self):
+        code, report = run(["alpha", "--graph", "E20000"])
+        assert code == 0 and report["results"]["alpha"] == 20_000
+
+
 class TestInputEcho:
     """Inputs up to 64 vertices are echoed edge by edge; larger ones as a
     summary, since the expression already determines them."""
