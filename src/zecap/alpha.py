@@ -432,11 +432,12 @@ class PowerLadder:
     budget, c is read as the upper end of ``greedy_bounds``, a partition of
     g into c cliques, before any power is built: it costs less than the
     n^2-vertex level it may close, but can cost far more than level 0's
-    search.  Once a level j meets c^(2^j), every later level k is c^(2^k)
-    (Shannon 1956): products of cliques are cliques, and products of
-    independent sets are independent.  So level 0 meeting c closes level 1
-    at once.  A closed level builds no power, runs no search and takes 0
-    nodes, but stops at the vertex budget exactly where its power would.
+    search.  Before each climb to a level k >= 1, the ladder is closed once
+    level k - 1 meets c^(2^(k-1)): every later level j is then c^(2^j)
+    (Shannon 1956), as products of cliques are cliques and products of
+    independent sets are independent.  A closed level builds no power, runs
+    no search and takes 0 nodes, but stops at the vertex budget exactly
+    where its power would.
 
     ``alpha`` and ``nodes`` hold each level found; ``stops`` holds the
     BudgetError of each level that was not.  A node-budget stop does not end
@@ -482,8 +483,8 @@ class PowerLadder:
                 return
             if k == 1:
                 self._cover = greedy_bounds(self.graph)[1]
-                if self.alpha.get(0) == self._cover:
-                    self._power = None  # closed
+            if self.alpha.get(k - 1) == self._cover ** (1 << (k - 1)):
+                self._power = None  # closed
             if self._power is not None:
                 side = self._power.n
                 self._power = strong_product(self._power, self._power, self._cap)
@@ -498,8 +499,6 @@ class PowerLadder:
             self._best = e.partial.vertices
             return
         self.alpha[k], self._best = witness.size, witness.vertices
-        if k > 0 and witness.size == self._cover ** (1 << k):
-            self._power = None  # closed
 
 
 def ladder(

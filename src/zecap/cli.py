@@ -222,7 +222,7 @@ def frac_str(q: Fraction) -> str:
 def real_json(x: CReal) -> dict:
     approx = x.approx(REAL_BITS)
     return {
-        "decimal": decimal_string(approx, 12),
+        "decimal": decimal_string(approx),
         "value": frac_str(approx),
         "modulus": "0/1" if x.exact is not None else frac_str(Fraction(1, 1 << REAL_BITS)),
         "precision_bits": REAL_BITS,
@@ -268,9 +268,9 @@ def _ladder_json(levels) -> list[dict]:
 def _interval_json(lower: Fraction, upper: Fraction | None) -> dict:
     return {
         "lower": frac_str(lower),
-        "lower_decimal": decimal_string(lower, 12),
+        "lower_decimal": decimal_string(lower),
         "upper": None if upper is None else frac_str(upper),
-        "upper_decimal": None if upper is None else decimal_string(upper, 12),
+        "upper_decimal": None if upper is None else decimal_string(upper),
         "width": None if upper is None else frac_str(upper - lower),
     }
 
@@ -321,22 +321,22 @@ def _stops_code(stops) -> int:
 def _write_ladder_csv(path: str, levels) -> None:
     lines = ["m,alpha,value"]
     for lv in levels:
-        lines.append(f"{lv.m},{lv.alpha_value},{decimal_string(lv.root.approx(REAL_BITS), 12)}")
+        lines.append(f"{lv.m},{lv.alpha_value},{decimal_string(lv.root.approx(REAL_BITS))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _write_bounds_csv(path: str, report: BoundsReport) -> None:
     lines = ["kind,m,value"]
     for lv in report.ladder:
-        lines.append(f"ladder,{lv.m},{decimal_string(lv.root.approx(REAL_BITS), 12)}")
+        lines.append(f"ladder,{lv.m},{decimal_string(lv.root.approx(REAL_BITS))}")
     if report.clique_cover is not None:
-        lines.append(f"clique_cover,,{decimal_string(report.clique_cover.hi, 12)}")
+        lines.append(f"clique_cover,,{decimal_string(report.clique_cover.hi)}")
     if report.theta is not None:
-        lines.append(f"theta_lo,,{decimal_string(report.theta.lo, 12)}")
-        lines.append(f"theta_hi,,{decimal_string(report.theta.hi, 12)}")
-    lines.append(f"lower,,{decimal_string(report.lower, 12)}")
+        lines.append(f"theta_lo,,{decimal_string(report.theta.lo)}")
+        lines.append(f"theta_hi,,{decimal_string(report.theta.hi)}")
+    lines.append(f"lower,,{decimal_string(report.lower)}")
     if report.upper is not None:
-        lines.append(f"upper,,{decimal_string(report.upper, 12)}")
+        lines.append(f"upper,,{decimal_string(report.upper)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -373,7 +373,7 @@ def _tol_input(inputs: dict) -> Fraction:
 
 def _lambda_input(inputs: dict) -> CReal:
     lam = parse_real(inputs["lambda"])
-    inputs["lambda"] = inputs["lambda"].strip()
+    inputs["lambda"] = lam.description  # the text read, stripped
     return lam
 
 
@@ -392,7 +392,11 @@ def _channel_input(inputs: dict) -> Channel:
 # ---------------------------------------------------------------------------
 # the command table: each subcommand is declared once, above its handler.
 # Report keys under ``inputs`` and ``budgets`` are the table's dests,
-# recorded by ``run`` before the handler runs.
+# recorded by ``run`` before the handler runs: a dest in ``_BUDGETS`` is a
+# budget, ``csv`` (an output path) is neither, and every other is an input.
+
+_BUDGETS = {"node_budget", "power_cap", "max_vertices", "step_budget", "search_budget",
+            "round_budget"}
 
 
 def _arg(name: str, **kwargs) -> tuple[str, dict]:
@@ -423,26 +427,21 @@ class _Command(NamedTuple):
     handler: Callable  # (args, inputs) -> (results, exit_code)
     summary: str
     flags: list  # names in _FLAGS, or _arg(...) of the command's own
-    inputs: list  # dests reported under "inputs"; handlers add parsed forms
-    budgets: list  # dests reported under "budgets"
     defaults: dict  # per-command defaults of shared flags
 
 
 _COMMANDS: dict[str, _Command] = {}
 
 
-def _command(name, summary, flags, inputs="", budgets="", **defaults):
+def _command(name, summary, flags, **defaults):
     def register(handler):
-        _COMMANDS[name] = _Command(
-            handler, summary, flags, inputs.split(), budgets.split(), defaults
-        )
+        _COMMANDS[name] = _Command(handler, summary, flags, defaults)
         return handler
 
     return register
 
 
-@_command("encode", "numbering index of a graph expression", [_arg("expression")],
-          inputs="expression")
+@_command("encode", "numbering index of a graph expression", [_arg("expression")])
 def _cmd_encode(args, inputs):
     g = parse_graph(args.expression)
     if g.n > INDEX_MAX_VERTICES:  # checked before the index is built
@@ -450,13 +449,12 @@ def _cmd_encode(args, inputs):
     return {"index": encode(g), "graph": graph_json(g)}, 0
 
 
-@_command("decode", "graph at a numbering index", [_arg("index", type=int)], inputs="index")
+@_command("decode", "graph at a numbering index", [_arg("index", type=int)])
 def _cmd_decode(args, inputs):
     return {"graph": graph_json(decode(args.index))}, 0
 
 
-@_command("alpha", "maximum independent set with witness", ["--graph", "--node-budget"],
-          inputs="expression", budgets="node_budget")
+@_command("alpha", "maximum independent set with witness", ["--graph", "--node-budget"])
 def _cmd_alpha(args, inputs):
     witness, nodes = solve_alpha(_graph_input(inputs), args.node_budget)
     return {
@@ -467,8 +465,7 @@ def _cmd_alpha(args, inputs):
 
 
 @_command("ladder", "independence ladder lower bounds",
-          ["--graph", "--m", _LADDER_NODE_BUDGET, "--power-cap", "--csv"],
-          inputs="expression m_max", budgets="node_budget power_cap")
+          ["--graph", "--m", _LADDER_NODE_BUDGET, "--power-cap", "--csv"])
 def _cmd_ladder(args, inputs):
     g = _graph_input(inputs)
     try:
@@ -483,8 +480,7 @@ def _cmd_ladder(args, inputs):
 
 
 @_command("bounds", "two-sided capacity sandwich",
-          ["--graph", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap", "--csv"],
-          inputs="expression m_max tol", budgets="node_budget power_cap")
+          ["--graph", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap", "--csv"])
 def _cmd_bounds(args, inputs):
     g = _graph_input(inputs)
     report = sandwich(g, args.m_max, _tol_input(inputs), args.node_budget, args.power_cap)
@@ -493,8 +489,7 @@ def _cmd_bounds(args, inputs):
     return _bounds_json(report), _stops_code(e for _, e in report.stops)
 
 
-@_command("theta-sdp", "certified Lovász theta interval", ["--graph", "--tol"],
-          inputs="expression tol")
+@_command("theta-sdp", "certified Lovász theta interval", ["--graph", "--tol"])
 def _cmd_theta(args, inputs):
     g = _graph_input(inputs)
     bound = lovasz_theta(g, _tol_input(inputs))
@@ -502,19 +497,19 @@ def _cmd_theta(args, inputs):
         "kind": bound.kind,
         "lo": frac_str(bound.lo),
         "hi": frac_str(bound.hi),
-        "lo_decimal": decimal_string(bound.lo, 12),
-        "hi_decimal": decimal_string(bound.hi, 12),
+        "lo_decimal": decimal_string(bound.lo),
+        "hi_decimal": decimal_string(bound.hi),
         "tolerance": frac_str(bound.tolerance),
     }, 0
 
 
-@_command("chif", "exact fractional clique cover number", ["--graph"], inputs="expression")
+@_command("chif", "exact fractional clique cover number", ["--graph"])
 def _cmd_chif(args, inputs):
     bound = fractional_clique_cover(_graph_input(inputs))
     return {
         "kind": bound.kind,
         "value": frac_str(bound.hi),
-        "decimal": decimal_string(bound.hi, 12),
+        "decimal": decimal_string(bound.hi),
     }, 0
 
 
@@ -522,7 +517,6 @@ def _cmd_chif(args, inputs):
           ["--graph", "--lambda", "--node-budget", "--power-cap",
            _arg("--budget", dest="step_budget", type=int, default=1000,
                 help="dovetail step budget")],
-          inputs="expression lambda", budgets="step_budget node_budget power_cap",
           node_budget=DEFAULT_NODE_BUDGET, power_cap=DEFAULT_POWER_CAP)
 def _cmd_decide_gt(args, inputs):
     g = _graph_input(inputs)
@@ -533,7 +527,6 @@ def _cmd_decide_gt(args, inputs):
         args.step_budget,
         node_budget=args.node_budget,
         power_cap=args.power_cap,
-        lambda_expr=inputs["lambda"],
     )
     if outcome.certificate is not None and not outcome.certificate.verify(lam):
         raise ConvergenceError("certificate failed exact re-verification")
@@ -549,7 +542,6 @@ def _cmd_decide_gt(args, inputs):
           ["--lambda", "--node-budget", "--power-cap",
            _arg("--horizon", type=int, required=True, help="number of graphs admitted"),
            _arg("--stages", type=int, required=True, help="schedule stages to run")],
-          inputs="lambda horizon stages", budgets="power_cap node_budget",
           node_budget=ENUM_NODE_BUDGET, power_cap=ENUM_POWER_CAP)
 def _cmd_enumerate(args, inputs):
     state = enumerate_gt(
@@ -558,7 +550,6 @@ def _cmd_enumerate(args, inputs):
         args.stages,
         power_cap=args.power_cap,
         node_budget=args.node_budget,
-        lambda_expr=inputs["lambda"],
     )
     return {
         "stage": state.stage,
@@ -580,8 +571,7 @@ def _cmd_enumerate(args, inputs):
                 help="node cap of the homomorphism search (of the independence "
                 "solve when left is edgeless)"),
            _arg("--max-vertices", type=int, default=LEQ_MAX_VERTICES,
-                help="vertex cap on each side of the order test")],
-          inputs="left_expression right_expression", budgets="max_vertices node_budget")
+                help="vertex cap on each side of the order test")])
 def _cmd_preorder(args, inputs):
     left = _graph_input(inputs, "left_expression", "left")
     right = _graph_input(inputs, "right_expression", "right")
@@ -600,8 +590,6 @@ def _cmd_preorder(args, inputs):
            _arg("--m", type=int, required=True, help="slack denominator"),
            _arg("--budget", dest="search_budget", type=int, default=ASYM_SEARCH_BUDGET,
                 help="number of (n,k) tests")],
-          inputs="left_expression right_expression m",
-          budgets="search_budget power_cap node_budget",
           node_budget=TEST_F_NODE_BUDGET, power_cap=TEST_F_POWER_CAP)
 def _cmd_asym_preorder(args, inputs):
     left = _graph_input(inputs, "left_expression", "left")
@@ -618,15 +606,14 @@ def _cmd_asym_preorder(args, inputs):
     }, 0 if outcome.established else 3
 
 
-@_command("channel-graph", "confusability graph of a channel", ["--channel"], inputs="channel")
+@_command("channel-graph", "confusability graph of a channel", ["--channel"])
 def _cmd_channel_graph(args, inputs):
     g = confusability_graph(_channel_input(inputs))
     return {"graph": graph_json(g)}, 0
 
 
 @_command("capacity", "zero-error capacity sandwich of a channel",
-          ["--channel", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap"],
-          inputs="channel m_max tol", budgets="node_budget power_cap")
+          ["--channel", "--m", "--tol", _LADDER_NODE_BUDGET, "--power-cap"])
 def _cmd_capacity(args, inputs):
     ch = _channel_input(inputs)
     tol = _tol_input(inputs)
@@ -644,7 +631,7 @@ def _cmd_capacity(args, inputs):
 @_command("locate", "dyadic grid cells containing the capacity",
           ["--graph", "--tol", _LADDER_NODE_BUDGET,
            _arg("--M", type=int, required=True, help="grid exponent")],
-          inputs="expression M tol", budgets="node_budget", node_budget=DEFAULT_NODE_BUDGET)
+          node_budget=DEFAULT_NODE_BUDGET)
 def _cmd_locate(args, inputs):
     g = _graph_input(inputs)
     cell = locate_grid(g, args.M, _tol_input(inputs), node_budget=args.node_budget)
@@ -667,7 +654,6 @@ def _cmd_locate(args, inputs):
            _arg("--K", type=int, required=True, help="target width exponent"),
            _arg("--budget", dest="round_budget", type=int, default=SQUEEZE_ROUND_BUDGET,
                 help="refinement rounds")],
-          inputs="expression K", budgets="round_budget node_budget power_cap",
           node_budget=DEFAULT_NODE_BUDGET, power_cap=DEFAULT_POWER_CAP)
 def _cmd_squeeze(args, inputs):
     result = squeeze_capacity(
@@ -691,6 +677,11 @@ def _cmd_squeeze(args, inputs):
 def _specs(command: _Command) -> list[tuple[str, dict]]:
     """(name, add_argument keywords) of each flag and positional."""
     return [(flag, _FLAGS[flag]) if isinstance(flag, str) else flag for flag in command.flags]
+
+
+def _dest(name: str, kwargs: dict) -> str:
+    """The attribute argparse stores a flag or positional under."""
+    return kwargs.get("dest", name.lstrip("-").replace("-", "_"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -742,7 +733,7 @@ def _table_args(argv: list[str]) -> SimpleNamespace | None:
     given.update(zip(positionals, free))
     args = SimpleNamespace(command=argv[0])
     for name, kwargs in specs:
-        dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        dest = _dest(name, kwargs)
         if name in given:
             value = given[name]
         elif kwargs.get("required"):
@@ -771,8 +762,9 @@ def run(argv=None) -> tuple[int, dict]:
         args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     start = time.perf_counter()
-    inputs = {name: getattr(args, name) for name in command.inputs}
-    budgets = {name: getattr(args, name) for name in command.budgets}
+    dests = [_dest(*spec) for spec in _specs(command)]
+    inputs = {d: getattr(args, d) for d in dests if d not in _BUDGETS and d != "csv"}
+    budgets = {d: getattr(args, d) for d in dests if d in _BUDGETS}
     try:
         results, code = command.handler(args, inputs)
     except InputError as e:

@@ -125,17 +125,19 @@ _SUM_RE = re.compile(r"^([^+]+)\+\s*sqrt\(\s*(\d+)\s*\)$")
 
 
 def parse_real(text: str) -> CReal:
-    """Parse 'a/b', '2.5', 'sqrt(k)', or 'a+sqrt(k)' into a computable real."""
+    """Parse 'a/b', '2.5', 'sqrt(k)', or 'a+sqrt(k)' into a computable real,
+    described by the text read, stripped."""
     t = text.strip().replace(" ", "")
     if not t:
         raise InputError("empty real expression")
-    m = _SQRT_RE.match(t)
-    if m:
-        return sqrt_int(parse_integer(m.group(1), "radicand"))
-    m = _SUM_RE.match(t)
-    if m:
-        return add(_parse_rational(m.group(1)), sqrt_int(parse_integer(m.group(2), "radicand")))
-    return _parse_rational(t)
+    if m := _SQRT_RE.match(t):
+        x = sqrt_int(parse_integer(m.group(1), "radicand"))
+    elif m := _SUM_RE.match(t):
+        x = add(_parse_rational(m.group(1)), sqrt_int(parse_integer(m.group(2), "radicand")))
+    else:
+        x = _parse_rational(t)
+    x.description = text.strip()
+    return x
 
 
 def parse_integer(digits: str, what: str) -> int:
@@ -148,6 +150,7 @@ def parse_integer(digits: str, what: str) -> int:
 
 _EXPONENT_RE = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _DIGIT_LIMIT = 4300  # Python's default int-to-str digit limit
+_DECIMAL_DIGITS = 12  # places after the point in every decimal a report prints
 
 
 def check_exponent(text: str, what: str) -> None:
@@ -170,13 +173,13 @@ def _parse_rational(t: str) -> CReal:
         raise InputError(f"cannot parse real expression {t!r}") from None
 
 
-def decimal_string(q: Fraction, digits: int = 12) -> str:
-    """Plain decimal rendering of a rational, for reports."""
+def decimal_string(q: Fraction) -> str:
+    """Plain decimal rendering of a rational, for reports, cut at ``_DECIMAL_DIGITS`` places."""
     sign = "-" if q < 0 else ""
     q = abs(q)
     whole, rem = divmod(q.numerator, q.denominator)
     if rem == 0:
         return f"{sign}{whole}"
-    frac = str(rem * 10**digits // q.denominator).rjust(digits, "0")
+    frac = str(rem * 10**_DECIMAL_DIGITS // q.denominator).rjust(_DECIMAL_DIGITS, "0")
     # a remainder below the last place keeps its zeros: "1.000", not "1."
     return f"{sign}{whole}.{frac.rstrip('0') or frac}"

@@ -11,7 +11,9 @@ t -> t^(2^k) on the interval the approximants can reach; its one cache is on
 ``lipschitz_constant``.  A firing is an exact rational certificate that the
 capacity exceeds the threshold; the test never fires when it does not.  The
 comparison runs in integers, and the rational sides are built only when it
-fires.  Certificates are re-checked by the same function.
+fires.  Certificates are re-checked by the same function, and name their
+threshold by its ``description``: for a ``creal.parse_real`` threshold, the
+text it was read from.
 
 The alpha values come from one ``alpha.PowerLadder`` per graph, which finds
 each level at most once, in order, by squaring and warm-starting, and closes
@@ -105,12 +107,14 @@ class Certificate:
         return sides == (self.lhs, self.rhs)
 
 
-def _test_level(powers, level, n, node_budget, lam, expr, index) -> Certificate | None:
+def _test_level(powers, level, n, node_budget, lam, index) -> Certificate | None:
     """Solve level on the ladder and test it at precision n: the certificate
     if the test fires, None if it does not or the level has stopped."""
     alpha_value = powers.solve(level, node_budget)
     sides = None if alpha_value is None else _level_test(alpha_value, lam, level, n)
-    return None if sides is None else Certificate(index, expr, level, n, alpha_value, *sides)
+    if sides is None:
+        return None
+    return Certificate(index, lam.description, level, n, alpha_value, *sides)
 
 
 @dataclass
@@ -128,7 +132,6 @@ def semidecide_gt(
     budget: int,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     power_cap: int = DEFAULT_POWER_CAP,
-    lambda_expr: str = "",
 ) -> DecisionOutcome:
     """Dovetail all levels; Halted certifies capacity(g) > threshold.
 
@@ -139,7 +142,6 @@ def semidecide_gt(
     """
     if budget < 1:
         raise InputError("budget must be positive")
-    expr = lambda_expr or lam.description
     index = encode(g) if g.n <= INDEX_MAX_VERTICES else None
     powers = PowerLadder(g, power_cap)
     tests: list[int] = []  # tests[k] run at level k, the last at precision tests[k]
@@ -150,7 +152,7 @@ def semidecide_gt(
         if level == 0:
             tests.append(0)  # each stage brings in one more level
         if level <= LEVEL_CAP:
-            cert = _test_level(powers, level, tests[level] + 1, node_budget, lam, expr, index)
+            cert = _test_level(powers, level, tests[level] + 1, node_budget, lam, index)
             tests[level] += level in powers.alpha  # no test ran if the level stopped
         log.append((stage, level, tests[level]))
         if cert is not None:
@@ -195,7 +197,6 @@ def enumerate_gt(
     stage_budget: int,
     power_cap: int = ENUM_POWER_CAP,
     node_budget: int | None = ENUM_NODE_BUDGET,
-    lambda_expr: str = "",
 ) -> EnumerationState:
     """Staged enumeration of graphs whose capacity exceeds the threshold.
 
@@ -214,7 +215,6 @@ def enumerate_gt(
         raise InputError("graph horizon must be nonnegative")
     if stage_budget < 0:
         raise InputError("stage budget must be nonnegative")
-    expr = lambda_expr or lam.description
     classes: dict[tuple, list[PowerLadder]] = {}  # keyed by sorted degrees
 
     def ladder_of(g: Graph) -> PowerLadder:
@@ -240,7 +240,7 @@ def enumerate_gt(
             level = min(age, top)
             while level > 0 and level in powers.stops:
                 level -= 1
-            cert = _test_level(powers, level, age, node_budget, lam, expr, slot - 1)
+            cert = _test_level(powers, level, age, node_budget, lam, slot - 1)
             if cert is not None:
                 emitted.append(EmittedGraph(slot=slot, graph_index=slot - 1, certificate=cert))
                 del pending[slot]

@@ -76,10 +76,6 @@ class UpperBound:
     hi: Fraction
     tolerance: Fraction
 
-    @property
-    def value(self) -> Fraction:
-        return self.hi
-
 
 # ---------------------------------------------------------------------------
 # fractional clique cover

@@ -230,6 +230,39 @@ class TestSchemaConformance:
     def test_command_enum_matches_the_command_table(self, schema):
         assert schema["properties"]["command"]["enum"] == list(zecap.cli._COMMANDS)
 
+    def test_every_dest_is_reported_in_its_class(self, monkeypatch):
+        # command: (arguments, keys under inputs, keys under budgets), as
+        # recorded before the handler adds its parsed forms; --csv is neither
+        table = {
+            "encode": ("C5", "expression", ""),
+            "decode": ("2", "index", ""),
+            "alpha": ("--graph C5", "expression", "node_budget"),
+            "ladder": ("--graph C5 --csv x", "expression m_max", "node_budget power_cap"),
+            "bounds": ("--graph C5 --csv x", "expression m_max tol", "node_budget power_cap"),
+            "theta-sdp": ("--graph C5", "expression tol", ""),
+            "chif": ("--graph C5", "expression", ""),
+            "decide-gt": ("--graph C5 --lambda 2", "expression lambda",
+                          "step_budget node_budget power_cap"),
+            "enumerate": ("--lambda 2 --horizon 1 --stages 1", "lambda horizon stages",
+                          "power_cap node_budget"),
+            "preorder": ("C5 C7", "left_expression right_expression", "max_vertices node_budget"),
+            "asym-preorder": ("C5 C7 --m 1", "left_expression right_expression m",
+                              "search_budget power_cap node_budget"),
+            "channel-graph": ("--channel x", "channel", ""),
+            "capacity": ("--channel x", "channel m_max tol", "node_budget power_cap"),
+            "locate": ("--graph C5 --M 1", "expression M tol", "node_budget"),
+            "squeeze": ("--graph C5 --K 1", "expression K", "round_budget node_budget power_cap"),
+        }
+        assert list(table) == list(zecap.cli._COMMANDS)
+        for name, (arguments, inputs, budgets) in table.items():
+            command = zecap.cli._COMMANDS[name]
+            monkeypatch.setitem(
+                zecap.cli._COMMANDS, name, command._replace(handler=lambda args, inputs: ({}, 0))
+            )
+            report = run([name, *arguments.split()])[1]
+            assert sorted(report["inputs"]) == sorted(inputs.split()), name
+            assert sorted(report["budgets"]) == sorted(budgets.split()), name
+
 
 class TestExitCodes:
     def test_input_errors(self, tmp_path):
@@ -263,10 +296,12 @@ class TestExitCodes:
             ["decide-gt", "--graph", "C5", "--lambda", f"sqrt({BIG})"],
             ["decide-gt", "--graph", "C5", "--lambda", f"1+sqrt({BIG})"],
             ["theta-sdp", "--graph", "C5", "--tol", "1e-99999"],
+            ["theta-sdp", "--graph", "C5", "--tol", "1e-4300"],  # read, but 4,301 digits to print
             ["bounds", "--graph", "C5", "--tol", "1e99999"],
             ["squeeze", "--graph", "C5", "--K", "20000"],
         ],
-        ids=["index", "exponent", "size", "nesting", "sqrt", "1+sqrt", "tiny-tol", "huge-tol", "K"],
+        ids=["index", "exponent", "size", "nesting", "sqrt", "1+sqrt", "tiny-tol", "tol-digits",
+             "huge-tol", "K"],
     )
     def test_oversized_input_is_exit_two(self, argv):
         # neither an unreadable number nor deep nesting ends as "internal"
@@ -309,6 +344,34 @@ class TestExitCodes:
         code, report = run(["channel-graph", "--channel", str(path)])
         assert time.perf_counter() - start < 0.5
         assert code == 2 and report["results"]["kind"] == "input"
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["alpha", "--graph", "C5$"], {}),
+            (["alpha", "--graph", "(C5 C5)"], {}),
+            (["alpha", "--graph", "C5"], {"ZW_MAX_VERTICES": "abc"}),
+            (["alpha", "--graph", "C5"], {"ZW_MAX_VERTICES": "0"}),
+            (["alpha", "--graph", "3; 0-1,1x2"], {}),
+            (["alpha", "--graph", "3; a-b"], {}),
+            # a channel case names the text of its file, written beside the test
+            (["channel-graph", "--channel", "[]"], {}),
+            (["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":{}}'], {}),
+            (["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":[1]}'], {}),
+        ],
+        ids=["stray-char", "unbalanced", "env-text", "env-zero", "bad-edge",
+             "edge-names", "channel-list", "rows-object", "row-number"],
+    )
+    def test_malformed_input_is_one_input_report(self, monkeypatch, tmp_path, capsys, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if argv[0] == "channel-graph":
+            path = tmp_path / "channel.json"
+            path.write_text(argv[-1])
+            argv = [*argv[:-1], str(path)]
+        assert main(argv) == 2
+        report = json.loads(capsys.readouterr().out)  # one JSON document, nothing more
+        assert report["results"]["kind"] == "input"
 
     @pytest.mark.parametrize("graph", ["E2000", "K2000", "C2000", "2000;", "2000; 0-1"])
     def test_input_graph_past_the_vertex_budget_is_a_budget_stop(self, monkeypatch, graph):

@@ -54,6 +54,8 @@ class TestSqrt:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             sqrt_int(-1)
+        with pytest.raises(InputError, match="precision"):
+            sqrt_int(5).approx(-1)
 
 
 class TestRootPow2:
@@ -92,6 +94,8 @@ class TestRootPow2:
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):
             root_pow2(-2, 1)
+        with pytest.raises(InputError):
+            root_pow2(-1, 1)
         with pytest.raises(InputError):
             root_pow2(2, -1)
 
@@ -154,12 +158,12 @@ class TestDecimalString:
         assert decimal_string(Fraction(-1, 4)) == "-0.25"
 
     def test_truncation(self):
-        assert decimal_string(Fraction(1, 3), digits=5) == "0.33333"
+        assert decimal_string(Fraction(1, 3)) == "0.333333333333"
 
     def test_remainder_below_the_last_place_keeps_its_zeros(self):
         assert decimal_string(Fraction(10**13 + 1, 10**13)) == "1.000000000000"
-        assert decimal_string(-Fraction(1, 10**20), digits=3) == "-0.000"
+        assert decimal_string(-Fraction(1, 10**20)) == "-0.000000000000"
 
     def test_matches_sqrt5(self):
         a = sqrt_int(5).approx(60)
-        assert decimal_string(a, digits=10).startswith("2.2360679")
+        assert decimal_string(a) == "2.236067977499"

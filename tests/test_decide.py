@@ -71,7 +71,7 @@ class TestLipschitzConstant:
 
 class TestSemidecideGt:
     def test_pentagon_exceeds_two(self, pentagon):
-        out = semidecide_gt(pentagon, from_rational(2), 100, lambda_expr="2")
+        out = semidecide_gt(pentagon, from_rational(2), 100)
         assert out.status == HALTED
         cert = out.certificate
         assert cert is not None
@@ -83,7 +83,7 @@ class TestSemidecideGt:
         assert out.steps_used == 8
 
     def test_pentagon_does_not_exceed_its_capacity(self, pentagon):
-        out = semidecide_gt(pentagon, sqrt_int(5), 60, lambda_expr="sqrt(5)")
+        out = semidecide_gt(pentagon, sqrt_int(5), 60)
         assert out.status == BUDGET_EXHAUSTED
         assert out.certificate is None
         assert out.steps_used == 60
@@ -114,7 +114,7 @@ class TestSemidecideGt:
         assert out.certificate.precision == 2
 
     def test_triangular_schedule_is_fair(self, pentagon):
-        out = semidecide_gt(pentagon, sqrt_int(5), 45, lambda_expr="sqrt(5)")
+        out = semidecide_gt(pentagon, sqrt_int(5), 45)
         # after t full stages level k has taken exactly t-k steps
         per_level: dict[int, int] = {}
         stages = 0
@@ -156,9 +156,7 @@ class TestSemidecideGt:
         assert late["stalled"] == "level cap" and late["alpha"] is None
 
     def test_progress_reports_stalls(self, pentagon):
-        out = semidecide_gt(
-            pentagon, sqrt_int(5), 40, power_cap=30, lambda_expr="sqrt(5)"
-        )
+        out = semidecide_gt(pentagon, sqrt_int(5), 40, power_cap=30)
         assert out.status == BUDGET_EXHAUSTED
         stalled = [p for p in out.progress.values() if p["stalled"] == "vertex budget"]
         assert stalled  # levels beyond 25 vertices cannot build their power
@@ -271,9 +269,7 @@ class TestCertificate:
 
 class TestEnumeration:
     def test_threshold_three_halves(self):
-        state = enumerate_gt(
-            from_rational(Fraction(3, 2)), 10, 12, lambda_expr="3/2"
-        )
+        state = enumerate_gt(from_rational(Fraction(3, 2)), 10, 12)
         # emission order: the edgeless 3-vertex graph outruns the 2-vertex
         # one, whose test needs more precision before it clears the slack
         assert [e.graph_index for e in state.emitted] == [4, 2, 5, 6, 7, 8, 9]
@@ -292,7 +288,7 @@ class TestEnumeration:
 
     def test_sqrt5_threshold_skips_pentagon(self, pentagon):
         lam = sqrt_int(5)
-        state = enumerate_gt(lam, 690, 695, lambda_expr="sqrt(5)")
+        state = enumerate_gt(lam, 690, 695)
         assert encode(pentagon) == 689
         assert 689 not in [e.graph_index for e in state.emitted]
         assert 76 in [e.graph_index for e in state.emitted]  # edgeless on 5 vertices

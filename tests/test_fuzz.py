@@ -134,7 +134,7 @@ def test_spectrum_invariants(monkeypatch):
                 pass
             try:
                 cover = fractional_clique_cover(h)
-                assert theta.lo <= cover.value, (text, h.recipe)
+                assert theta.lo <= cover.hi, (text, h.recipe)
             except BudgetError:
                 cover = None
             flat = Graph(h.n, h.masks)

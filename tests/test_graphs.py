@@ -43,6 +43,8 @@ class TestGraphType:
     def test_rejects_out_of_range_mask(self):
         with pytest.raises(InputError):
             Graph(2, (0b100, 0b000))
+        with pytest.raises(InputError, match="mask count"):
+            Graph(2, (0,))
 
     def test_checks_every_vertex_mask(self):
         # a loop or an outside bit at any vertex, among legal neighbour bits
@@ -514,6 +516,10 @@ class TestSerialization:
             graph_from_bitstring("abc")
         with pytest.raises(InputError):
             graph_from_bitstring("3:10x")
+        with pytest.raises(InputError, match="bad vertex count"):
+            graph_from_bitstring("x:01")
+        with pytest.raises(InputError, match="nonnegative"):
+            graph_from_bitstring("-1:")
 
     def test_edgetext(self):
         g = graph_from_edgetext("5; 0-1, 1-2, 2-3, 3-4, 0-4")

@@ -79,26 +79,26 @@ class TestMaximalCliques:
 
 class TestCliqueCover:
     def test_closed_forms(self):
-        assert fractional_clique_cover(cycle_graph(5)).value == Fraction(5, 2)
-        assert fractional_clique_cover(cycle_graph(7)).value == Fraction(7, 2)
-        assert fractional_clique_cover(complete_graph(6)).value == 1
-        assert fractional_clique_cover(edgeless_graph(6)).value == 6
-        assert fractional_clique_cover(single_vertex()).value == 1
-        assert fractional_clique_cover(Graph(0, ())).value == 0
+        assert fractional_clique_cover(cycle_graph(5)).hi == Fraction(5, 2)
+        assert fractional_clique_cover(cycle_graph(7)).hi == Fraction(7, 2)
+        assert fractional_clique_cover(complete_graph(6)).hi == 1
+        assert fractional_clique_cover(edgeless_graph(6)).hi == 6
+        assert fractional_clique_cover(single_vertex()).hi == 1
+        assert fractional_clique_cover(Graph(0, ())).hi == 0
 
     def test_exactness(self):
         b = fractional_clique_cover(cycle_graph(9))
-        assert b.value == Fraction(9, 2)
+        assert b.hi == Fraction(9, 2)
         assert b.lo == b.hi and b.tolerance == 0
 
     def test_at_least_alpha(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8))
-            assert fractional_clique_cover(g).value >= brute_alpha(g)
+            assert fractional_clique_cover(g).hi >= brute_alpha(g)
 
     def test_union_is_additive(self, pentagon):
         g = disjoint_union(pentagon, complete_graph(3))
-        assert fractional_clique_cover(g).value == Fraction(7, 2)
+        assert fractional_clique_cover(g).hi == Fraction(7, 2)
 
     def test_multiplicative_under_strong_product(self, rng):
         # a point of the asymptotic spectrum multiplies under the strong
@@ -108,20 +108,20 @@ class TestCliqueCover:
             a = rng.randint(1, 6)
             g = random_graph(rng, a)
             h = random_graph(rng, rng.randint(1, 24 // a))
-            assert fractional_clique_cover(stripped(strong_product(g, h))).value == (
-                fractional_clique_cover(g).value * fractional_clique_cover(h).value
+            assert fractional_clique_cover(stripped(strong_product(g, h))).hi == (
+                fractional_clique_cover(g).hi * fractional_clique_cover(h).hi
             )
 
     def test_strong_product_closed_forms(self, pentagon):
         c5_c4 = strong_product(pentagon, cycle_graph(4))
-        assert fractional_clique_cover(c5_c4).value == 5
+        assert fractional_clique_cover(c5_c4).hi == 5
         c7_e3 = strong_product(cycle_graph(7), edgeless_graph(3))
-        assert fractional_clique_cover(c7_e3).value == Fraction(21, 2)
+        assert fractional_clique_cover(c7_e3).hi == Fraction(21, 2)
 
     def test_vertex_cap(self):
         with pytest.raises(BudgetError):  # the LP's cap: E25 as a literal
             fractional_clique_cover(stripped(edgeless_graph(25)))
-        assert fractional_clique_cover(edgeless_graph(25)).value == 25  # closed forms have no cap
+        assert fractional_clique_cover(edgeless_graph(25)).hi == 25  # closed forms have no cap
 
 
 def clique_rows(g: Graph) -> list[list[int]]:
@@ -195,10 +195,10 @@ class TestCliqueCoverCertificate:
         monkeypatch.setattr(spectrum, "simplex_max", unreachable)
         for expr, value in self.CLOSED.items():
             g = parse_graph(expr)  # through the recipe fold, then the LP on the flat copy
-            assert fractional_clique_cover(g).value == value, expr
-            assert fractional_clique_cover(stripped(g)).value == value, expr
+            assert fractional_clique_cover(g).hi == value, expr
+            assert fractional_clique_cover(stripped(g)).hi == value, expr
         for n, value in self.RANDOM.items():
-            assert fractional_clique_cover(random_graph(random.Random(n), n)).value == value, n
+            assert fractional_clique_cover(random_graph(random.Random(n), n)).hi == value, n
 
     def test_sweep_matches_the_exact_simplex(self, rng):
         for _ in range(150):
@@ -220,7 +220,7 @@ class TestCliqueCoverCertificate:
                 continue
             monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=(y, pi, d): cert)
             fallbacks.clear()
-            assert fractional_clique_cover(g).value == exact_chif(g), condition
+            assert fractional_clique_cover(g).hi == exact_chif(g), condition
             assert fallbacks == [len(rows)], condition
             exercised += 1
         assert exercised == len(LIES) - 1
@@ -245,7 +245,7 @@ class TestCliqueCoverCertificate:
             assert not exact._proves_packing(rows, *cert), n_lie
             monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=cert: cert)
             fallbacks.clear()
-            assert fractional_clique_cover(g).value == self.RANDOM[20], n_lie
+            assert fractional_clique_cover(g).hi == self.RANDOM[20], n_lie
             assert fallbacks == [len(rows)], n_lie
 
     def test_early_bases_are_rejected(self, monkeypatch, fallbacks):
@@ -260,11 +260,11 @@ class TestCliqueCoverCertificate:
             for k in range(pivots):
                 monkeypatch.setattr(exact, "_packing_basis", lambda a, cap, k=k: basis(a, k))
                 fallbacks.clear()
-                assert fractional_clique_cover(g).value == want, k
+                assert fractional_clique_cover(g).hi == want, k
                 assert fallbacks == [len(a)], k
             monkeypatch.setattr(exact, "_packing_basis", basis)
             fallbacks.clear()
-            assert fractional_clique_cover(g).value == want and fallbacks == []
+            assert fractional_clique_cover(g).hi == want and fallbacks == []
 
     def test_many_cliques(self, monkeypatch):
         # complete 6-partite K_{3,...,3}: 3^6 = 729 maximal cliques on 18
@@ -274,7 +274,7 @@ class TestCliqueCoverCertificate:
         for _ in range(5):
             g = disjoint_union(g, complete_graph(3))
         monkeypatch.setattr(spectrum, "simplex_max", unreachable)
-        assert fractional_clique_cover(complement(g)).value == 3
+        assert fractional_clique_cover(complement(g)).hi == 3
 
 
 def no_cliques(*args):
@@ -334,11 +334,11 @@ class TestClosedCliqueCover:
     def test_empty_and_one_vertex_leaves(self):
         # K_0 adds nothing to a union, and C_1 is one vertex with alpha = 1
         g = disjoint_union(complete_graph(0), cycle_graph(5))
-        assert fractional_clique_cover(g).value == Fraction(5, 2)
+        assert fractional_clique_cover(g).hi == Fraction(5, 2)
         b = lovasz_theta(g, TOL)
         assert b.lo ** 2 < 5 < b.hi ** 2
         g = disjoint_union(complement(cycle_graph(1)), cycle_graph(5))
-        assert fractional_clique_cover(g).value == Fraction(7, 2)
+        assert fractional_clique_cover(g).hi == Fraction(7, 2)
 
     def test_other_complements_keep_the_lp(self, monkeypatch):
         calls = []
@@ -350,7 +350,7 @@ class TestClosedCliqueCover:
         monkeypatch.setattr(spectrum, "maximal_cliques", counted)
         g = complement(strong_product(cycle_graph(5), cycle_graph(4)))
         assert g.recipe == ("co", ("x", (("C", 5), ("C", 4))))
-        assert fractional_clique_cover(g).value == exact_chif(stripped(g))
+        assert fractional_clique_cover(g).hi == exact_chif(stripped(g))
         assert calls == [20]
         with pytest.raises(BudgetError):  # and its cap
             fractional_clique_cover(complement(strong_power(cycle_graph(5), 2)))
@@ -361,7 +361,6 @@ class TestTheta:
         b = lovasz_theta(pentagon, TOL)
         assert b.kind == "lovasz_theta"
         assert b.hi - b.lo <= TOL
-        assert b.value == b.hi
 
     def test_pentagon_closed_form(self, pentagon):
         # theta(C5) = sqrt(5): certify the bracket by exact squaring, through
@@ -423,7 +422,7 @@ class TestTheta:
             g = random_graph(rng, rng.randint(1, 12))
             b = lovasz_theta(g, Fraction(1, 10**4))
             assert b.hi >= brute_alpha(g)
-            assert b.lo <= fractional_clique_cover(g).value
+            assert b.lo <= fractional_clique_cover(g).hi
 
     def test_input_validation(self, pentagon):
         with pytest.raises(InputError):
@@ -634,7 +633,7 @@ class TestSandwichClosure:
         assert fractional_clique_cover(flat) == UpperBound(
             "fractional_clique_cover", Fraction(2), Fraction(2), Fraction(0))
         assert calls == []
-        assert fractional_clique_cover(stripped(cycle_graph(5))).value == Fraction(5, 2)
+        assert fractional_clique_cover(stripped(cycle_graph(5))).hi == Fraction(5, 2)
         assert calls == [5]
 
     def test_closed_graphs_agree_with_the_sdp_and_the_lp(self):
@@ -651,7 +650,7 @@ class TestSandwichClosure:
             lo, hi = spectrum._sdp_interval(g)
             assert lo <= k <= hi
             assert exact.packing_optimum(clique_rows(g)) == k
-            assert lovasz_theta(g, TOL).hi == fractional_clique_cover(g).value == k
+            assert lovasz_theta(g, TOL).hi == fractional_clique_cover(g).hi == k
         assert closed >= 60, closed
 
 
@@ -770,7 +769,7 @@ class TestLiteralLeaves:
         assert code == 0 and solves == [5]
         r = report["results"]
         assert Fraction(r["lo"]) < 5 < Fraction(r["hi"])  # theta(co C5)^2 = sqrt(5)^2
-        assert fractional_clique_cover(parse_graph(f"{C5_BITS}*C5")).value == Fraction(25, 4)
+        assert fractional_clique_cover(parse_graph(f"{C5_BITS}*C5")).hi == Fraction(25, 4)
         code, report = run(["chif", "--graph", f"{C5_BITS}*C5"])
         assert code == 0 and report["results"]["value"] == "25/4"
 
@@ -797,7 +796,7 @@ class TestLiteralLeaves:
         for empty in (edgeless_graph(0), complete_graph(0), strong_product(edgeless_graph(0), c5)):
             g = disjoint_union(complement(empty), c5)
             assert lovasz_theta(g, TOL) == lovasz_theta(c5, TOL)
-            assert fractional_clique_cover(g).value == Fraction(5, 2)
+            assert fractional_clique_cover(g).hi == Fraction(5, 2)
 
     @staticmethod
     def join(rng: random.Random) -> Graph:
@@ -977,6 +976,8 @@ class TestSandwich:
     def test_refinements_never_widen_and_record_their_stops(self, pentagon):
         r = BoundsReport(PowerLadder(stripped(pentagon), 100))  # theta by the SDP
         assert (r.lower, r.upper, r.capped_upper()) == (0, None, 5)
+        with pytest.raises(InputError, match="ladder level"):
+            r.refine(-1, TOL)
         r.add_cover()
         assert r.upper == Fraction(5, 2)
         r.add_ladder(3)  # level 2 needs 625 vertices, over the cap
@@ -991,9 +992,3 @@ class TestSandwich:
         r.add_ladder(0)  # levels already held: nothing changes
         assert r.lower == lower and len(r.ladder) == 2
         assert [e.split(":")[0] for e in r.errors] == ["ladder", "theta"]
-
-
-class TestUpperBoundType:
-    def test_value_is_high_end(self):
-        b = UpperBound("lovasz_theta", Fraction(2), Fraction(3), Fraction(1))
-        assert b.value == 3

@@ -4,8 +4,9 @@ Every top-level function or class in ``src/zecap`` (``__init__`` aside,
 whose re-exports would otherwise vouch for everything), and every method
 and property of a top-level class but the dunders, must be referenced from
 somewhere outside its own definition: the rest of the package, the CLI's
-``@_command`` table, or README's python block.  Test-only surface cannot
-grow back unnoticed.
+``@_command`` table, or README's python block.  A method or property counts
+only where it is read as an attribute.  Test-only surface cannot grow back
+unnoticed.
 """
 
 import ast
@@ -28,12 +29,15 @@ ALLOWED = {
 }
 
 
-def _reads(tree: ast.AST) -> Counter:
-    """How often each name or attribute is read anywhere in tree."""
+NAMES = (ast.Name, ast.Attribute)  # how a top-level definition can be read
+
+
+def _reads(tree: ast.AST, kinds=NAMES) -> Counter:
+    """How often each name or attribute of these kinds is read anywhere in tree."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, kinds)
     )
 
 
@@ -71,13 +75,18 @@ def unreferenced(package: Path = PACKAGE) -> list[str]:
         for path in sorted(package.glob("*.py"))
         if path.stem != "__init__"
     }
-    reads = _reads(_readme_python())
-    for tree in modules.values():
-        reads += _reads(tree)
+    trees = [_readme_python(), *modules.values()]
+    reads = {
+        kinds: sum((_reads(tree, kinds) for tree in trees), Counter())
+        for kinds in (NAMES, ast.Attribute)
+    }
     out = []
     for stem, tree in modules.items():
         for name, node in _definitions(tree):
-            if reads[node.name] <= _reads(node)[node.name]:
+            # a method or property is read only as an attribute: a local
+            # variable that shares its name does not vouch for it
+            kinds = ast.Attribute if "." in name else NAMES
+            if reads[kinds][node.name] <= _reads(node, kinds)[node.name]:
                 out.append(f"{stem}.{name}")
     return out
 
@@ -87,8 +96,9 @@ def test_every_top_level_definition_is_used():
 
 
 def test_the_scan_sees_an_unused_definition(tmp_path):
-    # a copy of the package with a dead helper and a dead method added, and
-    # a dunder beside the method: the scan names the helper and the method
+    # a copy of the package with a dead helper and two dead methods added,
+    # one named like decide's local ``lam``, and a dunder beside them: the
+    # scan names the helper and both methods
     for path in PACKAGE.glob("*.py"):
         text = path.read_text()
         if path.stem == "graphs":
@@ -96,6 +106,7 @@ def test_the_scan_sees_an_unused_definition(tmp_path):
                 "class Graph:\n",
                 "class Graph:\n"
                 "    def _dead_method(self):\n        return self._dead_method()\n\n"
+                "    def lam(self):\n        return None\n\n"
                 "    def __dead_dunder__(self):\n        return None\n\n",
                 1,
             )
@@ -104,4 +115,5 @@ def test_the_scan_sees_an_unused_definition(tmp_path):
     found = unreferenced(tmp_path)
     assert "graphs._dead_helper" in found
     assert "graphs.Graph._dead_method" in found
+    assert "graphs.Graph.lam" in found
     assert not any("__dead_dunder__" in name for name in found)
