@@ -54,7 +54,9 @@ from dataclasses import dataclass
 from . import creal
 from .errors import BudgetError, InputError
 from .graphs import Graph, orbit_labels, require_fits, strong_product, vertex_budget
-from .graphs import power_fits
+from .graphs import once, power_fits
+
+LADDER_MAX_LEVEL = 64  # level k of a graph on n >= 2 vertices has n^(2^k) of them
 
 
 @dataclass
@@ -430,14 +432,14 @@ class PowerLadder:
     from the square of the best set found there (a partial set when that
     level stopped at its node budget).  When level 1 fits the vertex
     budget, c is read as the upper end of ``greedy_bounds``, a partition of
-    g into c cliques, before any power is built: it costs less than the
-    n^2-vertex level it may close, but can cost far more than level 0's
-    search.  Before each climb to a level k >= 1, the ladder is closed once
-    level k - 1 meets c^(2^(k-1)): every later level j is then c^(2^j)
-    (Shannon 1956), as products of cliques are cliques and products of
-    independent sets are independent.  A closed level builds no power, runs
-    no search and takes 0 nodes, but stops at the vertex budget exactly
-    where its power would.
+    g into c cliques, before any power is built, and kept in g's table: it
+    costs less than the n^2-vertex level it may close, but can cost far
+    more than level 0's search.  Before each climb to a level k >= 1, the
+    ladder is closed once level k - 1 meets c^(2^(k-1)): every later level
+    j is then c^(2^j) (Shannon 1956), as products of cliques are cliques
+    and products of independent sets are independent.  A closed level
+    builds no power, runs no search and takes 0 nodes, but stops at the
+    vertex budget exactly where its power would.
 
     ``alpha`` and ``nodes`` hold each level found; ``stops`` holds the
     BudgetError of each level that was not.  A node-budget stop does not end
@@ -452,12 +454,12 @@ class PowerLadder:
         self.stops: dict[int, BudgetError] = {}
         self._level = -1  # the last level reached
         self._power: Graph | None = g  # its power; None once the ladder is closed
-        self._cover = 0  # greedy_bounds' upper end, read at level 1
         self._best: list[int] | None = None  # its best set, squared into the next warm start
 
     def top(self, most: int) -> int:
-        """The highest level up to most whose power fits the vertex budget;
-        every power of a graph on at most one vertex fits."""
+        """The highest level up to most and LADDER_MAX_LEVEL whose power fits
+        the vertex budget; every power of a graph on at most one vertex fits."""
+        most = min(most, LADDER_MAX_LEVEL)
         level = most if self.graph.n <= 1 else 0
         while level < most and power_fits(self.graph.n, 2 << level, self._cap):
             level += 1
@@ -474,23 +476,22 @@ class PowerLadder:
 
     def _climb(self, node_budget: int | None) -> None:
         self._level += 1
-        k = self._level
+        k, g = self._level, self.graph
         if k > 0:
             try:
-                require_fits("strong product", self.graph.n ** (1 << k), self._cap)
+                require_fits("strong product", g.n ** (1 << k), self._cap)
             except BudgetError as e:
                 self.stops[k] = e
                 return
-            if k == 1:
-                self._cover = greedy_bounds(self.graph)[1]
-            if self.alpha.get(k - 1) == self._cover ** (1 << (k - 1)):
+            cover = once(g.values, (g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
+            if self.alpha.get(k - 1) == cover ** (1 << (k - 1)):
                 self._power = None  # closed
             if self._power is not None:
                 side = self._power.n
                 self._power = strong_product(self._power, self._power, self._cap)
                 self._best = [u * side + v for u in self._best for v in self._best]
         if self._power is None:
-            self.alpha[k], self.nodes[k] = self._cover ** (1 << k), 0
+            self.alpha[k], self.nodes[k] = cover ** (1 << k), 0  # closed only past level 0
             return
         try:
             witness, self.nodes[k] = solve_alpha(self._power, node_budget, initial=self._best)
@@ -501,9 +502,13 @@ class PowerLadder:
         self.alpha[k], self._best = witness.size, witness.vertices
 
 
-def ladder(
-    powers: PowerLadder, m_max: int, node_budget: int | None = None
-) -> list[LadderValue]:
+def check_level(m: int) -> None:
+    """The one bound on the deepest ladder level asked for, before any is solved."""
+    if not 0 <= m <= LADDER_MAX_LEVEL:
+        raise InputError(f"ladder level must be in 0..{LADDER_MAX_LEVEL}, got {m}")
+
+
+def ladder(powers: PowerLadder, m_max: int, node_budget: int | None = None) -> list[LadderValue]:
     """Ladder levels 0..m_max of powers.graph: alpha(g^(2^m))^(1/2^m),
     nondecreasing in m.
 
@@ -511,8 +516,7 @@ def ladder(
     already holds is reused and charged the nodes it took.  On exhaustion
     the BudgetError carries the levels already certified.
     """
-    if m_max < 0:
-        raise InputError("ladder level must be nonnegative")
+    check_level(m_max)
     values: list[LadderValue] = []
     pool = node_budget
     for m in range(m_max + 1):

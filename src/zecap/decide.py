@@ -328,12 +328,12 @@ def squeeze_capacity(
     """Shrink a certified capacity interval below width 2^-k_bits.
 
     One round is one step of ``BoundsReport.refine``'s plan: ladder level 0,
-    the exact clique cover, theta once at 2^-(k_bits+2) (its interval is
-    certified once per graph, and a tolerance it misses still yields that
-    interval), then ladder levels 1, 2, ... while their powers fit and no
-    level has stopped.  The bracket's one ``PowerLadder`` solves each level
-    at most once.  The upper end starts at the vertex count, and the
-    interval is monotone in the budget: more rounds only ever shrink it.
+    the exact clique cover, theta once at 2^-(k_bits+2) (a tolerance it
+    misses still yields the certified interval), then ladder levels 1, 2,
+    ... while their powers fit and none has stopped, read to 2^-(k_bits+4).
+    The bracket's one ``PowerLadder`` solves each level at most once, and
+    g's table each literal leaf.  The upper end starts at the vertex count,
+    and the interval is monotone in the budget: more rounds only shrink it.
     """
     if k_bits < 0:
         raise InputError("width exponent must be nonnegative")
@@ -344,7 +344,7 @@ def squeeze_capacity(
     target = Fraction(1, 1 << k_bits)
     report = BoundsReport(PowerLadder(g, power_cap))
     top = report.powers.top(budget)  # no plan of budget rounds reaches a higher level
-    rounds = report.refine(top, target / 4, node_budget, k_bits + 4, budget, target)
+    rounds = report.refine(top, target / 4, node_budget, budget, target)
     upper = report.capped_upper()
     status = VALUE if upper - report.lower < target else BUDGET_EXHAUSTED
     return SqueezeResult(status, report.lower, upper, rounds)

@@ -60,11 +60,12 @@ class Graph:
     relative to a root so that vertices with equal labels lie in one orbit
     of the root's stabilizer in the automorphism group.  Labels may split
     an orbit, which only costs the alpha solver speed; they never merge
-    two.  Every other graph is searched in full.  Equality and hashing
-    ignore the recipe.
+    two.  Every other graph is searched in full.  ``values`` holds what one
+    call finds, by recipe node (``once``), for theta, the clique cover and
+    the ladder, never the graph itself.  Equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "masks", "recipe")
+    __slots__ = ("n", "masks", "recipe", "values")
 
     def __init__(self, n: int, masks: tuple[int, ...], recipe=None):
         if n < 0:
@@ -80,6 +81,7 @@ class Graph:
         self.masks = tuple(masks)
         # the leaf holds the masks, not the graph, so no reference cycle forms
         self.recipe = ("G", self.masks) if recipe is None else recipe
+        self.values: dict = {}
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -244,6 +246,11 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
             masks.append(row)
     recipe = ("x", _operands("x", g.recipe) + _operands("x", h.recipe))
     return Graph(g.n * nh, tuple(masks), recipe)
+
+
+def once(values: dict, key, find):
+    """values[key], found by find() the first time it is asked for."""
+    return values[key] if key in values else values.setdefault(key, find())
 
 
 def require_fits(what: str, vertices: int, cap: int) -> None:

@@ -27,13 +27,14 @@ tI - A PSD, A = 1 on the diagonal and on non-edges, on at most
 THETA_MAX_VERTICES vertices.  Its float solution is only a proposal: both
 ends of the interval are proved once, in exact rational arithmetic, by
 positive-definiteness checks of a dual witness and of a primal feasible
-matrix, and the interval is cached per graph.  chi_f-bar is the exact
-rational optimum of the covering LP over maximal cliques, on at most
-CHIF_MAX_VERTICES vertices, computed through the equal-value packing dual:
-a float simplex proposes an optimal basis, and its clique weights and
-fractional independent set are proved optimal by an integer duality check;
-the fraction-free Bland-rule simplex in integers runs only when that proof
-fails.
+matrix.  chi_f-bar is the exact rational optimum of the covering LP over
+maximal cliques, on at most CHIF_MAX_VERTICES vertices, computed through the
+equal-value packing dual: a float simplex proposes an optimal basis, and its
+clique weights and fractional independent set are proved optimal by an
+integer duality check; the fraction-free Bland-rule simplex in integers runs
+only when that proof fails.  Each literal leaf's graph, greedy bounds and
+solver interval, and theta's leaf intervals, are kept by recipe node in the
+table the call's graph holds (``Graph.values``): each is found once per call.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -50,10 +51,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import creal
-from .alpha import LadderValue, PowerLadder, greedy_bounds, ladder as alpha_ladder
+from .alpha import LadderValue, PowerLadder, check_level, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, co_recipe, recipe_graph, recipe_vertices, require_fits
+from .graphs import Graph, co_recipe, once, recipe_graph, recipe_vertices, require_fits
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -127,16 +128,16 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
     Value of  min sum x_C  s.t. every vertex is covered with weight >= 1,
     x >= 0, over maximal cliques.  It is folded over g's recipe
     (``_chif_leaf``), at any size; only a literal leaf, or a complement
-    with no closed form, goes to ``_literal``: the greedy sandwich, else
-    the LP on that leaf's at most CHIF_MAX_VERTICES vertices (else
-    BudgetError).  The LP is solved as the equal-value packing dual
-    max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal clique, which has
-    a feasible slack start.  Strong LP duality makes the optima equal.
-    exact.packing_optimum proves the optimum from a float-proposed basis:
-    integer clique weights pi and vertex weights y over a common D, both
-    feasible and of equal sum.  simplex_max runs only when that proof fails.
+    with no closed form, goes to ``_literal``, once per g.values: the
+    greedy sandwich, else the LP on that leaf's at most CHIF_MAX_VERTICES
+    vertices (else BudgetError).  The LP is solved as the equal-value
+    packing dual  max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal
+    clique, which has a feasible slack start.  Strong LP duality makes the
+    optima equal.  exact.packing_optimum proves the optimum from a
+    float-proposed basis: integer clique weights pi and vertex weights y
+    over a common D, both feasible and of equal sum.  simplex_max runs only when that proof fails.
     """
-    lo, hi = _fold(g.recipe, _chif_leaf)
+    lo, hi = _fold(g.recipe, functools.partial(_chif_leaf, values=g.values))
     return UpperBound(KIND_CLIQUE_COVER, lo, hi, Fraction(0))
 
 
@@ -301,14 +302,8 @@ def _theta_solve(n: int, erows: np.ndarray, ecols: np.ndarray) -> tuple[np.ndarr
     return y[0] * np.eye(n) - adjoint(y) + jmat, x
 
 
-@functools.lru_cache(maxsize=512)
 def _sdp_interval(g: Graph) -> tuple[Fraction, Fraction]:
-    """The certified interval of one interior-point solve on g.
-
-    Only this is cached: Graph equality ignores the recipe, so a cached
-    composed interval would be handed to a copy of the graph built another
-    way.
-    """
+    """The certified interval of one interior-point solve on g."""
     import numpy as np
 
     edge_list = g.edges()
@@ -366,7 +361,6 @@ def _cos_bounds(t_lo: int, t_hi: int, w: int) -> tuple[int, int]:
     return lo, hi + term_lo
 
 
-@functools.lru_cache(maxsize=256)
 def _odd_cycle_theta(n: int, p: int) -> tuple[Fraction, Fraction]:
     """theta(C_n), odd n >= 5, on the 2^-p grid; pi is Machin's formula."""
     w = p + p.bit_length() + n.bit_length() + 16
@@ -399,41 +393,45 @@ def _fold(d, leaf):
     return combine(lo for lo, _ in parts), combine(hi for _, hi in parts)
 
 
-def _literal(d, what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
+def _literal(d, what: str, cap: int, solve, values: dict) -> tuple[Fraction, Fraction]:
     """A spectrum point's interval on the graph with recipe d, taken whole.
 
     The graph takes at most cap vertices (else ``require_fits``'s stop, with
     what naming the solver), checked before it is built.  Where
     alpha.greedy_bounds meets at k, an independent set and a partition into
     cliques of the same size k pin the point to k; otherwise solve(g) gives
-    it."""
-    n = recipe_vertices(d)
-    require_fits(what, n, cap)
-    g = recipe_graph(d)
-    k, cover = greedy_bounds(g)
+    it.  The graph, its greedy bounds and solve's interval are kept in
+    values under d, so each is found once per table."""
+    require_fits(what, recipe_vertices(d), cap)
+    graph = functools.partial(once, values, (d, "graph"), functools.partial(recipe_graph, d))
+    k, cover = once(values, (d, "greedy"), lambda: greedy_bounds(graph()))
     if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
         return Fraction(k), Fraction(k)
-    return solve(g)
+    return once(values, (d, what), lambda: solve(graph()))
 
 
-def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
-    """theta's interval at p bits for recipe d, co over x read as a co-normal product."""
+def _theta_closed(d, p: int, values: dict) -> tuple[Fraction, Fraction]:
+    """theta's interval at p bits for recipe d, co over x read as a co-normal
+    product; each leaf's is kept in values under (leaf, p)."""
     def leaf(kind, arg):
+        return once(values, ((kind, arg), p), lambda: closed(kind, arg))
+
+    def closed(kind, arg):
         if kind == "co" and arg[0] == "x":  # the product of the factors' complements
             return _fold(("x", tuple(map(co_recipe, arg[1]))), leaf)
         if kind == "co" and arg[0] != "G" and arg[1]:  # n / theta on K, E, C; empty, a literal's 0
             lo, hi = leaf(*arg)
             return arg[1] / hi, arg[1] / lo
         if kind in ("G", "co"):
-            return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval)
+            return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval, values)
         if kind == "C" and arg >= 5 and arg % 2:
             return _odd_cycle_theta(arg, p)
-        return _chif_leaf(kind, arg)  # K_n, E_n and the other cycles are perfect
+        return _chif_leaf(kind, arg, values)  # K_n, E_n and the other cycles are perfect
 
     return _fold(d, leaf)
 
 
-def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction]:
+def _chif_leaf(kind: str, arg, values: dict) -> tuple[Fraction, Fraction]:
     """chi_f-bar of a leaf or a complement: closed on the named leaves and
     on their complements, where it is the leaf's n / alpha; any other
     complement is taken whole, as a literal leaf is."""
@@ -445,11 +443,11 @@ def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction]:
         kind, n = arg
         value = Fraction(n, max({"K": 1, "E": n, "C": n // 2}[kind], 1))
     else:
-        return _literal((kind, arg), "clique cover", CHIF_MAX_VERTICES, _clique_lp)
+        return _literal((kind, arg), "clique cover", CHIF_MAX_VERTICES, _clique_lp, values)
     return value, value
 
 
-def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
+def _theta_interval(d, tol: Fraction, values: dict | None = None) -> tuple[Fraction, Fraction]:
     """Certified theta interval of the graph with recipe d, at most tol wide
     unless a literal leaf's SDP interval keeps it wider.
 
@@ -458,13 +456,14 @@ def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
     shrinks the closed-form parts 4x (2x where an end's rounding straddles
     a grid point), while an SDP leaf's width is fixed; so p stops rising
     once a raise leaves more than 3/4 of the width."""
+    values = {} if values is None else values
     p = _CLOSED_MIN_BITS
-    lo, hi = _theta_closed(d, p)
+    lo, hi = _theta_closed(d, p, values)
     while hi - lo > tol:
         width = hi - lo
         excess = width / tol
         p += excess.numerator.bit_length() - excess.denominator.bit_length() + 2
-        lo, hi = _theta_closed(d, p)
+        lo, hi = _theta_closed(d, p, values)
         if 4 * (hi - lo) > 3 * width:
             break
     return lo, hi
@@ -478,20 +477,20 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     any tol and any size, and on a literal leaf or its complement the
     greedy sandwich, where it meets at k, else one interior-point solve on
     at most THETA_MAX_VERTICES vertices (else BudgetError).  Both ends of
-    its interval are proved exactly, once, and it is cached and checked
-    against every tol.  Returns [lo, hi] with hi - lo <= tol and theta in
-    the interval; hi is a genuine capacity upper bound regardless of solver
-    accuracy.  When a literal leaf's certified interval keeps the result
-    wider than tol, as it does for tol below about n * 2^-32 * (theta - 1),
-    ConvergenceError is raised; it carries the interval, still certified,
-    as its ``partial``.
+    its interval are proved exactly, once per table (``Graph.values``),
+    and checked against every tol.  Returns [lo, hi] with hi - lo <= tol
+    and theta in the interval; hi is a genuine capacity upper bound
+    regardless of solver accuracy.  When a literal leaf's certified
+    interval keeps the result wider than tol, as it does for tol below
+    about n * 2^-32 * (theta - 1), ConvergenceError is raised; it carries
+    the interval, still certified, as its ``partial``.
     """
     if g.n == 0:
         raise InputError("theta of the empty graph is undefined")
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    lo, hi = _theta_interval(g.recipe, tol)
+    lo, hi = _theta_interval(g.recipe, tol, g.values)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",
@@ -542,22 +541,17 @@ class BoundsReport:
         n = Fraction(self.graph.n)
         return n if self.upper is None else min(self.upper, n)
 
-    def refine(
-        self,
-        top: int,
-        tol,
-        node_budget: int | None = None,
-        bits: int = _LOWER_BITS,
-        rounds: int | None = None,
-        target: Fraction | None = None,
-    ) -> int:
+    def refine(self, top: int, tol, node_budget: int | None = None, rounds: int | None = None,
+               target: Fraction | None = None) -> int:
         """Run the plan: ladder level 0, the clique cover, theta at tol, then
         ladder levels 1..top, none after a level that stopped.  Levels share
-        node_budget and are read to 2^-bits.  Ends early after ``rounds``
-        refinements or once capped_upper() - lower < target; returns the
-        number of refinements run."""
-        if top < 0:
-            raise InputError("ladder level must be nonnegative")
+        node_budget and are read to 2^-48, or to 2^-(k + 4) under a target
+        2^-k.  Ends early after ``rounds`` refinements or once capped_upper()
+        - lower < target; returns the number of refinements run."""
+        check_level(top)
+        bits = _LOWER_BITS
+        if target is not None:  # 2^(bits - 4) <= 1 / target < 2^(bits - 3)
+            bits = (target.denominator // target.numerator).bit_length() + 3
         used = 0
         plan = (0, self.add_cover, functools.partial(self.add_theta, tol))  # ints are ladder levels
         for step in itertools.chain(plan, range(1, top + 1)):
@@ -608,13 +602,8 @@ class BoundsReport:
         return found
 
 
-def sandwich(
-    g: Graph,
-    m_max: int,
-    tol,
-    node_budget: int | None = None,
-    max_power_vertices: int | None = None,
-) -> BoundsReport:
+def sandwich(g: Graph, m_max: int, tol, node_budget: int | None = None,
+             max_power_vertices: int | None = None) -> BoundsReport:
     """The bracket after the whole plan, up to ladder level m_max."""
     report = BoundsReport(PowerLadder(g, max_power_vertices))
     report.refine(m_max, tol, node_budget)

@@ -514,13 +514,23 @@ class TestExitCodes:
         code, report = run(["squeeze", "--graph", "C5", "--K", str(SQUEEZE_MAX_EXPONENT)])
         assert code == 0 and report["results"]["status"] == "Value"
 
-    def test_one_vertex_ladder_is_fast(self):
+    def test_one_vertex_ladder_is_fast(self, pentagon_csv_file):
         # every level of K1 has alpha 1, whose 2^32-th root once took a
-        # 2^32-bit Newton step
+        # 2^32-bit Newton step; the deepest level asked for is 64, checked
+        # before any level is solved (each bracket step reads the ladder
+        # from level 0, so the depth costs its cube)
         start = time.perf_counter()
-        code, report = run(["bounds", "--graph", "K1", "--m", "32"])
+        code, report = run(["bounds", "--graph", "K1", "--m", "64"])
         assert time.perf_counter() - start < 1
         assert code == 0 and report["results"]["lower"] == report["results"]["upper"] == "1/1"
+        for argv in (["bounds", "--graph", "K1"], ["ladder", "--graph", "K1"],
+                     ["capacity", "--channel", pentagon_csv_file]):
+            code, report = run([*argv, "--m", "65"])
+            assert code == 2 and report["results"]["kind"] == "input", argv
+            assert "0..64" in report["results"]["error"]
+        # squeeze plans as many levels as rounds, and stops at the deepest
+        code, report = run(["squeeze", "--graph", "K1", "--K", "4", "--budget", "1000"])
+        assert code == 0 and report["results"]["status"] == "Value"
 
     def test_partial_ladder_is_exit_three(self):
         code, report = run(

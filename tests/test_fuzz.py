@@ -107,7 +107,6 @@ def test_spectrum_invariants(monkeypatch):
     solve, sizes = spectrum._theta_solve, []
     monkeypatch.setattr(spectrum, "_theta_solve",
                         lambda n, *edges: sizes.append(n) or solve(n, *edges))
-    spectrum._sdp_interval.cache_clear()
     tol = Fraction(1, 10**4)
     rng = random.Random(36)
     seen = set()

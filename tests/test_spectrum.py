@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -245,7 +246,8 @@ class TestCliqueCoverCertificate:
             assert not exact._proves_packing(rows, *cert), n_lie
             monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=cert: cert)
             fallbacks.clear()
-            assert fractional_clique_cover(g).hi == self.RANDOM[20], n_lie
+            # a new copy per call: g's own table keeps the first call's value
+            assert fractional_clique_cover(stripped(g)).hi == self.RANDOM[20], n_lie
             assert fallbacks == [len(rows)], n_lie
 
     def test_early_bases_are_rejected(self, monkeypatch, fallbacks):
@@ -260,11 +262,12 @@ class TestCliqueCoverCertificate:
             for k in range(pivots):
                 monkeypatch.setattr(exact, "_packing_basis", lambda a, cap, k=k: basis(a, k))
                 fallbacks.clear()
-                assert fractional_clique_cover(g).hi == want, k
+                # a new copy per call: g's own table keeps the first call's value
+                assert fractional_clique_cover(stripped(g)).hi == want, k
                 assert fallbacks == [len(a)], k
             monkeypatch.setattr(exact, "_packing_basis", basis)
             fallbacks.clear()
-            assert fractional_clique_cover(g).hi == want and fallbacks == []
+            assert fractional_clique_cover(stripped(g)).hi == want and fallbacks == []
 
     def test_many_cliques(self, monkeypatch):
         # complete 6-partite K_{3,...,3}: 3^6 = 729 maximal cliques on 18
@@ -474,7 +477,6 @@ def solves(monkeypatch) -> list[int]:
         return solve(n, erows, ecols)
 
     monkeypatch.setattr(spectrum, "_theta_solve", counted)
-    spectrum._sdp_interval.cache_clear()
     return sizes
 
 
@@ -539,10 +541,9 @@ class TestComposedTheta:
     def test_call_order_does_not_swap_answers(self):
         recipe = strong_power(cycle_graph(5), 2)
         flat = stripped(recipe)
-        assert flat == recipe  # equal as graphs: the cache key cannot tell them apart
+        assert flat == recipe  # equal as graphs, built another way
         answers = []
         for order in ((flat, recipe), (recipe, flat)):
-            spectrum._sdp_interval.cache_clear()
             answers.append({id(g): lovasz_theta(g, TOL) for g in order})
         assert answers[0] == answers[1]
         assert answers[0][id(flat)] != answers[0][id(recipe)]
@@ -655,6 +656,7 @@ class TestSandwichClosure:
 
 
 C5_BITS = "5:1001100101"  # C5 as a literal: its greedy bounds (2, 3) do not meet
+GNP20 = "20:" + format(random.Random(7).getrandbits(190), "0190b")  # a seeded G(20, 1/2)
 
 
 class TestLiteralLeaves:
@@ -761,6 +763,8 @@ class TestLiteralLeaves:
         assert g.n == 125 and g.recipe == ("x", (("G", parse_graph(C5_BITS).masks),) * 3)
         b = lovasz_theta(g, Fraction(1, 10**4))
         assert b.lo ** 2 < 125 < b.hi ** 2  # theta(C5)^3 = 5 sqrt(5)
+        assert solves == [5]
+        solves.clear()  # one table per call: the CLI call solves its own leaf
         code, _ = run(["theta-sdp", "--graph", f"{C5_BITS}^3", "--tol", "1e-4"])
         assert code == 0 and solves == [5]
         # its complement is the co-normal power of the literal's complement
@@ -773,6 +777,59 @@ class TestLiteralLeaves:
         code, report = run(["chif", "--graph", f"{C5_BITS}*C5"])
         assert code == 0 and report["results"]["value"] == "25/4"
 
+    @pytest.mark.parametrize("argv, code, solvers", [
+        (["theta-sdp", "--graph", f"{C5_BITS}^3"], 0, {"sdp"}),
+        (["theta-sdp", "--graph", f"{C5_BITS}+C5", "--tol", "1e-12"], 4, {"sdp"}),
+        (["chif", "--graph", f"{C5_BITS}*{C5_BITS}"], 0, {"lp"}),
+        (["bounds", "--graph", C5_BITS, "--m", "1"], 0, {"sdp", "lp"}),
+        (["bounds", "--graph", GNP20, "--m", "1"], 0, {"sdp", "lp"}),
+    ], ids=["theta-power", "theta-stop", "chif-square", "bounds-c5", "bounds-gnp20"])
+    def test_one_call_finds_each_leaf_once(self, argv, code, solvers, monkeypatch):
+        # one CLI call builds each distinct literal leaf once, runs
+        # greedy_bounds on it once (theta, the clique cover and the ladder
+        # share it) and runs each of its solvers once, however often the
+        # fold, the precision raises and the bracket's steps reach it
+        from zecap import alpha as alpha_module
+        from zecap.cli import parse_graph, run
+
+        found = Counter()
+
+        def count(module, name, what, built=False):
+            call = getattr(module, name)
+
+            def counted(x):
+                result = call(x)
+                found[what, (result if built else x).masks] += 1
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(spectrum, "recipe_graph", "build", built=True)
+        count(spectrum, "greedy_bounds", "greedy")
+        count(alpha_module, "greedy_bounds", "greedy")
+        count(spectrum, "_sdp_interval", "sdp")
+        count(spectrum, "_clique_lp", "lp")
+        got, report = run(argv)
+        assert got == code, report["results"]
+        leaf = parse_graph(GNP20 if GNP20 in argv else C5_BITS)
+        assert found == Counter({(what, leaf.masks): 1 for what in {"build", "greedy", *solvers}})
+        if code == 4:  # the leaf's certified interval plus C5's, below the SDP's floor
+            partial = report["results"]["partial"]
+            assert Fraction(partial["lo"]) ** 2 < 20 < Fraction(partial["hi"]) ** 2
+
+    def test_equal_graphs_keep_their_own_values(self):
+        # the table is keyed by recipe node: C5 and the literal C5 are equal
+        # as graphs, yet each keeps its own interval, the closed form and the
+        # SDP's
+        from zecap.cli import parse_graph, run
+
+        code, report = run(["theta-sdp", "--graph", f"C5+{C5_BITS}"])
+        closed = spectrum._odd_cycle_theta(5, spectrum._CLOSED_MIN_BITS)
+        sdp = spectrum._sdp_interval(parse_graph(C5_BITS))
+        r = report["results"]
+        assert code == 0 and closed != sdp
+        assert (Fraction(r["lo"]), Fraction(r["hi"])) == (closed[0] + sdp[0], closed[1] + sdp[1])
+
     @pytest.mark.parametrize("expr, square", [(f"{C5_BITS}+C5", 20), (f"{C5_BITS}^2", 25)])
     def test_fixed_width_leaves_stop(self, expr, square, monkeypatch):
         # the SDP leaf's width is fixed, so raising p stops once the width
@@ -781,7 +838,8 @@ class TestLiteralLeaves:
 
         closed = spectrum._theta_closed
         calls = []
-        monkeypatch.setattr(spectrum, "_theta_closed", lambda d, p: calls.append(p) or closed(d, p))
+        monkeypatch.setattr(spectrum, "_theta_closed",
+                            lambda d, p, values: calls.append(p) or closed(d, p, values))
         start = time.perf_counter()
         with pytest.raises(ConvergenceError) as stop:
             lovasz_theta(parse_graph(expr), Fraction(1, 10**12))
@@ -932,7 +990,7 @@ class TestCertificateHotPath:
             raise AssertionError(f"elimination fallback reached at n = {len(a)}")
 
         monkeypatch.setattr(exact, "_bareiss", fallback)
-        lo, hi = spectrum._sdp_interval.__wrapped__(g)  # one SDP on g, past the cache
+        lo, hi = spectrum._sdp_interval(g)  # one SDP on g
         assert 0 < lo <= hi
 
 
