@@ -263,8 +263,7 @@ def solve_alpha(
     order, h = _smallest_last(g)
     # clique search on the complement, in the renumbered labels
     full = (1 << n) - 1
-    adj = h.masks
-    comp = [full ^ (1 << v) ^ adj[v] for v in range(n)]
+    adj = h.masks  # a complement row is read at use, not kept: n of them take n^2/8 bytes
 
     if initial and IndependentSetWitness(list(initial), len(initial)).verify(g):
         label = {v: i for i, v in enumerate(order)}
@@ -307,7 +306,7 @@ def solve_alpha(
                 if orbit is not None and not sub >> v & 1:
                     continue  # dropped with an earlier candidate's orbit
                 r_list.append(v)
-                new_p = sub & comp[v]
+                new_p = sub & ~(adj[v] | 1 << v)
                 if new_p:
                     expand(r_list, new_p)
                 elif len(r_list) > best["size"]:
@@ -335,7 +334,7 @@ def solve_alpha(
             # the sets through bit 0 and v onto those through bit 0 and any
             # vertex labelled as v, so the root call drops v's whole label
             # class once v is searched
-            expand([0], comp[0], orbits)
+            expand([0], full ^ 1 ^ adj[0], orbits)
     except _OutOfNodes:
         raise BudgetError(
             f"alpha node budget {node_budget} exhausted; best found {best['size']}",
@@ -508,29 +507,32 @@ def check_level(m: int) -> None:
         raise InputError(f"ladder level must be in 0..{LADDER_MAX_LEVEL}, got {m}")
 
 
-def ladder(powers: PowerLadder, m_max: int, node_budget: int | None = None) -> list[LadderValue]:
+def ladder(powers: PowerLadder, m_max: int, node_budget: int | None = None,
+           held: list[LadderValue] = ()) -> list[LadderValue]:
     """Ladder levels 0..m_max of powers.graph: alpha(g^(2^m))^(1/2^m),
     nondecreasing in m.
 
-    The node budget is a shared pool across levels; a level the ladder
-    already holds is reused and charged the nodes it took.  On exhaustion
-    the BudgetError carries the levels already certified.
+    held holds levels an earlier call on the same powers returned; they are
+    kept, not rebuilt.  The node budget is a shared pool across levels; a
+    level the ladder already holds is reused and charged the nodes it took.
+    On exhaustion the BudgetError carries the levels already certified.
     """
     check_level(m_max)
-    values: list[LadderValue] = []
+    values = list(held[: m_max + 1])
     pool = node_budget
     for m in range(m_max + 1):
-        size = powers.solve(m, pool)
-        if size is None:
-            e = powers.stops[m]
-            where = "before" if e.reason == "vertex budget" else "at"
-            raise BudgetError(
-                f"ladder stopped {where} level {m}: {e}",
-                partial=values,
-                used=e.used,
-                reason=e.reason,
-            )
+        if m == len(values):
+            size = powers.solve(m, pool)
+            if size is None:
+                e = powers.stops[m]
+                where = "before" if e.reason == "vertex budget" else "at"
+                raise BudgetError(
+                    f"ladder stopped {where} level {m}: {e}",
+                    partial=values,
+                    used=e.used,
+                    reason=e.reason,
+                )
+            values.append(LadderValue(m=m, alpha_value=size, root=creal.root_pow2(size, m)))
         if pool is not None:
             pool = max(0, pool - powers.nodes[m])
-        values.append(LadderValue(m=m, alpha_value=size, root=creal.root_pow2(size, m)))
     return values

@@ -24,6 +24,8 @@ Thresholds accept "a/b", decimals, "sqrt(k)", and "a+sqrt(k)".
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import os
 import re
@@ -89,6 +91,10 @@ if TYPE_CHECKING:
     import argparse
 
 REAL_BITS = 48  # precision at which computable reals are reported
+
+# one process answers one command: at exit, move the heap out of the
+# interpreter's shutdown collections, which would only walk it
+atexit.register(gc.freeze)
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,7 @@ class BoundsReport:
         """Raise lower to the best ladder root up to level m, read to within
         2^-bits from below; node_budget is the ladder's shared pool."""
         try:
-            steps = alpha_ladder(self.powers, m, node_budget)
+            steps = alpha_ladder(self.powers, m, node_budget, self.ladder)
         except BudgetError as e:
             steps = e.partial
             self.stops.append(("ladder", e))

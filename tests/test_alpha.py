@@ -186,6 +186,16 @@ class TestRenumbering:
             tracemalloc.stop()
         assert order == list(range(g.n - 1, -1, -1)) and h.masks == g.masks
         assert peak < 4 << 20, peak
+        # the solver reads each complement row at use: n rows kept up front
+        # took n^2/8 bytes (53 MB peak)
+        tracemalloc.start()
+        try:
+            witness, nodes = solve_alpha(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness.size == g.n and nodes == 1
+        assert peak < 4 << 20, peak
 
 
 class TestGreedySeed:
@@ -697,6 +707,32 @@ class TestLadder:
             ladder(PowerLadder(pentagon, 100), 3)
         partial = exc.value.partial
         assert [v.alpha_value for v in partial] == [2, 5]
+
+    def test_held_levels_are_kept_and_charged(self, monkeypatch, pentagon):
+        root_pow2, roots = alpha_module.creal.root_pow2, []
+
+        def counted(size, m):
+            roots.append(m)
+            return root_pow2(size, m)
+
+        monkeypatch.setattr(alpha_module.creal, "root_pow2", counted)
+        powers = PowerLadder(pentagon)
+        held = ladder(powers, 1, node_budget=10)
+        assert roots == [0, 1] and powers.nodes == {0: 1, 1: 4}
+        # level 2 gets the 5 nodes levels 0 and 1 left of the pool, and its
+        # stop hands back the held levels themselves, no root taken again
+        with pytest.raises(BudgetError, match="node budget 5 exhausted") as exc:
+            ladder(powers, 2, node_budget=10, held=held)
+        assert len(exc.value.partial) == 2
+        assert all(a is b for a, b in zip(exc.value.partial, held))
+        assert roots == [0, 1]
+        # a ladder asked for fewer levels than it holds returns their prefix
+        assert ladder(powers, 0, held=held) == held[:1]
+        powers = PowerLadder(single_vertex())
+        held = ladder(powers, 63)
+        roots.clear()
+        assert [v.m for v in ladder(powers, 64, held=held)] == list(range(65))
+        assert roots == [64]
 
     def test_node_pool_shared_across_levels(self, pentagon):
         with pytest.raises(BudgetError) as exc:

@@ -1,6 +1,7 @@
 """Command-line surface: golden reports, schema conformance, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import zecap.alpha
 import zecap.cli
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
 from zecap.decide import LOCATE_MAX_RESOLUTION, SQUEEZE_MAX_EXPONENT
@@ -514,14 +516,23 @@ class TestExitCodes:
         code, report = run(["squeeze", "--graph", "C5", "--K", str(SQUEEZE_MAX_EXPONENT)])
         assert code == 0 and report["results"]["status"] == "Value"
 
-    def test_one_vertex_ladder_is_fast(self, pentagon_csv_file):
+    def test_one_vertex_ladder_is_fast(self, monkeypatch, pentagon_csv_file):
         # every level of K1 has alpha 1, whose 2^32-th root once took a
         # 2^32-bit Newton step; the deepest level asked for is 64, checked
-        # before any level is solved (each bracket step reads the ladder
-        # from level 0, so the depth costs its cube)
+        # before any level is solved, and each bracket step extends the
+        # ladder by its one new level (read from level 0 at every step, the
+        # 65 levels took 2,145 roots)
+        root_pow2, roots = zecap.alpha.creal.root_pow2, []
+
+        def counted(size, m):
+            roots.append(m)
+            return root_pow2(size, m)
+
+        monkeypatch.setattr(zecap.alpha.creal, "root_pow2", counted)
         start = time.perf_counter()
         code, report = run(["bounds", "--graph", "K1", "--m", "64"])
         assert time.perf_counter() - start < 1
+        assert roots == list(range(65))
         assert code == 0 and report["results"]["lower"] == report["results"]["upper"] == "1/1"
         for argv in (["bounds", "--graph", "K1"], ["ladder", "--graph", "K1"],
                      ["capacity", "--channel", pentagon_csv_file]):
@@ -744,6 +755,39 @@ print(json.dumps(loaded))
     def test_edgeless_graph_answers(self):
         code, report = run(["alpha", "--graph", "E20000"])
         assert code == 0 and report["results"]["alpha"] == 20_000
+
+
+class TestExitWithoutHeapWalk:
+    """A zecap process answers one command, so it freezes its heap at exit
+    and the interpreter's shutdown collections find nothing to walk."""
+
+    def test_heap_is_frozen_at_exit(self):
+        # a fresh interpreter; its probe, registered before zecap.cli is
+        # imported, runs after zecap's own exit handler
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = """
+import atexit, gc, json, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+import zecap.cli
+exit_code, report = zecap.cli.run(["alpha", "--graph", "C5^2"])
+print(json.dumps(report, indent=2, sort_keys=True))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed = json.loads(proc.stdout)
+        _, report = run(["alpha", "--graph", "C5^2"])
+        assert {**printed, "wall_time_s": 0} == {**report, "wall_time_s": 0}
+        frozen = proc.stderr.split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 0, proc.stderr
+
+    def test_run_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count()
+        code, report = run(["alpha", "--graph", "C5^2"])
+        assert code == 0 and report["results"]["alpha"] == 5
+        assert gc.get_freeze_count() == before
 
 
 class TestInputEcho:
