@@ -476,27 +476,24 @@ class PowerLadder:
     def _climb(self, node_budget: int | None) -> None:
         self._level += 1
         k, g = self._level, self.graph
-        if k > 0:
-            try:
-                require_fits("strong product", g.n ** (1 << k), self._cap)
-            except BudgetError as e:
-                self.stops[k] = e
-                return
-            cover = once(g.values, (g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
-            if self.alpha.get(k - 1) == cover ** (1 << (k - 1)):
-                self._power = None  # closed
-            if self._power is not None:
-                side = self._power.n
-                self._power = strong_product(self._power, self._power, self._cap)
-                self._best = [u * side + v for u in self._best for v in self._best]
-        if self._power is None:
-            self.alpha[k], self.nodes[k] = cover ** (1 << k), 0  # closed only past level 0
-            return
         try:
+            if k > 0:
+                require_fits("strong product", g.n ** (1 << k), self._cap)
+                cover = once(g.values, (g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
+                if self.alpha.get(k - 1) == cover ** (1 << (k - 1)):
+                    self._power = None  # closed
+                if self._power is not None:
+                    side = self._power.n
+                    self._power = strong_product(self._power, self._power, self._cap)
+                    self._best = [u * side + v for u in self._best for v in self._best]
+            if self._power is None:
+                self.alpha[k], self.nodes[k] = cover ** (1 << k), 0  # closed only past level 0
+                return
             witness, self.nodes[k] = solve_alpha(self._power, node_budget, initial=self._best)
-        except BudgetError as e:
-            self.stops[k], self.nodes[k] = e, e.used
-            self._best = e.partial.vertices
+        except BudgetError as e:  # only a node-budget stop has a partial set and nodes
+            self.stops[k] = e
+            if e.partial is not None:
+                self.nodes[k], self._best = e.used, e.partial.vertices
             return
         self.alpha[k], self._best = witness.size, witness.vertices
 
@@ -525,7 +522,7 @@ def ladder(powers: PowerLadder, m_max: int, node_budget: int | None = None,
             size = powers.solve(m, pool)
             if size is None:
                 e = powers.stops[m]
-                where = "before" if e.reason == "vertex budget" else "at"
+                where = "at" if e.partial is not None else "before"  # only a search leaves one
                 raise BudgetError(
                     f"ladder stopped {where} level {m}: {e}",
                     partial=values,

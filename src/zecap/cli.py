@@ -65,13 +65,15 @@ from .graphs import (
     INDEX_MAX_VERTICES,
     Graph,
     complement,
+    complete_graph,
+    cycle_graph,
     decode,
     disjoint_union,
+    edgeless_graph,
     encode,
     graph_from_bitstring,
     graph_from_edgetext,
     graph_to_bitstring,
-    recipe_graph,
     require_fits,
     strong_power,
     strong_product,
@@ -111,9 +113,7 @@ def _tokenize(text: str) -> list[str]:
     while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise InputError(
-                f"bad graph expression near {text[pos:pos + 8]!r} (position {pos})"
-            )
+            raise InputError(f"bad graph expression near {text[pos:pos + 8]!r} (position {pos})")
         tokens.append(m.group(1))
         pos = m.end()
     if not tokens:
@@ -125,17 +125,13 @@ _NAME_RE = re.compile(r"([CKE])(\d+)$")
 
 
 def _named_graph(token: str) -> Graph:
-    if token == "S":
-        return recipe_graph(("E", 1))
-    m = _NAME_RE.match(token)
+    m = _NAME_RE.match("E1" if token == "S" else token)
     if m:
         kind, size = m.group(1), parse_integer(m.group(2), "graph size")
         if size >= (3 if kind == "C" else 1):
-            require_fits("graph", size, vertex_budget())  # before any mask is built
-            return recipe_graph((kind, size))
-    raise InputError(
-        f"unknown graph name {token!r} (use S, C3.., K1.., E1.., or an index)"
-    )
+            require_fits("graph", size, vertex_budget())
+            return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](size)
+    raise InputError(f"unknown graph name {token!r} (use S, C3.., K1.., E1.., or an index)")
 
 
 class _ExpressionParser:
@@ -353,11 +349,9 @@ def _write_bounds_csv(path: str, report: BoundsReport) -> None:
 
 def _graph_input(inputs: dict, source: str = "expression", key: str = "graph") -> Graph:
     g = parse_graph(inputs[source])
-    # above 64 vertices the echo is a summary: the expression under ``source``
-    # already determines the graph, and its edge list can run to megabytes
-    inputs[key] = (
-        graph_json(g) if g.n <= 64 else {"vertices": g.n, "edge_count": g.edge_count()}
-    )
+    # above 64 vertices the echo is a summary read off the recipe, with no masks
+    # built: the expression under ``source`` already determines the graph
+    inputs[key] = graph_json(g) if g.n <= 64 else {"vertices": g.n, "edge_count": g.edge_count()}
     return g
 
 

@@ -280,9 +280,7 @@ def locate_grid(
     if not 0 <= resolution <= LOCATE_MAX_RESOLUTION:
         raise InputError(f"resolution must be in 0..{LOCATE_MAX_RESOLUTION}, got {resolution}")
     if (1 << resolution) < g.n:
-        raise InputError(
-            f"resolution 2^{resolution} cannot cover a graph on {g.n} vertices"
-        )
+        raise InputError(f"resolution 2^{resolution} cannot cover a graph on {g.n} vertices")
     report = sandwich(g, 1, tol, node_budget=node_budget)
     lower, upper = report.lower, report.capped_upper()
     last = (1 << (2 * resolution)) - 1

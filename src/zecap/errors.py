@@ -14,9 +14,9 @@ class BudgetError(ZecapError):
 
     Carries whatever partial result was available when the budget died,
     so callers never have to re-derive work that was already done, and
-    ``used``, the amount spent or needed where known: nodes searched,
-    cliques listed, or the vertices a size stop needed.  Vertex-budget stops come from
-    ``graphs.require_fits``, except those of ``strong_power`` and
+    ``used``, the amount spent or needed where known: nodes searched, cliques
+    listed, or the vertices or adjacency bytes a size stop needed.  Size stops come
+    from ``graphs.require_fits``, except those of ``strong_power`` and
     ``preorder.test_F``, whose n^k vertices may be too many to compute.
     """
 

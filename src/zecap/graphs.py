@@ -1,8 +1,8 @@
 """Labeled simple graphs: integer numbering, semiring operations, isomorphism.
 
 Graphs are labeled (vertex names matter, no canonicalization) and live on
-vertices 0..n-1.  Adjacency is kept as one Python-int bitmask per vertex,
-which makes the set algebra used by the solvers cheap.
+vertices 0..n-1.  Adjacency is one Python-int bitmask per vertex, built
+from the graph's recipe at first read; it makes the solvers' set algebra cheap.
 
 The numbering maps every finite labeled graph to a distinct nonnegative
 integer: all graphs on fewer vertices come first, and within a fixed vertex
@@ -42,46 +42,51 @@ def vertex_budget(override: int | None = None) -> int:
 
 
 class Graph:
-    """Immutable simple graph with bitmask adjacency.
+    """Immutable simple graph: a recipe, its vertex count n, and the bitmask
+    adjacency ``masks``, built from the recipe (``build_masks``) at first read.
 
-    ``masks[v]`` has bit ``u`` set iff ``{u, v}`` is an edge.  Constructors
-    are expected to hand in symmetric, loop-free masks; the cheap invariants
-    are checked here, symmetry is the builder's job (see ``from_edges``).
-
-    ``recipe`` records how the graph was built, as an expression over the
+    ``masks[v]`` has bit ``u`` set iff ``{u, v}`` is an edge.  ``Graph(n,
+    masks)`` is a literal, the recipe leaf ``("G", masks)``; its cheap
+    invariants are checked here, symmetry is its maker's (``from_edges``).
+    ``Graph(n, recipe=d)`` is the graph of recipe d, an expression over the
     labelled constructions (see "stabilizer orbit labels" below): cycles,
-    complete and edgeless graphs, literal graphs, their strong products and
-    disjoint unions, and the complement of any of these (the complement of
-    a complement records its operand's recipe).  A graph built without
-    one, say from an index, a bit string or an edge list, is the literal
-    leaf ``("G", masks)``.  A recipe does not by itself make the graph
-    vertex-transitive: one with no union and no literal inside
+    complete and edgeless graphs, literals, their strong products and
+    disjoint unions, and complements.  Edge counts, theta and the clique
+    cover number are read off the recipe.  A recipe does not by itself make
+    the graph vertex-transitive: one with no union and no literal inside
     (``transitive``) is, and for it ``orbit_labels`` labels the vertices
-    relative to a root so that vertices with equal labels lie in one orbit
-    of the root's stabilizer in the automorphism group.  Labels may split
-    an orbit, which only costs the alpha solver speed; they never merge
-    two.  Every other graph is searched in full.  ``values`` holds what one
-    call finds, by recipe node (``once``), for theta, the clique cover and
-    the ladder, never the graph itself.  Equality and hashing ignore both.
+    relative to a root so that vertices with equal labels lie in one orbit of
+    the root's stabilizer in the automorphism group.  Labels may split an
+    orbit, which only costs the alpha solver speed; they never merge two.
+    Every other graph is searched in full.  ``values`` holds what one call
+    finds, by recipe node (``once``), for theta, the clique cover and the
+    ladder, never the graph itself.  Equality and hashing ignore both and
+    build the masks.
     """
 
     __slots__ = ("n", "masks", "recipe", "values")
 
-    def __init__(self, n: int, masks: tuple[int, ...], recipe=None):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
-        if len(masks) != n:
-            raise InputError("adjacency mask count must equal vertex count")
-        for v, m in enumerate(masks):
-            if m < 0 or m >> n:
-                raise InputError(f"vertex {v} mask references vertices outside 0..{n - 1}")
-            if m >> v & 1:
-                raise InputError(f"vertex {v} has a loop")
-        self.n = n
-        self.masks = tuple(masks)
-        # the leaf holds the masks, not the graph, so no reference cycle forms
-        self.recipe = ("G", self.masks) if recipe is None else recipe
-        self.values: dict = {}
+    def __init__(self, n: int, masks: tuple[int, ...] | None = None, recipe=None):
+        if masks is not None:
+            if n < 0:
+                raise InputError("vertex count must be nonnegative")
+            if len(masks) != n:
+                raise InputError("adjacency mask count must equal vertex count")
+            for v, m in enumerate(masks):
+                if m < 0 or m >> n:
+                    raise InputError(f"vertex {v} mask references vertices outside 0..{n - 1}")
+                if m >> v & 1:
+                    raise InputError(f"vertex {v} has a loop")
+            self.masks = tuple(masks)
+            # the leaf holds the masks, not the graph, so no reference cycle forms
+            recipe = ("G", self.masks)
+        self.n, self.recipe, self.values = n, recipe, {}
+
+    def __getattr__(self, name):  # an unset slot: build the masks once, then read them plainly
+        if name != "masks":
+            raise AttributeError(name)
+        self.masks = build_masks(self.recipe)
+        return self.masks
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -107,7 +112,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return recipe_edges(self.recipe)
 
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
@@ -116,9 +121,7 @@ class Graph:
         return bool(self.masks[u] >> v & 1)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.masks == other.masks
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
         return hash((self.n, self.masks))
@@ -177,20 +180,18 @@ def decode(index: int) -> Graph:
 
 
 def edgeless_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n, ("E", n))
+    return Graph(n, recipe=("E", n))
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), ("K", n))
+    return Graph(n, recipe=("K", n))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on 0..n-1 with edges {v, v+1 mod n}; degenerates for n <= 2."""
     if n < 1:
         raise InputError("cycle needs at least one vertex")
-    masks = tuple((1 << (v + 1) % n | 1 << (v - 1) % n) & ~(1 << v) for v in range(n))
-    return Graph(n, masks, ("C", n))
+    return Graph(n, recipe=("C", n))
 
 
 def single_vertex() -> Graph:
@@ -198,15 +199,12 @@ def single_vertex() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# semiring operations
+# semiring operations: each composes recipes and builds no masks
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    masks = tuple(full ^ (1 << v) ^ g.masks[v] for v in range(g.n))
-    # same automorphisms and labels as g's; the complement of a complement
-    # is the operand again
-    return Graph(g.n, masks, co_recipe(g.recipe))
+    """Same automorphisms and labels as g; the complement of a complement is g again."""
+    return Graph(g.n, recipe=co_recipe(g.recipe))
 
 
 def co_recipe(d) -> tuple:
@@ -215,37 +213,15 @@ def co_recipe(d) -> tuple:
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
-    """Graph sum: each graph's vertices are shifted above those before it.
-
-    Built in one pass, so a sum of k terms costs linear time, not k passes."""
-    masks: list[int] = []
-    for g in graphs:
-        shift = len(masks)
-        masks.extend(m << shift for m in g.masks)
+    """Graph sum: each graph's vertices are shifted above those before it."""
     terms = itertools.chain.from_iterable(_operands("+", g.recipe) for g in graphs)
-    return Graph(len(masks), tuple(masks), ("+", tuple(terms)))
+    return Graph(sum(g.n for g in graphs), recipe=("+", tuple(terms)))
 
 
 def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph:
     """Strong graph product; vertex (a, b) gets index a * h.n + b."""
     require_fits("strong product", g.n * h.n, vertex_budget(max_vertices))
-    nh = h.n
-    closed_h = [h.masks[b] | (1 << b) for b in range(nh)]
-    masks = []
-    for a in range(g.n):
-        # every closed g-neighbor a' contributes a block at bit offset a'*nh
-        pattern = 1 << (a * nh)
-        m = g.masks[a]
-        while m:
-            lsb = m & -m
-            pattern |= 1 << ((lsb.bit_length() - 1) * nh)
-            m ^= lsb
-        for b in range(nh):
-            row = pattern * closed_h[b]
-            row ^= 1 << (a * nh + b)  # drop the vertex itself
-            masks.append(row)
-    recipe = ("x", _operands("x", g.recipe) + _operands("x", h.recipe))
-    return Graph(g.n * nh, tuple(masks), recipe)
+    return Graph(g.n * h.n, recipe=("x", _operands("x", g.recipe) + _operands("x", h.recipe)))
 
 
 def once(values: dict, key, find):
@@ -253,15 +229,13 @@ def once(values: dict, key, find):
     return values[key] if key in values else values.setdefault(key, find())
 
 
-def require_fits(what: str, vertices: int, cap: int) -> None:
-    """The one vertex-budget stop, when what needs more vertices than cap;
-    its ``used`` is the count needed."""
-    if vertices > cap:
-        raise BudgetError(
-            f"{what} needs {vertices} vertices, budget is {cap}",
-            used=vertices,
-            reason="vertex budget",
-        )
+def require_fits(what: str, needed: int, cap: int, unit: str = "vertices",
+                 reason: str = "vertex budget") -> None:
+    """The one size stop, when what needs more than cap (vertices, or the
+    bytes of an adjacency); its ``used`` is the amount needed."""
+    if needed > cap:
+        raise BudgetError(f"{what} needs {needed} {unit}, budget is {cap}", used=needed,
+                          reason=reason)
 
 
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
@@ -270,37 +244,18 @@ def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
         raise InputError("strong power exponent must be >= 1")
     cap = vertex_budget(max_vertices)
     if not power_fits(g.n, n, cap):
-        raise BudgetError(
-            f"strong power needs {g.n}^{n} vertices, budget is {cap}",
-            reason="vertex budget",
-        )
-    if g.n <= 1:
-        return g  # powers of the empty graph / a single vertex are themselves
-    result = None
-    base = g
-    e = n
-    while e:
-        if e & 1:
-            result = base if result is None else strong_product(result, base, cap)
-        e >>= 1
-        if e:
-            base = strong_product(base, base, cap)
-    return result
+        raise BudgetError(f"strong power needs {g.n}^{n} vertices, budget is {cap}",
+                          reason="vertex budget")
+    if n == 1 or g.n <= 1:
+        return g  # g^1 is g, as is every power of the empty graph or a single vertex
+    return Graph(g.n ** n, recipe=("x", _operands("x", g.recipe) * n))
 
 
 def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
-    """Whether an n_vertices^exponent strong power stays within cap.
-
-    The cap is resolved through ``vertex_budget``, so a cap below 1 is an
-    ``InputError``.
-    """
+    """Whether an n_vertices^exponent strong power stays within cap, resolved through
+    ``vertex_budget``; a huge exponent fails 2^exponent <= cap before it is raised to."""
     cap = vertex_budget(cap)
-    if n_vertices <= 1:
-        return True
-    # n^exponent >= 2^exponent; that test first keeps a huge exponent out of the floats
-    if exponent > cap.bit_length() or exponent * math.log2(n_vertices) > math.log2(cap) + 1e-12:
-        return False
-    return n_vertices ** exponent <= cap
+    return n_vertices <= 1 or exponent <= cap.bit_length() and n_vertices ** exponent <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +270,7 @@ def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
 #                                 over the coordinates, the last one fastest
 #   ("+", (d1, ..., dk))          disjoint union; d1's vertices come first
 # Products and unions are flat: neither lists an operand of its own kind.
-# Equal expressions build equal graphs (``recipe_graph``).  A recipe with
+# Equal expressions build equal graphs (``build_masks``).  A recipe with
 # no union and no literal inside is vertex-transitive, and each of its
 # constructions' labels is kept by a vertex-transitive group of
 # automorphisms acting on root and vertex together, which is what lets a
@@ -335,27 +290,89 @@ def _operands(kind: str, d) -> tuple:
 def recipe_vertices(d) -> int:
     """The vertex count of the graph with recipe d."""
     kind, arg = d
-    if kind == "x":
-        return math.prod(recipe_vertices(c) for c in arg)
-    if kind == "+":
-        return sum(recipe_vertices(c) for c in arg)
+    if kind in ("x", "+"):
+        return (math.prod if kind == "x" else sum)(map(recipe_vertices, arg))
     if kind == "G":
         return len(arg)
     return recipe_vertices(arg) if kind == "co" else arg
 
 
+def recipe_edges(d) -> int:
+    """The edge count of the graph with recipe d, read off d with no masks built."""
+    kind, arg = d
+    n = recipe_vertices(d)
+    if kind == "x":  # the ordered pairs adjacent or equal multiply over the factors
+        return (math.prod(2 * recipe_edges(c) + recipe_vertices(c) for c in arg) - n) // 2
+    if kind == "+":
+        return sum(map(recipe_edges, arg))
+    if kind == "G":
+        return sum(m.bit_count() for m in arg) // 2
+    if kind == "co":
+        return n * (n - 1) // 2 - recipe_edges(arg)
+    return {"K": n * (n - 1) // 2, "E": 0, "C": n if n > 2 else n - 1}[kind]
+
+
 def recipe_graph(d) -> Graph:
-    """The graph with recipe d, built by the constructions d names."""
+    """The graph with recipe d; its masks are built when first read."""
+    return Graph(recipe_vertices(d), recipe=d)
+
+
+# n * ceil(n / 8) bytes of masks: 2^15 vertices, so C5^6 and E20000 build, C5^7 does not
+ADJACENCY_MAX_BYTES = 1 << 27
+
+
+def build_masks(d) -> tuple[int, ...]:
+    """The adjacency masks of the graph with recipe d, the one builder: their
+    n * ceil(n / 8) bytes are checked against ADJACENCY_MAX_BYTES first.  A
+    product is its repeated block's power by squaring, or squares its runs of equal factors."""
     kind, arg = d
     if kind == "G":
-        return Graph(len(arg), arg)
+        return arg
+    n = recipe_vertices(d)
+    require_fits(f"adjacency of {n} vertices", n * -(-n // 8), ADJACENCY_MAX_BYTES, "bytes",
+                 "adjacency byte limit")
+    full = (1 << n) - 1
     if kind == "co":
-        return complement(recipe_graph(arg))
+        return tuple(full ^ 1 << v ^ m for v, m in enumerate(build_masks(arg)))
     if kind == "+":
-        return disjoint_union(*map(recipe_graph, arg))
-    if kind == "x":
-        return functools.reduce(strong_product, map(recipe_graph, arg))
-    return {"C": cycle_graph, "K": complete_graph, "E": edgeless_graph}[kind](arg)
+        terms = [build_masks(term) for term in arg]
+        shifts = itertools.accumulate(map(len, terms), initial=0)
+        return tuple(m << shift for term, shift in zip(terms, shifts) for m in term)
+    if kind == "x" and n:  # (an empty factor leaves (), the other factors unbuilt)
+        k = next(k for k in range(1, len(arg) + 1)  # the shortest block arg repeats
+                 if len(arg) % k == 0 and arg == arg[:k] * (len(arg) // k))
+        if k < len(arg):
+            return _power(build_masks(("x", arg[:k])), len(arg) // k)
+        runs = (_power(build_masks(c), len(list(run))) for c, run in itertools.groupby(arg))
+        return functools.reduce(_product, runs)
+    if kind == "C":
+        return tuple((1 << (v + 1) % n | 1 << (v - 1) % n) & ~(1 << v) for v in range(n))
+    return tuple(full ^ 1 << v for v in range(n)) if kind == "K" else (0,) * n
+
+
+def _power(masks: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The e-th strong power's masks (e >= 1) by squaring; an odd e's extra factor goes first."""
+    if e == 1:
+        return masks
+    half = _power(masks, e // 2)
+    square = _product(half, half)
+    return _product(masks, square) if e % 2 else square
+
+
+def _product(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of the strong product; vertex (a, b) gets index a * len(h) + b."""
+    nh = len(h)
+    closed_h = [m | 1 << b for b, m in enumerate(h)]
+    masks = []
+    for a, m in enumerate(g):
+        # every closed g-neighbor a' contributes a block at bit offset a'*nh
+        pattern = 1 << (a * nh)
+        while m:
+            lsb = m & -m
+            pattern |= 1 << ((lsb.bit_length() - 1) * nh)
+            m ^= lsb
+        masks.extend(pattern * c ^ 1 << (a * nh + b) for b, c in enumerate(closed_h))
+    return tuple(masks)
 
 
 def transitive(d) -> bool:

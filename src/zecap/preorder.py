@@ -136,11 +136,8 @@ def _hom_search(
             cand ^= lsb
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                raise BudgetError(
-                    "homomorphism search exceeded node budget",
-                    used=nodes,
-                    reason="node budget",
-                )
+                raise BudgetError("homomorphism search exceeded node budget", used=nodes,
+                                  reason="node budget")
             t = lsb.bit_length() - 1
             # an assigned vertex's domain is its image, which every later
             # neighbour's row contains, so the loop below passes it over

@@ -32,9 +32,9 @@ maximal cliques, on at most CHIF_MAX_VERTICES vertices, computed through the
 equal-value packing dual: a float simplex proposes an optimal basis, and its
 clique weights and fractional independent set are proved optimal by an
 integer duality check; the fraction-free Bland-rule simplex in integers runs
-only when that proof fails.  Each literal leaf's graph, greedy bounds and
-solver interval, and theta's leaf intervals, are kept by recipe node in the
-table the call's graph holds (``Graph.values``): each is found once per call.
+only when that proof fails.  Each literal leaf's greedy bounds and solver
+interval (the only reads of its masks) and theta's leaf intervals are kept by
+recipe node in the table the call's graph holds (``Graph.values``), once a call.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -90,9 +90,8 @@ def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
         if p == 0 and x == 0:
             out.append(r)
             if len(out) > cap:
-                raise BudgetError(
-                    f"more than {cap} maximal cliques", used=len(out), reason="clique budget"
-                )
+                raise BudgetError(f"more than {cap} maximal cliques", used=len(out),
+                                  reason="clique budget")
             return
         # pivot with most candidates knocked out
         pivot = -1
@@ -114,7 +113,6 @@ def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
             p ^= lsb
             x |= lsb
             cand ^= lsb
-        return
 
     if g.n == 0:
         return []
@@ -400,14 +398,13 @@ def _literal(d, what: str, cap: int, solve, values: dict) -> tuple[Fraction, Fra
     what naming the solver), checked before it is built.  Where
     alpha.greedy_bounds meets at k, an independent set and a partition into
     cliques of the same size k pin the point to k; otherwise solve(g) gives
-    it.  The graph, its greedy bounds and solve's interval are kept in
-    values under d, so each is found once per table."""
+    it.  The greedy bounds and solve's interval are kept in values under
+    d, so each is found once per table, each on its own build of the leaf."""
     require_fits(what, recipe_vertices(d), cap)
-    graph = functools.partial(once, values, (d, "graph"), functools.partial(recipe_graph, d))
-    k, cover = once(values, (d, "greedy"), lambda: greedy_bounds(graph()))
+    k, cover = once(values, (d, "greedy"), lambda: greedy_bounds(recipe_graph(d)))
     if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
         return Fraction(k), Fraction(k)
-    return once(values, (d, what), lambda: solve(graph()))
+    return once(values, (d, what), lambda: solve(recipe_graph(d)))
 
 
 def _theta_closed(d, p: int, values: dict) -> tuple[Fraction, Fraction]:

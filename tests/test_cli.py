@@ -18,6 +18,7 @@ import pytest
 
 import zecap.alpha
 import zecap.cli
+import zecap.graphs
 from zecap.cli import build_parser, graph_json, main, parse_graph, run
 from zecap.decide import LOCATE_MAX_RESOLUTION, SQUEEZE_MAX_EXPONENT
 from zecap.graphs import INDEX_MAX_VERTICES, complement
@@ -727,6 +728,7 @@ class TestNumpyAtFirstUse:
         code = """
 import json, sys
 import zecap.cli
+import zecap.graphs
 loaded = {"import": "numpy" in sys.modules}
 for argv in (
     ["alpha", "--graph", "C5^2"],
@@ -770,6 +772,7 @@ class TestExitWithoutHeapWalk:
 import atexit, gc, json, sys
 atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
 import zecap.cli
+import zecap.graphs
 exit_code, report = zecap.cli.run(["alpha", "--graph", "C5^2"])
 print(json.dumps(report, indent=2, sort_keys=True))
 """
@@ -840,6 +843,67 @@ class TestInputEcho:
         # theta and the clique cover stop at their vertex caps: exit 3
         code, report = run(["capacity", "--channel", str(path), "--m", "0"])
         assert code == 3 and report["results"]["graph"] == graph_json(g)
+
+
+class TestLazyAdjacency:
+    """A graph is its recipe: a command builds masks only where it reads
+    them, checks its sizes first, and stops at the adjacency byte limit,
+    never as ``internal``, where they would be too large."""
+
+    C5_8_BYTES = 5**8 * ((5**8 + 7) // 8)  # about 19 GB
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = zecap.graphs.build_masks
+
+        def counted(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(zecap.graphs, "build_masks", counted)
+        return calls
+
+    def test_size_checks_come_before_any_build(self, builds):
+        code, report = run(["encode", "C5^7"])
+        assert code == 2 and report["results"]["kind"] == "input"
+        assert builds == []
+        code, report = run(["preorder", "C5^7", "C5"])
+        assert code == 3 and report["results"]["used"] == 5**7
+        assert builds == [("C", 5)]  # the echo of the 5-vertex side, edge by edge
+
+    def test_closed_forms_answer_with_no_masks(self, builds):
+        for argv in (["theta-sdp", "--graph", "C5^8"], ["chif", "--graph", "C5^8"],
+                     ["theta-sdp", "--graph", "K1048576"]):
+            code, report = run(argv)
+            assert code == 0, report["results"]
+        # the echo's edge count is read off the recipe too
+        assert report["inputs"]["graph"] == {"vertices": 1 << 20, "edge_count": (1 << 39) - (1 << 19)}
+        assert builds == []
+
+    def test_c5_8_stops_at_the_byte_limit(self):
+        reports = {}
+        for argv in (["alpha", "--graph", "C5^8"], ["ladder", "--graph", "C5^8", "--m", "0"],
+                     ["bounds", "--graph", "C5^8", "--m", "0"],
+                     ["decide-gt", "--graph", "C5^8", "--lambda", "2"]):
+            code, report = run(argv)
+            assert code == 3 and report["results"].get("kind") != "internal", report["results"]
+            reports[argv[0]] = report["results"]
+        for name in ("alpha", "ladder"):
+            r = reports[name]
+            assert (r["reason"], r["used"], r["partial"]) == (
+                "adjacency byte limit", self.C5_8_BYTES, None)
+        assert reports["ladder"]["levels"] == []
+        bounds = reports["bounds"]
+        assert bounds["upper"] == bounds["theta"]["hi"]  # theta's closed form, 625
+        assert 624 < Fraction(bounds["upper"]) < 626
+        assert [e.split(":")[0] for e in bounds["errors"]] == ["ladder"]
+        assert "adjacency of 390625 vertices" in bounds["errors"][0]
+        decide = reports["decide-gt"]
+        assert decide["status"] == "BudgetExhausted"
+        assert decide["progress"]["0"] == {
+            "alpha": None, "last_precision": 0, "stalled": "adjacency byte limit", "nodes_used": 0,
+        }
 
 
 class TestExpressionParser:

@@ -1,5 +1,9 @@
 """Graph type, numbering, products, and serialization."""
 
+import hashlib
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from zecap import (
@@ -28,8 +32,10 @@ from zecap import (
 )
 from zecap.channel import confusability_graph
 from zecap.cli import parse_graph
+from zecap import graphs
 from zecap.graphs import (
-    orbit_labels, power_fits, recipe_graph, recipe_vertices, transitive, vertex_budget,
+    ADJACENCY_MAX_BYTES, orbit_labels, power_fits, recipe_edges, recipe_graph, recipe_vertices,
+    transitive, vertex_budget,
 )
 
 from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
@@ -332,6 +338,139 @@ class TestRecipeGraph:
             assert twice == g and twice.recipe == g.recipe
             assert recipe_graph(co.recipe) == co
         assert parse_graph("~~(5:1001100101+C5)").recipe == parse_graph("5:1001100101+C5").recipe
+
+
+def counting(monkeypatch, name: str) -> list:
+    """The argument tuples of every call to zecap.graphs.<name> from now on,
+    the builder's calls to itself included."""
+    calls = []
+    real = getattr(graphs, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
+# SHA-256 of C5^6's masks, each in 1,954 little-endian bytes, recorded from the
+# earlier strong_power, which built them itself by repeated squaring
+C5_POWER_6_DIGEST = "ec08f697ad975882a03c8f83cd64a849c93ca6944c5e854443a18da9a362f87e"
+
+
+def _defined_product(factors: list[Graph]) -> tuple[int, ...]:
+    """The strong product's masks straight from its definition, vertex index
+    mixed radix over the factors, the last one fastest."""
+    tuples = list(itertools.product(*(range(f.n) for f in factors)))
+    close = [lambda a, b, f=f: a == b or f.has_edge(a, b) for f in factors]
+    return tuple(
+        sum(1 << j for j, t in enumerate(tuples)
+            if t != s and all(c(x, y) for c, x, y in zip(close, s, t)))
+        for s in tuples
+    )
+
+
+class TestOneBuilder:
+    """Constructors compose recipes; one builder makes the masks, the first
+    time something reads them, after checking the bytes they take."""
+
+    def test_constructors_build_nothing(self, monkeypatch):
+        builds = counting(monkeypatch, "build_masks")
+        c5 = cycle_graph(5)
+        g = complement(disjoint_union(strong_power(c5, 8), strong_product(c5, complete_graph(3))))
+        assert g.n == 5**8 + 15 and builds == []
+        # read off the recipe: C5^8 has (3^8 * 5^8 - 5^8) / 2 edges, C5 x K3 60
+        pairs = g.n * (g.n - 1) // 2
+        assert g.edge_count() == pairs - (3**8 - 1) * 5**8 // 2 - 60 and builds == []
+
+    def test_masks_are_built_once_at_first_read(self, monkeypatch):
+        builds = counting(monkeypatch, "build_masks")
+        g = strong_product(cycle_graph(5), cycle_graph(4))
+        assert builds == []
+        first = g.masks
+        assert builds[0] == (g.recipe,) and len(builds) == 3  # the product and its two factors
+        assert g.masks is first and len(builds) == 3
+
+    def test_c5_power_six_is_reached_by_squaring(self, monkeypatch):
+        # C5^2, C5^3 = C5 x C5^2 and C5^6 = C5^3 x C5^3: 3 products, where a
+        # left fold over the six factors takes 5
+        products = counting(monkeypatch, "_product")
+        masks = graphs.build_masks(strong_power(cycle_graph(5), 6).recipe)
+        width = (5**6 + 7) // 8
+        digest = hashlib.sha256(b"".join(m.to_bytes(width, "little") for m in masks)).hexdigest()
+        assert digest == C5_POWER_6_DIGEST and len(products) == 3
+
+    def test_products_with_runs_match_the_definition(self, rng):
+        # runs of equal factors are squared, the runs multiplied in order
+        lit = random_graph(rng, 3)
+        c4, k2 = cycle_graph(4), complete_graph(2)
+        for factors in ([lit, lit, c4, lit], [k2, k2, k2, lit, lit], [c4, c4, c4]):
+            g = factors[0]
+            for f in factors[1:]:
+                g = strong_product(g, f)
+            assert g.masks == _defined_product(factors)
+
+    def test_recipe_edge_count_matches_the_masks(self, rng):
+        # K, E and C leaves, literals (empty ones too), co, + and x, up to
+        # 625 vertices
+        def draw(depth: int) -> Graph:
+            if depth == 0 or rng.random() < 0.3:
+                pick = rng.randrange(4)
+                if pick == 3:
+                    return random_graph(rng, rng.randint(0, 5), rng.choice((0.3, 0.7)))
+                return (complete_graph, edgeless_graph, cycle_graph)[pick](rng.randint(1, 5))
+            a, b = draw(depth - 1), draw(depth - 1)
+            return rng.choice((complement(a), disjoint_union(a, b), strong_product(a, b)))
+
+        kinds = set()
+        for _ in range(300):
+            g = draw(2)
+            kinds.add(g.recipe[0])
+            assert recipe_edges(g.recipe) == sum(m.bit_count() for m in g.masks) // 2, g.recipe
+        assert kinds == {"K", "E", "C", "G", "co", "+", "x"}
+
+    def test_byte_stop_comes_before_any_product(self, monkeypatch):
+        products = counting(monkeypatch, "_product")
+        g = strong_power(cycle_graph(5), 7)
+        with pytest.raises(BudgetError) as exc:
+            g.masks
+        need = 5**7 * ((5**7 + 7) // 8)  # 763 MB
+        e = exc.value
+        assert (e.reason, e.used, e.partial) == ("adjacency byte limit", need, None)
+        assert str(e) == (
+            f"adjacency of {5**7} vertices needs {need} bytes, budget is {ADJACENCY_MAX_BYTES}"
+        )
+        assert products == []
+        # the largest graphs it lets through: C5^6 and E20000
+        assert max(5**6 * ((5**6 + 7) // 8), 20000 * 2500) <= ADJACENCY_MAX_BYTES
+
+    def test_a_literal_is_never_built(self, monkeypatch):
+        builds = counting(monkeypatch, "build_masks")
+        g = graph_from_edgetext("40000;")  # past the byte limit, yet given as masks
+        assert g.masks == (0,) * 40000 and builds == []
+
+    @pytest.mark.parametrize("text", ["C5^8", "~(C5^8)", "(S+C5)^6", "K1048576", "~E1048576"])
+    def test_theta_and_the_clique_cover_build_no_masks(self, monkeypatch, text):
+        builds = counting(monkeypatch, "build_masks")
+        g = parse_graph(text)
+        assert lovasz_theta(g, Fraction(1, 10**4)).hi > 0
+        try:
+            assert fractional_clique_cover(g).hi > 0
+        except BudgetError as e:
+            # a complement of a product has no closed chi_f-bar, and C5^8 is
+            # past the LP's cap: the stop comes before any build
+            assert text == "~(C5^8)" and e.reason == "vertex budget"
+        assert builds == []
+
+    def test_a_ladder_level_past_the_byte_limit_counts_no_nodes(self):
+        # level 1 fits this vertex cap, but its greedy bounds read level 0's
+        # masks, which are past the byte limit too: both levels stop, with
+        # no partial set and no nodes
+        powers = PowerLadder(strong_power(cycle_graph(5), 8), 10**12)
+        assert powers.solve(1) is None
+        assert [powers.stops[k].reason for k in (0, 1)] == ["adjacency byte limit"] * 2
+        assert powers.nodes == {} and powers.alpha == {}
 
 
 def labelled_cases() -> list[Graph]:
