@@ -431,7 +431,7 @@ class PowerLadder:
     from the square of the best set found there (a partial set when that
     level stopped at its node budget).  When level 1 fits the vertex
     budget, c is read as the upper end of ``greedy_bounds``, a partition of
-    g into c cliques, before any power is built, and kept in g's table: it
+    g into c cliques, before any power is built, and kept by the ladder: it
     costs less than the n^2-vertex level it may close, but can cost far
     more than level 0's search.  Before each climb to a level k >= 1, the
     ladder is closed once level k - 1 meets c^(2^(k-1)): every later level
@@ -454,6 +454,7 @@ class PowerLadder:
         self._level = -1  # the last level reached
         self._power: Graph | None = g  # its power; None once the ladder is closed
         self._best: list[int] | None = None  # its best set, squared into the next warm start
+        self._cover: int | None = None  # c, read when level 1 is climbed
 
     def top(self, most: int) -> int:
         """The highest level up to most and LADDER_MAX_LEVEL whose power fits
@@ -478,16 +479,20 @@ class PowerLadder:
         k, g = self._level, self.graph
         try:
             if k > 0:
+                if k > 1 and not power_fits(g.n, 1 << (k - 1), self._cap):  # n^(2^k) > cap^2
+                    raise BudgetError(f"strong product needs {g.n}^{1 << k} vertices, budget is "
+                                      f"{self._cap}", reason="vertex budget")
                 require_fits("strong product", g.n ** (1 << k), self._cap)
-                cover = once(g.values, (g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
-                if self.alpha.get(k - 1) == cover ** (1 << (k - 1)):
+                if self._cover is None:
+                    self._cover = once((g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
+                if self.alpha.get(k - 1) == self._cover ** (1 << (k - 1)):
                     self._power = None  # closed
                 if self._power is not None:
                     side = self._power.n
                     self._power = strong_product(self._power, self._power, self._cap)
                     self._best = [u * side + v for u in self._best for v in self._best]
             if self._power is None:
-                self.alpha[k], self.nodes[k] = cover ** (1 << k), 0  # closed only past level 0
+                self.alpha[k], self.nodes[k] = self._cover ** (1 << k), 0  # closed only past level 0
                 return
             witness, self.nodes[k] = solve_alpha(self._power, node_budget, initial=self._best)
         except BudgetError as e:  # only a node-budget stop has a partial set and nodes

@@ -330,7 +330,7 @@ def squeeze_capacity(
     misses still yields the certified interval), then ladder levels 1, 2,
     ... while their powers fit and none has stopped, read to 2^-(k_bits+4).
     The bracket's one ``PowerLadder`` solves each level at most once, and
-    g's table each literal leaf.  The upper end starts at the vertex count,
+    the call's table each literal leaf.  The upper end starts at the vertex count,
     and the interval is monotone in the budget: more rounds only shrink it.
     """
     if k_bits < 0:

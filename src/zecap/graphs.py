@@ -12,33 +12,21 @@ read as a binary numeral, most significant bit first.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
-import os
 
 from .errors import BudgetError, InputError
 
 DEFAULT_MAX_VERTICES = 1 << 20
-ENV_MAX_VERTICES = "ZW_MAX_VERTICES"
 
 
 def vertex_budget(override: int | None = None) -> int:
     """Effective cap on vertex counts for product/power construction."""
-    if override is not None:
-        if override < 1:
-            raise InputError("vertex budget must be positive")
-        return override
-    raw = os.environ.get(ENV_MAX_VERTICES)
-    if raw is None:
-        return DEFAULT_MAX_VERTICES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_MAX_VERTICES} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"{ENV_MAX_VERTICES} must be positive")
-    return value
+    if override is not None and override < 1:
+        raise InputError("vertex budget must be positive")
+    return DEFAULT_MAX_VERTICES if override is None else override
 
 
 class Graph:
@@ -58,13 +46,11 @@ class Graph:
     relative to a root so that vertices with equal labels lie in one orbit of
     the root's stabilizer in the automorphism group.  Labels may split an
     orbit, which only costs the alpha solver speed; they never merge two.
-    Every other graph is searched in full.  ``values`` holds what one call
-    finds, by recipe node (``once``), for theta, the clique cover and the
-    ladder, never the graph itself.  Equality and hashing ignore both and
-    build the masks.
+    Every other graph is searched in full.  Equality and hashing ignore the
+    recipe and build the masks.
     """
 
-    __slots__ = ("n", "masks", "recipe", "values")
+    __slots__ = ("n", "masks", "recipe")
 
     def __init__(self, n: int, masks: tuple[int, ...] | None = None, recipe=None):
         if masks is not None:
@@ -80,7 +66,7 @@ class Graph:
             self.masks = tuple(masks)
             # the leaf holds the masks, not the graph, so no reference cycle forms
             recipe = ("G", self.masks)
-        self.n, self.recipe, self.values = n, recipe, {}
+        self.n, self.recipe = n, recipe
 
     def __getattr__(self, name):  # an unset slot: build the masks once, then read them plainly
         if name != "masks":
@@ -126,8 +112,9 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.masks))
 
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges()})"
+    def __repr__(self) -> str:  # builds no masks: a literal lists the edges of the masks it holds
+        shown = f"edges={self.edges()}" if self.recipe[0] == "G" else f"recipe={self.recipe!r}"
+        return f"Graph(n={self.n}, {shown})"
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +211,25 @@ def strong_product(g: Graph, h: Graph, max_vertices: int | None = None) -> Graph
     return Graph(g.n * h.n, recipe=("x", _operands("x", g.recipe) + _operands("x", h.recipe)))
 
 
-def once(values: dict, key, find):
-    """values[key], found by find() the first time it is asked for."""
+_CALL = contextvars.ContextVar("call")  # the running call's value table, unset outside one
+
+
+def one_call(f):
+    """f runs as one call, with a fresh value table for ``once`` unless one is open."""
+    @functools.wraps(f)
+    def call(*args, **kwargs):
+        token = _CALL.set(_CALL.get({}))  # the open call's table, else a fresh one
+        try:
+            return f(*args, **kwargs)
+        finally:
+            _CALL.reset(token)
+    return call
+
+
+def once(key, find):
+    """The running call's value under key (a recipe node, never a graph),
+    found by find() the first time the call asks for it."""
+    values = _CALL.get({})  # with no call open, a table dropped on return: find() runs
     return values[key] if key in values else values.setdefault(key, find())
 
 

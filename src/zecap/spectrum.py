@@ -34,7 +34,7 @@ clique weights and fractional independent set are proved optimal by an
 integer duality check; the fraction-free Bland-rule simplex in integers runs
 only when that proof fails.  Each literal leaf's greedy bounds and solver
 interval (the only reads of its masks) and theta's leaf intervals are kept by
-recipe node in the table the call's graph holds (``Graph.values``), once a call.
+recipe node in the running call's table (``graphs.once``), found once a call.
 
 ``BoundsReport`` is the capacity bracket: the independence ladder raises its
 lower end, and these two bounds lower its upper end.  Its one plan,
@@ -54,7 +54,7 @@ from . import creal
 from .alpha import LadderValue, PowerLadder, check_level, greedy_bounds, ladder as alpha_ladder
 from .errors import BudgetError, ConvergenceError, InputError
 from .exact import is_positive_definite, packing_optimum, simplex_max
-from .graphs import Graph, co_recipe, once, recipe_graph, recipe_vertices, require_fits
+from .graphs import Graph, co_recipe, once, one_call, recipe_graph, recipe_vertices, require_fits
 
 THETA_MAX_VERTICES = 64
 CHIF_MAX_VERTICES = 24
@@ -120,13 +120,14 @@ def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
     return out
 
 
+@one_call
 def fractional_clique_cover(g: Graph) -> UpperBound:
     """Exact fractional clique cover number.
 
     Value of  min sum x_C  s.t. every vertex is covered with weight >= 1,
     x >= 0, over maximal cliques.  It is folded over g's recipe
     (``_chif_leaf``), at any size; only a literal leaf, or a complement
-    with no closed form, goes to ``_literal``, once per g.values: the
+    with no closed form, goes to ``_literal``, once per call: the
     greedy sandwich, else the LP on that leaf's at most CHIF_MAX_VERTICES
     vertices (else BudgetError).  The LP is solved as the equal-value
     packing dual  max sum y_v  s.t. sum_{v in C} y_v <= 1 per maximal
@@ -135,7 +136,7 @@ def fractional_clique_cover(g: Graph) -> UpperBound:
     float-proposed basis: integer clique weights pi and vertex weights y
     over a common D, both feasible and of equal sum.  simplex_max runs only when that proof fails.
     """
-    lo, hi = _fold(g.recipe, functools.partial(_chif_leaf, values=g.values))
+    lo, hi = _fold(g.recipe, _chif_leaf)
     return UpperBound(KIND_CLIQUE_COVER, lo, hi, Fraction(0))
 
 
@@ -391,27 +392,27 @@ def _fold(d, leaf):
     return combine(lo for lo, _ in parts), combine(hi for _, hi in parts)
 
 
-def _literal(d, what: str, cap: int, solve, values: dict) -> tuple[Fraction, Fraction]:
+def _literal(d, what: str, cap: int, solve) -> tuple[Fraction, Fraction]:
     """A spectrum point's interval on the graph with recipe d, taken whole.
 
     The graph takes at most cap vertices (else ``require_fits``'s stop, with
     what naming the solver), checked before it is built.  Where
     alpha.greedy_bounds meets at k, an independent set and a partition into
     cliques of the same size k pin the point to k; otherwise solve(g) gives
-    it.  The greedy bounds and solve's interval are kept in values under
-    d, so each is found once per table, each on its own build of the leaf."""
+    it.  The greedy bounds and solve's interval are kept under d (``once``),
+    so each is found once per call, each on its own build of the leaf."""
     require_fits(what, recipe_vertices(d), cap)
-    k, cover = once(values, (d, "greedy"), lambda: greedy_bounds(recipe_graph(d)))
+    k, cover = once((d, "greedy"), lambda: greedy_bounds(recipe_graph(d)))
     if k == cover:  # the sandwich closes: alpha = theta = chi_f-bar = k
         return Fraction(k), Fraction(k)
-    return once(values, (d, what), lambda: solve(recipe_graph(d)))
+    return once((d, what), lambda: solve(recipe_graph(d)))
 
 
-def _theta_closed(d, p: int, values: dict) -> tuple[Fraction, Fraction]:
+def _theta_closed(d, p: int) -> tuple[Fraction, Fraction]:
     """theta's interval at p bits for recipe d, co over x read as a co-normal
-    product; each leaf's is kept in values under (leaf, p)."""
+    product; each leaf's is kept under (leaf, p) (``once``)."""
     def leaf(kind, arg):
-        return once(values, ((kind, arg), p), lambda: closed(kind, arg))
+        return once(((kind, arg), p), lambda: closed(kind, arg))
 
     def closed(kind, arg):
         if kind == "co" and arg[0] == "x":  # the product of the factors' complements
@@ -420,15 +421,15 @@ def _theta_closed(d, p: int, values: dict) -> tuple[Fraction, Fraction]:
             lo, hi = leaf(*arg)
             return arg[1] / hi, arg[1] / lo
         if kind in ("G", "co"):
-            return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval, values)
+            return _literal((kind, arg), "theta solver", THETA_MAX_VERTICES, _sdp_interval)
         if kind == "C" and arg >= 5 and arg % 2:
             return _odd_cycle_theta(arg, p)
-        return _chif_leaf(kind, arg, values)  # K_n, E_n and the other cycles are perfect
+        return _chif_leaf(kind, arg)  # K_n, E_n and the other cycles are perfect
 
     return _fold(d, leaf)
 
 
-def _chif_leaf(kind: str, arg, values: dict) -> tuple[Fraction, Fraction]:
+def _chif_leaf(kind: str, arg) -> tuple[Fraction, Fraction]:
     """chi_f-bar of a leaf or a complement: closed on the named leaves and
     on their complements, where it is the leaf's n / alpha; any other
     complement is taken whole, as a literal leaf is."""
@@ -440,11 +441,12 @@ def _chif_leaf(kind: str, arg, values: dict) -> tuple[Fraction, Fraction]:
         kind, n = arg
         value = Fraction(n, max({"K": 1, "E": n, "C": n // 2}[kind], 1))
     else:
-        return _literal((kind, arg), "clique cover", CHIF_MAX_VERTICES, _clique_lp, values)
+        return _literal((kind, arg), "clique cover", CHIF_MAX_VERTICES, _clique_lp)
     return value, value
 
 
-def _theta_interval(d, tol: Fraction, values: dict | None = None) -> tuple[Fraction, Fraction]:
+@one_call
+def _theta_interval(d, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Certified theta interval of the graph with recipe d, at most tol wide
     unless a literal leaf's SDP interval keeps it wider.
 
@@ -453,14 +455,13 @@ def _theta_interval(d, tol: Fraction, values: dict | None = None) -> tuple[Fract
     shrinks the closed-form parts 4x (2x where an end's rounding straddles
     a grid point), while an SDP leaf's width is fixed; so p stops rising
     once a raise leaves more than 3/4 of the width."""
-    values = {} if values is None else values
     p = _CLOSED_MIN_BITS
-    lo, hi = _theta_closed(d, p, values)
+    lo, hi = _theta_closed(d, p)
     while hi - lo > tol:
         width = hi - lo
         excess = width / tol
         p += excess.numerator.bit_length() - excess.denominator.bit_length() + 2
-        lo, hi = _theta_closed(d, p, values)
+        lo, hi = _theta_closed(d, p)
         if 4 * (hi - lo) > 3 * width:
             break
     return lo, hi
@@ -474,7 +475,7 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     any tol and any size, and on a literal leaf or its complement the
     greedy sandwich, where it meets at k, else one interior-point solve on
     at most THETA_MAX_VERTICES vertices (else BudgetError).  Both ends of
-    its interval are proved exactly, once per table (``Graph.values``),
+    its interval are proved exactly, once per call (``graphs.once``),
     and checked against every tol.  Returns [lo, hi] with hi - lo <= tol
     and theta in the interval; hi is a genuine capacity upper bound
     regardless of solver accuracy.  When a literal leaf's certified
@@ -487,7 +488,7 @@ def lovasz_theta(g: Graph, tol) -> UpperBound:
     tol = Fraction(tol)
     if tol <= 0:
         raise InputError("tolerance must be positive")
-    lo, hi = _theta_interval(g.recipe, tol, g.values)
+    lo, hi = _theta_interval(g.recipe, tol)
     if hi - lo > tol:
         raise ConvergenceError(
             f"certified theta interval has width {float(hi - lo):.3g}, above tolerance {tol}",
@@ -538,6 +539,7 @@ class BoundsReport:
         n = Fraction(self.graph.n)
         return n if self.upper is None else min(self.upper, n)
 
+    @one_call
     def refine(self, top: int, tol, node_budget: int | None = None, rounds: int | None = None,
                target: Fraction | None = None) -> int:
         """Run the plan: ladder level 0, the clique cover, theta at tol, then

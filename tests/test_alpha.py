@@ -688,6 +688,17 @@ class TestLadder:
         assert powers.stops[2].used == powers.nodes[2] == 2
         assert powers.stops[2].partial.size >= stop.partial.size**2
 
+    def test_levels_far_past_the_vertex_budget_stop_without_their_count(self):
+        # 5^(2^13) has 5,723 digits, past the int-to-str limit of a stop
+        # message: only the first level past the cap forms its vertex count
+        powers = PowerLadder(cycle_graph(5))
+        assert powers.solve(13, node_budget=10) is None
+        assert [powers.stops[k].reason for k in range(4, 14)] == ["vertex budget"] * 10
+        first, last = powers.stops[4], powers.stops[13]
+        assert first.used == 5**16
+        assert str(first) == f"strong product needs {5**16} vertices, budget is {1 << 20}"
+        assert str(last) == f"strong product needs 5^8192 vertices, budget is {1 << 20}"
+
     def test_closed_level_keeps_the_vertex_budget_stop(self):
         g = strong_product(complete_graph(3), edgeless_graph(2))
         with pytest.raises(BudgetError) as exc:

@@ -349,25 +349,21 @@ class TestExitCodes:
         assert code == 2 and report["results"]["kind"] == "input"
 
     @pytest.mark.parametrize(
-        "argv, env",
+        "argv",
         [
-            (["alpha", "--graph", "C5$"], {}),
-            (["alpha", "--graph", "(C5 C5)"], {}),
-            (["alpha", "--graph", "C5"], {"ZW_MAX_VERTICES": "abc"}),
-            (["alpha", "--graph", "C5"], {"ZW_MAX_VERTICES": "0"}),
-            (["alpha", "--graph", "3; 0-1,1x2"], {}),
-            (["alpha", "--graph", "3; a-b"], {}),
+            ["alpha", "--graph", "C5$"],
+            ["alpha", "--graph", "(C5 C5)"],
+            ["alpha", "--graph", "3; 0-1,1x2"],
+            ["alpha", "--graph", "3; a-b"],
             # a channel case names the text of its file, written beside the test
-            (["channel-graph", "--channel", "[]"], {}),
-            (["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":{}}'], {}),
-            (["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":[1]}'], {}),
+            ["channel-graph", "--channel", "[]"],
+            ["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":{}}'],
+            ["channel-graph", "--channel", '{"x_size":1,"y_size":1,"rows":[1]}'],
         ],
-        ids=["stray-char", "unbalanced", "env-text", "env-zero", "bad-edge",
-             "edge-names", "channel-list", "rows-object", "row-number"],
+        ids=["stray-char", "unbalanced", "bad-edge", "edge-names", "channel-list", "rows-object",
+             "row-number"],
     )
-    def test_malformed_input_is_one_input_report(self, monkeypatch, tmp_path, capsys, argv, env):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_malformed_input_is_one_input_report(self, tmp_path, capsys, argv):
         if argv[0] == "channel-graph":
             path = tmp_path / "channel.json"
             path.write_text(argv[-1])
@@ -378,7 +374,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("graph", ["E2000", "K2000", "C2000", "2000;", "2000; 0-1"])
     def test_input_graph_past_the_vertex_budget_is_a_budget_stop(self, monkeypatch, graph):
-        monkeypatch.setenv("ZW_MAX_VERTICES", "1000")
+        monkeypatch.setattr(zecap.graphs, "DEFAULT_MAX_VERTICES", 1000)
         code, report = run(["alpha", "--graph", graph])
         assert code == 3 and report["results"]["reason"] == "vertex budget"
         assert run(["alpha", "--graph", graph.replace("2000", "1000")])[0] == 0

@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 from zecap import BudgetError, InputError, fractional_clique_cover, lovasz_theta, solve_alpha
-from zecap import spectrum
+from zecap import graphs, spectrum
 from zecap.cli import parse_graph, run
 from zecap.graphs import Graph, complement
 
@@ -80,7 +80,7 @@ def schema():
 def test_every_stop_is_classified(monkeypatch, schema):
     # a product of small atoms can still square past a gigabyte at the
     # default vertex cap; 4,096 vertices keep each case small
-    monkeypatch.setenv("ZW_MAX_VERTICES", "4096")
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_VERTICES", 4096)
     rng = random.Random(35)
     codes = set()
     for _ in range(CASES):
@@ -103,7 +103,7 @@ def test_spectrum_invariants(monkeypatch):
     # composed theta overlaps the SDP interval of the flat graph and the
     # composed chi_f-bar is its LP optimum.  Outside them, every theta
     # certifies, and the SDP runs only on literal atoms
-    monkeypatch.setenv("ZW_MAX_VERTICES", "4096")
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_VERTICES", 4096)
     solve, sizes = spectrum._theta_solve, []
     monkeypatch.setattr(spectrum, "_theta_solve",
                         lambda n, *edges: sizes.append(n) or solve(n, *edges))

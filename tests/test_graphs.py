@@ -35,7 +35,7 @@ from zecap.cli import parse_graph
 from zecap import graphs
 from zecap.graphs import (
     ADJACENCY_MAX_BYTES, orbit_labels, power_fits, recipe_edges, recipe_graph, recipe_vertices,
-    transitive, vertex_budget,
+    transitive,
 )
 
 from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
@@ -100,6 +100,42 @@ class TestGraphType:
         for _ in range(20):
             g = random_graph(rng, 6)
             assert Graph.from_edges(g.n, g.edges()) == g
+
+    def test_repr_builds_no_masks(self, monkeypatch):
+        # C5^8's masks would take 19 GB: repr reads n and the recipe only
+        builds = counting(monkeypatch, "build_masks")
+        g = parse_graph("C5^8")
+        assert repr(g) == f"Graph(n=390625, recipe=('x', {(('C', 5),) * 8!r}))"
+        assert builds == []
+        # a literal lists the edges of the masks it holds: printed in decimal,
+        # a mask past bit 14,284 would pass the 4,300-digit int-to-str limit
+        assert repr(Graph.from_edges(20000, [(0, 19999)])) == "Graph(n=20000, edges=[(0, 19999)])"
+
+
+class TestCallTable:
+    """``once`` keeps a value for the running call only: the outermost
+    ``one_call`` function opens the table, and it is dropped on return."""
+
+    def test_values_live_as_long_as_one_call(self):
+        found = []
+
+        def find():
+            found.append(len(found) + 1)
+            return found[-1]
+
+        assert [graphs.once("k", find) for _ in range(2)] == [1, 2]  # no call open
+
+        @graphs.one_call
+        def inner():
+            return graphs.once("k", find)
+
+        @graphs.one_call
+        def outer():
+            return graphs.once("k", find), inner(), graphs.once("k", find)
+
+        assert outer() == (3, 3, 3)  # the inner call reads the outer call's table
+        assert outer() == (4, 4, 4) and inner() == 5
+        assert "values" not in Graph.__slots__
 
 
 class TestNumbering:
@@ -602,14 +638,6 @@ class TestStrongProduct:
             with pytest.raises(InputError):
                 power_fits(5, 2, cap)
 
-    def test_env_override_of_vertex_budget(self, monkeypatch):
-        monkeypatch.setenv("ZW_MAX_VERTICES", "30")
-        assert vertex_budget() == 30
-        with pytest.raises(BudgetError):
-            strong_power(cycle_graph(6), 2)
-        monkeypatch.delenv("ZW_MAX_VERTICES")
-        assert vertex_budget() == 1 << 20
-
 
 class TestIsomorphism:
     def test_relabeled_cycle(self, rng):
@@ -702,7 +730,7 @@ class TestVertexBudgetStop:
         ids=["product", "ladder", "edge-list", "named", "isomorphism", "order", "theta", "cover"],
     )
     def test_reason_used_and_message(self, monkeypatch, stop, what, used, cap):
-        monkeypatch.setenv("ZW_MAX_VERTICES", "1000")  # the cap of text input
+        monkeypatch.setattr(graphs, "DEFAULT_MAX_VERTICES", 1000)  # the cap of text input
         with pytest.raises(BudgetError) as exc:
             stop()
         e = exc.value

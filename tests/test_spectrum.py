@@ -246,8 +246,7 @@ class TestCliqueCoverCertificate:
             assert not exact._proves_packing(rows, *cert), n_lie
             monkeypatch.setattr(exact, "_packing_certificate", lambda *args, cert=cert: cert)
             fallbacks.clear()
-            # a new copy per call: g's own table keeps the first call's value
-            assert fractional_clique_cover(stripped(g)).hi == self.RANDOM[20], n_lie
+            assert fractional_clique_cover(g).hi == self.RANDOM[20], n_lie
             assert fallbacks == [len(rows)], n_lie
 
     def test_early_bases_are_rejected(self, monkeypatch, fallbacks):
@@ -262,12 +261,11 @@ class TestCliqueCoverCertificate:
             for k in range(pivots):
                 monkeypatch.setattr(exact, "_packing_basis", lambda a, cap, k=k: basis(a, k))
                 fallbacks.clear()
-                # a new copy per call: g's own table keeps the first call's value
-                assert fractional_clique_cover(stripped(g)).hi == want, k
+                assert fractional_clique_cover(g).hi == want, k
                 assert fallbacks == [len(a)], k
             monkeypatch.setattr(exact, "_packing_basis", basis)
             fallbacks.clear()
-            assert fractional_clique_cover(stripped(g)).hi == want and fallbacks == []
+            assert fractional_clique_cover(g).hi == want and fallbacks == []
 
     def test_many_cliques(self, monkeypatch):
         # complete 6-partite K_{3,...,3}: 3^6 = 729 maximal cliques on 18
@@ -620,7 +618,7 @@ class TestSandwichClosure:
                                 Fraction(1779047184823, 549755813888))
         with pytest.raises(ConvergenceError):  # the SDP's floor stays
             lovasz_theta(c5, Fraction(1, 10**12))
-        assert solves == [5, 6]
+        assert solves == [5, 6, 5]  # each call solves its own
 
     def test_chif_closes_before_the_clique_list(self, monkeypatch):
         calls = []
@@ -820,6 +818,19 @@ class TestLiteralLeaves:
             partial = report["results"]["partial"]
             assert Fraction(partial["lo"]) ** 2 < 20 < Fraction(partial["hi"]) ** 2
 
+    def test_each_call_finds_its_own_values(self, solves, monkeypatch):
+        # the table lives as long as one call, not as long as the graph: a
+        # literal asked twice is solved twice
+        from zecap.cli import parse_graph
+
+        lp, lps = spectrum._clique_lp, []
+        monkeypatch.setattr(spectrum, "_clique_lp", lambda g: lps.append(g.n) or lp(g))
+        g = parse_graph(C5_BITS)
+        for _ in range(2):
+            assert lovasz_theta(g, TOL).hi ** 2 > 5
+            assert fractional_clique_cover(g).hi == Fraction(5, 2)
+        assert solves == [5, 5] and lps == [5, 5]
+
     def test_equal_graphs_keep_their_own_values(self):
         # the table is keyed by recipe node: C5 and the literal C5 are equal
         # as graphs, yet each keeps its own interval, the closed form and the
@@ -841,8 +852,7 @@ class TestLiteralLeaves:
 
         closed = spectrum._theta_closed
         calls = []
-        monkeypatch.setattr(spectrum, "_theta_closed",
-                            lambda d, p, values: calls.append(p) or closed(d, p, values))
+        monkeypatch.setattr(spectrum, "_theta_closed", lambda d, p: calls.append(p) or closed(d, p))
         start = time.perf_counter()
         with pytest.raises(ConvergenceError) as stop:
             lovasz_theta(parse_graph(expr), Fraction(1, 10**12))
