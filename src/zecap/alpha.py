@@ -32,8 +32,8 @@ an integer gather over its set bits when it has few (``_gathers``: up to
 about 1,000 + n^2/100, so C5^2, C9^2 and E_n), and by one numpy permutation
 of the packed rows otherwise; both give the same masks, and numpy is
 imported only then.
-Budgets are counted in node expansions; running out raises BudgetError
-carrying the best set found so far, never a silent claim of optimality.
+Nodes are counted by ``graphs.NodeBudget``; its stop is raised again with
+the best set found so far, never a silent claim of optimality.
 
 ``greedy_bounds`` brackets alpha between the greedy seed and greedy
 partitions into cliques; where the two meet, ``spectrum`` reads theta and
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from . import creal
 from .errors import BudgetError, InputError
 from .graphs import Graph, orbit_labels, require_fits, strong_product, vertex_budget
-from .graphs import once, power_fits
+from .graphs import NodeBudget, once, power_fits
 
 LADDER_MAX_LEVEL = 64  # level k of a graph on n >= 2 vertices has n^(2^k) of them
 
@@ -84,23 +84,6 @@ class LadderValue:
     m: int
     alpha_value: int
     root: creal.CReal
-
-
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
-            raise _OutOfNodes()
-
-
-class _OutOfNodes(Exception):
-    pass
 
 
 def _degree_slices(masks) -> list[int]:
@@ -255,8 +238,7 @@ def solve_alpha(
     initial: list[int] | None = None,
 ) -> tuple[IndependentSetWitness, int]:
     """Exact alpha via branch and bound; returns (witness, nodes_used)."""
-    if node_budget is not None and node_budget < 0:
-        raise InputError(f"node budget must be nonnegative, got {node_budget}")
+    budget = NodeBudget(node_budget, "alpha")
     n = g.n
     if n == 0:
         return IndependentSetWitness([], 0), 0
@@ -271,7 +253,6 @@ def solve_alpha(
     else:
         seed = _greedy_seed(h)  # no warm start, or a bad one we do not trust
     best = {"size": len(seed), "set": seed}
-    budget = _Budget(node_budget)
 
     def expand(r_list: list[int], p_mask: int, orbit=None):
         budget.spend()
@@ -335,12 +316,9 @@ def solve_alpha(
             # vertex labelled as v, so the root call drops v's whole label
             # class once v is searched
             expand([0], full ^ 1 ^ adj[0], orbits)
-    except _OutOfNodes:
+    except BudgetError as e:
         raise BudgetError(
-            f"alpha node budget {node_budget} exhausted; best found {best['size']}",
-            partial=found(),
-            used=budget.used,
-            reason="node budget",
+            f"{e}; best found {best['size']}", partial=found(), used=e.used, reason=e.reason
         ) from None
     finally:
         sys.setrecursionlimit(limit)  # the limit is process-wide
@@ -479,10 +457,7 @@ class PowerLadder:
         k, g = self._level, self.graph
         try:
             if k > 0:
-                if k > 1 and not power_fits(g.n, 1 << (k - 1), self._cap):  # n^(2^k) > cap^2
-                    raise BudgetError(f"strong product needs {g.n}^{1 << k} vertices, budget is "
-                                      f"{self._cap}", reason="vertex budget")
-                require_fits("strong product", g.n ** (1 << k), self._cap)
+                require_fits("strong product", g.n, self._cap, exponent=1 << k)
                 if self._cover is None:
                     self._cover = once((g.recipe, "greedy"), lambda: greedy_bounds(g))[1]
                 if self.alpha.get(k - 1) == self._cover ** (1 << (k - 1)):

@@ -41,8 +41,9 @@ from fractions import Fraction
 
 from . import creal
 from .alpha import PowerLadder
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .graphs import INDEX_MAX_VERTICES, ISO_MAX_VERTICES, Graph, decode, encode, is_isomorphic
+from .graphs import require_fits
 from .spectrum import BoundsReport, sandwich
 
 # unused here; perfbench/spans.py's REQUIRED_SITES pins these bindings
@@ -286,13 +287,8 @@ def locate_grid(
     last = (1 << (2 * resolution)) - 1
     first_cell = min(_cell_of(lower, resolution), last)
     last_cell = min(_cell_of(upper, resolution), last)
-    count = last_cell - first_cell + 1
-    if count > LOCATE_MAX_CELLS:
-        raise BudgetError(
-            f"{count} cells at resolution {resolution}, above the cap of {LOCATE_MAX_CELLS}",
-            used=count,
-            reason="cell budget",
-        )
+    require_fits(f"resolution {resolution}", last_cell - first_cell + 1, LOCATE_MAX_CELLS,
+                 "cells", "cell budget")
     return GridCell(
         resolution=resolution,
         cells=list(range(first_cell, last_cell + 1)),

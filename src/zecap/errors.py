@@ -16,8 +16,7 @@ class BudgetError(ZecapError):
     so callers never have to re-derive work that was already done, and
     ``used``, the amount spent or needed where known: nodes searched, cliques
     listed, or the vertices or adjacency bytes a size stop needed.  Size stops come
-    from ``graphs.require_fits``, except those of ``strong_power`` and
-    ``preorder.test_F``, whose n^k vertices may be too many to compute.
+    from ``graphs.require_fits`` and node stops from ``graphs.NodeBudget``.
     """
 
     def __init__(self, message, partial=None, used=None, reason=None):

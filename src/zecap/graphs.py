@@ -113,8 +113,22 @@ class Graph:
         return hash((self.n, self.masks))
 
     def __repr__(self) -> str:  # builds no masks: a literal lists the edges of the masks it holds
-        shown = f"edges={self.edges()}" if self.recipe[0] == "G" else f"recipe={self.recipe!r}"
+        literal = self.recipe[0] == "G"
+        shown = f"edges={self.edges()}" if literal else f"recipe={_shown(self.recipe)}"
         return f"Graph(n={self.n}, {shown})"
+
+
+def _shown(d) -> str:
+    """Recipe d as text, a literal leaf by its vertex count: its masks in
+    decimal could pass the 4,300-digit int-to-str limit."""
+    kind, arg = d
+    if kind == "G":
+        arg = f"<{len(arg)} vertices>"
+    elif kind == "co":
+        arg = _shown(arg)
+    elif kind in ("x", "+"):
+        arg = f"({', '.join(map(_shown, arg))})"
+    return f"({kind!r}, {arg})"
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +248,54 @@ def once(key, find):
 
 
 def require_fits(what: str, needed: int, cap: int, unit: str = "vertices",
-                 reason: str = "vertex budget") -> None:
-    """The one size stop, when what needs more than cap (vertices, or the
-    bytes of an adjacency); its ``used`` is the amount needed."""
-    if needed > cap:
-        raise BudgetError(f"{what} needs {needed} {unit}, budget is {cap}", used=needed,
-                          reason=reason)
+                 reason: str = "vertex budget", exponent: int = 1) -> None:
+    """The one size stop, when what needs more than cap: needed^exponent
+    vertices, cliques, cells or bytes of an adjacency.  Its ``used`` is the
+    amount needed, formed when exponent is 1 or its square root fits cap; a
+    larger power is named needed^exponent, with no used, as its count may be
+    too long to form or print."""
+    formed = exponent == 1 or power_fits(needed, exponent, cap * cap)
+    if formed and needed ** exponent <= cap:
+        return
+    used = needed ** exponent if formed else None
+    amount = f"{needed}^{exponent}" if used is None else used
+    raise BudgetError(f"{what} needs {amount} {unit}, budget is {cap}", used=used, reason=reason)
+
+
+class NodeBudget:
+    """The one node counter of a search: ``spend`` counts a node and stops
+    the search once more than limit are spent (None: no limit)."""
+
+    __slots__ = ("limit", "what", "used")
+
+    def __init__(self, limit: int | None, what: str):
+        if limit is not None and limit < 0:
+            raise InputError(f"node budget must be nonnegative, got {limit}")
+        self.limit, self.what, self.used = limit, what, 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetError(f"{self.what} node budget {self.limit} exhausted", used=self.used,
+                              reason="node budget")
 
 
 def strong_power(g: Graph, n: int, max_vertices: int | None = None) -> Graph:
     """n-fold strong product of g with itself (n >= 1)."""
     if n < 1:
         raise InputError("strong power exponent must be >= 1")
-    cap = vertex_budget(max_vertices)
-    if not power_fits(g.n, n, cap):
-        raise BudgetError(f"strong power needs {g.n}^{n} vertices, budget is {cap}",
-                          reason="vertex budget")
+    require_fits("strong power", g.n, vertex_budget(max_vertices), exponent=n)
     if n == 1 or g.n <= 1:
         return g  # g^1 is g, as is every power of the empty graph or a single vertex
     return Graph(g.n ** n, recipe=("x", _operands("x", g.recipe) * n))
 
 
-def power_fits(n_vertices: int, exponent: int, cap: int | None) -> bool:
-    """Whether an n_vertices^exponent strong power stays within cap, resolved through
-    ``vertex_budget``; a huge exponent fails 2^exponent <= cap before it is raised to."""
-    cap = vertex_budget(cap)
+def power_fits(n_vertices: int, exponent: int, cap: int) -> bool:
+    """Whether an n_vertices^exponent strong power stays within cap, at least 1, so
+    a graph on at most one vertex fits; a huge exponent fails 2^exponent <= cap
+    before it is raised to."""
+    if cap < 1:
+        raise InputError("vertex budget must be positive")
     return n_vertices <= 1 or exponent <= cap.bit_length() and n_vertices ** exponent <= cap
 
 

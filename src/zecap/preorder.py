@@ -22,9 +22,9 @@ from .alpha import solve_alpha
 from .errors import BudgetError, InputError
 from .graphs import (
     Graph,
+    NodeBudget,
     complement,
     edgeless_graph,
-    power_fits,
     require_fits,
     single_vertex,
     strong_power,
@@ -87,8 +87,7 @@ def _hom_search(
     complement of dst; ``leq`` answers that with ``solve_alpha`` and never
     sends one here.
     """
-    if node_budget is not None and node_budget < 0:
-        raise InputError(f"node budget must be nonnegative, got {node_budget}")
+    budget = NodeBudget(node_budget, "homomorphism search")
     ns, nt = src.n, dst.n
     if ns == 0:
         return (), 0
@@ -121,10 +120,9 @@ def _hom_search(
     domains = [full] * ns
     sizes = [nt] * ns
     rows = dst.masks
-    nodes = 0
 
     def assign(depth: int) -> bool:
-        nonlocal nodes, used, allowed
+        nonlocal used, allowed
         if depth == ns:
             return True
         i = sizes.index(min(sizes))
@@ -134,10 +132,7 @@ def _hom_search(
         while cand:
             lsb = cand & -cand
             cand ^= lsb
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetError("homomorphism search exceeded node budget", used=nodes,
-                                  reason="node budget")
+            budget.spend()
             t = lsb.bit_length() - 1
             # an assigned vertex's domain is its image, which every later
             # neighbour's row contains, so the loop below passes it over
@@ -170,8 +165,8 @@ def _hom_search(
         return False
 
     if assign(0):
-        return tuple(domains[position[v]].bit_length() - 1 for v in range(ns)), nodes
-    return None, nodes
+        return tuple(domains[position[v]].bit_length() - 1 for v in range(ns)), budget.used
+    return None, budget.used
 
 
 def leq(
@@ -217,11 +212,8 @@ def test_F(
     # size the slack factor and the product before building anything: an
     # empty h^n hides any factor from strong_product's own check
     cap = vertex_budget(power_cap)
-    if k >= cap.bit_length() or not power_fits(h.n, n, cap >> k):
-        raise BudgetError(
-            f"slack test needs edgeless(2^{k}) ⊠ h^{n}, budget is {cap} vertices",
-            reason="vertex budget",
-        )
+    require_fits("slack factor", 2, cap, exponent=k)
+    require_fits(f"h^{n} beside edgeless(2^{k})", h.n, cap >> k, exponent=n)
     if n == 0:
         gp = single_vertex()
         hp = single_vertex()

@@ -82,16 +82,15 @@ class UpperBound:
 # fractional clique cover
 
 
-def maximal_cliques(g: Graph, cap: int = CHIF_MAX_CLIQUES) -> list[int]:
-    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
+def maximal_cliques(g: Graph) -> list[int]:
+    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting); more
+    than CHIF_MAX_CLIQUES of them is a budget stop."""
     out: list[int] = []
 
     def extend(r: int, p: int, x: int):
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > cap:
-                raise BudgetError(f"more than {cap} maximal cliques", used=len(out),
-                                  reason="clique budget")
+            require_fits("clique list", len(out), CHIF_MAX_CLIQUES, "cliques", "clique budget")
             return
         # pivot with most candidates knocked out
         pivot = -1

@@ -136,8 +136,10 @@ def test_spectrum_invariants(monkeypatch):
                 assert theta.lo <= cover.hi, (text, h.recipe)
             except BudgetError:
                 cover = None
+            if h.n > 30:
+                continue  # the flat checks below read the masks, which a large h may not build
             flat = Graph(h.n, h.masks)
-            if h.n <= 30 and h.edge_count() <= 500:
+            if h.edge_count() <= 500:
                 flat_lo, flat_hi = spectrum._sdp_interval(flat)
                 assert max(theta.lo, flat_lo) <= min(theta.hi, flat_hi), (text, h.recipe)
             if h.n <= 24 and len(spectrum.maximal_cliques(flat)) <= 200:

@@ -30,6 +30,8 @@ from zecap import (
     strong_power,
     strong_product,
 )
+from zecap import test_F as slack_test  # aliased so pytest does not collect it
+from zecap.alpha import solve_alpha
 from zecap.channel import confusability_graph
 from zecap.cli import parse_graph
 from zecap import graphs
@@ -37,6 +39,7 @@ from zecap.graphs import (
     ADJACENCY_MAX_BYTES, orbit_labels, power_fits, recipe_edges, recipe_graph, recipe_vertices,
     transitive,
 )
+from zecap.preorder import _hom_search
 
 from conftest import has_automorphism, is_vertex_transitive, make_pentagon_channel, random_graph
 
@@ -110,6 +113,13 @@ class TestGraphType:
         # a literal lists the edges of the masks it holds: printed in decimal,
         # a mask past bit 14,284 would pass the 4,300-digit int-to-str limit
         assert repr(Graph.from_edges(20000, [(0, 19999)])) == "Graph(n=20000, edges=[(0, 19999)])"
+
+    def test_repr_shows_a_literal_leaf_by_its_vertex_count(self, monkeypatch):
+        # the leaf's masks in decimal would pass the int-to-str limit
+        builds = counting(monkeypatch, "build_masks")
+        g = disjoint_union(Graph.from_edges(20000, [(0, 19999)]), cycle_graph(5))
+        assert repr(g) == "Graph(n=20005, recipe=('+', (('G', <20000 vertices>), ('C', 5))))"
+        assert builds == []
 
 
 class TestCallTable:
@@ -717,6 +727,11 @@ class TestVertexBudgetStop:
         [
             (lambda: strong_product(cycle_graph(5), cycle_graph(5), 20), "strong product", 25, 20),
             (lambda: _ladder_stop(100), "strong product", 625, 100),
+            (lambda: strong_power(cycle_graph(5), 4, 100), "strong power", 625, 100),
+            (lambda: slack_test(single_vertex(), single_vertex(), 1, 10, 10, 512),
+             "slack factor", 1024, 512),
+            (lambda: slack_test(cycle_graph(5), cycle_graph(5), 1, 4, 1, 1000),
+             "h^4 beside edgeless(2^1)", 625, 500),
             (lambda: graph_from_edgetext("2000;"), "graph", 2000, 1000),
             (lambda: parse_graph("E2000"), "graph", 2000, 1000),
             (lambda: is_isomorphic(cycle_graph(11), cycle_graph(11)), "isomorphism search", 11, 10),
@@ -727,7 +742,8 @@ class TestVertexBudgetStop:
                 "clique cover", 25, 24,
             ),
         ],
-        ids=["product", "ladder", "edge-list", "named", "isomorphism", "order", "theta", "cover"],
+        ids=["product", "ladder", "power", "slack-factor", "slack-power", "edge-list", "named",
+             "isomorphism", "order", "theta", "cover"],
     )
     def test_reason_used_and_message(self, monkeypatch, stop, what, used, cap):
         monkeypatch.setattr(graphs, "DEFAULT_MAX_VERTICES", 1000)  # the cap of text input
@@ -736,3 +752,29 @@ class TestVertexBudgetStop:
         e = exc.value
         assert (e.reason, e.used, e.partial) == ("vertex budget", used, None)
         assert str(e) == f"{what} needs {used} vertices, budget is {cap}"
+
+
+class TestNodeBudgetStop:
+    """Both searches count nodes on one ``NodeBudget``: one input check, one
+    reason, the nodes spent as ``used``; only alpha's stop keeps a partial set."""
+
+    SEARCHES = {
+        "alpha": lambda budget: solve_alpha(cycle_graph(5), budget),
+        "homomorphism search": lambda budget: _hom_search(
+            complement(cycle_graph(5)), complement(cycle_graph(5)), budget),
+    }
+
+    @pytest.mark.parametrize("what", sorted(SEARCHES))
+    def test_negative_budget_is_one_input_error(self, what):
+        with pytest.raises(InputError) as exc:
+            self.SEARCHES[what](-1)
+        assert str(exc.value) == "node budget must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("what", sorted(SEARCHES))
+    def test_zero_budget_stops_at_the_first_node(self, what):
+        with pytest.raises(BudgetError) as exc:
+            self.SEARCHES[what](0)
+        e = exc.value
+        assert (e.reason, e.used) == ("node budget", 1)
+        assert str(e).startswith(f"{what} node budget 0 exhausted")
+        assert (e.partial is not None) == (what == "alpha")

@@ -65,15 +65,16 @@ class TestMaximalCliques:
     def test_empty_graph(self):
         assert maximal_cliques(Graph(0, ())) == []
 
-    def test_clique_budget(self):
+    def test_clique_budget(self, monkeypatch):
         # complement of 8 disjoint triangles has 3^8 maximal cliques
         from zecap.graphs import complement
 
         g = complete_graph(3)
         for _ in range(7):
             g = disjoint_union(g, complete_graph(3))
+        monkeypatch.setattr(spectrum, "CHIF_MAX_CLIQUES", 1000)  # read at call time
         with pytest.raises(BudgetError) as exc:
-            maximal_cliques(complement(g), cap=1000)
+            maximal_cliques(complement(g))
         assert exc.value.reason == "clique budget"
         assert exc.value.used == 1001  # the clique past the cap
 
