@@ -28,13 +28,10 @@ from .alpha import (
 from .channel import (
     Channel,
     ChannelCapacityReport,
-    ZeroErrorCode,
     capacity_bounds,
     channel_from_csv,
     channel_from_json,
     confusability_graph,
-    max_zero_error_code,
-    words_distinguishable,
 )
 from .creal import (
     CReal,

@@ -17,11 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alpha import IndependentSetWitness, solve_alpha
 from .creal import check_exponent, decimal_string
 from .errors import InputError
-from .graphs import Graph, strong_power
+from .graphs import Graph, require_adjacency_fits
 from .spectrum import BoundsReport, sandwich
+
+# unused here; perfbench/spans.py's REQUIRED_SITES pins these bindings
+from .alpha import solve_alpha
+from .graphs import strong_power
 
 
 @dataclass(frozen=True)
@@ -132,59 +135,21 @@ def channel_from_json(text: str) -> Channel:
 
 
 def confusability_graph(ch: Channel) -> Graph:
-    """Inputs become vertices; an edge marks a shared positive output."""
+    """Inputs become vertices; an edge marks a shared positive output.  After
+    the adjacency byte stop, one pass per output y gathers users[y], the
+    inputs with y in their support, and input x's row is the OR of users[y]
+    over its own outputs, x itself cleared."""
+    require_adjacency_fits(ch.x_size)
     supports = [ch.support(x) for x in range(ch.x_size)]
-    masks = [0] * ch.x_size
-    for a in range(ch.x_size):
-        for b in range(a + 1, ch.x_size):
-            if supports[a] & supports[b]:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
+    users = [sum(1 << x for x, s in enumerate(supports) if s >> y & 1) for y in range(ch.y_size)]
+    masks = []
+    for x, s in enumerate(supports):
+        row = 0
+        for y, inputs in enumerate(users):
+            if s >> y & 1:
+                row |= inputs
+        masks.append(row ^ 1 << x)
     return Graph(ch.x_size, tuple(masks))
-
-
-@dataclass
-class ZeroErrorCode:
-    """A maximum zero-error block code with its independence witness."""
-
-    block_length: int
-    words: tuple[tuple[int, ...], ...]
-    witness: IndependentSetWitness
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-
-def _decode_word(vertex: int, base: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        vertex, digit = divmod(vertex, base)
-        digits.append(digit)
-    return tuple(reversed(digits))
-
-
-def words_distinguishable(ch: Channel, u: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    """True when no length-n output word has positive probability under both."""
-    return any(not ch.support(a) & ch.support(b) for a, b in zip(u, w))
-
-
-def max_zero_error_code(
-    ch: Channel,
-    n: int,
-    node_budget: int | None = None,
-    max_vertices: int | None = None,
-) -> ZeroErrorCode:
-    """Largest set of pairwise-distinguishable length-n input words."""
-    if n < 1:
-        raise InputError("block length must be at least 1")
-    g = confusability_graph(ch)
-    power = strong_power(g, n, max_vertices)
-    witness, _ = solve_alpha(power, node_budget)
-    words = tuple(
-        _decode_word(v, ch.x_size, n) for v in sorted(witness.vertices)
-    )
-    return ZeroErrorCode(block_length=n, words=words, witness=witness)
 
 
 @dataclass

@@ -11,7 +11,7 @@ search's best set, a theta interval, or null); a budget stop also carries
 its ``reason`` and the amount ``used``, on a size stop the vertices needed.
 Input graphs of at most 64 vertices are echoed under ``inputs`` edge by
 edge; larger ones as ``{"vertices", "edge_count"}``, since the expression
-beside them determines them.  Result graphs always list every edge.
+beside them determines them.  Result graphs past 2^16 edges are too.
 
 Graphs are given as expressions: numbering indices ("689"), bit strings
 ("5:1001100101"), named shortcuts (C3..C9 cycles, K1..K9 complete, E1..E9
@@ -93,10 +93,7 @@ if TYPE_CHECKING:
     import argparse
 
 REAL_BITS = 48  # precision at which computable reals are reported
-
-# one process answers one command: at exit, move the heap out of the
-# interpreter's shutdown collections, which would only walk it
-atexit.register(gc.freeze)
+RESULT_MAX_EDGES = 1 << 16  # edges a result graph lists; past it, it is summarized
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +231,8 @@ def real_json(x: CReal) -> dict:
 
 
 def graph_json(g: Graph) -> dict:
+    if g.edge_count() > RESULT_MAX_EDGES:  # the count read off the recipe, no edge list built
+        return {"vertices": g.n, "edge_count": g.edge_count()}
     out: dict = {"vertices": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.n <= 40:
         out["index"] = encode(g)
@@ -793,6 +792,14 @@ def main(argv=None) -> int:
         # interpreter's final flush stays quiet, and keep the command's code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
+
+
+# one process answers one command: freeze the heap its imports built, so the
+# command's collections do not walk it (nor can the number of objects the
+# imports allocate move a collection into the command), and at exit the
+# rest, out of the interpreter's shutdown collections, which would only walk it
+gc.freeze()
+atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

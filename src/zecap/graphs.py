@@ -362,16 +362,21 @@ def recipe_graph(d) -> Graph:
 ADJACENCY_MAX_BYTES = 1 << 27
 
 
+def require_adjacency_fits(n: int) -> None:
+    """Stop unless the n * ceil(n / 8) bytes of n-vertex masks fit ADJACENCY_MAX_BYTES."""
+    require_fits(f"adjacency of {n} vertices", n * -(-n // 8), ADJACENCY_MAX_BYTES, "bytes",
+                 "adjacency byte limit")
+
+
 def build_masks(d) -> tuple[int, ...]:
-    """The adjacency masks of the graph with recipe d, the one builder: their
-    n * ceil(n / 8) bytes are checked against ADJACENCY_MAX_BYTES first.  A
-    product is its repeated block's power by squaring, or squares its runs of equal factors."""
+    """The adjacency masks of the graph with recipe d, the one recipe builder,
+    behind ``require_adjacency_fits``.  A product is its repeated block's
+    power by squaring, or squares its runs of equal factors."""
     kind, arg = d
     if kind == "G":
         return arg
     n = recipe_vertices(d)
-    require_fits(f"adjacency of {n} vertices", n * -(-n // 8), ADJACENCY_MAX_BYTES, "bytes",
-                 "adjacency byte limit")
+    require_adjacency_fits(n)
     full = (1 << n) - 1
     if kind == "co":
         return tuple(full ^ 1 << v ^ m for v, m in enumerate(build_masks(arg)))

@@ -1,13 +1,16 @@
 """Discrete channels: parsing, confusability reduction, zero-error codes."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from zecap import (
+    BudgetError,
     Channel,
+    Graph,
     InputError,
     capacity_bounds,
     channel_from_csv,
@@ -17,9 +20,8 @@ from zecap import (
     cycle_graph,
     edgeless_graph,
     encode,
-    max_zero_error_code,
+    solve_alpha,
     strong_power,
-    words_distinguishable,
 )
 
 from conftest import make_bsc, make_pentagon_channel
@@ -133,28 +135,71 @@ class TestConfusabilityGraph:
         assert confusability_graph(bsc) == complete_graph(2)
 
 
-class TestZeroErrorCodes:
-    def test_pentagon_block_two(self, pentagon_channel):
-        code = max_zero_error_code(pentagon_channel, 2)
-        assert code.size == 5
-        assert code.block_length == 2
-        for u, w in combinations(code.words, 2):
-            assert words_distinguishable(pentagon_channel, u, w)
+def _pairwise_graph(ch: Channel) -> Graph:
+    """Oracle: inputs a < b joined when their supports meet, pair by pair."""
+    edges = [
+        (a, b)
+        for a, b in combinations(range(ch.x_size), 2)
+        if ch.support(a) & ch.support(b)
+    ]
+    return Graph.from_edges(ch.x_size, edges)
 
-    def test_words_match_witness_vertices(self, pentagon_channel, pentagon):
-        code = max_zero_error_code(pentagon_channel, 2)
-        # the code words are the base-5 digit strings of the witness vertices
-        power = strong_power(pentagon, 2)
-        assert code.witness.verify(power)
-        words = {tuple(divmod(v, 5)) for v in code.witness.vertices}
-        assert set(code.words) == words
+
+class TestPerOutputBuilder:
+    def test_matches_the_pairwise_oracle(self):
+        rng = random.Random(44)
+        for _ in range(300):
+            nx, ny = rng.randint(1, 12), rng.randint(1, 12)
+            rows = []
+            for _ in range(nx):
+                outputs = rng.sample(range(ny), rng.randint(1, ny))
+                p = Fraction(1, len(outputs))
+                rows.append(tuple(p if y in outputs else Fraction(0) for y in range(ny)))
+            ch = Channel(nx, ny, tuple(rows))
+            assert confusability_graph(ch) == _pairwise_graph(ch)
+
+    def test_stops_at_the_byte_limit_before_any_row(self, monkeypatch):
+        # 40,000 inputs need 40,000 * 5,000 bytes of masks, past 2^27
+        def unreachable(self, x):
+            raise AssertionError("a row was built")
+
+        ch = Channel(40000, 1, ((Fraction(1),),) * 40000)
+        monkeypatch.setattr(Channel, "support", unreachable)
+        with pytest.raises(BudgetError) as info:
+            confusability_graph(ch)
+        assert info.value.reason == "adjacency byte limit"
+        assert info.value.used == 200_000_000
+
+
+def _distinguishable(ch: Channel, u: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    """No output word has positive probability under both input words."""
+    return any(not ch.support(a) & ch.support(b) for a, b in zip(u, w))
+
+
+def _code_size(ch: Channel, n: int) -> int:
+    """The largest zero-error code of block length n: alpha of the n-th power."""
+    witness, _ = solve_alpha(strong_power(confusability_graph(ch), n))
+    return witness.size
+
+
+class TestZeroErrorCodes:
+    """Codes of block length n are independent sets of the n-th strong power
+    of the confusability graph."""
+
+    def test_pentagon_block_two(self, pentagon_channel):
+        power = strong_power(confusability_graph(pentagon_channel), 2)
+        witness, _ = solve_alpha(power)
+        assert witness.size == 5 and witness.verify(power)
+        words = [divmod(v, 5) for v in sorted(witness.vertices)]
+        for u, w in combinations(words, 2):
+            assert _distinguishable(pentagon_channel, u, w)
 
     def test_block_one_is_alpha(self, pentagon_channel):
-        assert max_zero_error_code(pentagon_channel, 1).size == 2
+        assert _code_size(pentagon_channel, 1) == 2
 
     def test_bsc_never_beats_one_word(self, bsc):
         for n in (1, 2, 3):
-            assert max_zero_error_code(bsc, n).size == 1
+            assert _code_size(bsc, n) == 1
 
     def test_noiseless_channel_grows_exponentially(self):
         rows = tuple(
@@ -162,20 +207,14 @@ class TestZeroErrorCodes:
         )
         ch = Channel(3, 3, rows)
         for n in (1, 2, 3):
-            assert max_zero_error_code(ch, n).size == 3**n
+            assert _code_size(ch, n) == 3**n
 
     def test_distinguishability_matches_power_graph(self, pentagon_channel, pentagon):
         power = strong_power(pentagon, 2)
         for u in range(25):
             for w in range(u + 1, 25):
-                separable = words_distinguishable(
-                    pentagon_channel, tuple(divmod(u, 5)), tuple(divmod(w, 5))
-                )
+                separable = _distinguishable(pentagon_channel, divmod(u, 5), divmod(w, 5))
                 assert separable == (not power.has_edge(u, w))
-
-    def test_block_length_must_be_positive(self, pentagon_channel):
-        with pytest.raises(InputError):
-            max_zero_error_code(pentagon_channel, 0)
 
 
 class TestCapacityBounds:

@@ -756,8 +756,9 @@ print(json.dumps(loaded))
 
 
 class TestExitWithoutHeapWalk:
-    """A zecap process answers one command, so it freezes its heap at exit
-    and the interpreter's shutdown collections find nothing to walk."""
+    """A zecap process answers one command, so it freezes the heap its
+    imports built and, at exit, the rest: neither the command's collections
+    nor the interpreter's shutdown collections walk it."""
 
     def test_heap_is_frozen_at_exit(self):
         # a fresh interpreter; its probe, registered before zecap.cli is
@@ -782,6 +783,19 @@ print(json.dumps(report, indent=2, sort_keys=True))
         frozen = proc.stderr.split()
         assert frozen[0] == "frozen" and int(frozen[1]) > 0, proc.stderr
 
+    def test_import_heap_is_frozen(self):
+        # what importing zecap.cli built is out of the collector's
+        # generations, so a command's collections walk only its own objects
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import gc, zecap.cli; print(gc.get_freeze_count(), len(gc.get_objects()))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        frozen, tracked = map(int, proc.stdout.split())
+        assert frozen > 1000 and tracked < 100
+
     def test_run_leaves_the_collector_alone(self):
         before = gc.get_freeze_count()
         code, report = run(["alpha", "--graph", "C5^2"])
@@ -791,7 +805,8 @@ print(json.dumps(report, indent=2, sort_keys=True))
 
 class TestInputEcho:
     """Inputs up to 64 vertices are echoed edge by edge; larger ones as a
-    summary, since the expression already determines them."""
+    summary, since the expression already determines them.  Result graphs
+    list their edges up to 2^16 of them, and past that are summarized too."""
 
     def test_64_vertices_keep_their_edges(self):
         code, report = run(["alpha", "--graph", "K8*E8"])
@@ -839,6 +854,25 @@ class TestInputEcho:
         # theta and the clique cover stop at their vertex caps: exit 3
         code, report = run(["capacity", "--channel", str(path), "--m", "0"])
         assert code == 3 and report["results"]["graph"] == graph_json(g)
+
+    def test_result_graphs_past_2_16_edges_are_summarized(self):
+        listed = disjoint_union(complete_graph(362), complete_graph(20), cycle_graph(5))
+        assert listed.edge_count() == 1 << 16
+        assert len(graph_json(listed)["edges"]) == 1 << 16
+        summarized = disjoint_union(listed, complete_graph(2))
+        assert graph_json(summarized) == {"vertices": 389, "edge_count": (1 << 16) + 1}
+
+    def test_large_channels_summarize_their_graph(self, tmp_path):
+        # 4,000 inputs that share their one output: K4000, 7,998,000 edges
+        path = tmp_path / "useless.csv"
+        path.write_text("1\n" * 4000)
+        summary = {"vertices": 4000, "edge_count": 7_998_000}
+        code, report = run(["channel-graph", "--channel", str(path)])
+        assert code == 0 and report["results"]["graph"] == summary
+        # theta and the clique cover stop at their vertex caps: exit 3
+        code, report = run(["capacity", "--channel", str(path), "--m", "0"])
+        assert code == 3 and report["results"]["graph"] == summary
+        assert len(json.dumps(report, indent=2)) < 4096
 
 
 class TestLazyAdjacency:

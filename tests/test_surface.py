@@ -19,11 +19,6 @@ PACKAGE = ROOT / "src" / "zecap"
 
 # Each name here is library surface that nothing in the package calls:
 ALLOWED = {
-    # README criterion 7 and the module table's zecap.channel row document
-    # the optimal two-letter zero-error code of the pentagon channel
-    "channel.max_zero_error_code",
-    # criterion 7 verifies that code's words pairwise with it
-    "channel.words_distinguishable",
     # README criterion 3 proves sqrt(10) < 1 + sqrt(5) with it
     "creal.CReal.upper_bound",
 }
